@@ -9,15 +9,17 @@ tensors and meta twice produces byte-identical files; there are no timestamps.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CompatibilityError, ShapeError
+from .errors import CompatibilityError, CorruptCheckpoint
 
 MAGIC = b"FVCKPT01"
 VERSION = 1
+_PREFIX = len(MAGIC) + 8
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -44,27 +46,95 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
     tmp.replace(path)
 
 
+def _valid_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+    )
+
+
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint back as (tensors, meta). Rejects foreign files."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CompatibilityError(f"{path}: not a checkpoint file")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != VERSION:
-            raise CompatibilityError(
-                f"{path}: checkpoint version {header.get('version')} is not supported"
-            )
-        tensors: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ShapeError(f"{path}: truncated tensor {entry['name']!r}")
-            tensors[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise ShapeError(f"{path}: trailing bytes after last tensor")
-    return tensors, header["meta"]
+    """Read a checkpoint back as (tensors, meta).
+
+    A foreign file or an unreadable header raises CompatibilityError; a
+    payload that is cut short or runs past the last tensor raises
+    CorruptCheckpoint."""
+    raw = Path(path).read_bytes()
+    if raw[: len(MAGIC)] != MAGIC:
+        raise CompatibilityError(f"{path}: not a checkpoint file")
+    if len(raw) < _PREFIX:
+        raise CompatibilityError(f"{path}: header length field is cut short")
+    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    if hlen > len(raw) - _PREFIX:
+        raise CompatibilityError(f"{path}: header length {hlen} exceeds the file size")
+    try:
+        header = json.loads(raw[_PREFIX : _PREFIX + hlen].decode("utf-8"))
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise CompatibilityError(f"{path}: unreadable checkpoint header ({exc})") from exc
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != VERSION:
+        raise CompatibilityError(f"{path}: checkpoint version {version} is not supported")
+    entries, meta = header.get("tensors"), header.get("meta")
+    if not (isinstance(meta, dict) and isinstance(entries, list) and all(map(_valid_entry, entries))):
+        raise CompatibilityError(f"{path}: malformed checkpoint header")
+    tensors: dict[str, np.ndarray] = {}
+    offset = _PREFIX + hlen
+    for entry in entries:
+        shape = tuple(entry["shape"])
+        count = math.prod(shape)
+        if offset + 8 * count > len(raw):
+            raise CorruptCheckpoint(f"{path}: truncated tensor {entry['name']!r}")
+        tensors[entry["name"]] = np.frombuffer(raw, "<f8", count, offset).reshape(shape).copy()
+        offset += 8 * count
+    if offset != len(raw):
+        raise CorruptCheckpoint(f"{path}: trailing bytes after last tensor")
+    return tensors, meta
+
+
+class Persistable:
+    """Checkpoint save/load for networks. ``kind`` names the network type and
+    ``DIMS`` the constructor arguments, stored as meta ``dims``, that rebuild
+    it before its tensors load."""
+
+    kind = ""
+    DIMS: tuple[str, ...] = ()
+
+    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
+        meta = {
+            "kind": self.kind,
+            "world_hash": world_hash,
+            "dims": {name: getattr(self, name) for name in self.DIMS},
+        }
+        if extra_meta:
+            meta.update(extra_meta)
+        save_checkpoint(path, dict(self.named_params()), meta)
+
+    @classmethod
+    def load(cls, path):
+        """(network, meta) from a checkpoint of this kind whose tensors match
+        the rebuilt network's parameters name for name and shape for shape."""
+        tensors, meta = load_checkpoint(path)
+        if meta.get("kind") != cls.kind:
+            raise CompatibilityError(f"{path}: checkpoint holds a {meta.get('kind')}, not a {cls.kind}")
+        dims = meta.get("dims")
+        if not isinstance(dims, dict) or set(dims) != set(cls.DIMS):
+            raise CompatibilityError(f"{path}: checkpoint dims {dims} do not match {list(cls.DIMS)}")
+        try:
+            net = cls(**dims)
+        except (TypeError, ValueError) as exc:
+            raise CompatibilityError(f"{path}: cannot rebuild a {cls.kind} from {dims}: {exc}") from exc
+        params = dict(net.named_params())
+        for name, param in params.items():
+            if name not in tensors:
+                raise CompatibilityError(f"{path}: checkpoint misses tensor {name!r}")
+            if tensors[name].shape != param.shape:
+                raise CompatibilityError(
+                    f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {param.shape}"
+                )
+            param[...] = tensors[name]
+        extra = set(tensors) - set(params)
+        if extra:
+            raise CompatibilityError(f"{path}: checkpoint carries unknown tensors {sorted(extra)}")
+        return net, meta

@@ -168,10 +168,6 @@ class ClassificationInstance:
     pose_steps: int                 # object rotation in whole camera steps
     observations: np.ndarray        # (N, D), view v = prototype + noise
 
-    @property
-    def object_pose(self) -> float:
-        return 2.0 * np.pi * self.pose_steps / self.observations.shape[0]
-
 
 class ClassificationWorld:
     """Deterministic stream of ring-camera classification instances."""
@@ -217,9 +213,6 @@ class ClassificationWorld:
 
     def world_hash(self) -> str:
         return _config_hash(self.config)
-
-    def pair_of(self, class_id: int) -> int:
-        return class_id // 2
 
     def discriminative_views(self, class_id: int) -> tuple[int, ...]:
         """Views where the instance's class pair separates."""

@@ -27,3 +27,7 @@ class BudgetError(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """A training loss became non-finite."""
+
+
+class CorruptCheckpoint(CompatibilityError, ShapeError):
+    """A checkpoint's tensor payload is cut short or runs past its last tensor."""

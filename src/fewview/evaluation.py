@@ -50,12 +50,6 @@ def classification_metrics(preds: Array, labels: Array) -> dict:
     return {"accuracy": acc, "primary": acc}
 
 
-def correctness(run) -> Array:
-    """Flat per-(instance, initial view) correctness indicators of a
-    classification evaluation run, for paired significance tests."""
-    return (run.preds == run.labels[:, None]).astype(float).ravel()
-
-
 # ---------------------------------------------------------------------------
 # peak extraction and matching
 

@@ -1,71 +1,29 @@
 """View-selection agent.
 
-The state pairs a camera-count vector (sum of one-hots of the views taken so
-far) with a running elementwise max of their features, reduced to a fixed
-D-vector so state dimensionality never depends on how many views were taken.
-A two-branch value network embeds the camera vector, runs it and the feature
-vector through separate branches, sums the branch outputs, and maps them to
-one action value per camera. Selection is epsilon-greedy over unmasked
-cameras; repeats are forbidden by masking. Temporal-difference targets are
-computed inline with the current network: no replay buffer, no target copy.
+A selection state pairs a camera-count vector (sum of one-hots of the views
+taken so far) with a running elementwise max of their features, averaged over
+any spatial axes so state dimensionality never depends on how many views were
+taken. A two-branch value network embeds the camera vector, runs it and the
+feature vector through separate branches, sums the branch outputs, and maps
+them to one action value per camera. Selection is epsilon-greedy over
+unmasked cameras; repeats are forbidden by masking. Temporal-difference
+targets are computed inline with the current network: no replay buffer, no
+target copy. One array rollout serves training (epsilon-greedy) and greedy
+evaluation (epsilon 0), and values every state with a single Q forward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import CompatibilityError, ShapeError, StateError
+from .checkpoint import Persistable
+from .errors import ShapeError, StateError
 from .numcore import DenseNet, LayerSpec, bev_mse
-from .tasknet import aggregate_max
 
 Array = np.ndarray
 
 
-@dataclass(frozen=True)
-class SelectionState:
-    cam_vector: Array       # (N,) counts of chosen cameras
-    obs_vector: Array       # (D,) running max of chosen features, reduced
-    chosen: tuple[int, ...]
-
-
-def build_state(chosen, features, n_cameras: int) -> SelectionState:
-    """State from the chosen cameras and their aligned feature arrays.
-
-    Features may be vectors (used directly) or feature maps (D, H, W...),
-    which are max-combined and then averaged over the spatial axes so the
-    observation summary stays a D-vector.
-    """
-    chosen = tuple(int(c) for c in chosen)
-    if not chosen:
-        raise ShapeError("state needs at least the initial view")
-    if len(set(chosen)) != len(chosen):
-        raise StateError(f"duplicate camera in history {chosen}")
-    if any(not 0 <= c < n_cameras for c in chosen):
-        raise ShapeError(f"camera id outside range in {chosen}")
-    features = list(features)
-    if len(features) != len(chosen):
-        raise ShapeError("one feature array per chosen camera required")
-    cam = np.zeros(n_cameras)
-    for c in chosen:
-        cam[c] += 1.0
-    pooled = aggregate_max(features)
-    if pooled.ndim > 1:
-        pooled = pooled.mean(axis=tuple(range(1, pooled.ndim)))
-    return SelectionState(cam, pooled, chosen)
-
-
-def reduce_feature(feature: Array) -> Array:
-    """Per-view feature reduced the same way build_state reduces pooled maps."""
-    feature = np.asarray(feature, dtype=np.float64)
-    if feature.ndim > 1:
-        return feature.mean(axis=tuple(range(1, feature.ndim)))
-    return feature
-
-
-class QNetwork:
+class QNetwork(Persistable):
     """Two-branch action-value network over selection states.
 
     Camera counts are expanded through learnable per-camera embeddings (their
@@ -76,6 +34,7 @@ class QNetwork:
     """
 
     kind = "selector"
+    DIMS = ("n_cameras", "feat_dim", "hidden", "seed", "use_camera_branch", "use_feature_branch")
 
     def __init__(
         self,
@@ -122,28 +81,24 @@ class QNetwork:
             + self.combiner.mac_count()
         )
 
-    def _stack(self, states) -> tuple[Array, Array]:
-        cams = np.stack([s.cam_vector for s in states])
-        obs = np.stack([s.obs_vector for s in states])
-        if cams.shape[1] != self.n_cameras or obs.shape[1] != self.feat_dim:
+    def _check(self, cams: Array, obs: Array) -> None:
+        if cams.shape[1:] != (self.n_cameras,) or obs.shape[1:] != (self.feat_dim,):
             raise ShapeError("state dimensions do not match this network")
-        return cams, obs
 
-    def q_values_batch(self, states) -> Array:
-        cams, obs = self._stack(states)
-        hidden = np.zeros((len(states), self.hidden))
+    def q_values_batch(self, cams: Array, obs: Array) -> Array:
+        """Action values (B, N) of B states given as camera counts (B, N) and
+        observation vectors (B, D)."""
+        self._check(cams, obs)
+        hidden = np.zeros((len(cams), self.hidden))
         if self.use_camera_branch:
             hidden = hidden + self.camera_branch.forward(cams @ self.embeddings)
         if self.use_feature_branch:
             hidden = hidden + self.feature_branch.forward(obs)
         return self.combiner.forward(hidden)
 
-    def q_values(self, state: SelectionState) -> Array:
-        return self.q_values_batch([state])[0]
-
-    def forward_cache(self, states):
-        cams, obs = self._stack(states)
-        hidden = np.zeros((len(states), self.hidden))
+    def forward_cache(self, cams: Array, obs: Array):
+        self._check(cams, obs)
+        hidden = np.zeros((len(cams), self.hidden))
         cam_cache = feat_cache = None
         if self.use_camera_branch:
             hc, cam_cache = self.camera_branch.forward_cache(cams @ self.embeddings)
@@ -174,60 +129,65 @@ class QNetwork:
                 grads[f"feature.{k}"] = g
         return grads, d_obs
 
-    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": self.kind,
-            "world_hash": world_hash,
-            "dims": {
-                "n_cameras": self.n_cameras,
-                "feat_dim": self.feat_dim,
-                "hidden": self.hidden,
-                "seed": self.seed,
-                "use_camera_branch": self.use_camera_branch,
-                "use_feature_branch": self.use_feature_branch,
-            },
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        save_checkpoint(path, dict(self.named_params()), meta)
 
-    @classmethod
-    def load(cls, path) -> tuple["QNetwork", dict]:
-        tensors, meta = load_checkpoint(path)
-        if meta.get("kind") != cls.kind:
-            raise CompatibilityError(f"{path}: checkpoint holds a {meta.get('kind')}, not a {cls.kind}")
-        net = cls(**meta["dims"])
-        for name, param in net.named_params():
-            if name not in tensors or tensors[name].shape != param.shape:
-                raise CompatibilityError(f"{path}: tensor {name!r} missing or misshaped")
-            param[...] = tensors[name]
-        return net, meta
+def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
+            epsilon: float = 0.0, rng=None):
+    """Run R selection rollouts of T views for each of G instances at once.
 
+    feats is (G, N, D) or (G, N, D, H, W), the per-view features of each
+    instance; initial is (G, R) start views. Every step values each state
+    with one Q forward per instance over its R rows, then picks the masked
+    argmax (ties go to the lowest index). With epsilon > 0 each row instead
+    takes a uniform unmasked camera with probability epsilon: per step and
+    per (instance, row), the rng draws the coin first and the index only on
+    the random arm, so a replay from the same generator state reproduces
+    the choices. A camera is masked once taken or when disabled.
 
-def masked_argmax(values: Array, mask) -> int:
-    """Index of the largest unmasked value; ties go to the lowest index."""
-    work = np.asarray(values, dtype=np.float64).copy()
-    work[list(mask)] = -np.inf
-    if not np.isfinite(work).any():
-        raise StateError("every camera is masked")
-    return int(np.argmax(work))
-
-
-def select_action(net, state: SelectionState, epsilon: float, mask, rng) -> int:
-    """Epsilon-greedy selection over unmasked cameras.
-
-    With probability epsilon the action is uniform over unmasked cameras;
-    otherwise it is the masked argmax of the network's values. The rng is
-    consumed once for the coin and once more only on the random arm, so
-    replaying with the same generator state reproduces the choice.
+    Returns (chosen, cams, obs, masks, values, pooled): chosen (G, R, T)
+    view ids with column 0 the initial view; for the T-1 states visited,
+    camera counts (G, R, T-1, N), observation vectors (G, R, T-1, D), action
+    masks (G, R, T-1, N) and action values (G, R, T-1, N); and the features
+    max-pooled over all T chosen views, (G, R, D[, H, W]).
     """
-    mask = set(int(m) for m in mask)
-    open_cams = [a for a in range(net.n_cameras) if a not in mask]
-    if not open_cams:
-        raise StateError("every camera is masked")
-    if epsilon > 0 and rng.random() < epsilon:
-        return int(open_cams[rng.integers(len(open_cams))])
-    return masked_argmax(net.q_values(state), mask)
+    feats = np.asarray(feats, dtype=np.float64)
+    initial = np.asarray(initial, dtype=int)
+    (n_inst, n_rows), n_cams, steps = initial.shape, feats.shape[1], T - 1
+    inst = np.arange(n_inst)[:, None]
+    row = np.arange(n_rows)
+    blocked = np.zeros(n_cams, dtype=bool)
+    blocked[list(disabled)] = True
+    chosen = np.zeros((n_inst, n_rows, T), dtype=int)
+    chosen[..., 0] = initial
+    taken = np.zeros((n_inst, n_rows, n_cams))
+    taken[inst, row, initial] = 1.0
+    # the running max stays in C order, which fixes the summation order of
+    # the spatial means whatever the layout of feats
+    pooled = np.ascontiguousarray(feats[inst, initial])  # (G, R, D[, H, W])
+    spatial = tuple(range(3, pooled.ndim))
+    cams = np.zeros((n_inst, n_rows, steps, n_cams))
+    obs = np.zeros((n_inst, n_rows, steps, feats.shape[2]))
+    masks = np.zeros((n_inst, n_rows, steps, n_cams), dtype=bool)
+    values = np.zeros((n_inst, n_rows, steps, n_cams))
+    for t in range(steps):
+        obs_t = pooled.mean(axis=spatial) if spatial else pooled
+        mask = (taken > 0) | blocked
+        if mask.all(axis=-1).any():
+            raise StateError("every camera is masked")
+        # one forward per instance: stacking instances into one BLAS call
+        # would change the last bits of the values
+        q = np.stack([q_net.q_values_batch(taken[g], obs_t[g]) for g in range(n_inst)])
+        action = np.where(mask, -np.inf, q).argmax(axis=-1)
+        if epsilon > 0:
+            for g in range(n_inst):
+                for r in range(n_rows):
+                    if rng.random() < epsilon:
+                        open_cams = np.flatnonzero(~mask[g, r])
+                        action[g, r] = open_cams[rng.integers(len(open_cams))]
+        cams[:, :, t], obs[:, :, t], masks[:, :, t], values[:, :, t] = taken, obs_t, mask, q
+        chosen[..., t + 1] = action
+        taken[inst, row, action] += 1.0
+        pooled = np.maximum(pooled, feats[inst, action], order="C")
+    return chosen, cams, obs, masks, values, pooled
 
 
 def terminal_reward(prediction: Array, ground_truth, mode: str) -> float:
@@ -241,49 +201,18 @@ def terminal_reward(prediction: Array, ground_truth, mode: str) -> float:
     raise ValueError(f"unknown task mode {mode!r}")
 
 
-@dataclass
-class Trajectory:
-    """One rollout: states s_1..s_{T-1}, the actions taken from them, the
-    rewards observed after each action, and the value the network assigned to
-    each taken action."""
+def td_targets(values: Array, masks: Array, reward, gamma: float) -> Array:
+    """Regression targets for the taken action of each state in a rollout.
 
-    states: list[SelectionState]
-    actions: list[int]
-    rewards: list[float]
-    q_taken: list[float]
-    prediction: Array | None = None
-    initial_view: int = field(init=False)
-
-    def __post_init__(self):
-        n = len(self.states)
-        if n == 0:
-            raise StateError("empty trajectory")
-        if not (len(self.actions) == len(self.rewards) == len(self.q_taken) == n):
-            raise StateError("trajectory fields disagree on step count")
-        if any(r != 0.0 for r in self.rewards[:-1]):
-            raise StateError("rewards before the terminal step must be zero")
-        self.initial_view = self.states[0].chosen[0]
-        seen = set(self.states[0].chosen)
-        for action in self.actions:
-            if action in seen:
-                raise StateError(f"camera {action} selected twice")
-            seen.add(action)
-
-
-def td_targets(traj: Trajectory, net, gamma: float, disabled=frozenset()) -> Array:
-    """Regression targets: the terminal step takes its reward verbatim;
-    earlier steps take reward plus the discounted best next-state value over
-    cameras not yet chosen and not disabled."""
-    n = len(traj.states)
-    targets = np.zeros(n)
-    targets[-1] = traj.rewards[-1]
-    for t in range(n - 1):
-        nxt = traj.states[t + 1]
-        mask = set(nxt.chosen) | set(disabled)
-        values = net.q_values(nxt)
-        best = values[masked_argmax(values, mask)]
-        targets[t] = traj.rewards[t] + gamma * best
-    return targets
+    values and masks are (..., S, N) per state (as ``rollout`` returns them)
+    and reward (...) is the terminal reward. The terminal step takes the
+    reward verbatim; earlier steps take the discounted best value of the next
+    state over its unmasked cameras."""
+    best = np.where(masks[..., 1:, :], -np.inf, values[..., 1:, :]).max(axis=-1)
+    if np.isinf(best).any():
+        raise StateError("every camera is masked")
+    reward = np.asarray(reward, dtype=np.float64)[..., None]
+    return np.concatenate([gamma * best, reward], axis=-1)
 
 
 def rl_loss(q_taken, targets) -> tuple[float, Array]:
@@ -295,19 +224,6 @@ def rl_loss(q_taken, targets) -> tuple[float, Array]:
         raise ShapeError("one target per recorded action value required")
     diff = q_taken - targets
     return float(np.sum(diff * diff)), 2.0 * diff
-
-
-def q_gradients(net: QNetwork, states, actions, d_terms) -> tuple[dict[str, Array], Array]:
-    """Backpropagate per-step value gradients through fresh forward passes.
-
-    d_terms[i] is the loss gradient w.r.t. Q(states[i], actions[i]). Returns
-    summed parameter gradients and the per-state observation-vector gradient.
-    """
-    q, cache = net.forward_cache(states)
-    d_q = np.zeros_like(q)
-    for i, (action, term) in enumerate(zip(actions, d_terms)):
-        d_q[i, action] = term
-    return net.backward(cache, d_q)
 
 
 def epsilon_schedule(step: int, total_steps: int, start: float = 0.95, end: float = 0.05) -> float:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
-from .errors import CompatibilityError, ShapeError
+from .checkpoint import Persistable
+from .errors import ShapeError
 from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy
 
 Array = np.ndarray
@@ -60,11 +60,12 @@ def task_loss(prediction: Array, ground_truth, mode: str) -> tuple[float, Array]
     raise ValueError(f"unknown task mode {mode!r}")
 
 
-class MVClassifier:
+class MVClassifier(Persistable):
     """Per-view feature extractor plus a linear class head over the pooled
     feature vector."""
 
     kind = "classifier"
+    DIMS = ("obs_dim", "feat_dim", "n_classes", "hidden", "seed")
 
     def __init__(self, obs_dim: int, feat_dim: int, n_classes: int, hidden: int, seed: int):
         self.obs_dim = obs_dim
@@ -86,12 +87,6 @@ class MVClassifier:
 
     def named_params(self):
         return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
-
-    def feature_params(self):
-        return self.feature_net.named_params("feature.")
-
-    def head_params(self):
-        return self.head_net.named_params("head.")
 
     # -- forward pieces
 
@@ -132,38 +127,12 @@ class MVClassifier:
     def mac_counts(self) -> dict[str, int]:
         return {"f_per_view": self.feature_net.mac_count(), "g": self.head_net.mac_count()}
 
-    # -- persistence
 
-    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": self.kind,
-            "world_hash": world_hash,
-            "dims": {
-                "obs_dim": self.obs_dim,
-                "feat_dim": self.feat_dim,
-                "n_classes": self.n_classes,
-                "hidden": self.hidden,
-                "seed": self.seed,
-            },
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        save_checkpoint(path, dict(self.named_params()), meta)
-
-    @classmethod
-    def load(cls, path) -> tuple["MVClassifier", dict]:
-        tensors, meta = load_checkpoint(path)
-        if meta.get("kind") != cls.kind:
-            raise CompatibilityError(f"{path}: checkpoint holds a {meta.get('kind')}, not a {cls.kind}")
-        net = cls(**meta["dims"])
-        _restore(net, tensors, path)
-        return net, meta
-
-
-class MVDetector:
+class MVDetector(Persistable):
     """Per-cell feature extractor plus a per-cell sigmoid occupancy head."""
 
     kind = "detector"
+    DIMS = ("channels", "feat_dim", "hidden", "seed")
 
     def __init__(self, channels: int, feat_dim: int, hidden: int, seed: int):
         self.channels = channels
@@ -187,12 +156,6 @@ class MVDetector:
 
     def named_params(self):
         return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
-
-    def feature_params(self):
-        return self.feature_net.named_params("feature.")
-
-    def head_params(self):
-        return self.head_net.named_params("head.")
 
     def features(self, obs: Array) -> Array:
         """f per cell: (V, C, H, W) -> (V, D, H, W)."""
@@ -241,42 +204,3 @@ class MVDetector:
     def mac_counts(self) -> dict[str, int]:
         # per-cell nets applied to every grid cell; counts are per full map
         return {"f_per_view_per_cell": self.feature_net.mac_count(), "g_per_cell": self.head_net.mac_count()}
-
-    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
-        meta = {
-            "kind": self.kind,
-            "world_hash": world_hash,
-            "dims": {
-                "channels": self.channels,
-                "feat_dim": self.feat_dim,
-                "hidden": self.hidden,
-                "seed": self.seed,
-            },
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        save_checkpoint(path, dict(self.named_params()), meta)
-
-    @classmethod
-    def load(cls, path) -> tuple["MVDetector", dict]:
-        tensors, meta = load_checkpoint(path)
-        if meta.get("kind") != cls.kind:
-            raise CompatibilityError(f"{path}: checkpoint holds a {meta.get('kind')}, not a {cls.kind}")
-        net = cls(**meta["dims"])
-        _restore(net, tensors, path)
-        return net, meta
-
-
-def _restore(net, tensors: dict[str, Array], path) -> None:
-    for name, param in net.named_params():
-        if name not in tensors:
-            raise CompatibilityError(f"{path}: checkpoint misses tensor {name!r}")
-        stored = tensors[name]
-        if stored.shape != param.shape:
-            raise CompatibilityError(
-                f"{path}: tensor {name!r} has shape {stored.shape}, expected {param.shape}"
-            )
-        param[...] = stored
-    extra = set(tensors) - {name for name, _ in net.named_params()}
-    if extra:
-        raise CompatibilityError(f"{path}: checkpoint carries unknown tensors {sorted(extra)}")

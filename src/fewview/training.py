@@ -26,17 +26,7 @@ import numpy as np
 from . import evaluation
 from .envs import EVAL, TRAIN, VAL
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
-from .mvselect import (
-    SelectionState,
-    Trajectory,
-    QNetwork,
-    epsilon_schedule,
-    q_gradients,
-    rl_loss,
-    select_action,
-    td_targets,
-    terminal_reward,
-)
+from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets, terminal_reward
 from .numcore import Adam, cross_entropy
 from .tasknet import MVClassifier, MVDetector, pool_with_argmax, route_pooled_grad, task_loss
 
@@ -241,100 +231,64 @@ def _detector_loss_on_views(net: MVDetector, world, index: int, views) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# rollouts (training side)
+# per-batch pieces of selection training
 
 
-def _state_from_history(history, pooled_feature, n_cams) -> SelectionState:
-    cam = np.zeros(n_cams)
-    for c in history:
-        cam[c] += 1.0
-    obs = pooled_feature
-    if obs.ndim > 1:
-        obs = obs.mean(axis=tuple(range(1, obs.ndim)))
-    return SelectionState(cam, obs.copy(), tuple(history))
-
-
-def _rollout_training_batch(task_net, q_net, world, indices, initial, T, epsilon, rng):
-    """Epsilon-greedy rollouts for a batch of training instances.
-
-    Returns (trajectories, feats, fcache, truth, pooled): per-view features
-    with their forward cache (needed to push gradients back into the feature
-    extractor), ground truth, and the terminal pooled features per instance.
-    """
-    mode = _mode_of(task_net)
-    disabled = world.layout.disabled
-    n_cams = world.n_cameras
-    batch = len(indices)
+def _batch_features(task_net, world, indices):
+    """Per-view features (G, N, D[, H, W]) of a training batch, their forward
+    cache (for pushing gradients back into the feature extractor), and the
+    ground truth per instance. Detection batches hold one instance."""
     insts = [world.instance(TRAIN, int(i)) for i in indices]
-    if mode == "classification":
-        obs = np.stack([inst.observations for inst in insts])
-        feats, fcache = task_net.features_cache(obs)            # (B, N, D)
-        truth = [inst.class_id for inst in insts]
-    else:
-        per_view, fcache = task_net.features_cache(insts[0].observations)
-        feats = per_view[None]                                  # (1, N, D, H, W)
-        truth = [insts[0].target]
-    histories = [[int(v)] for v in initial]
-    pooled = [feats[b, histories[b][0]].copy() for b in range(batch)]
-    states: list[list[SelectionState]] = [[] for _ in range(batch)]
-    actions: list[list[int]] = [[] for _ in range(batch)]
-    for _step in range(T - 1):
-        for b in range(batch):
-            s = _state_from_history(histories[b], pooled[b], n_cams)
-            states[b].append(s)
-            mask = set(histories[b]) | set(disabled)
-            a = select_action(q_net, s, epsilon, mask, rng)
-            actions[b].append(a)
-            histories[b].append(a)
-            pooled[b] = np.maximum(pooled[b], feats[b, a])
-    if mode == "classification":
-        predictions = list(task_net.head(np.stack(pooled)))
-    else:
-        predictions = [task_net.head(p) for p in pooled]
-    trajectories: list[Trajectory] = []
-    for b in range(batch):
-        reward = terminal_reward(predictions[b], truth[b], mode)
-        rewards = [0.0] * (T - 2) + [reward]
-        q_taken = [float(q_net.q_values(states[b][t])[actions[b][t]]) for t in range(T - 1)]
-        trajectories.append(Trajectory(states[b], actions[b], rewards, q_taken, predictions[b]))
-    return trajectories, feats, fcache, truth, pooled
+    if _mode_of(task_net) == "classification":
+        feats, fcache = task_net.features_cache(np.stack([inst.observations for inst in insts]))
+        return feats, fcache, [inst.class_id for inst in insts]
+    feats, fcache = task_net.features_cache(insts[0].observations)
+    return feats[None], fcache, [insts[0].target]
+
+
+def _terminal_heads(task_net, pooled):
+    """Head outputs (G, ...) at each instance's terminal pooled features
+    (G, D[, H, W]), with the head cache."""
+    if _mode_of(task_net) == "classification":
+        return task_net.head_cache(pooled)
+    heat, hcache = task_net.head_cache(pooled[0])
+    return heat[None], hcache
 
 
 def _route_to_views(d_feats_b, feats_b, views, d_pooled) -> None:
     """Add the gradient of a max-pooled feature over `views` back onto the
-    per-view feature buffer, at the lowest-index attaining view."""
-    views = np.asarray(views)
-    sub = feats_b[views]                 # (k, D, *cells)
-    amax = sub.argmax(axis=0)            # (D, *cells)
-    if amax.ndim == 0:
-        amax = amax[None]
-    if amax.ndim == 1:
-        d_feats_b[views[amax], np.arange(amax.shape[0])] += d_pooled
-    else:
-        np.add.at(d_feats_b, (views[amax],) + tuple(np.indices(amax.shape)), d_pooled)
+    per-view feature buffer, at the first listed view attaining the max."""
+    amax = feats_b[views].argmax(axis=0)    # (D, *cells)
+    d_feats_b[(views[amax],) + tuple(np.indices(amax.shape))] += d_pooled
 
 
-def _accumulate_selection_grads(feats, trajectories, d_obs_rows, row_of_step):
-    """Scatter RL observation-vector gradients back onto per-view features.
+def _task_grads(task_net, feats, fcache, views, truth, outputs, hcache, d_obs):
+    """Terminal task loss plus feature gradients for the joint update.
 
-    The state observation is the (spatially averaged) running max over the
-    views chosen so far; each entry flows to the lowest attaining view.
-    """
-    d_feats = np.zeros_like(feats)
+    d_obs holds the selector's gradient w.r.t. each state's observation
+    vector, rows in (instance, step) order. Spread evenly over any spatial
+    cells, each routes step by step to the views chosen up to that state;
+    the terminal pooled gradient follows, so the feature extractor takes a
+    single combined step."""
+    n_inst, T = views.shape
     cells = feats.shape[3:]
-    cell_count = int(np.prod(cells)) if cells else 1
-    for b, traj in enumerate(trajectories):
-        for t, state in enumerate(traj.states):
-            d_obs = d_obs_rows[row_of_step[(b, t)]]
-            if cells:
-                d_pooled = np.broadcast_to(
-                    (d_obs / cell_count).reshape((-1,) + (1,) * len(cells)),
-                    (d_obs.shape[0],) + cells,
-                )
-            else:
-                d_pooled = d_obs
-            _route_to_views(d_feats[b], feats[b], state.chosen, d_pooled)
-    return d_feats
+    d_obs = d_obs.reshape((n_inst, T - 1, -1) + (1,) * len(cells)) / math.prod(cells)
+    d_feats = np.zeros_like(feats)
+    for g in range(n_inst):
+        for t in range(T - 1):
+            _route_to_views(d_feats[g], feats[g], views[g, : t + 1], d_obs[g, t])
+    classification = _mode_of(task_net) == "classification"
+    if classification:
+        loss, d_out = cross_entropy(outputs, np.asarray(truth))
+    else:
+        loss, d_out = task_loss(outputs[0], truth[0], "detection")
+    grads, d_pooled = task_net.head_backward(hcache, d_out)
+    if not classification:
+        d_pooled = d_pooled[None]
+    for g in range(n_inst):
+        _route_to_views(d_feats[g], feats[g], views[g], d_pooled[g])
+    grads.update(task_net.features_backward(fcache, d_feats if classification else d_feats[0]))
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -387,32 +341,30 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             idx = order[start : start + batch]
             eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
             initial = rng.integers(world.n_cameras, size=len(idx))
-            trajectories, feats, fcache, truth, pooled = _rollout_training_batch(
-                task_net, q_net, world, idx, initial, cfg.T, eps, rng
-            )
-            # TD targets from the current network, then one regression step
-            flat_states, flat_actions, flat_q, flat_targets = [], [], [], []
-            row_of_step = {}
-            for b, traj in enumerate(trajectories):
-                targets = td_targets(traj, q_net, cfg.gamma, disabled)
-                for t in range(len(traj.states)):
-                    row_of_step[(b, t)] = len(flat_states)
-                    flat_states.append(traj.states[t])
-                    flat_actions.append(traj.actions[t])
-                    flat_q.append(traj.q_taken[t])
-                    flat_targets.append(targets[t])
-            loss_rl, d_terms = rl_loss(flat_q, flat_targets)
-            loss_rl /= len(trajectories)
-            d_terms = d_terms / len(trajectories)
-            counters["rl_terms"] += len(flat_states)
+            feats, fcache, truth = _batch_features(task_net, world, idx)
+            chosen, cams, obs, masks, values, pooled = rollout(
+                q_net, feats, initial[:, None], cfg.T, disabled, eps, rng)
+            views = chosen[:, 0]                                 # (G, T)
+            outputs, hcache = _terminal_heads(task_net, pooled[:, 0])
+            rewards = [terminal_reward(out, y, mode) for out, y in zip(outputs, truth)]
+            # TD targets from the values recorded in the rollout, then one
+            # regression step over every state, rows in (instance, step) order
+            actions = chosen[..., 1:].reshape(-1)
+            q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
+            targets = td_targets(values, masks, np.reshape(rewards, (-1, 1)), cfg.gamma).reshape(-1)
+            loss_rl, d_terms = rl_loss(q_taken, targets)
+            loss_rl /= len(idx)
+            d_terms = d_terms / len(idx)
+            counters["rl_terms"] += len(actions)
             _require_finite_loss(loss_rl, f"epoch {epoch} selection loss")
-            q_grads, d_obs_rows = q_gradients(q_net, flat_states, flat_actions, d_terms)
-            loss_task = 0.0
+            q_all, q_cache = q_net.forward_cache(cams.reshape(len(actions), -1),
+                                                 obs.reshape(len(actions), -1))
+            d_q = np.zeros_like(q_all)
+            d_q[np.arange(len(actions)), actions] = d_terms
+            q_grads, d_obs = q_net.backward(q_cache, d_q)
             if update_task:
-                d_feats = _accumulate_selection_grads(feats, trajectories, d_obs_rows, row_of_step)
-                loss_task, task_grads = _terminal_task_grads(
-                    task_net, mode, trajectories, truth, pooled, feats, d_feats, fcache
-                )
+                loss_task, task_grads = _task_grads(
+                    task_net, feats, fcache, views, truth, outputs, hcache, d_obs)
                 _require_finite_loss(loss_task, f"epoch {epoch} task loss")
                 counters["task_terms"] += 1
                 opt_task.step(task_grads)
@@ -425,27 +377,6 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             entry["task_loss"] = float(np.mean(task_losses))
         logs.append(entry)
     return TrainResult(logs, counters, step)
-
-
-def _terminal_task_grads(task_net, mode, trajectories, truth, pooled, feats, d_feats, fcache):
-    """Task loss at the terminal pooled features. Its pooled gradient is
-    routed per view and merged with the selection gradients already in
-    d_feats, so the feature extractor takes a single combined step."""
-    final_sets = [traj.states[-1].chosen + (traj.actions[-1],) for traj in trajectories]
-    if mode == "classification":
-        logits, hcache = task_net.head_cache(np.stack(pooled))
-        loss, d_logits = cross_entropy(logits, np.asarray(truth))
-        grads, d_pooled = task_net.head_backward(hcache, d_logits)
-        for b in range(len(trajectories)):
-            _route_to_views(d_feats[b], feats[b], final_sets[b], d_pooled[b])
-        grads.update(task_net.features_backward(fcache, d_feats))
-    else:
-        heat, hcache = task_net.head_cache(pooled[0])
-        loss, d_heat = task_loss(heat, truth[0], "detection")
-        grads, d_pooled = task_net.head_backward(hcache, d_heat)
-        _route_to_views(d_feats[0], feats[0], final_sets[0], d_pooled)
-        grads.update(task_net.features_backward(fcache, d_feats[0]))
-    return loss, grads
 
 
 # ---------------------------------------------------------------------------
@@ -596,22 +527,8 @@ def random_sequence(n_cams: int, initial_view: int, T: int, seed: int,
 def greedy_sequences(q_net, feats: Array, n_cams: int, T: int,
                      disabled=frozenset()) -> Array:
     """Greedy selections for every initial view of one instance: (N, T) ids,
-    column 0 the initial view. Runs all initial views as one batch."""
-    histories = [[v0] for v0 in range(n_cams)]
-    pooled = [feats[v0].copy() for v0 in range(n_cams)]
-    for _ in range(T - 1):
-        states = [_state_from_history(histories[r], pooled[r], n_cams) for r in range(n_cams)]
-        values = q_net.q_values_batch(states)
-        for r in range(n_cams):
-            mask = set(histories[r]) | set(disabled)
-            open_vals = values[r].copy()
-            open_vals[list(mask)] = -np.inf
-            if not np.isfinite(open_vals).any():
-                raise StateError("no selectable camera remains")
-            a = int(np.argmax(open_vals))
-            histories[r].append(a)
-            pooled[r] = np.maximum(pooled[r], feats[a])
-    return np.array(histories, dtype=int)
+    column 0 the initial view. All initial views share one Q forward per step."""
+    return rollout(q_net, feats[None], np.arange(n_cams)[None], T, disabled)[0][0]
 
 
 @dataclass

@@ -30,7 +30,7 @@ from fewview.evaluation import (
     detection_metrics_from_counts,
     match_detections,
 )
-from fewview.mvselect import QNetwork, SelectionState
+from fewview.mvselect import QNetwork
 from fewview.numcore import (
     ACTIVATIONS,
     DenseNet,
@@ -463,7 +463,7 @@ def test_branch_ablations_enforce_invariances(capsys):
         cam = np.zeros(n_cams)
         for c in chosen:
             cam[c] += 1.0
-        return SelectionState(cam, np.asarray(obs, dtype=float), tuple(chosen))
+        return cam[None], np.asarray(obs, dtype=float)[None]
 
     no_feat = QNetwork(n_cams, feat_dim, hidden=16, seed=3,
                        use_feature_branch=False)
@@ -478,16 +478,16 @@ def test_branch_ablations_enforce_invariances(capsys):
         obs_a = rng.standard_normal(feat_dim)
         obs_b = rng.standard_normal(feat_dim)
         # same history, different instances: Q must be instance-independent
-        if not np.array_equal(no_feat.q_values(state(chosen, obs_a)),
-                              no_feat.q_values(state(chosen, obs_b))):
+        if not np.array_equal(no_feat.q_values_batch(*state(chosen, obs_a)),
+                              no_feat.q_values_batch(*state(chosen, obs_b))):
             feat_dep_violations += 1
         # same pooled observation, different history sets
         other = tuple(sorted(rng.choice(n_cams, size=3, replace=False)))
-        if not np.array_equal(no_cam.q_values(state(chosen, obs_a)),
-                              no_cam.q_values(state(other, obs_a))):
+        if not np.array_equal(no_cam.q_values_batch(*state(chosen, obs_a)),
+                              no_cam.q_values_batch(*state(other, obs_a))):
             cam_dep_violations += 1
-        if not np.array_equal(full.q_values(state(chosen, obs_a)),
-                              full.q_values(state(other, obs_b))):
+        if not np.array_equal(full.q_values_batch(*state(chosen, obs_a)),
+                              full.q_values_batch(*state(other, obs_b))):
             full_sensitive = True
     ok = feat_dep_violations == 0 and cam_dep_violations == 0 and full_sensitive
     _report(capsys, 10, "selector branch ablations enforce their invariances", ok)

@@ -7,6 +7,7 @@ import pytest
 
 from fewview.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from fewview.errors import CompatibilityError, ShapeError
+from fewview.mvselect import QNetwork
 
 
 def sample_tensors():
@@ -83,3 +84,38 @@ def test_no_tmp_file_left_behind(tmp_path):
     path = tmp_path / "clean.ckpt"
     save_checkpoint(path, {"t": np.zeros(1)}, {})
     assert [p.name for p in tmp_path.iterdir()] == ["clean.ckpt"]
+
+
+def _framed(header: bytes, length: int | None = None) -> bytes:
+    return MAGIC + struct.pack("<Q", len(header) if length is None else length) + header
+
+
+def _selector_bytes(tmp_path, **extra_dims) -> bytes:
+    net = QNetwork(n_cameras=3, feat_dim=2, hidden=4, seed=0)
+    dims = {name: getattr(net, name) for name in QNetwork.DIMS}
+    path = tmp_path / "q.ckpt"
+    save_checkpoint(path, dict(net.named_params()),
+                    {"kind": "selector", "world_hash": "w", "dims": {**dims, **extra_dims}})
+    return path.read_bytes()
+
+
+MALFORMED = {
+    "one-byte length field": lambda tmp: MAGIC + b"\x01",
+    "header length 2**62": lambda tmp: _framed(b"{}", length=2**62),
+    "non-JSON header": lambda tmp: _framed(b"{not json"),
+    "non-UTF-8 header": lambda tmp: _framed(b'{"version":1,"meta":{"k":"\xff"}}'),
+    "header without tensors": lambda tmp: _framed(b'{"version":1,"meta":{}}'),
+    "negative shape": lambda tmp: _framed(
+        b'{"version":1,"meta":{},"tensors":[{"name":"t","shape":[-1]}]}'),
+    "unknown dims key": lambda tmp: _selector_bytes(tmp, depth=3),
+    "truncated payload": lambda tmp: _selector_bytes(tmp)[:-8],
+    "trailing bytes": lambda tmp: _selector_bytes(tmp) + b"\x00",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_raises_compatibility_error(tmp_path, case):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MALFORMED[case](tmp_path))
+    with pytest.raises(CompatibilityError):
+        QNetwork.load(path)

@@ -221,6 +221,18 @@ def test_world_hash_mismatch_exits_3_and_prints_both(workspace, tmp_path):
     assert len(hashes) >= 2 and hashes[0] != hashes[1]
 
 
+def test_malformed_checkpoint_exits_3(workspace, tmp_path):
+    bad = tmp_path / "selector-bad.ckpt"
+    bad.write_bytes(workspace["selector_ckpt"].read_bytes()[:12])  # length field cut short
+    cfg = dict(workspace["cfg"])
+    cfg["eval"] = dict(cfg["eval"], selector_checkpoint=str(bad))
+    cfg["output_dir"] = str(tmp_path / "runs")
+    cpath = write_config(tmp_path, cfg, "malformed.yaml")
+    r = cli("eval", "--config", str(cpath), "--policy", "mvselect")
+    assert r.returncode == 3, r.stderr
+    assert "compatibility error" in r.stderr
+
+
 def test_enumeration_budget_exceeded_exits_4(workspace, tmp_path):
     cfg = dict(workspace["cfg"])
     cfg["eval"] = dict(cfg["eval"], budget=10)

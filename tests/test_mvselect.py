@@ -1,22 +1,17 @@
-"""Selection-agent checks: state construction, a hand-traced two-branch value
+"""Selection-agent checks: rollout states, a hand-traced two-branch value
 network, masked epsilon-greedy statistics, TD targets, and the RL loss
 gradient against finite differences."""
 
 import numpy as np
 import pytest
 
-from fewview.errors import ShapeError, StateError
+from fewview.checkpoint import load_checkpoint, save_checkpoint
+from fewview.errors import CompatibilityError, ShapeError, StateError
 from fewview.mvselect import (
     QNetwork,
-    SelectionState,
-    Trajectory,
-    build_state,
     epsilon_schedule,
-    masked_argmax,
-    q_gradients,
-    reduce_feature,
     rl_loss,
-    select_action,
+    rollout,
     td_targets,
     terminal_reward,
 )
@@ -25,49 +20,86 @@ from fewview.numcore import max_relative_error, numeric_gradient
 GRAD_TOL = 1e-4
 
 
+class StubNet:
+    """Fixed action values for every state."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.n_cameras = len(self.values)
+
+    def q_values_batch(self, cams, obs):
+        return np.tile(self.values, (len(cams), 1))
+
+
+def scripted(order, features):
+    """Greedy rollout that takes ``order`` for one instance; returns the
+    camera counts and observations of its states, state t after the views
+    order[:t + 1]."""
+    values = np.full(len(features), -100.0)
+    values[list(order)] = -np.arange(len(order))   # earlier in order, higher value
+    chosen, cams, obs, _, _, _ = rollout(StubNet(values), np.stack(features)[None], [[order[0]]], len(order))
+    assert list(chosen[0, 0]) == list(order)
+    return cams[0, 0], obs[0, 0]
+
+
 # ---------------------------------------------------------------------------
-# state construction
+# selection states, as the rollout builds them
 
 
 def test_build_state_one_hot_examples():
-    s = build_state([2], [np.zeros(3)], n_cameras=4)
-    np.testing.assert_array_equal(s.cam_vector, [0, 0, 1, 0])
-    s = build_state([0, 2], [np.zeros(3), np.zeros(3)], n_cameras=4)
-    np.testing.assert_array_equal(s.cam_vector, [1, 0, 1, 0])
-    assert s.chosen == (0, 2)
+    cams, _ = scripted([2, 0], [np.zeros(3)] * 4)
+    np.testing.assert_array_equal(cams[0], [0, 0, 1, 0])
+    cams, _ = scripted([0, 2, 1], [np.zeros(3)] * 4)
+    np.testing.assert_array_equal(cams[1], [1, 0, 1, 0])
 
 
 def test_build_state_running_max():
-    s = build_state([0, 1], [np.array([1.0, 5.0]), np.array([3.0, 2.0])], n_cameras=3)
-    np.testing.assert_array_equal(s.obs_vector, [3.0, 5.0])
+    _, obs = scripted([0, 1, 2], [np.array([1.0, 5.0]), np.array([3.0, 2.0]), np.zeros(2)])
+    np.testing.assert_array_equal(obs[0], [1.0, 5.0])
+    np.testing.assert_array_equal(obs[1], [3.0, 5.0])
 
 
 def test_build_state_reduces_feature_maps():
     a = np.arange(8.0).reshape(2, 2, 2)
     b = a[:, ::-1, :]
-    s = build_state([0, 1], [a, b], n_cameras=2)
-    expected = np.maximum(a, b).mean(axis=(1, 2))
-    np.testing.assert_array_equal(s.obs_vector, expected)
-    np.testing.assert_array_equal(reduce_feature(a), a.mean(axis=(1, 2)))
+    _, obs = scripted([0, 1, 2], [a, b, np.zeros_like(a)])
+    np.testing.assert_array_equal(obs[0], a.mean(axis=(1, 2)))
+    np.testing.assert_array_equal(obs[1], np.maximum(a, b).mean(axis=(1, 2)))
 
 
 def test_build_state_order_insensitive():
-    feats = {0: np.array([1.0, 0.0]), 3: np.array([0.0, 2.0]), 4: np.array([5.0, -1.0])}
-    a = build_state([0, 3, 4], [feats[0], feats[3], feats[4]], n_cameras=6)
-    b = build_state([4, 0, 3], [feats[4], feats[0], feats[3]], n_cameras=6)
-    np.testing.assert_array_equal(a.cam_vector, b.cam_vector)
-    np.testing.assert_array_equal(a.obs_vector, b.obs_vector)
+    feats = [np.zeros(2)] * 6
+    feats[0], feats[3], feats[4] = np.array([1.0, 0.0]), np.array([0.0, 2.0]), np.array([5.0, -1.0])
+    cams_a, obs_a = scripted([0, 3, 4, 1], feats)
+    cams_b, obs_b = scripted([4, 0, 3, 1], feats)
+    np.testing.assert_array_equal(cams_a[-1], cams_b[-1])
+    np.testing.assert_array_equal(obs_a[-1], obs_b[-1])
 
 
 def test_build_state_guards():
+    net = StubNet([0.1, 0.9, 0.5])
     with pytest.raises(StateError):
-        build_state([1, 1], [np.zeros(2), np.zeros(2)], n_cameras=3)
+        rollout(net, np.zeros((1, 3, 2)), [[0]], 2, disabled={1, 2})
     with pytest.raises(ShapeError):
-        build_state([], [], n_cameras=3)
-    with pytest.raises(ShapeError):
-        build_state([5], [np.zeros(2)], n_cameras=3)
-    with pytest.raises(ShapeError):
-        build_state([0, 1], [np.zeros(2)], n_cameras=3)
+        rollout(QNetwork(3, 4, 5, seed=0), np.zeros((1, 3, 2)), [[0]], 2)
+
+
+def test_rollout_records_each_state_once():
+    net = QNetwork(n_cameras=5, feat_dim=3, hidden=6, seed=3)
+    feats = np.random.default_rng(4).normal(size=(2, 5, 3))
+    chosen, cams, obs, masks, values, pooled = rollout(
+        net, feats, [[0, 4], [1, 2]], 4, {3}, 0.5, np.random.default_rng(1))
+    assert chosen.shape == (2, 2, 4) and values.shape == (2, 2, 3, 5)
+    for g in range(2):
+        for t in range(3):
+            np.testing.assert_array_equal(values[g, :, t], net.q_values_batch(cams[g, :, t], obs[g, :, t]))
+            for r in range(2):
+                taken = set(chosen[g, r, : t + 1])
+                np.testing.assert_array_equal(np.flatnonzero(masks[g, r, t]), sorted(taken | {3}))
+                np.testing.assert_array_equal(obs[g, r, t], feats[g, sorted(taken)].max(axis=0))
+    for g in range(2):
+        for r in range(2):
+            np.testing.assert_array_equal(pooled[g, r], feats[g, chosen[g, r]].max(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -88,27 +120,34 @@ def hand_set_qnet():
     return net
 
 
+def one_state(chosen, obs, n_cameras):
+    """Camera counts (1, N) and observation (1, D) of a single state."""
+    cam = np.zeros((1, n_cameras))
+    cam[0, list(chosen)] = 1.0
+    return cam, np.asarray(obs, dtype=np.float64)[None]
+
+
 def test_hand_traced_two_branch_values():
     # cam [1,0] -> embedding sum [1,0] -> relu [1,0]; obs [0.3,0.7] -> relu
     # [0.3,0.7]; summed [1.3,0.7] -> relu -> rows [1.3+0.7+0.5, 2*1.3-0.7]
     net = hand_set_qnet()
-    state = build_state([0], [np.array([0.3, 0.7])], n_cameras=2)
-    np.testing.assert_allclose(net.q_values(state), [2.5, 1.9], atol=1e-15)
+    q = net.q_values_batch(*one_state([0], [0.3, 0.7], 2))
+    np.testing.assert_allclose(q[0], [2.5, 1.9], atol=1e-15)
 
 
 def test_feature_branch_off_ignores_observations():
     net = QNetwork(n_cameras=3, feat_dim=4, hidden=5, seed=1, use_feature_branch=False)
-    a = build_state([1], [np.full(4, 9.0)], n_cameras=3)
-    b = build_state([1], [np.full(4, -9.0)], n_cameras=3)
-    np.testing.assert_array_equal(net.q_values(a), net.q_values(b))
+    a = one_state([1], np.full(4, 9.0), 3)
+    b = one_state([1], np.full(4, -9.0), 3)
+    np.testing.assert_array_equal(net.q_values_batch(*a), net.q_values_batch(*b))
 
 
 def test_camera_branch_off_ignores_history_beyond_observation():
     net = QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=2, use_camera_branch=False)
     obs = np.array([0.5, -0.2, 1.0])
-    a = SelectionState(np.array([1.0, 1, 0, 0]), obs, (0, 1))
-    b = SelectionState(np.array([0.0, 0, 1, 1]), obs, (2, 3))
-    np.testing.assert_array_equal(net.q_values(a), net.q_values(b))
+    a = one_state([0, 1], obs, 4)
+    b = one_state([2, 3], obs, 4)
+    np.testing.assert_array_equal(net.q_values_batch(*a), net.q_values_batch(*b))
 
 
 def test_both_branches_off_rejected():
@@ -119,12 +158,11 @@ def test_both_branches_off_rejected():
 def test_batched_values_match_singletons():
     net = QNetwork(n_cameras=5, feat_dim=3, hidden=6, seed=3)
     rng = np.random.default_rng(4)
-    states = [
-        build_state([i], [rng.normal(size=3)], n_cameras=5) for i in range(4)
-    ]
-    batch = net.q_values_batch(states)
+    states = [one_state([i], rng.normal(size=3), 5) for i in range(4)]
+    batch = net.q_values_batch(np.concatenate([c for c, _ in states]),
+                               np.concatenate([o for _, o in states]))
     for i, s in enumerate(states):
-        np.testing.assert_allclose(batch[i], net.q_values(s), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batch[i], net.q_values_batch(*s)[0], rtol=1e-12, atol=1e-14)
 
 
 def test_qnetwork_checkpoint_round_trip(tmp_path):
@@ -134,69 +172,95 @@ def test_qnetwork_checkpoint_round_trip(tmp_path):
     loaded, meta = QNetwork.load(path)
     assert meta["world_hash"] == "wh"
     assert loaded.use_camera_branch is False
-    state = build_state([2], [np.array([1.0, 2.0, 3.0])], n_cameras=4)
-    np.testing.assert_array_equal(loaded.q_values(state), net.q_values(state))
+    state = one_state([2], [1.0, 2.0, 3.0], 4)
+    np.testing.assert_array_equal(loaded.q_values_batch(*state), net.q_values_batch(*state))
+
+
+def test_qnetwork_checkpoint_with_unknown_tensor_rejected(tmp_path):
+    path = tmp_path / "q.ckpt"
+    QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=9).save(path, world_hash="wh")
+    tensors, meta = load_checkpoint(path)
+    tensors["stray.weight"] = np.zeros(2)
+    save_checkpoint(path, tensors, meta)
+    with pytest.raises(CompatibilityError, match="stray.weight"):
+        QNetwork.load(path)
 
 
 # ---------------------------------------------------------------------------
 # action selection
 
 
-class StubNet:
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.n_cameras = len(self.values)
-
-    def q_values(self, state):
-        return self.values
-
-
-def any_state(n):
-    return SelectionState(np.zeros(n), np.zeros(2), (0,))
+def greedy_pick(values, initial, disabled=frozenset()):
+    chosen = rollout(StubNet(values), np.zeros((1, len(values), 2)), [[initial]], 2, disabled)[0]
+    return int(chosen[0, 0, 1])
 
 
 def test_masked_argmax_examples():
-    assert masked_argmax(np.array([0.1, 0.9, 0.5]), set()) == 1
-    assert masked_argmax(np.array([0.1, 0.9, 0.5]), {1}) == 2
-    assert masked_argmax(np.array([0.7, 0.7, 0.1]), set()) == 0  # tie -> lowest
+    # camera 3 holds the initial view, so it is masked like any taken camera
+    assert greedy_pick([0.1, 0.9, 0.5, 9.9], 3) == 1
+    assert greedy_pick([0.1, 0.9, 0.5, 9.9], 3, {1}) == 2
+    assert greedy_pick([0.7, 0.7, 0.1, 9.9], 3) == 0  # tie -> lowest
     with pytest.raises(StateError):
-        masked_argmax(np.array([1.0, 2.0]), {0, 1})
+        greedy_pick([1.0, 2.0, 9.9], 2, {0, 1})
 
 
 def test_select_action_greedy():
-    net = StubNet([0.1, 0.9, 0.5])
-    rng = np.random.default_rng(0)
-    assert select_action(net, any_state(3), 0.0, set(), rng) == 1
-    assert select_action(net, any_state(3), 0.0, {1}, rng) == 2
+    assert greedy_pick([0.1, 0.9, 0.5, 9.9], 3) == 1
+    assert greedy_pick([0.1, 0.9, 0.5, 9.9], 3, {1}) == 2
 
 
 def test_select_action_all_masked():
-    net = StubNet([0.1, 0.9])
     with pytest.raises(StateError):
-        select_action(net, any_state(2), 0.0, {0, 1}, np.random.default_rng(0))
+        greedy_pick([0.1, 0.9, 9.9], 2, {0, 1})
 
 
 def test_select_action_uniform_frequencies():
-    # epsilon 1, one camera masked: the three open cameras should each appear
-    # with frequency 1/3 within 3 sigma of the multinomial spread
-    net = StubNet([5.0, 1.0, 1.0, 1.0])
-    rng = np.random.default_rng(123)
+    # epsilon 1, one camera disabled and the initial view taken: the three
+    # open cameras should each appear with frequency 1/3 within 3 sigma of
+    # the multinomial spread
+    net = StubNet([5.0, 1.0, 1.0, 1.0, 9.9])
     draws = 100_000
-    counts = np.zeros(4)
-    state = any_state(4)
-    for _ in range(draws):
-        counts[select_action(net, state, 1.0, {2}, rng)] += 1
-    assert counts[2] == 0
+    chosen = rollout(net, np.zeros((1, 5, 2)), np.full((1, draws), 4), 2, {2}, 1.0,
+                     np.random.default_rng(123))[0]
+    counts = np.bincount(chosen[0, :, 1], minlength=5)
+    assert counts[2] == 0 and counts[4] == 0
     sigma = np.sqrt((1 / 3) * (2 / 3) / draws)
     for cam in (0, 1, 3):
         assert abs(counts[cam] / draws - 1 / 3) <= 3 * sigma
 
 
 def test_select_action_deterministic_given_rng_state():
-    net = StubNet([0.0, 0.0, 0.0])
-    a = select_action(net, any_state(3), 0.7, set(), np.random.default_rng(5))
-    b = select_action(net, any_state(3), 0.7, set(), np.random.default_rng(5))
-    assert a == b
+    net = StubNet([0.0, 0.3, 0.0, 0.2])
+    feats = np.zeros((3, 4, 2))
+    initial = [[0, 1], [2, 3], [1, 0]]
+
+    def run():
+        return rollout(net, feats, initial, 3, frozenset(), 0.7, np.random.default_rng(5))[0]
+
+    a, b = run(), run()
+    np.testing.assert_array_equal(a, b)
+    # replay the draw order by hand: per step and per (instance, row), the
+    # coin first, then an index into the open cameras on the random arm only
+    rng = np.random.default_rng(5)
+    expected = np.array(initial)[..., None].tolist()
+    for _ in range(2):
+        for g in range(3):
+            for r in range(2):
+                open_cams = [c for c in range(4) if c not in expected[g][r]]
+                if rng.random() < 0.7:
+                    pick = open_cams[rng.integers(len(open_cams))]
+                else:
+                    pick = max(open_cams, key=lambda c: (net.values[c], -c))
+                expected[g][r].append(pick)
+    np.testing.assert_array_equal(a, expected)
+
+
+def test_trajectory_validation():
+    net = StubNet(np.zeros(6))
+    chosen = rollout(net, np.zeros((4, 6, 2)), np.tile(np.arange(6), (4, 1)), 6, frozenset(), 1.0,
+                     np.random.default_rng(9))[0]
+    for row in chosen.reshape(-1, 6):
+        assert sorted(row) == list(range(6))
 
 
 # ---------------------------------------------------------------------------
@@ -219,48 +283,35 @@ def test_terminal_reward_mode_guard():
         terminal_reward(np.zeros(2), 0, "other")
 
 
-def two_step_trajectory():
-    obs = np.zeros(2)
-    s1 = SelectionState(np.array([1.0, 0, 0]), obs, (0,))
-    s2 = SelectionState(np.array([1.0, 1, 0]), obs, (0, 1))
-    return Trajectory(states=[s1, s2], actions=[1, 2], rewards=[0.0, 1.0], q_taken=[0.2, 0.3])
+def two_step_states(disabled=()):
+    """Values and masks of the states after views (0,) and (0, 1) of three
+    cameras; every state values the cameras [9.9, 9.9, 0.8]."""
+    values = np.array([[9.9, 9.9, 0.8]] * 2)
+    masks = np.array([[True, False, False], [True, True, False]])
+    masks[:, list(disabled)] = True
+    return values, masks
 
 
 def test_td_targets_terminal_and_discounted():
-    traj = two_step_trajectory()
     # best next value must come from unmasked cameras only: cameras 0 and 1
-    # are already chosen in s2, so the 9.9 entries cannot be picked
-    net = StubNet([9.9, 9.9, 0.8])
-    targets = td_targets(traj, net, gamma=0.5)
+    # are already chosen in the second state, so the 9.9 entries cannot be picked
+    targets = td_targets(*two_step_states(), 1.0, gamma=0.5)
     np.testing.assert_allclose(targets, [0.5 * 0.8, 1.0], atol=1e-15)
 
 
 def test_td_targets_zero_discount():
-    traj = two_step_trajectory()
-    targets = td_targets(traj, StubNet([1.0, 1.0, 1.0]), gamma=0.0)
+    values, masks = two_step_states()
+    targets = td_targets(np.ones_like(values), masks, 1.0, gamma=0.0)
     np.testing.assert_array_equal(targets, [0.0, 1.0])
 
 
 def test_td_targets_respect_disabled_cameras():
-    traj = two_step_trajectory()
-    net = StubNet([9.9, 9.9, 0.8])
-    # disabling camera 2 leaves no unmasked camera at s2
+    # disabling camera 2 leaves no unmasked camera in the second state
     with pytest.raises(StateError):
-        td_targets(traj, net, gamma=0.5, disabled={2})
-
-
-def test_trajectory_validation():
-    obs = np.zeros(2)
-    s1 = SelectionState(np.array([1.0, 0, 0]), obs, (0,))
-    s2 = SelectionState(np.array([1.0, 1, 0]), obs, (0, 1))
-    with pytest.raises(StateError):
-        Trajectory([s1, s2], [1, 2], [0.5, 1.0], [0.0, 0.0])  # interim reward
-    with pytest.raises(StateError):
-        Trajectory([s1, s2], [1, 1], [0.0, 1.0], [0.0, 0.0])  # repeat
-    with pytest.raises(StateError):
-        Trajectory([s1, s2], [0, 2], [0.0, 1.0], [0.0, 0.0])  # initial again
-    with pytest.raises(StateError):
-        Trajectory([], [], [], [])
+        td_targets(*two_step_states(disabled=[2]), 1.0, gamma=0.5)
+    # and the rollout's recorded masks carry the disabled cameras
+    masks = rollout(StubNet([9.9, 9.9, 0.8, 0.1]), np.zeros((1, 4, 2)), [[0]], 3, {2})[3]
+    np.testing.assert_array_equal(masks[0, 0], [[1, 0, 1, 0], [1, 1, 1, 0]])
 
 
 def test_rl_loss_values():
@@ -274,24 +325,28 @@ def test_rl_loss_values():
 def test_rl_loss_gradient_matches_finite_differences():
     net = QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=7)
     rng = np.random.default_rng(8)
-    states = [build_state([i], [rng.normal(size=3)], n_cameras=4) for i in range(3)]
+    states = [one_state([i], rng.normal(size=3), 4) for i in range(3)]
+    cams = np.concatenate([c for c, _ in states])
+    obs = np.concatenate([o for _, o in states])
     actions = [1, 3, 2]
     targets = rng.normal(size=3)
 
     def loss_fn():
-        q = net.q_values_batch(states)
+        q = net.q_values_batch(cams, obs)
         taken = [q[i, a] for i, a in enumerate(actions)]
         return rl_loss(taken, targets)[0]
 
-    q = net.q_values_batch(states)
+    q, cache = net.forward_cache(cams, obs)
     _, d_terms = rl_loss([q[i, a] for i, a in enumerate(actions)], targets)
-    grads, d_obs = q_gradients(net, states, actions, d_terms)
+    d_q = np.zeros_like(q)
+    d_q[np.arange(3), actions] = d_terms
+    grads, d_obs = net.backward(cache, d_q)
     for name, param in net.named_params():
         num = numeric_gradient(loss_fn, param)
         assert max_relative_error(grads[name], num) < GRAD_TOL, name
-    # observation-vector gradient, probed through the frozen state arrays
-    for i, state in enumerate(states):
-        num = numeric_gradient(loss_fn, state.obs_vector)
+    # observation-vector gradient, probed through the state arrays
+    for i in range(3):
+        num = numeric_gradient(loss_fn, obs[i])
         assert max_relative_error(d_obs[i], num) < GRAD_TOL
 
 

@@ -27,7 +27,8 @@ from fewview.errors import (
     StateError,
     TrainingDiverged,
 )
-from fewview.mvselect import td_targets
+from fewview.mvselect import rollout
+from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier
 
 MIX = (1, 2, 3, 4, 6, 12)
@@ -230,18 +231,17 @@ def test_joint_degenerate_schedule_equals_random_view_training(cls_world, cls_ne
     rng = np.random.default_rng(123)
     indices = np.arange(8)
     initial = rng.integers(cls_world.n_cameras, size=8)
-    trajectories, feats, fcache, truth, pooled = tr._rollout_training_batch(
-        cls_net, q, cls_world, indices, initial, T=3, epsilon=1.0, rng=rng)
-    for b, traj in enumerate(trajectories):
-        views = traj.states[-1].chosen + (traj.actions[-1],)
-        assert len(set(views)) == 3  # distinct by masking
-        direct = feats[b, list(views)].max(axis=0)
-        np.testing.assert_array_equal(direct, pooled[b])
-    d_feats = np.zeros_like(feats)
-    loss, _ = tr._terminal_task_grads(
-        cls_net, "classification", trajectories, truth, pooled, feats, d_feats, fcache)
-    from fewview.numcore import cross_entropy
-    logits = cls_net.head(np.stack(pooled))
+    feats, fcache, truth = tr._batch_features(cls_net, cls_world, indices)
+    chosen, _, _, _, _, pooled = rollout(q, feats, initial[:, None], 3, frozenset(), 1.0, rng)
+    views = chosen[:, 0]
+    for b in range(8):
+        assert len(set(views[b])) == 3  # distinct by masking
+        direct = feats[b, list(views[b])].max(axis=0)
+        np.testing.assert_array_equal(direct, pooled[b, 0])
+    outputs, hcache = tr._terminal_heads(cls_net, pooled[:, 0])
+    d_obs = np.zeros((8 * 2, feats.shape[-1]))
+    loss, _ = tr._task_grads(cls_net, feats, fcache, views, truth, outputs, hcache, d_obs)
+    logits = cls_net.head(pooled[:, 0])
     expected, _ = cross_entropy(logits, np.asarray(truth))
     assert loss == expected
 
@@ -422,20 +422,12 @@ def test_evaluate_policy_guards(cls_world, cls_net):
 
 
 def test_greedy_sequences_agree_with_single_rollouts(cls_world, cls_net, cls_selector):
-    from fewview.mvselect import select_action
     inst = cls_world.eval_instance(0)
     feats = cls_net.features(inst.observations)
     sets = tr.greedy_sequences(cls_selector, feats, 12, T=3)
-    rng = np.random.default_rng(0)
     for v0 in range(12):
-        history = [v0]
-        pooled = feats[v0].copy()
-        for _ in range(2):
-            state = tr._state_from_history(history, pooled, 12)
-            a = select_action(cls_selector, state, 0.0, set(history), rng)
-            history.append(a)
-            pooled = np.maximum(pooled, feats[a])
-        assert list(sets[v0]) == history
+        chosen = rollout(cls_selector, feats[None], [[v0]], 3)[0]
+        assert list(sets[v0]) == list(chosen[0, 0])
 
 
 def test_exact_q_table_is_td_fixed_point():
