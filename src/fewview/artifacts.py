@@ -115,13 +115,6 @@ class RunManifest:
         return atomic_write_text(Path(run_dir) / MANIFEST_NAME, self.to_json())
 
 
-def load_manifest(run_dir: str | Path) -> dict:
-    path = Path(run_dir) / MANIFEST_NAME
-    if not path.exists():
-        raise ConfigError(f"no manifest at {path}")
-    return json.loads(path.read_text())
-
-
 def run_directory(root: str | Path, command: str, config_hash: str, seed: int,
                   force: bool) -> Path:
     """Deterministic run directory ``<root>/<command>-<confighash12>-s<seed>``.

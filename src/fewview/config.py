@@ -14,6 +14,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,6 +79,32 @@ def _reject_unknown(section: str, raw: dict, allowed) -> None:
         if key not in allowed:
             path = f"{section}.{key}" if section else key
             raise ConfigError(f"unknown key: {path}")
+
+
+def _check_type(path: str, value, hint) -> None:
+    """Raise ConfigError naming ``path`` unless ``value`` can fill a field
+    typed ``hint``: a scalar (an int also fills a float; bools fill only
+    bools), ``tuple[X, ...]`` given as a list, or ``X | None``."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None:
+            return
+        hint = typing.get_args(hint)[0]
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path} must be a list, got {value!r}")
+        for i, item in enumerate(value):
+            _check_type(f"{path}[{i}]", item, typing.get_args(hint)[0])
+        return
+    allowed = (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
+        raise ConfigError(f"{path} must be of type {hint.__name__}, got {value!r}")
+
+
+def _check_types(section: str, raw: dict, cls) -> None:
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        if key in hints:
+            _check_type(f"{section}.{key}", value, hints[key])
 
 
 def _as_tuple_of_tuples(value):
@@ -160,6 +188,7 @@ def _validate_world(raw) -> dict:
     cls = ClassificationConfig if kind == "classification" else DetectionConfig
     fields = _fields_of(cls)
     _reject_unknown("world", {k: v for k, v in raw.items() if k != "kind"}, fields)
+    _check_types("world", raw, cls)
     out = {"kind": kind}
     for name, f in fields.items():
         if name in raw:
@@ -185,6 +214,7 @@ def _validate_train(raw) -> dict | None:
     allowed = dict(_fields_of(TrainConfig))
     allowed.update(_TRAIN_EXTRA_KEYS)
     _reject_unknown("train", raw, allowed)
+    _check_types("train", raw, TrainConfig)
     out = dict(_TRAIN_DEFAULTS)
     out.update(raw)
     if out.get("train_view_counts") is not None:
@@ -228,8 +258,9 @@ def validate_config(raw) -> ExperimentConfig:
         "train": _validate_train(raw.get("train")),
         "eval": _validate_eval(raw.get("eval")),
         "output_dir": raw.get("output_dir", "runs"),
-        "seed": int(raw.get("seed", 0)),
+        "seed": raw.get("seed", 0),
     }
+    _check_type("seed", normalized["seed"], int)
     return ExperimentConfig(normalized)
 
 
@@ -238,7 +269,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return validate_config(raw)

@@ -41,12 +41,12 @@ def _config_hash(cfg) -> str:
 
 
 # ---------------------------------------------------------------------------
-# camera layouts
+# camera layout and the shared world plumbing
 
 
 @dataclass(frozen=True)
-class RingLayout:
-    """N cameras evenly spaced on a ring; camera v sits at angle 2*pi*v/N."""
+class Layout:
+    """The selection action space: N camera ids, some possibly disabled."""
 
     n_cameras: int
     disabled: frozenset[int] = field(default_factory=frozenset)
@@ -63,41 +63,7 @@ class RingLayout:
         return tuple(v for v in range(self.n_cameras) if v not in self.disabled)
 
 
-@dataclass(frozen=True)
-class GridLayout:
-    """N cameras on a ring around a grid, each aimed at the grid center."""
-
-    n_cameras: int
-    grid_h: int
-    grid_w: int
-    ring_radius: float
-    half_angle_deg: float
-    view_range: float
-    disabled: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.n_cameras < 2:
-            raise ConfigError("a layout needs at least 2 cameras")
-        bad = [v for v in self.disabled if not 0 <= v < self.n_cameras]
-        if bad:
-            raise ConfigError(f"disabled ids {bad} outside camera range")
-
-    @property
-    def enabled(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_cameras) if v not in self.disabled)
-
-    def positions(self) -> np.ndarray:
-        """Integer (row, col) camera anchors, possibly outside the grid."""
-        cy, cx = (self.grid_h - 1) / 2.0, (self.grid_w - 1) / 2.0
-        out = np.zeros((self.n_cameras, 2), dtype=np.int64)
-        for v in range(self.n_cameras):
-            theta = 2.0 * np.pi * v / self.n_cameras
-            out[v, 0] = int(np.floor(cy + self.ring_radius * np.sin(theta) + 0.5))
-            out[v, 1] = int(np.floor(cx + self.ring_radius * np.cos(theta) + 0.5))
-        return out
-
-
-def shut_off_cameras(layout, disabled) -> "RingLayout | GridLayout":
+def shut_off_cameras(layout: Layout, disabled) -> Layout:
     """Return a copy of ``layout`` with ``disabled`` removed from the action
     space. Observations and instances are untouched; selection masks change.
     """
@@ -109,6 +75,56 @@ def shut_off_cameras(layout, disabled) -> "RingLayout | GridLayout":
     if layout.n_cameras - len(merged) < 2:
         raise ConfigError("shut-off must leave at least 2 usable cameras")
     return replace(layout, disabled=merged)
+
+
+class World:
+    """What both worlds share: a config with a seed and the three split
+    sizes, a camera layout, and instances drawn from per-instance child
+    seeds. Subclasses define ``__init__`` and ``instance(split, index)``."""
+
+    def __init__(self, config, n_cameras: int):
+        self.config = config
+        self.layout = Layout(n_cameras)
+
+    @property
+    def n_cameras(self) -> int:
+        return self.layout.n_cameras
+
+    @property
+    def n_train(self) -> int:
+        return self.config.n_train
+
+    @property
+    def n_val(self) -> int:
+        return self.config.n_val
+
+    @property
+    def n_eval(self) -> int:
+        return self.config.n_eval
+
+    def world_hash(self) -> str:
+        return _config_hash(self.config)
+
+    def split_size(self, split: str) -> int:
+        sizes = {TRAIN: self.n_train, VAL: self.n_val, EVAL: self.n_eval}
+        if split not in sizes:
+            raise ConfigError(f"split must be one of {sorted(sizes)}, got {split!r}")
+        return sizes[split]
+
+    def _instance_rng(self, split: str, index: int) -> np.random.Generator:
+        """The child generator of one instance, after the range check."""
+        if not 0 <= index < self.split_size(split):
+            raise IndexError(f"{split} instance {index} out of range")
+        return np.random.default_rng([self.config.seed, _SPLIT_TAGS[split], index])
+
+    def train_instance(self, i: int):
+        return self.instance(TRAIN, i)
+
+    def val_instance(self, i: int):
+        return self.instance(VAL, i)
+
+    def eval_instance(self, i: int):
+        return self.instance(EVAL, i)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +185,11 @@ class ClassificationInstance:
     observations: np.ndarray        # (N, D), view v = prototype + noise
 
 
-class ClassificationWorld:
+class ClassificationWorld(World):
     """Deterministic stream of ring-camera classification instances."""
 
     def __init__(self, config: ClassificationConfig):
-        self.config = config
-        self.layout = RingLayout(config.n_views)
+        super().__init__(config, config.n_views)
         pairs = config.n_classes // 2
         if config.discriminative_views is not None:
             self._disc = tuple(tuple(sorted(v)) for v in config.discriminative_views)
@@ -195,79 +210,19 @@ class ClassificationWorld:
         self.prototypes = proto
         self.prototypes.setflags(write=False)
 
-    @property
-    def n_cameras(self) -> int:
-        return self.config.n_views
-
-    @property
-    def n_train(self) -> int:
-        return self.config.n_train
-
-    @property
-    def n_val(self) -> int:
-        return self.config.n_val
-
-    @property
-    def n_eval(self) -> int:
-        return self.config.n_eval
-
-    def world_hash(self) -> str:
-        return _config_hash(self.config)
-
     def discriminative_views(self, class_id: int) -> tuple[int, ...]:
         """Views where the instance's class pair separates."""
         return self._disc[class_id // 2]
 
-    def split_size(self, split: str) -> int:
-        return {TRAIN: self.n_train, VAL: self.n_val, EVAL: self.n_eval}[split]
-
     def instance(self, split: str, index: int) -> ClassificationInstance:
         cfg = self.config
-        if not 0 <= index < self.split_size(split):
-            raise IndexError(f"{split} instance {index} out of range")
-        rng = np.random.default_rng([cfg.seed, _SPLIT_TAGS[split], index])
+        rng = self._instance_rng(split, index)
         class_id = index % cfg.n_classes
         pose = int(rng.integers(cfg.n_views)) if cfg.random_pose else 0
         noise = cfg.noise * rng.standard_normal((cfg.n_views, cfg.feat_dim))
         canonical = self.prototypes[class_id] + noise
         views = (np.arange(cfg.n_views) - pose) % cfg.n_views
         return ClassificationInstance(class_id, pose, canonical[views])
-
-    def train_instance(self, i: int) -> ClassificationInstance:
-        return self.instance(TRAIN, i)
-
-    def val_instance(self, i: int) -> ClassificationInstance:
-        return self.instance(VAL, i)
-
-    def eval_instance(self, i: int) -> ClassificationInstance:
-        return self.instance(EVAL, i)
-
-    def debug_dump(self, instance: ClassificationInstance) -> dict:
-        return {
-            "class_id": instance.class_id,
-            "pose_steps": instance.pose_steps,
-            "observations": instance.observations.tolist(),
-        }
-
-
-def apply_pose(instance: ClassificationInstance, steps: int) -> ClassificationInstance:
-    """Rotate the object by whole camera steps: view v now sees what view
-    (v - steps) mod N saw. steps = 0 and steps = N are identities."""
-    n = instance.observations.shape[0]
-    steps = int(steps) % n
-    views = (np.arange(n) - steps) % n
-    return ClassificationInstance(
-        instance.class_id,
-        (instance.pose_steps + steps) % n,
-        instance.observations[views],
-    )
-
-
-def apply_random_pose(instance: ClassificationInstance, seed: int) -> ClassificationInstance:
-    """Rotate by a uniformly drawn number of camera steps."""
-    n = instance.observations.shape[0]
-    steps = int(np.random.default_rng([seed]).integers(n))
-    return apply_pose(instance, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +294,20 @@ def _ray_path(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, i
 
 
 @lru_cache(maxsize=8)
-def _grid_geometry(layout: GridLayout):
-    """Per-layout FoV masks and padded ray-path tables, cached by layout."""
-    h, w, n = layout.grid_h, layout.grid_w, layout.n_cameras
-    positions = layout.positions()
+def _grid_geometry(n: int, h: int, w: int, ring_radius: float, half_angle_deg: float,
+                   view_range: float):
+    """Camera anchors, FoV masks and padded ray-path tables of N cameras on
+    a ring around an H x W grid, each aimed at the grid center; cached by
+    geometry. Anchors are integer (row, col) cells, possibly outside the
+    grid."""
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    positions = np.zeros((n, 2), dtype=np.int64)
+    for v in range(n):
+        theta = 2.0 * np.pi * v / n
+        positions[v, 0] = int(np.floor(cy + ring_radius * np.sin(theta) + 0.5))
+        positions[v, 1] = int(np.floor(cx + ring_radius * np.cos(theta) + 0.5))
     rows, cols = np.mgrid[0:h, 0:w]
-    cos_half = np.cos(np.deg2rad(layout.half_angle_deg))
+    cos_half = np.cos(np.deg2rad(half_angle_deg))
 
     fov = np.zeros((n, h, w), dtype=bool)
     for v in range(n):
@@ -356,7 +318,7 @@ def _grid_geometry(layout: GridLayout):
         aim = np.hypot(ar, ac)
         with np.errstate(invalid="ignore", divide="ignore"):
             cosang = (dr * ar + dc * ac) / (dist * aim)
-        inside = (dist > 0) & (dist <= layout.view_range) & (cosang >= cos_half)
+        inside = (dist > 0) & (dist <= view_range) & (cosang >= cos_half)
         fov[v] = inside
 
     sentinel = h * w
@@ -407,25 +369,18 @@ def smooth_occupancy(occupancy: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-class DetectionWorld:
+class DetectionWorld(World):
     """Deterministic stream of grid-world detection instances."""
 
     def __init__(self, config: DetectionConfig):
-        self.config = config
-        self.layout = GridLayout(
-            n_cameras=config.n_cameras,
-            grid_h=config.grid_h,
-            grid_w=config.grid_w,
-            ring_radius=config.ring_radius,
-            half_angle_deg=config.half_angle_deg,
-            view_range=config.view_range,
-        )
-        self.positions, self.fov_masks, self._paths = _grid_geometry(self.layout)
-        union = self.fov_masks.any(axis=0)
-        self.union_coverage = float(union.mean())
-        if self.union_coverage < config.coverage_threshold:
+        super().__init__(config, config.n_cameras)
+        self.positions, self.fov_masks, self._paths = _grid_geometry(
+            config.n_cameras, config.grid_h, config.grid_w, config.ring_radius,
+            config.half_angle_deg, config.view_range)
+        coverage = float(self.fov_masks.any(axis=0).mean())
+        if coverage < config.coverage_threshold:
             raise ConfigError(
-                f"camera layout covers {self.union_coverage:.3f} of the grid, "
+                f"camera layout covers {coverage:.3f} of the grid, "
                 f"below the required {config.coverage_threshold}"
             )
         full = config.grid_h * config.grid_w
@@ -433,34 +388,8 @@ class DetectionWorld:
             raise ConfigError("a single camera covers the whole grid; widen the world")
 
     @property
-    def n_cameras(self) -> int:
-        return self.config.n_cameras
-
-    @property
-    def n_train(self) -> int:
-        return self.config.n_train
-
-    @property
-    def n_val(self) -> int:
-        return self.config.n_val
-
-    @property
-    def n_eval(self) -> int:
-        return self.config.n_eval
-
-    @property
     def match_threshold_cells(self) -> float:
         return 0.5 / self.config.meters_per_cell
-
-    def world_hash(self) -> str:
-        return _config_hash(self.config)
-
-    def coverage_report(self) -> dict:
-        per_cam = [float(self.fov_masks[v].mean()) for v in range(self.n_cameras)]
-        return {"union": self.union_coverage, "per_camera": per_cam}
-
-    def split_size(self, split: str) -> int:
-        return {TRAIN: self.n_train, VAL: self.n_val, EVAL: self.n_eval}[split]
 
     def visibility(self, occupancy: np.ndarray) -> np.ndarray:
         """FoV masks minus cells whose ray passes through an occupant."""
@@ -493,9 +422,7 @@ class DetectionWorld:
 
     def instance(self, split: str, index: int) -> DetectionInstance:
         cfg = self.config
-        if not 0 <= index < self.split_size(split):
-            raise IndexError(f"{split} instance {index} out of range")
-        rng = np.random.default_rng([cfg.seed, _SPLIT_TAGS[split], index])
+        rng = self._instance_rng(split, index)
         count = int(rng.integers(cfg.min_targets, cfg.max_targets + 1))
         flat = rng.choice(cfg.grid_h * cfg.grid_w, size=count, replace=False)
         occupancy = np.zeros((cfg.grid_h, cfg.grid_w), dtype=np.uint8)
@@ -505,20 +432,3 @@ class DetectionWorld:
         obs, vis = self.render_views(occupancy, noise)
         target = smooth_occupancy(occupancy, cfg.smooth_sigma)
         return DetectionInstance(occupancy, positions, target, obs, vis)
-
-    def train_instance(self, i: int) -> DetectionInstance:
-        return self.instance(TRAIN, i)
-
-    def val_instance(self, i: int) -> DetectionInstance:
-        return self.instance(VAL, i)
-
-    def eval_instance(self, i: int) -> DetectionInstance:
-        return self.instance(EVAL, i)
-
-    def debug_dump(self, instance: DetectionInstance) -> dict:
-        return {
-            "positions": [list(p) for p in instance.positions],
-            "occupancy": instance.occupancy.tolist(),
-            "visibility": instance.visibility.astype(int).tolist(),
-            "coverage": self.coverage_report(),
-        }

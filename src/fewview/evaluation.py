@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -147,28 +145,6 @@ def detection_metrics_from_counts(tp: float, fp: float, fn: float, gt: float,
             "primary": float(moda)}
 
 
-def detection_metrics(match_results) -> dict:
-    """Metrics over one match result or a sequence of per-frame results.
-    Frames with no ground truth are skipped with a warning."""
-    if isinstance(match_results, DetectionMatchResult):
-        match_results = [match_results]
-    tp = fp = fn = gt = credit = 0.0
-    kept = 0
-    for m in match_results:
-        if m.gt == 0:
-            warnings.warn("skipping frame with no ground truth", stacklevel=2)
-            continue
-        tp += m.tp
-        fp += m.fp
-        fn += m.fn
-        gt += m.gt
-        credit += sum(1.0 - d / m.threshold for d in m.distances)
-        kept += 1
-    if kept == 0:
-        raise ShapeError("all frames lacked ground truth")
-    return detection_metrics_from_counts(tp, fp, fn, gt, credit)
-
-
 def detection_metrics_arrays(counts: Array, credit: Array) -> dict:
     """Aggregate (…, 4) frame-count rows and matching credit sums."""
     counts = np.asarray(counts, dtype=float).reshape(-1, 4)
@@ -299,31 +275,6 @@ def paired_t_pvalue(a, b) -> float:
     return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
 
 
-def paired_permutation_pvalue(a, b, n_resamples: int = 9999, seed: int = 0) -> float:
-    """One-sided sign-flip permutation p-value for mean(a - b) > 0.
-
-    Exact enumeration up to 20 pairs, Monte Carlo with add-one smoothing
-    beyond that. The exact variant is floor-limited to 1/2^n.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ShapeError("paired test needs two aligned 1-D samples, n >= 2")
-    diffs = a - b
-    observed = diffs.mean()
-    n = len(diffs)
-    if n <= 20:
-        count = 0
-        for signs in itertools.product((1.0, -1.0), repeat=n):
-            if (diffs * np.array(signs)).mean() >= observed - 1e-12:
-                count += 1
-        return count / 2 ** n
-    rng = np.random.default_rng([seed, 23])
-    signs = rng.choice((1.0, -1.0), size=(n_resamples, n))
-    perm_means = (signs * diffs).mean(axis=1)
-    return float((1 + np.sum(perm_means >= observed - 1e-12)) / (n_resamples + 1))
-
-
 # ---------------------------------------------------------------------------
 # reports
 
@@ -400,13 +351,3 @@ def table_csv(rows: list[dict], fieldnames: list[str]) -> str:
         })
     return out.getvalue()
 
-
-def measure_throughput(fn, n_repeats: int = 3) -> dict:
-    """Wall-clock throughput of a callable; informational only, never part
-    of a report's bytes."""
-    start = time.perf_counter()
-    for _ in range(n_repeats):
-        fn()
-    elapsed = time.perf_counter() - start
-    return {"seconds_per_call": elapsed / n_repeats,
-            "calls_per_second": n_repeats / elapsed if elapsed > 0 else float("inf")}

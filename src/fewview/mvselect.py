@@ -85,18 +85,9 @@ class QNetwork(Persistable):
         if cams.shape[1:] != (self.n_cameras,) or obs.shape[1:] != (self.feat_dim,):
             raise ShapeError("state dimensions do not match this network")
 
-    def q_values_batch(self, cams: Array, obs: Array) -> Array:
-        """Action values (B, N) of B states given as camera counts (B, N) and
-        observation vectors (B, D)."""
-        self._check(cams, obs)
-        hidden = np.zeros((len(cams), self.hidden))
-        if self.use_camera_branch:
-            hidden = hidden + self.camera_branch.forward(cams @ self.embeddings)
-        if self.use_feature_branch:
-            hidden = hidden + self.feature_branch.forward(obs)
-        return self.combiner.forward(hidden)
-
     def forward_cache(self, cams: Array, obs: Array):
+        """Action values (B, N) of B states given as camera counts (B, N) and
+        observation vectors (B, D), with the cache ``backward`` needs."""
         self._check(cams, obs)
         hidden = np.zeros((len(cams), self.hidden))
         cam_cache = feat_cache = None
@@ -175,7 +166,7 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
             raise StateError("every camera is masked")
         # one forward per instance: stacking instances into one BLAS call
         # would change the last bits of the values
-        q = np.stack([q_net.q_values_batch(taken[g], obs_t[g]) for g in range(n_inst)])
+        q = np.stack([q_net.forward_cache(taken[g], obs_t[g])[0] for g in range(n_inst)])
         action = np.where(mask, -np.inf, q).argmax(axis=-1)
         if epsilon > 0:
             for g in range(n_inst):

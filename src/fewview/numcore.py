@@ -125,15 +125,8 @@ class DenseNet:
             )
         return x, single
 
-    def forward(self, x: Array) -> Array:
-        x2, single = self._check_input(x)
-        for w, b, spec in zip(self.weights, self.biases, self.specs):
-            x2 = _activate(spec.activation, x2 @ w.T + b)
-        _require_finite(x2, "forward output")
-        return x2[0] if single else x2
-
     def forward_cache(self, x: Array) -> tuple[Array, list]:
-        """Forward pass that also returns the per-layer cache backward() needs."""
+        """Forward pass: the output plus the per-layer cache backward() needs."""
         x2, single = self._check_input(x)
         cache: list = [single]
         for w, b, spec in zip(self.weights, self.biases, self.specs):

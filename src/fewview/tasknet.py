@@ -60,7 +60,24 @@ def task_loss(prediction: Array, ground_truth, mode: str) -> tuple[float, Array]
     raise ValueError(f"unknown task mode {mode!r}")
 
 
-class MVClassifier(Persistable):
+class TaskNet(Persistable):
+    """What both task networks share: a per-view extractor ``feature_net``
+    (f) and a decoder ``head_net`` (g) over the max-pooled features.
+    Subclasses supply ``features_cache`` and ``head_cache`` for their
+    shapes."""
+
+    def named_params(self):
+        return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
+
+    def predict(self, obs: Array, views) -> Array:
+        """Output from the given view subset of one instance's observations.
+        Nothing in the package calls it: the gradient tests use it as a
+        forward independent of the training paths."""
+        feats, _ = self.features_cache(np.asarray(obs)[list(views)])
+        return self.head_cache(aggregate_max(feats))[0]
+
+
+class MVClassifier(TaskNet):
     """Per-view feature extractor plus a linear class head over the pooled
     feature vector."""
 
@@ -83,21 +100,9 @@ class MVClassifier(Persistable):
         )
         self.head_net = DenseNet([LayerSpec(feat_dim, n_classes, "linear")], seed=[seed, 1])
 
-    # -- parameter plumbing
-
-    def named_params(self):
-        return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
-
-    # -- forward pieces
-
-    def features(self, obs: Array) -> Array:
-        """f applied to every view: (..., N, obs_dim) -> (..., N, feat_dim)."""
-        obs = np.asarray(obs, dtype=np.float64)
-        flat = obs.reshape(-1, obs.shape[-1])
-        feats = self.feature_net.forward(flat)
-        return feats.reshape(obs.shape[:-1] + (self.feat_dim,))
-
     def features_cache(self, obs: Array):
+        """f applied to every view, (..., N, obs_dim) -> (..., N, feat_dim),
+        with the cache ``features_backward`` needs."""
         obs = np.asarray(obs, dtype=np.float64)
         flat = obs.reshape(-1, obs.shape[-1])
         feats, cache = self.feature_net.forward_cache(flat)
@@ -108,9 +113,6 @@ class MVClassifier(Persistable):
         grads, _ = self.feature_net.backward(cache, np.asarray(d_feats).reshape(-1, self.feat_dim))
         return {f"feature.{k}": v for k, v in grads.items()}
 
-    def head(self, pooled: Array) -> Array:
-        return self.head_net.forward(pooled)
-
     def head_cache(self, pooled: Array):
         return self.head_net.forward_cache(pooled)
 
@@ -118,17 +120,11 @@ class MVClassifier(Persistable):
         grads, d_pooled = self.head_net.backward(cache, d_logits)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
 
-    def predict(self, obs: Array, views) -> Array:
-        """Logits from the given view subset of one instance's observations."""
-        views = list(views)
-        feats = self.features(np.asarray(obs)[views])
-        return self.head(aggregate_max(feats))
-
     def mac_counts(self) -> dict[str, int]:
         return {"f_per_view": self.feature_net.mac_count(), "g": self.head_net.mac_count()}
 
 
-class MVDetector(Persistable):
+class MVDetector(TaskNet):
     """Per-cell feature extractor plus a per-cell sigmoid occupancy head."""
 
     kind = "detector"
@@ -154,18 +150,9 @@ class MVDetector(Persistable):
             seed=[seed, 1],
         )
 
-    def named_params(self):
-        return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
-
-    def features(self, obs: Array) -> Array:
-        """f per cell: (V, C, H, W) -> (V, D, H, W)."""
-        obs = np.asarray(obs, dtype=np.float64)
-        v, c, h, w = obs.shape
-        flat = obs.transpose(0, 2, 3, 1).reshape(-1, c)
-        feats = self.feature_net.forward(flat)
-        return feats.reshape(v, h, w, self.feat_dim).transpose(0, 3, 1, 2)
-
     def features_cache(self, obs: Array):
+        """f per cell, (V, C, H, W) -> (V, D, H, W), with the cache
+        ``features_backward`` needs."""
         obs = np.asarray(obs, dtype=np.float64)
         v, c, h, w = obs.shape
         flat = obs.transpose(0, 2, 3, 1).reshape(-1, c)
@@ -178,13 +165,9 @@ class MVDetector(Persistable):
         grads, _ = self.feature_net.backward(cache, flat)
         return {f"feature.{k}": g for k, g in grads.items()}
 
-    def head(self, pooled: Array) -> Array:
-        """g per cell: (D, H, W) -> (H, W) occupancy probabilities."""
-        d, h, w = pooled.shape
-        flat = pooled.transpose(1, 2, 0).reshape(-1, d)
-        return self.head_net.forward(flat).reshape(h, w)
-
     def head_cache(self, pooled: Array):
+        """g per cell, (D, H, W) -> (H, W) occupancy probabilities, with the
+        cache ``head_backward`` needs."""
         d, h, w = pooled.shape
         flat = pooled.transpose(1, 2, 0).reshape(-1, d)
         out, cache = self.head_net.forward_cache(flat)
@@ -195,11 +178,6 @@ class MVDetector(Persistable):
         grads, d_flat = self.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1))
         d_pooled = d_flat.reshape(h, w, self.feat_dim).transpose(2, 0, 1)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
-
-    def predict(self, obs: Array, views) -> Array:
-        views = list(views)
-        feats = self.features(np.asarray(obs)[views])
-        return self.head(aggregate_max(feats))
 
     def mac_counts(self) -> dict[str, int]:
         # per-cell nets applied to every grid cell; counts are per full map

@@ -34,7 +34,7 @@ Array = np.ndarray
 
 REGIMES = ("task", "select-fixed", "joint")
 POLICIES = ("mvselect", "random", "dataset-oracle", "instance-oracle", "full-views")
-SPLITS = {"train": TRAIN, "val": VAL, "eval": EVAL}
+SPLITS = {"train": TRAIN, "val": VAL, "eval": EVAL}  # split names; perfbench reads this
 JOINT_TASK_LR_FACTOR = 0.2  # the task network learns at a fifth of its rate
 DEFAULT_ENUM_BUDGET = 5_000_000
 
@@ -130,23 +130,8 @@ def _require_finite_loss(value: float, where: str) -> None:
         raise TrainingDiverged(f"non-finite loss at {where}")
 
 
-def _split_tag(split: str) -> int:
-    if split not in SPLITS:
-        raise ConfigError(f"split must be one of {sorted(SPLITS)}, got {split!r}")
-    return SPLITS[split]
-
-
-def _split_size(world, split: str) -> int:
-    return world.split_size(_split_tag(split))
-
-
 # ---------------------------------------------------------------------------
 # per-instance features and predictions
-
-
-def _instance_features(task_net, instance) -> Array:
-    """Features for every view of one instance: (N, D) or (N, D, H, W)."""
-    return task_net.features(instance.observations)
 
 
 def _predict_sets(task_net, feats: Array, view_sets: Array):
@@ -157,8 +142,8 @@ def _predict_sets(task_net, feats: Array, view_sets: Array):
     """
     pooled = feats[view_sets].max(axis=1)  # (S, D, ...) max over the k views
     if pooled.ndim == 2:
-        return task_net.head(pooled)
-    return np.stack([task_net.head(p) for p in pooled])
+        return task_net.head_cache(pooled)[0]
+    return np.stack([task_net.head_cache(p)[0] for p in pooled])
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +191,9 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
 
 
 def _classifier_loss_on_views(net: MVClassifier, world, idx, views) -> tuple[float, dict]:
-    obs = np.stack([world.train_instance(int(i)).observations for i in idx])
-    labels = np.array([world.train_instance(int(i)).class_id for i in idx])
+    insts = [world.train_instance(int(i)) for i in idx]
+    obs = np.stack([inst.observations for inst in insts])
+    labels = np.array([inst.class_id for inst in insts])
     feats, fcache = net.features_cache(obs[:, views])          # (B, V, D)
     pooled, amax = pool_with_argmax(feats.transpose(1, 0, 2))  # pool over views
     logits, hcache = net.head_cache(pooled)
@@ -407,22 +393,28 @@ class PolicyTable:
 
     @staticmethod
     def from_json(text: str) -> "PolicyTable":
-        raw = json.loads(text)
-        if raw.get("kind") not in ("dataset", "instance"):
+        """Parse the ``to_json`` form; a malformed table raises ConfigError."""
+        try:
+            raw = json.loads(text)
+            kind = raw["kind"]
+            entries = {}
+            for key, seq in raw["entries"].items():
+                if kind == "dataset":
+                    entries[int(key)] = tuple(int(a) for a in seq)
+                else:
+                    i, v = key.split(":")
+                    entries[(int(i), int(v))] = tuple(int(a) for a in seq)
+            T = int(raw["T"])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed policy table: {exc!r}") from exc
+        if kind not in ("dataset", "instance"):
             raise ConfigError("policy table kind must be dataset or instance")
-        entries = {}
-        for key, seq in raw["entries"].items():
-            if raw["kind"] == "dataset":
-                entries[int(key)] = tuple(int(a) for a in seq)
-            else:
-                i, v = key.split(":")
-                entries[(int(i), int(v))] = tuple(int(a) for a in seq)
-        return PolicyTable(raw["kind"], int(raw["T"]), entries)
+        return PolicyTable(kind, T, entries)
 
 
 def check_enumeration_budget(world, T: int, split: str, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Subset-evaluation count for an oracle run; raises when over budget."""
-    count = _split_size(world, split) * math.comb(world.n_cameras, T)
+    count = world.split_size(split) * math.comb(world.n_cameras, T)
     if count > budget:
         raise BudgetError(
             f"oracle enumeration needs {count} subset evaluations "
@@ -442,15 +434,14 @@ def _score_subsets(task_net, world, split: str, T: int):
     Detection: score = frame-level accuracy proxy (MODA), with the task loss
     kept for tie-breaking.
     """
-    tag = _split_tag(split)
-    n = _split_size(world, split)
+    n = world.split_size(split)
     subsets = _subset_table(world.n_cameras, T)
     mode = _mode_of(task_net)
     if mode == "classification":
         correct = np.zeros((n, len(subsets)))
         for i in range(n):
-            inst = world.instance(tag, i)
-            feats = _instance_features(task_net, inst)
+            inst = world.instance(split, i)
+            feats = task_net.features_cache(inst.observations)[0]
             logits = _predict_sets(task_net, feats, subsets)
             correct[i] = (np.argmax(logits, axis=1) == inst.class_id).astype(float)
         return subsets, {"score": correct}
@@ -458,8 +449,8 @@ def _score_subsets(task_net, world, split: str, T: int):
     moda = np.zeros((n, len(subsets)))
     loss = np.zeros((n, len(subsets)))
     for i in range(n):
-        inst = world.instance(tag, i)
-        feats = _instance_features(task_net, inst)
+        inst = world.instance(split, i)
+        feats = task_net.features_cache(inst.observations)[0]
         heats = _predict_sets(task_net, feats, subsets)
         for s, heat in enumerate(heats):
             loss[i, s] = task_loss(heat, inst.target, "detection")[0]
@@ -569,8 +560,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
     _check_t(world, T if policy != "full-views" else world.n_cameras)
     mode = _mode_of(task_net)
-    tag = _split_tag(split)
-    n = _split_size(world, split)
+    n = world.split_size(split)
     n_cams = world.n_cameras
     disabled = world.layout.disabled
     if policy == "mvselect" and q_net is None:
@@ -591,8 +581,8 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     thr = world.match_threshold_cells if mode == "detection" else None
 
     for i in range(n):
-        inst = world.instance(tag, i)
-        feats = _instance_features(task_net, inst)
+        inst = world.instance(split, i)
+        feats = task_net.features_cache(inst.observations)[0]
         if policy == "full-views":
             sets = np.tile(np.arange(n_cams), (n_cams, 1))
         elif policy == "mvselect":
@@ -632,15 +622,14 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
     Keys are (instance index, frozenset of chosen views, action). A value is
     the terminal task reward of the best completion, discounted by gamma per
     remaining step. Only meant for layouts small enough to enumerate."""
-    tag = _split_tag(split)
-    n = _split_size(world, split)
+    n = world.split_size(split)
     n_cams = world.n_cameras
     mode = _mode_of(task_net)
     disabled = world.layout.disabled
     table: dict = {}
     for i in range(n):
-        inst = world.instance(tag, i)
-        feats = _instance_features(task_net, inst)
+        inst = world.instance(split, i)
+        feats = task_net.features_cache(inst.observations)[0]
         target = inst.class_id if mode == "classification" else inst.target
 
         def reward_of(view_set: frozenset) -> float:

@@ -161,7 +161,7 @@ def test_layer_and_loss_gradients_match_finite_differences(capsys):
             y, cache = net.forward_cache(x)
             _, d_out = loss_fn(y)
             grads, d_x = net.backward(cache, d_out)
-            loss_only = lambda: loss_fn(net.forward(x))[0]
+            loss_only = lambda: loss_fn(net.forward_cache(x)[0])[0]
             for name, param in net.named_params():
                 check(grads[name], param, loss_only, f"{act}/{name}/case{case}")
             check(d_x, x, loss_only, f"{act}/input/case{case}")
@@ -237,7 +237,7 @@ def test_selector_reproduces_exact_mdp_solution(capsys):
     mismatches = []
     total = 0
     for i in range(toy.n_train):
-        feats = task.features(toy.train_instance(i).observations)
+        feats = task.features_cache(toy.train_instance(i).observations)[0]
         seqs = tr.greedy_sequences(q_net, feats, 3, T=2)
         for v0 in range(3):
             total += 1
@@ -478,16 +478,16 @@ def test_branch_ablations_enforce_invariances(capsys):
         obs_a = rng.standard_normal(feat_dim)
         obs_b = rng.standard_normal(feat_dim)
         # same history, different instances: Q must be instance-independent
-        if not np.array_equal(no_feat.q_values_batch(*state(chosen, obs_a)),
-                              no_feat.q_values_batch(*state(chosen, obs_b))):
+        if not np.array_equal(no_feat.forward_cache(*state(chosen, obs_a))[0],
+                              no_feat.forward_cache(*state(chosen, obs_b))[0]):
             feat_dep_violations += 1
         # same pooled observation, different history sets
         other = tuple(sorted(rng.choice(n_cams, size=3, replace=False)))
-        if not np.array_equal(no_cam.q_values_batch(*state(chosen, obs_a)),
-                              no_cam.q_values_batch(*state(other, obs_a))):
+        if not np.array_equal(no_cam.forward_cache(*state(chosen, obs_a))[0],
+                              no_cam.forward_cache(*state(other, obs_a))[0]):
             cam_dep_violations += 1
-        if not np.array_equal(full.q_values_batch(*state(chosen, obs_a)),
-                              full.q_values_batch(*state(other, obs_b))):
+        if not np.array_equal(full.forward_cache(*state(chosen, obs_a))[0],
+                              full.forward_cache(*state(other, obs_b))[0]):
             full_sensitive = True
     ok = feat_dep_violations == 0 and cam_dep_violations == 0 and full_sensitive
     _report(capsys, 10, "selector branch ablations enforce their invariances", ok)

@@ -107,6 +107,14 @@ def test_missing_config_file(tmp_path):
     assert "not found" in r.stderr
 
 
+def test_malformed_value_exits_2_naming_the_path(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["world"]["n_views"] = "abc"
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)))
+    assert r.returncode == 2, r.stderr
+    assert "world.n_views" in r.stderr
+
+
 def test_select_fixed_without_task_checkpoint_exits_2(tmp_path):
     cfg = base_config(tmp_path)
     r = cli("train", "--config", str(write_config(tmp_path, cfg)),
@@ -269,6 +277,16 @@ def test_missing_eval_T_is_named(workspace, tmp_path):
     r = cli("eval", "--config", str(cpath), "--policy", "mvselect")
     assert r.returncode == 2
     assert "eval.T" in r.stderr
+
+
+def test_unknown_split_exits_2(workspace, tmp_path):
+    cfg = dict(workspace["cfg"])
+    cfg["eval"] = dict(cfg["eval"], split="test")
+    cfg["output_dir"] = str(tmp_path / "runs")
+    cpath = write_config(tmp_path, cfg, "split.yaml")
+    r = cli("eval", "--config", str(cpath), "--policy", "mvselect")
+    assert r.returncode == 2, r.stderr
+    assert "split" in r.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,21 @@ def test_world_config_builds_both_kinds():
     assert det.n_cameras == 4
 
 
+@pytest.mark.parametrize("payload, named", [
+    (b"world: {kind: classification, n_views: abc}\n", "world.n_views"),
+    (b"world: {kind: detection, grid_h: null}\n", "world.grid_h"),
+    (b"world: {kind: classification, discriminative_views: 3}\n", "world.discriminative_views"),
+    (b"world: {kind: classification}\nseed: x\n", "seed"),
+    (b"world: {kind: classification}\ntrain: {regime: task, epochs: a, T: 2}\n", "train.epochs"),
+    ("world: {kind: classification}\noutput_dir: r\xe9sultats\n".encode("latin-1"), "exp.yaml"),
+], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8"])
+def test_malformed_config_values_name_their_path(tmp_path, payload, named):
+    path = tmp_path / "exp.yaml"
+    path.write_bytes(payload)
+    with pytest.raises(ConfigError, match=named):
+        load_config(path)
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "ghost.yaml")
@@ -136,7 +151,7 @@ def test_manifest_refuses_missing_files(tmp_path):
     real = artifacts.atomic_write_text(tmp_path / "real.txt", "data")
     m.add(tmp_path, real)
     m.write(tmp_path)
-    loaded = artifacts.load_manifest(tmp_path)
+    loaded = json.loads((tmp_path / artifacts.MANIFEST_NAME).read_text())
     assert loaded["outputs"][0]["path"] == "real.txt"
     # deleting a listed file invalidates a rewrite
     real.unlink()

@@ -1,7 +1,6 @@
 """World checks: determinism, designed ambiguity/separability, pose rotation,
 FoV and occlusion against an exact-rational ray-casting oracle, shut-off."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -13,10 +12,7 @@ from fewview.envs import (
     ClassificationWorld,
     DetectionConfig,
     DetectionWorld,
-    GridLayout,
-    RingLayout,
-    apply_pose,
-    apply_random_pose,
+    Layout,
     shut_off_cameras,
     smooth_occupancy,
 )
@@ -126,32 +122,6 @@ def test_noisy_instances_separable_with_all_views():
         assert got == inst.class_id
 
 
-def test_apply_pose_identity_and_shift():
-    w = small_class_world()
-    inst = w.eval_instance(0)
-    n = w.config.n_views
-    same = apply_pose(inst, 0)
-    np.testing.assert_array_equal(same.observations, inst.observations)
-    full = apply_pose(inst, n)
-    np.testing.assert_array_equal(full.observations, inst.observations)
-    one = apply_pose(inst, 1)
-    for v in range(n):
-        np.testing.assert_array_equal(one.observations[v], inst.observations[(v - 1) % n])
-    assert one.class_id == inst.class_id
-    # rotating back round-trips exactly
-    back = apply_pose(one, n - 1)
-    np.testing.assert_array_equal(back.observations, inst.observations)
-
-
-def test_apply_random_pose_deterministic():
-    w = small_class_world()
-    inst = w.eval_instance(1)
-    a = apply_random_pose(inst, seed=17)
-    b = apply_random_pose(inst, seed=17)
-    assert a.pose_steps == b.pose_steps
-    np.testing.assert_array_equal(a.observations, b.observations)
-
-
 def test_random_pose_world_rotates_prototypes():
     w = small_class_world(random_pose=True, n_train=60)
     cfg = w.config
@@ -184,9 +154,13 @@ def test_world_hash_tracks_config():
     assert small_det_world().world_hash() != small_det_world(seed=4).world_hash()
 
 
-def test_classification_debug_dump_is_json():
-    w = small_class_world()
-    json.dumps(w.debug_dump(w.eval_instance(0)))
+@pytest.mark.parametrize("make", [small_class_world, small_det_world])
+def test_unknown_split_is_a_config_error(make):
+    w = make()
+    with pytest.raises(ConfigError, match="split"):
+        w.instance("test", 0)
+    with pytest.raises(ConfigError, match="split"):
+        w.split_size("test")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +168,7 @@ def test_classification_debug_dump_is_json():
 
 
 def test_shut_off_identity_and_cardinality():
-    lay = RingLayout(12)
+    lay = Layout(12)
     assert shut_off_cameras(lay, set()) == lay
     off = shut_off_cameras(lay, {0, 2, 4, 6, 8, 10})
     assert len(off.enabled) == 6
@@ -202,7 +176,7 @@ def test_shut_off_identity_and_cardinality():
 
 
 def test_shut_off_guards():
-    lay = RingLayout(4)
+    lay = Layout(4)
     with pytest.raises(ConfigError):
         shut_off_cameras(lay, {0, 1, 2})
     with pytest.raises(ConfigError):
@@ -212,8 +186,8 @@ def test_shut_off_guards():
 
 
 def test_grid_layout_positions_are_integers_outside_grid():
-    lay = GridLayout(6, 32, 32, ring_radius=24.0, half_angle_deg=50.0, view_range=42.0)
-    pos = lay.positions()
+    pos = DetectionWorld(DetectionConfig(n_cameras=6, grid_h=32, grid_w=32, ring_radius=24.0,
+                                         half_angle_deg=50.0, view_range=42.0)).positions
     assert pos.dtype == np.int64
     inside = (pos[:, 0] >= 0) & (pos[:, 0] < 32) & (pos[:, 1] >= 0) & (pos[:, 1] < 32)
     assert not inside.any()
@@ -384,11 +358,6 @@ def test_detection_config_guards():
 def test_match_threshold_in_cells():
     assert small_det_world().match_threshold_cells == 2.0
     assert small_det_world(meters_per_cell=0.5).match_threshold_cells == 1.0
-
-
-def test_detection_debug_dump_is_json():
-    w = small_det_world()
-    json.dumps(w.debug_dump(w.eval_instance(0)))
 
 
 def test_smooth_occupancy_empty_grid():

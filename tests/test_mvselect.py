@@ -27,8 +27,8 @@ class StubNet:
         self.values = np.asarray(values, dtype=np.float64)
         self.n_cameras = len(self.values)
 
-    def q_values_batch(self, cams, obs):
-        return np.tile(self.values, (len(cams), 1))
+    def forward_cache(self, cams, obs):
+        return np.tile(self.values, (len(cams), 1)), None
 
 
 def scripted(order, features):
@@ -92,7 +92,7 @@ def test_rollout_records_each_state_once():
     assert chosen.shape == (2, 2, 4) and values.shape == (2, 2, 3, 5)
     for g in range(2):
         for t in range(3):
-            np.testing.assert_array_equal(values[g, :, t], net.q_values_batch(cams[g, :, t], obs[g, :, t]))
+            np.testing.assert_array_equal(values[g, :, t], net.forward_cache(cams[g, :, t], obs[g, :, t])[0])
             for r in range(2):
                 taken = set(chosen[g, r, : t + 1])
                 np.testing.assert_array_equal(np.flatnonzero(masks[g, r, t]), sorted(taken | {3}))
@@ -131,7 +131,7 @@ def test_hand_traced_two_branch_values():
     # cam [1,0] -> embedding sum [1,0] -> relu [1,0]; obs [0.3,0.7] -> relu
     # [0.3,0.7]; summed [1.3,0.7] -> relu -> rows [1.3+0.7+0.5, 2*1.3-0.7]
     net = hand_set_qnet()
-    q = net.q_values_batch(*one_state([0], [0.3, 0.7], 2))
+    q = net.forward_cache(*one_state([0], [0.3, 0.7], 2))[0]
     np.testing.assert_allclose(q[0], [2.5, 1.9], atol=1e-15)
 
 
@@ -139,7 +139,7 @@ def test_feature_branch_off_ignores_observations():
     net = QNetwork(n_cameras=3, feat_dim=4, hidden=5, seed=1, use_feature_branch=False)
     a = one_state([1], np.full(4, 9.0), 3)
     b = one_state([1], np.full(4, -9.0), 3)
-    np.testing.assert_array_equal(net.q_values_batch(*a), net.q_values_batch(*b))
+    np.testing.assert_array_equal(net.forward_cache(*a)[0], net.forward_cache(*b)[0])
 
 
 def test_camera_branch_off_ignores_history_beyond_observation():
@@ -147,7 +147,7 @@ def test_camera_branch_off_ignores_history_beyond_observation():
     obs = np.array([0.5, -0.2, 1.0])
     a = one_state([0, 1], obs, 4)
     b = one_state([2, 3], obs, 4)
-    np.testing.assert_array_equal(net.q_values_batch(*a), net.q_values_batch(*b))
+    np.testing.assert_array_equal(net.forward_cache(*a)[0], net.forward_cache(*b)[0])
 
 
 def test_both_branches_off_rejected():
@@ -159,10 +159,10 @@ def test_batched_values_match_singletons():
     net = QNetwork(n_cameras=5, feat_dim=3, hidden=6, seed=3)
     rng = np.random.default_rng(4)
     states = [one_state([i], rng.normal(size=3), 5) for i in range(4)]
-    batch = net.q_values_batch(np.concatenate([c for c, _ in states]),
-                               np.concatenate([o for _, o in states]))
+    batch = net.forward_cache(np.concatenate([c for c, _ in states]),
+                              np.concatenate([o for _, o in states]))[0]
     for i, s in enumerate(states):
-        np.testing.assert_allclose(batch[i], net.q_values_batch(*s)[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batch[i], net.forward_cache(*s)[0][0], rtol=1e-12, atol=1e-14)
 
 
 def test_qnetwork_checkpoint_round_trip(tmp_path):
@@ -173,7 +173,7 @@ def test_qnetwork_checkpoint_round_trip(tmp_path):
     assert meta["world_hash"] == "wh"
     assert loaded.use_camera_branch is False
     state = one_state([2], [1.0, 2.0, 3.0], 4)
-    np.testing.assert_array_equal(loaded.q_values_batch(*state), net.q_values_batch(*state))
+    np.testing.assert_array_equal(loaded.forward_cache(*state)[0], net.forward_cache(*state)[0])
 
 
 def test_qnetwork_checkpoint_with_unknown_tensor_rejected(tmp_path):
@@ -332,7 +332,7 @@ def test_rl_loss_gradient_matches_finite_differences():
     targets = rng.normal(size=3)
 
     def loss_fn():
-        q = net.q_values_batch(cams, obs)
+        q = net.forward_cache(cams, obs)[0]
         taken = [q[i, a] for i, a in enumerate(actions)]
         return rl_loss(taken, targets)[0]
 

@@ -53,19 +53,19 @@ def test_forward_matches_naive_loops():
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(size=4)
-        np.testing.assert_allclose(net.forward(x), naive_forward(net, x), rtol=1e-12)
+        np.testing.assert_allclose(net.forward_cache(x)[0], naive_forward(net, x), rtol=1e-12)
 
 
 def test_forward_batch_matches_single():
     net = small_net()
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(7, 4))
-    batched = net.forward(xs)
+    batched = net.forward_cache(xs)[0]
     assert batched.shape == (7, 2)
     for i in range(7):
         # batched matmul may take a different BLAS path; agreement is to
         # rounding, not bit-for-bit
-        np.testing.assert_allclose(batched[i], net.forward(xs[i]), rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batched[i], net.forward_cache(xs[i])[0], rtol=1e-12, atol=1e-14)
 
 
 def test_seeded_init_is_deterministic():
@@ -95,7 +95,7 @@ def test_backward_matches_finite_differences():
     target = rng.normal(size=2)
 
     def loss():
-        y = net.forward(x)
+        y = net.forward_cache(x)[0]
         return float(np.sum((y - target) ** 2))
 
     y, cache = net.forward_cache(x)
@@ -115,7 +115,7 @@ def test_backward_batched_matches_finite_differences():
     target = rng.normal(size=(5, 2))
 
     def loss():
-        y = net.forward(xs)
+        y = net.forward_cache(xs)[0]
         return float(np.sum((y - target) ** 2))
 
     y, cache = net.forward_cache(xs)
@@ -139,13 +139,13 @@ def test_mismatched_layer_widths_rejected():
 def test_wrong_input_width_rejected():
     net = small_net()
     with pytest.raises(ShapeError):
-        net.forward(np.zeros(9))
+        net.forward_cache(np.zeros(9))
 
 
 def test_nonfinite_forward_raises():
     net = small_net()
     with pytest.raises(NonFiniteError):
-        net.forward(np.array([np.nan, 0.0, 0.0, 0.0]))
+        net.forward_cache(np.array([np.nan, 0.0, 0.0, 0.0]))
 
 
 def test_mac_count():

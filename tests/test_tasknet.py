@@ -112,7 +112,7 @@ def test_zeroed_feature_net_gives_zero_features():
     for b in net.feature_net.biases:
         b[...] = 0.0
     obs = np.random.default_rng(4).normal(size=(3, 5))
-    np.testing.assert_array_equal(net.features(obs), np.zeros((3, 4)))
+    np.testing.assert_array_equal(net.features_cache(obs)[0], np.zeros((3, 4)))
 
 
 def test_hand_traced_identity_network():
@@ -186,8 +186,8 @@ def test_detector_unseen_cell_feature_is_f_of_zero():
     net = tiny_detector()
     obs = np.random.default_rng(9).normal(size=(1, 3, 4, 4))
     obs[0, :, 2, 3] = 0.0  # a cell outside this camera's visibility
-    feats = net.features(obs)
-    f_zero = net.feature_net.forward(np.zeros(3))
+    feats = net.features_cache(obs)[0]
+    f_zero = net.feature_net.forward_cache(np.zeros(3))[0]
     np.testing.assert_allclose(feats[0, :, 2, 3], f_zero, rtol=1e-12)
 
 

@@ -241,7 +241,7 @@ def test_joint_degenerate_schedule_equals_random_view_training(cls_world, cls_ne
     outputs, hcache = tr._terminal_heads(cls_net, pooled[:, 0])
     d_obs = np.zeros((8 * 2, feats.shape[-1]))
     loss, _ = tr._task_grads(cls_net, feats, fcache, views, truth, outputs, hcache, d_obs)
-    logits = cls_net.head(pooled[:, 0])
+    logits = cls_net.head_cache(pooled[:, 0])[0]
     expected, _ = cross_entropy(logits, np.asarray(truth))
     assert loss == expected
 
@@ -334,8 +334,8 @@ def test_toy_oracles_match_independent_brute_force():
 
     # independent brute force: plain loops, direct network calls
     def correct_with(inst, views):
-        feats = net.features(inst.observations[list(views)])
-        logits = net.head(feats.max(axis=0))
+        feats = net.features_cache(inst.observations[list(views)])[0]
+        logits = net.head_cache(feats.max(axis=0))[0]
         return int(np.argmax(logits)) == inst.class_id
 
     n = world.split_size("eval")
@@ -385,6 +385,19 @@ def test_policy_table_json_round_trip():
         tr.PolicyTable.from_json('{"kind": "other", "T": 2, "entries": {}}')
 
 
+@pytest.mark.parametrize("text", [
+    '[]',
+    '{"kind": "dataset", "T": 2}',
+    '{"kind": "instance", "T": 2, "entries": {"3": [1]}}',
+    '{"kind": "dataset", "T": "x", "entries": {}}',
+    '{"kind": "dataset", "T": 2, "entries": {"0": 1}}',
+    'not json',
+], ids=["list", "no entries", "key without colon", "non-integer T", "entry not a list", "not JSON"])
+def test_malformed_policy_table_is_a_config_error(text):
+    with pytest.raises(ConfigError):
+        tr.PolicyTable.from_json(text)
+
+
 def test_random_sequences_deterministic_and_distinct():
     for i in range(5):
         for v0 in range(6):
@@ -423,7 +436,7 @@ def test_evaluate_policy_guards(cls_world, cls_net):
 
 def test_greedy_sequences_agree_with_single_rollouts(cls_world, cls_net, cls_selector):
     inst = cls_world.eval_instance(0)
-    feats = cls_net.features(inst.observations)
+    feats = cls_net.features_cache(inst.observations)[0]
     sets = tr.greedy_sequences(cls_selector, feats, 12, T=3)
     for v0 in range(12):
         chosen = rollout(cls_selector, feats[None], [[v0]], 3)[0]
