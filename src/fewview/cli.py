@@ -182,9 +182,9 @@ def cmd_eval(args) -> int:
     if args.T is not None:
         T = args.T
     elif policy == "full-views":
-        T = int(ev_sec.get("T") or world.n_cameras)
+        T = ev_sec.get("T") or world.n_cameras
     else:
-        T = int(cfg.require("eval.T"))
+        T = cfg.require("eval.T")
     task_net = _load_task_net(cfg, world, cfg.require("eval.task_checkpoint"))
     q_net = None
     if policy == "mvselect":
@@ -192,7 +192,7 @@ def cmd_eval(args) -> int:
 
     run = training.evaluate_policy(world, task_net, T, policy,
                                    split=ev_sec["split"], q_net=q_net, seed=seed,
-                                   budget=int(ev_sec["budget"]))
+                                   budget=ev_sec["budget"])
     cost = evaluation.cost_account(world, task_net, q_net, run.T)
     report = evaluation.build_report(run, cost, cfg.config_hash(), [seed])
     outputs = [artifacts.write_content_addressed(
@@ -225,7 +225,7 @@ def cmd_study(args) -> int:
     outputs = []
 
     if study == "sweep-T":
-        t_values = [int(t) for t in cfg.require("eval.T_values")]
+        t_values = cfg.require("eval.T_values")
         policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
         q_nets = {}
         for key, path in (ev_sec.get("selector_checkpoints") or {}).items():
@@ -233,7 +233,7 @@ def cmd_study(args) -> int:
         rows = studies.sweep_view_budget(
             world, task_net, t_values, policies=policies, q_nets=q_nets,
             selector_cfg=selector_cfg, split=ev_sec["split"], seed=seed,
-            budget=int(ev_sec["budget"]))
+            budget=ev_sec["budget"])
         payload = artifacts.jsonl(rows)
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-sweep", ".jsonl", payload.encode("utf-8")))
@@ -242,9 +242,9 @@ def cmd_study(args) -> int:
     elif study == "shutoff":
         q_net = _load_selector(world, cfg.require("eval.selector_checkpoint"))
         out = studies.camera_shutoff_study(
-            world, task_net, q_net, T=int(cfg.require("eval.T")),
-            k=int(ev_sec["k"]), rank_split=ev_sec["rank_split"],
-            eval_split=ev_sec["split"], n_random=int(ev_sec["n_random"]), seed=seed)
+            world, task_net, q_net, T=cfg.require("eval.T"),
+            k=ev_sec["k"], rank_split=ev_sec["rank_split"],
+            eval_split=ev_sec["split"], n_random=ev_sec["n_random"], seed=seed)
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-shutoff", ".json", _study_json(out)))
     elif study == "random-pose":
@@ -252,9 +252,9 @@ def cmd_study(args) -> int:
             raise ConfigError("missing required key: train.epochs "
                               "(random-pose retrains the selector)")
         out = studies.random_pose_study(
-            world, task_net, T=int(cfg.require("eval.T")),
+            world, task_net, T=cfg.require("eval.T"),
             selector_cfg=selector_cfg, split=ev_sec["split"], seed=seed,
-            budget=int(ev_sec["budget"]))
+            budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-random-pose", ".json", _study_json(out)))
         outputs.append(artifacts.write_content_addressed(
@@ -265,7 +265,7 @@ def cmd_study(args) -> int:
             raise ConfigError("missing required key: train.epochs "
                               "(the ablation retrains the selector per variant)")
         rows = studies.selector_ablation_study(
-            world, task_net, T=int(cfg.require("eval.T")),
+            world, task_net, T=cfg.require("eval.T"),
             selector_cfg=selector_cfg, split=ev_sec["split"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-ablation", ".json", _study_json(rows)))
@@ -300,11 +300,11 @@ def cmd_oracle(args) -> int:
     seed, run_dir, manifest = _start_run(args, cfg, f"oracle-{policy}")
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
-    T = args.T if args.T is not None else int(cfg.require("eval.T"))
+    T = args.T if args.T is not None else cfg.require("eval.T")
     task_net = _load_task_net(cfg, world, cfg.require("eval.task_checkpoint"))
     build = (training.dataset_oracle_table if policy == "dataset-oracle"
              else training.instance_oracle_table)
-    table = build(world, task_net, T, ev_sec["split"], int(ev_sec["budget"]))
+    table = build(world, task_net, T, ev_sec["split"], ev_sec["budget"])
     outputs = [artifacts.write_content_addressed(
         run_dir, f"table-{table.kind}-T{T}", ".json", table.to_json().encode("utf-8"))]
     _finish_run(run_dir, manifest, started, outputs)

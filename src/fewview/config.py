@@ -45,11 +45,11 @@ _EVAL_KEYS = {
     "selector_checkpoint": str,
     "selector_checkpoints": dict,   # {str(T): path} for sweeps
     "study": str,
-    "T_values": list,
+    "T_values": tuple[int, ...],
     "k": int,
     "n_random": int,
     "rank_split": str,
-    "policies": list,
+    "policies": tuple[str, ...],
 }
 _EVAL_DEFAULTS = {"split": "eval", "budget": DEFAULT_ENUM_BUDGET,
                   "rank_split": "val", "n_random": 5, "k": 0}
@@ -100,11 +100,16 @@ def _check_type(path: str, value, hint) -> None:
         raise ConfigError(f"{path} must be of type {hint.__name__}, got {value!r}")
 
 
-def _check_types(section: str, raw: dict, cls) -> None:
-    hints = typing.get_type_hints(cls)
+def _check_types(section: str, raw: dict, hints: dict) -> None:
     for key, value in raw.items():
         if key in hints:
             _check_type(f"{section}.{key}", value, hints[key])
+
+
+def _set_keys(raw: dict) -> dict:
+    """The entries of a network or eval section that are set (null leaves a
+    key unset)."""
+    return {k: v for k, v in raw.items() if v is not None}
 
 
 def _as_tuple_of_tuples(value):
@@ -188,7 +193,7 @@ def _validate_world(raw) -> dict:
     cls = ClassificationConfig if kind == "classification" else DetectionConfig
     fields = _fields_of(cls)
     _reject_unknown("world", {k: v for k, v in raw.items() if k != "kind"}, fields)
-    _check_types("world", raw, cls)
+    _check_types("world", raw, typing.get_type_hints(cls))
     out = {"kind": kind}
     for name, f in fields.items():
         if name in raw:
@@ -214,7 +219,7 @@ def _validate_train(raw) -> dict | None:
     allowed = dict(_fields_of(TrainConfig))
     allowed.update(_TRAIN_EXTRA_KEYS)
     _reject_unknown("train", raw, allowed)
-    _check_types("train", raw, TrainConfig)
+    _check_types("train", raw, typing.get_type_hints(TrainConfig))
     out = dict(_TRAIN_DEFAULTS)
     out.update(raw)
     if out.get("train_view_counts") is not None:
@@ -228,6 +233,7 @@ def _validate_network(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("network section must be a mapping")
     _reject_unknown("network", raw, _NETWORK_KEYS)
+    _check_types("network", _set_keys(raw), _NETWORK_KEYS)
     out = dict(_NETWORK_DEFAULTS)
     out.update(raw)
     return out
@@ -239,6 +245,7 @@ def _validate_eval(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("eval section must be a mapping")
     _reject_unknown("eval", raw, _EVAL_KEYS)
+    _check_types("eval", _set_keys(raw), _EVAL_KEYS)
     out = dict(_EVAL_DEFAULTS)
     out.update(raw)
     return out

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import Persistable
 from .errors import ShapeError, StateError
-from .numcore import DenseNet, LayerSpec, bev_mse
+from .numcore import DenseNet, LayerSpec
 
 Array = np.ndarray
 
@@ -179,17 +179,6 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
         taken[inst, row, action] += 1.0
         pooled = np.maximum(pooled, feats[inst, action], order="C")
     return chosen, cams, obs, masks, values, pooled
-
-
-def terminal_reward(prediction: Array, ground_truth, mode: str) -> float:
-    """Classification pays 1 for a correct argmax and 0 otherwise; detection
-    pays the negative heatmap loss."""
-    if mode == "classification":
-        return 1.0 if int(np.argmax(prediction)) == int(ground_truth) else 0.0
-    if mode == "detection":
-        loss, _ = bev_mse(prediction, ground_truth)
-        return -loss
-    raise ValueError(f"unknown task mode {mode!r}")
 
 
 def td_targets(values: Array, masks: Array, reward, gamma: float) -> Array:

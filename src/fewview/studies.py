@@ -141,8 +141,7 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
 
     def _metrics_with_disabled(cams):
         if not cams:
-            return training.evaluate_policy(world, task_net, T, "mvselect",
-                                            split=eval_split, q_net=q_net).metrics()
+            return baseline.metrics()
         shut_world = world_with_layout(world, shut_off_cameras(world.layout, cams))
         run = training.evaluate_policy(shut_world, task_net, T, "mvselect",
                                        split=eval_split, q_net=q_net)

@@ -46,25 +46,13 @@ def route_pooled_grad(grad_pooled: Array, argmax: Array, n_views: int) -> Array:
     return out
 
 
-def task_loss(prediction: Array, ground_truth, mode: str) -> tuple[float, Array]:
-    """Scalar loss and gradient w.r.t. the prediction for either task."""
-    prediction = np.asarray(prediction)
-    if mode == "classification":
-        if prediction.ndim != 1:
-            raise ValueError("classification loss expects a logit vector")
-        return cross_entropy(prediction, int(ground_truth))
-    if mode == "detection":
-        if prediction.ndim != 2:
-            raise ValueError("detection loss expects an H x W heatmap")
-        return bev_mse(prediction, ground_truth)
-    raise ValueError(f"unknown task mode {mode!r}")
-
-
 class TaskNet(Persistable):
     """What both task networks share: a per-view extractor ``feature_net``
     (f) and a decoder ``head_net`` (g) over the max-pooled features.
-    Subclasses supply ``features_cache`` and ``head_cache`` for their
-    shapes."""
+    Subclasses supply their task family: ``features_cache`` and
+    ``head_cache`` for their shapes (any leading batch axes), the ground
+    truth of an instance, the batch loss, and the per-instance terminal
+    reward of the view selection."""
 
     def named_params(self):
         return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
@@ -106,10 +94,9 @@ class MVClassifier(TaskNet):
         obs = np.asarray(obs, dtype=np.float64)
         flat = obs.reshape(-1, obs.shape[-1])
         feats, cache = self.feature_net.forward_cache(flat)
-        return feats.reshape(obs.shape[:-1] + (self.feat_dim,)), (cache, obs.shape)
+        return feats.reshape(obs.shape[:-1] + (self.feat_dim,)), cache
 
-    def features_backward(self, fcache, d_feats: Array) -> dict[str, Array]:
-        cache, obs_shape = fcache
+    def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:
         grads, _ = self.feature_net.backward(cache, np.asarray(d_feats).reshape(-1, self.feat_dim))
         return {f"feature.{k}": v for k, v in grads.items()}
 
@@ -119,6 +106,21 @@ class MVClassifier(TaskNet):
     def head_backward(self, cache, d_logits: Array):
         grads, d_pooled = self.head_net.backward(cache, d_logits)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
+
+    def truth(self, instance) -> int:
+        return instance.class_id
+
+    def loss(self, outputs: Array, truths) -> tuple[float, Array]:
+        """Mean cross-entropy of logits (G, C) against class ids (G,), with
+        the gradient w.r.t. the logits."""
+        if np.ndim(outputs) != 2:
+            raise ShapeError("classification loss expects (G, C) logits")
+        return cross_entropy(outputs, np.asarray(truths))
+
+    def reward(self, outputs: Array, truths) -> Array:
+        """Per-instance selection reward of logits (..., C) against class
+        ids (...): 1 for a correct argmax, 0 otherwise."""
+        return (np.argmax(outputs, axis=-1) == np.asarray(truths)).astype(float)
 
     def mac_counts(self) -> dict[str, int]:
         return {"f_per_view": self.feature_net.mac_count(), "g": self.head_net.mac_count()}
@@ -151,33 +153,46 @@ class MVDetector(TaskNet):
         )
 
     def features_cache(self, obs: Array):
-        """f per cell, (V, C, H, W) -> (V, D, H, W), with the cache
+        """f per cell, (..., V, C, H, W) -> (..., V, D, H, W), with the cache
         ``features_backward`` needs."""
         obs = np.asarray(obs, dtype=np.float64)
-        v, c, h, w = obs.shape
-        flat = obs.transpose(0, 2, 3, 1).reshape(-1, c)
-        feats, cache = self.feature_net.forward_cache(flat)
-        return feats.reshape(v, h, w, self.feat_dim).transpose(0, 3, 1, 2), (cache, (v, h, w))
+        *lead, c, h, w = obs.shape
+        feats, cache = self.feature_net.forward_cache(np.moveaxis(obs, -3, -1).reshape(-1, c))
+        return np.moveaxis(feats.reshape(*lead, h, w, self.feat_dim), -1, -3), cache
 
-    def features_backward(self, fcache, d_feats: Array) -> dict[str, Array]:
-        cache, _shape = fcache
-        flat = np.asarray(d_feats).transpose(0, 2, 3, 1).reshape(-1, self.feat_dim)
+    def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:
+        flat = np.moveaxis(np.asarray(d_feats), -3, -1).reshape(-1, self.feat_dim)
         grads, _ = self.feature_net.backward(cache, flat)
         return {f"feature.{k}": g for k, g in grads.items()}
 
     def head_cache(self, pooled: Array):
-        """g per cell, (D, H, W) -> (H, W) occupancy probabilities, with the
-        cache ``head_backward`` needs."""
-        d, h, w = pooled.shape
-        flat = pooled.transpose(1, 2, 0).reshape(-1, d)
-        out, cache = self.head_net.forward_cache(flat)
-        return out.reshape(h, w), (cache, (h, w))
+        """g per cell, (..., D, H, W) -> (..., H, W) occupancy probabilities,
+        with the cache ``head_backward`` needs."""
+        *lead, d, h, w = pooled.shape
+        out, cache = self.head_net.forward_cache(np.moveaxis(pooled, -3, -1).reshape(-1, d))
+        return out.reshape(*lead, h, w), (cache, pooled.shape)
 
     def head_backward(self, hcache, d_heatmap: Array):
-        cache, (h, w) = hcache
+        cache, (*lead, d, h, w) = hcache
         grads, d_flat = self.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1))
-        d_pooled = d_flat.reshape(h, w, self.feat_dim).transpose(2, 0, 1)
+        d_pooled = np.moveaxis(d_flat.reshape(*lead, h, w, d), -1, -3)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
+
+    def truth(self, instance) -> Array:
+        return instance.target
+
+    def loss(self, outputs: Array, truths) -> tuple[float, Array]:
+        """Mean squared error of heatmaps (G, H, W) against their targets,
+        with the gradient w.r.t. the heatmaps."""
+        if np.ndim(outputs) != 3:
+            raise ShapeError("detection loss expects (G, H, W) heatmaps")
+        return bev_mse(outputs, np.asarray(truths))
+
+    def reward(self, outputs: Array, truths) -> Array:
+        """Per-instance selection reward of heatmaps (..., H, W) against
+        their targets: the negative ``bev_mse`` of each."""
+        diff = np.asarray(outputs, dtype=np.float64) - np.asarray(truths, dtype=np.float64)
+        return -np.mean(diff * diff, axis=(-2, -1))
 
     def mac_counts(self) -> dict[str, int]:
         # per-cell nets applied to every grid cell; counts are per full map

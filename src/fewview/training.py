@@ -26,9 +26,9 @@ import numpy as np
 from . import evaluation
 from .envs import EVAL, TRAIN, VAL
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
-from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets, terminal_reward
-from .numcore import Adam, cross_entropy
-from .tasknet import MVClassifier, MVDetector, pool_with_argmax, route_pooled_grad, task_loss
+from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
+from .numcore import Adam
+from .tasknet import MVClassifier, MVDetector, pool_with_argmax, route_pooled_grad
 
 Array = np.ndarray
 
@@ -161,7 +161,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     counts = cfg.train_view_counts
     if counts is not None and any(not 1 <= c <= n_cams for c in counts):
         raise ConfigError("train_view_counts entries must lie in [1, N]")
-    mode = _mode_of(net)
+    batch = cfg.batch_size if _mode_of(net) == "classification" else 1
     opt = Adam(net.named_params(), lr=cfg.task_lr)
     logs: list[dict] = []
     counters = {"task_terms": 0, "rl_terms": 0}
@@ -169,7 +169,6 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         losses = []
-        batch = cfg.batch_size if mode == "classification" else 1
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             if counts is None:
@@ -177,10 +176,8 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
             else:
                 size = int(counts[rng.integers(len(counts))])
                 views = np.sort(rng.permutation(n_cams)[:size])
-            if mode == "classification":
-                loss, grads = _classifier_loss_on_views(net, world, idx, views)
-            else:
-                loss, grads = _detector_loss_on_views(net, world, int(idx[0]), views)
+            obs, truths = _batch(net, world, idx)
+            loss, grads = _batch_loss(net, obs[:, views], truths)
             _require_finite_loss(loss, f"epoch {epoch}")
             opt.step(grads)
             counters["task_terms"] += 1
@@ -190,55 +187,28 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     return TrainResult(logs, counters, steps)
 
 
-def _classifier_loss_on_views(net: MVClassifier, world, idx, views) -> tuple[float, dict]:
-    insts = [world.train_instance(int(i)) for i in idx]
-    obs = np.stack([inst.observations for inst in insts])
-    labels = np.array([inst.class_id for inst in insts])
-    feats, fcache = net.features_cache(obs[:, views])          # (B, V, D)
-    pooled, amax = pool_with_argmax(feats.transpose(1, 0, 2))  # pool over views
-    logits, hcache = net.head_cache(pooled)
-    loss, d_logits = cross_entropy(logits, labels)
-    grads, d_pooled = net.head_backward(hcache, d_logits)
-    d_feats = route_pooled_grad(d_pooled, amax, len(views)).transpose(1, 0, 2)
-    grads.update(net.features_backward(fcache, d_feats))
-    return loss, grads
-
-
-def _detector_loss_on_views(net: MVDetector, world, index: int, views) -> tuple[float, dict]:
-    inst = world.train_instance(index)
-    feats, fcache = net.features_cache(inst.observations[views])
-    pooled, amax = pool_with_argmax(feats)
-    heat, hcache = net.head_cache(pooled)
-    loss, d_heat = task_loss(heat, inst.target, "detection")
-    grads, d_pooled = net.head_backward(hcache, d_heat)
-    d_feats = route_pooled_grad(d_pooled, amax, len(views))
+def _batch_loss(net, obs, truths) -> tuple[float, dict]:
+    """Task loss and gradients of a batch whose observations (G, V, ...)
+    hold the views to pool."""
+    feats, fcache = net.features_cache(obs)                       # (G, V, D[, H, W])
+    pooled, amax = pool_with_argmax(np.moveaxis(feats, 1, 0))     # pool over views
+    outputs, hcache = net.head_cache(pooled)
+    loss, d_out = net.loss(outputs, truths)
+    grads, d_pooled = net.head_backward(hcache, d_out)
+    d_feats = np.moveaxis(route_pooled_grad(d_pooled, amax, obs.shape[1]), 0, 1)
     grads.update(net.features_backward(fcache, d_feats))
     return loss, grads
 
 
 # ---------------------------------------------------------------------------
-# per-batch pieces of selection training
+# per-batch pieces of training
 
 
-def _batch_features(task_net, world, indices):
-    """Per-view features (G, N, D[, H, W]) of a training batch, their forward
-    cache (for pushing gradients back into the feature extractor), and the
-    ground truth per instance. Detection batches hold one instance."""
+def _batch(task_net, world, indices):
+    """Stacked observations (G, N, ...) of training instances and their
+    ground truths."""
     insts = [world.instance(TRAIN, int(i)) for i in indices]
-    if _mode_of(task_net) == "classification":
-        feats, fcache = task_net.features_cache(np.stack([inst.observations for inst in insts]))
-        return feats, fcache, [inst.class_id for inst in insts]
-    feats, fcache = task_net.features_cache(insts[0].observations)
-    return feats[None], fcache, [insts[0].target]
-
-
-def _terminal_heads(task_net, pooled):
-    """Head outputs (G, ...) at each instance's terminal pooled features
-    (G, D[, H, W]), with the head cache."""
-    if _mode_of(task_net) == "classification":
-        return task_net.head_cache(pooled)
-    heat, hcache = task_net.head_cache(pooled[0])
-    return heat[None], hcache
+    return np.stack([inst.observations for inst in insts]), [task_net.truth(inst) for inst in insts]
 
 
 def _route_to_views(d_feats_b, feats_b, views, d_pooled) -> None:
@@ -248,7 +218,7 @@ def _route_to_views(d_feats_b, feats_b, views, d_pooled) -> None:
     d_feats_b[(views[amax],) + tuple(np.indices(amax.shape))] += d_pooled
 
 
-def _task_grads(task_net, feats, fcache, views, truth, outputs, hcache, d_obs):
+def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs):
     """Terminal task loss plus feature gradients for the joint update.
 
     d_obs holds the selector's gradient w.r.t. each state's observation
@@ -263,17 +233,11 @@ def _task_grads(task_net, feats, fcache, views, truth, outputs, hcache, d_obs):
     for g in range(n_inst):
         for t in range(T - 1):
             _route_to_views(d_feats[g], feats[g], views[g, : t + 1], d_obs[g, t])
-    classification = _mode_of(task_net) == "classification"
-    if classification:
-        loss, d_out = cross_entropy(outputs, np.asarray(truth))
-    else:
-        loss, d_out = task_loss(outputs[0], truth[0], "detection")
+    loss, d_out = task_net.loss(outputs, truths)
     grads, d_pooled = task_net.head_backward(hcache, d_out)
-    if not classification:
-        d_pooled = d_pooled[None]
     for g in range(n_inst):
         _route_to_views(d_feats[g], feats[g], views[g], d_pooled[g])
-    grads.update(task_net.features_backward(fcache, d_feats if classification else d_feats[0]))
+    grads.update(task_net.features_backward(fcache, d_feats))
     return loss, grads
 
 
@@ -303,8 +267,7 @@ def train_joint(world, task_net, q_net, cfg: TrainConfig) -> TrainResult:
 
 def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> TrainResult:
     _check_t(world, cfg.T)
-    mode = _mode_of(task_net)
-    batch = cfg.batch_size if mode == "classification" else 1
+    batch = cfg.batch_size if _mode_of(task_net) == "classification" else 1
     rng = np.random.default_rng([cfg.seed, 13])
     n = world.n_train
     iters_per_epoch = (n + batch - 1) // batch
@@ -327,12 +290,13 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             idx = order[start : start + batch]
             eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
             initial = rng.integers(world.n_cameras, size=len(idx))
-            feats, fcache, truth = _batch_features(task_net, world, idx)
+            batch_obs, truths = _batch(task_net, world, idx)
+            feats, fcache = task_net.features_cache(batch_obs)
             chosen, cams, obs, masks, values, pooled = rollout(
                 q_net, feats, initial[:, None], cfg.T, disabled, eps, rng)
             views = chosen[:, 0]                                 # (G, T)
-            outputs, hcache = _terminal_heads(task_net, pooled[:, 0])
-            rewards = [terminal_reward(out, y, mode) for out, y in zip(outputs, truth)]
+            outputs, hcache = task_net.head_cache(pooled[:, 0])
+            rewards = task_net.reward(outputs, truths)
             # TD targets from the values recorded in the rollout, then one
             # regression step over every state, rows in (instance, step) order
             actions = chosen[..., 1:].reshape(-1)
@@ -350,7 +314,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             q_grads, d_obs = q_net.backward(q_cache, d_q)
             if update_task:
                 loss_task, task_grads = _task_grads(
-                    task_net, feats, fcache, views, truth, outputs, hcache, d_obs)
+                    task_net, feats, fcache, views, truths, outputs, hcache, d_obs)
                 _require_finite_loss(loss_task, f"epoch {epoch} task loss")
                 counters["task_terms"] += 1
                 opt_task.step(task_grads)
@@ -428,77 +392,66 @@ def _subset_table(n_cams: int, T: int) -> Array:
 
 
 def _score_subsets(task_net, world, split: str, T: int):
-    """Per-instance scores for every size-T view subset.
+    """Per-instance score and tie value for every size-T view subset.
 
-    Classification: score = correctness indicator per (instance, subset).
-    Detection: score = frame-level accuracy proxy (MODA), with the task loss
-    kept for tie-breaking.
+    Classification scores the reward (correctness) and ties at zero;
+    detection scores the frame-level accuracy proxy (MODA) and ties on the
+    task loss. Returns subsets (S, T) and the (n, S) scores and ties.
     """
     n = world.split_size(split)
     subsets = _subset_table(world.n_cameras, T)
-    mode = _mode_of(task_net)
-    if mode == "classification":
-        correct = np.zeros((n, len(subsets)))
-        for i in range(n):
-            inst = world.instance(split, i)
-            feats = task_net.features_cache(inst.observations)[0]
-            logits = _predict_sets(task_net, feats, subsets)
-            correct[i] = (np.argmax(logits, axis=1) == inst.class_id).astype(float)
-        return subsets, {"score": correct}
-    thr = world.match_threshold_cells
+    detection = _mode_of(task_net) == "detection"
+    reward = np.zeros((n, len(subsets)))
     moda = np.zeros((n, len(subsets)))
-    loss = np.zeros((n, len(subsets)))
     for i in range(n):
         inst = world.instance(split, i)
-        feats = task_net.features_cache(inst.observations)[0]
-        heats = _predict_sets(task_net, feats, subsets)
-        for s, heat in enumerate(heats):
-            loss[i, s] = task_loss(heat, inst.target, "detection")[0]
-            frame = evaluation.frame_counts(heat, inst.positions, thr)
-            moda[i, s] = evaluation.frame_moda(frame)
-    return subsets, {"score": moda, "loss": loss}
+        outputs = _predict_sets(task_net, task_net.features_cache(inst.observations)[0], subsets)
+        reward[i] = task_net.reward(outputs, task_net.truth(inst))
+        if detection:
+            moda[i] = [evaluation.frame_moda(evaluation.frame_counts(
+                heat, inst.positions, world.match_threshold_cells)) for heat in outputs]
+    if detection:
+        return subsets, moda, -reward
+    return subsets, reward, np.zeros_like(reward)
+
+
+def _oracle_table(world, task_net, T: int, split: str, budget: int, kind: str) -> PolicyTable:
+    """Best view set per initial view: highest score among the subsets that
+    hold the view, then the lowest tie value, then the first subset in
+    sorted order. A dataset table judges the mean score over the split with
+    no tie value; an instance table judges each instance on its own."""
+    _check_t(world, T)
+    check_enumeration_budget(world, T, split, budget)
+    subsets, score, tie = _score_subsets(task_net, world, split, T)
+    if kind == "dataset":
+        score, tie = score.mean(axis=0, keepdims=True), np.zeros((1, len(subsets)))
+    n_cams = world.n_cameras
+    member = (subsets[:, :, None] == np.arange(n_cams)).any(axis=1).T   # (N, S)
+    best = np.zeros((len(score), n_cams), dtype=int)
+    for v0 in range(n_cams):
+        primary = np.where(member[v0], score, -np.inf)
+        top = primary == primary.max(axis=1, keepdims=True)
+        best[:, v0] = np.where(top, tie, np.inf).argmin(axis=1)
+    seqs = {(i, v0): tuple(int(a) for a in subsets[b] if a != v0)
+            for (i, v0), b in np.ndenumerate(best)}
+    if kind == "dataset":
+        seqs = {v0: seq for (_, v0), seq in seqs.items()}
+    return PolicyTable(kind, T, seqs)
 
 
 def dataset_oracle_table(world, task_net, T: int, split: str,
                          budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
     """Best fixed view set per initial view, judged by the mean score over
-    the designated split; ties break to the first subset in sorted order."""
-    _check_t(world, T)
-    check_enumeration_budget(world, T, split, budget)
-    subsets, scores = _score_subsets(task_net, world, split, T)
-    mean_score = scores["score"].mean(axis=0)
-    entries = {}
-    for v0 in range(world.n_cameras):
-        member = np.array([v0 in set(s) for s in subsets])
-        masked = np.where(member, mean_score, -np.inf)
-        best = int(np.argmax(masked))
-        entries[v0] = tuple(int(a) for a in subsets[best] if a != v0)
-    return PolicyTable("dataset", T, entries)
+    the designated split."""
+    return _oracle_table(world, task_net, T, split, budget, "dataset")
 
 
 def instance_oracle_table(world, task_net, T: int, split: str,
                           budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
     """Best view set per (instance, initial view). Classification maximizes
     correctness; detection maximizes frame MODA with task loss as the
-    tie-break; remaining ties go to the first subset in sorted order."""
-    _check_t(world, T)
-    check_enumeration_budget(world, T, split, budget)
-    subsets, scores = _score_subsets(task_net, world, split, T)
-    n = scores["score"].shape[0]
-    tie = scores.get("loss")
-    entries = {}
-    for i in range(n):
-        for v0 in range(world.n_cameras):
-            member = np.array([v0 in set(s) for s in subsets])
-            primary = np.where(member, scores["score"][i], -np.inf)
-            best_val = primary.max()
-            candidates = np.flatnonzero(primary == best_val)
-            if tie is not None and len(candidates) > 1:
-                best = int(candidates[np.argmin(tie[i][candidates])])
-            else:
-                best = int(candidates[0])
-            entries[(i, v0)] = tuple(int(a) for a in subsets[best] if a != v0)
-    return PolicyTable("instance", T, entries)
+    tie-break."""
+    return _oracle_table(world, task_net, T, split, budget, "instance")
 
 
 def random_sequence(n_cams: int, initial_view: int, T: int, seed: int,
@@ -624,18 +577,16 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
     remaining step. Only meant for layouts small enough to enumerate."""
     n = world.split_size(split)
     n_cams = world.n_cameras
-    mode = _mode_of(task_net)
     disabled = world.layout.disabled
     table: dict = {}
     for i in range(n):
         inst = world.instance(split, i)
         feats = task_net.features_cache(inst.observations)[0]
-        target = inst.class_id if mode == "classification" else inst.target
+        truth = task_net.truth(inst)
 
         def reward_of(view_set: frozenset) -> float:
-            sets = np.array([sorted(view_set)])
-            pred = _predict_sets(task_net, feats, sets)[0]
-            return terminal_reward(pred, target, mode)
+            pred = _predict_sets(task_net, feats, np.array([sorted(view_set)]))[0]
+            return float(task_net.reward(pred, truth))
 
         def q_star(chosen: frozenset, action: int) -> float:
             key = (i, chosen, action)

@@ -115,6 +115,14 @@ def test_malformed_value_exits_2_naming_the_path(tmp_path):
     assert "world.n_views" in r.stderr
 
 
+def test_malformed_eval_value_exits_2_naming_the_path(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["eval"]["T"] = "abc"
+    r = cli("eval", "--config", str(write_config(tmp_path, cfg)), "--policy", "mvselect")
+    assert r.returncode == 2, r.stderr
+    assert "eval.T" in r.stderr
+
+
 def test_select_fixed_without_task_checkpoint_exits_2(tmp_path):
     cfg = base_config(tmp_path)
     r = cli("train", "--config", str(write_config(tmp_path, cfg)),

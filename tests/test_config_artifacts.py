@@ -104,12 +104,28 @@ def test_world_config_builds_both_kinds():
     (b"world: {kind: classification}\nseed: x\n", "seed"),
     (b"world: {kind: classification}\ntrain: {regime: task, epochs: a, T: 2}\n", "train.epochs"),
     ("world: {kind: classification}\noutput_dir: r\xe9sultats\n".encode("latin-1"), "exp.yaml"),
-], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8"])
+    (b"world: {kind: classification}\neval: {T: abc}\n", "eval.T"),
+    (b"world: {kind: classification}\nnetwork: {task_hidden: wide}\n", "network.task_hidden"),
+    (b"world: {kind: classification}\nnetwork: {use_camera_branch: 1}\n", "network.use_camera_branch"),
+    (b"world: {kind: classification}\neval: {T_values: [2, three]}\n", r"eval.T_values\[1\]"),
+    (b"world: {kind: classification}\neval: {policies: random}\n", "eval.policies"),
+], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
+        "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)
     with pytest.raises(ConfigError, match=named):
         load_config(path)
+
+
+def test_null_network_and_eval_values_stay_unset():
+    raw = {"world": {"kind": "classification"},
+           "network": {"task_hidden": None, "selector_seed": None},
+           "eval": {"T": None, "policy": None}}
+    cfg = validate_config(raw)
+    assert cfg.network()["task_hidden"] is None
+    with pytest.raises(ConfigError, match="missing required key: eval.T"):
+        cfg.require("eval.T")
 
 
 def test_load_config_errors(tmp_path):

@@ -13,9 +13,9 @@ from fewview.mvselect import (
     rl_loss,
     rollout,
     td_targets,
-    terminal_reward,
 )
 from fewview.numcore import max_relative_error, numeric_gradient
+from fewview.tasknet import MVClassifier, MVDetector
 
 GRAD_TOL = 1e-4
 
@@ -268,19 +268,21 @@ def test_trajectory_validation():
 
 
 def test_terminal_reward_classification():
-    assert terminal_reward(np.array([0.2, 0.9, 0.1]), 1, "classification") == 1.0
-    assert terminal_reward(np.array([0.2, 0.9, 0.1]), 0, "classification") == 0.0
+    net = MVClassifier(obs_dim=2, feat_dim=2, n_classes=3, hidden=2, seed=0)
+    assert net.reward(np.array([0.2, 0.9, 0.1]), 1) == 1.0
+    assert net.reward(np.array([0.2, 0.9, 0.1]), 0) == 0.0
+    # one reward per instance of a batch
+    np.testing.assert_array_equal(net.reward(np.array([[0.2, 0.9, 0.1]] * 2), [1, 0]), [1.0, 0.0])
 
 
 def test_terminal_reward_detection():
+    net = MVDetector(channels=1, feat_dim=2, hidden=2, seed=0)
     target = np.random.default_rng(6).uniform(size=(3, 3))
-    assert terminal_reward(target.copy(), target, "detection") == 0.0
-    assert terminal_reward(np.zeros((3, 3)), target, "detection") < 0.0
-
-
-def test_terminal_reward_mode_guard():
-    with pytest.raises(ValueError):
-        terminal_reward(np.zeros(2), 0, "other")
+    assert net.reward(target.copy(), target) == 0.0
+    assert net.reward(np.zeros((3, 3)), target) < 0.0
+    # the negative loss of each instance of a batch
+    both = net.reward(np.stack([target, np.zeros((3, 3))]), [target, target])
+    np.testing.assert_array_equal(both, [0.0, -net.loss(np.zeros((1, 3, 3)), [target])[0]])
 
 
 def two_step_states(disabled=()):

@@ -130,6 +130,19 @@ def test_shutoff_k_zero_is_a_no_op(world, task_net, selector):
         assert row["metrics"] == out["baseline"]
 
 
+def test_shutoff_k_zero_evaluates_only_baseline_and_ranking(world, task_net, selector, monkeypatch):
+    calls = []
+    evaluate = tr.evaluate_policy
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("split"))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(tr, "evaluate_policy", counted)
+    studies.camera_shutoff_study(world, task_net, selector, T=2, k=0, n_random=3)
+    assert sorted(calls) == ["eval", "val"]
+
+
 def test_shutoff_ranked_beats_or_ties_random_subsets(world, task_net):
     q = constant_preference_selector(world, task_net, favored=2)
     out = studies.camera_shutoff_study(world, task_net, q, T=2, k=3, seed=0)

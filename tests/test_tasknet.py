@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewview import training as tr
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy, max_relative_error, numeric_gradient
 from fewview.tasknet import (
@@ -14,7 +15,6 @@ from fewview.tasknet import (
     aggregate_max,
     pool_with_argmax,
     route_pooled_grad,
-    task_loss,
 )
 
 GRAD_TOL = 1e-4
@@ -199,18 +199,8 @@ def test_detector_permutation_and_duplicate_invariance():
     np.testing.assert_array_equal(net.predict(obs, [0, 1, 2, 1]), base)
 
 
-def detector_loss_and_grads(net, obs, views, target):
-    feats, fcache = net.features_cache(obs[views])
-    pooled, idx = pool_with_argmax(feats)
-    heat, hcache = net.head_cache(pooled)
-    loss, d_heat = task_loss(heat, target, "detection")
-    grads, d_pooled = net.head_backward(hcache, d_heat)
-    d_feats = route_pooled_grad(d_pooled, idx, len(views))
-    grads.update(net.features_backward(fcache, d_feats))
-    return loss, grads
-
-
 def test_detector_end_to_end_gradient():
+    # a one-instance batch, as detection training runs it
     net = tiny_detector(seed=11)
     rng = np.random.default_rng(12)
     obs = rng.normal(size=(3, 3, 4, 5))
@@ -218,27 +208,77 @@ def test_detector_end_to_end_gradient():
     views = [0, 2]
 
     def loss_fn():
-        return task_loss(net.predict(obs, views), target, "detection")[0]
+        return net.loss(net.predict(obs, views)[None], [target])[0]
 
-    _, grads = detector_loss_and_grads(net, obs, views, target)
+    _, grads = tr._batch_loss(net, obs[views][None], [target])
     for name, param in net.named_params():
         num = numeric_gradient(loss_fn, param)
         assert max_relative_error(grads[name], num) < GRAD_TOL, name
 
 
+@pytest.mark.parametrize("kind", ["classifier", "detector"])
+def test_batch_loss_gradient_matches_finite_differences(kind):
+    # two instances seen through three views: the loss is the batch mean of
+    # the per-instance losses of independent forwards
+    rng = np.random.default_rng(14)
+    if kind == "classifier":
+        net, obs, truths = tiny_classifier(seed=15), rng.normal(size=(2, 3, 5)), [2, 0]
+    else:
+        net = tiny_detector(seed=15)
+        obs, truths = rng.normal(size=(2, 3, 3, 4, 5)), list(rng.uniform(size=(2, 4, 5)))
+
+    def loss_fn():
+        outputs = np.stack([net.predict(o, range(3)) for o in obs])
+        return net.loss(outputs, truths)[0]
+
+    loss, grads = tr._batch_loss(net, obs, truths)
+    assert loss == pytest.approx(loss_fn(), rel=1e-12)
+    for name, param in net.named_params():
+        num = numeric_gradient(loss_fn, param)
+        assert max_relative_error(grads[name], num) < GRAD_TOL, name
+
+
+def test_detector_batch_axis_matches_stacked_instances():
+    # outputs and pooled gradients equal the per-instance calls stacked;
+    # parameter gradients equal one unbatched call over the same rows (the
+    # views of both instances, or their grid rows, laid end to end)
+    net = tiny_detector(seed=16)
+    rng = np.random.default_rng(17)
+    obs = rng.normal(size=(2, 3, 3, 4, 5))                  # (G, V, C, H, W)
+    feats, fcache = net.features_cache(obs)
+    np.testing.assert_array_equal(feats, np.stack([net.features_cache(o)[0] for o in obs]))
+    d_feats = rng.normal(size=feats.shape)
+    _, flat_cache = net.features_cache(obs.reshape(6, 3, 4, 5))
+    flat = net.features_backward(flat_cache, d_feats.reshape(6, 4, 4, 5))
+    for name, g in net.features_backward(fcache, d_feats).items():
+        np.testing.assert_array_equal(g, flat[name], err_msg=name)
+
+    pooled = feats.max(axis=1)                              # (G, D, H, W)
+    heat, hcache = net.head_cache(pooled)
+    singles = [net.head_cache(p) for p in pooled]
+    np.testing.assert_array_equal(heat, np.stack([h for h, _ in singles]))
+    d_heat = rng.normal(size=heat.shape)
+    grads, d_pooled = net.head_backward(hcache, d_heat)
+    np.testing.assert_array_equal(d_pooled, np.stack(
+        [net.head_backward(c, d)[1] for (_, c), d in zip(singles, d_heat)]))
+    rows = pooled.transpose(1, 0, 2, 3).reshape(4, 8, 5)    # (D, G*H, W)
+    _, row_cache = net.head_cache(rows)
+    row_grads, _ = net.head_backward(row_cache, d_heat.reshape(8, 5))
+    for name, g in grads.items():
+        np.testing.assert_array_equal(g, row_grads[name], err_msg=name)
+
+
 def test_perfect_heatmap_zero_loss():
     target = np.random.default_rng(13).uniform(size=(3, 3))
-    loss, _ = task_loss(target.copy(), target, "detection")
+    loss, _ = tiny_detector().loss(target[None].copy(), [target])
     assert loss == 0.0
 
 
 def test_task_loss_mode_guards():
     with pytest.raises(ValueError):
-        task_loss(np.zeros(3), 0, "detection")
+        tiny_detector().loss(np.zeros((1, 3)), [0])                    # logits, not heatmaps
     with pytest.raises(ValueError):
-        task_loss(np.zeros((2, 2)), np.zeros((2, 2)), "classification")
-    with pytest.raises(ValueError):
-        task_loss(np.zeros(3), 0, "segmentation")
+        tiny_classifier().loss(np.zeros((1, 2, 2)), [np.zeros((2, 2))])  # heatmaps, not logits
 
 
 # ---------------------------------------------------------------------------

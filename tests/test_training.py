@@ -231,14 +231,15 @@ def test_joint_degenerate_schedule_equals_random_view_training(cls_world, cls_ne
     rng = np.random.default_rng(123)
     indices = np.arange(8)
     initial = rng.integers(cls_world.n_cameras, size=8)
-    feats, fcache, truth = tr._batch_features(cls_net, cls_world, indices)
+    obs, truth = tr._batch(cls_net, cls_world, indices)
+    feats, fcache = cls_net.features_cache(obs)
     chosen, _, _, _, _, pooled = rollout(q, feats, initial[:, None], 3, frozenset(), 1.0, rng)
     views = chosen[:, 0]
     for b in range(8):
         assert len(set(views[b])) == 3  # distinct by masking
         direct = feats[b, list(views[b])].max(axis=0)
         np.testing.assert_array_equal(direct, pooled[b, 0])
-    outputs, hcache = tr._terminal_heads(cls_net, pooled[:, 0])
+    outputs, hcache = cls_net.head_cache(pooled[:, 0])
     d_obs = np.zeros((8 * 2, feats.shape[-1]))
     loss, _ = tr._task_grads(cls_net, feats, fcache, views, truth, outputs, hcache, d_obs)
     logits = cls_net.head_cache(pooled[:, 0])[0]
