@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import atomic_write_bytes
 from .errors import CompatibilityError, CorruptCheckpoint
 
 MAGIC = b"FVCKPT01"
@@ -22,8 +23,8 @@ VERSION = 1
 _PREFIX = len(MAGIC) + 8
 
 
-def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Write named float64 tensors plus a JSON-safe meta dict to ``path``."""
+def encode_checkpoint(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
+    """The checkpoint bytes of named float64 tensors plus a JSON-safe meta dict."""
     entries = []
     blobs = []
     for name in sorted(tensors):
@@ -35,15 +36,12 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-    tmp.replace(path)
+    return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *blobs])
+
+
+def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
+    """Write named float64 tensors plus a JSON-safe meta dict to ``path``."""
+    atomic_write_bytes(path, encode_checkpoint(tensors, meta))
 
 
 def _valid_entry(entry) -> bool:
@@ -101,7 +99,8 @@ class Persistable:
     kind = ""
     DIMS: tuple[str, ...] = ()
 
-    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
+    def encode(self, world_hash: str, extra_meta: dict | None = None) -> bytes:
+        """The checkpoint bytes of this network's parameters."""
         meta = {
             "kind": self.kind,
             "world_hash": world_hash,
@@ -109,7 +108,10 @@ class Persistable:
         }
         if extra_meta:
             meta.update(extra_meta)
-        save_checkpoint(path, dict(self.named_params()), meta)
+        return encode_checkpoint(dict(self.named_params()), meta)
+
+    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
+        atomic_write_bytes(path, self.encode(world_hash, extra_meta))
 
     @classmethod
     def load(cls, path):

@@ -86,16 +86,6 @@ def _load_selector(world, path) -> QNetwork:
     return q_net
 
 
-def _save_addressed_checkpoint(run_dir: Path, stem: str, save_fn) -> Path:
-    """Save via ``save_fn(tmp_path)`` then rename to ``<stem>-<sha12>.ckpt``."""
-    tmp = run_dir / f".{stem}.part.ckpt"
-    save_fn(tmp)
-    digest = artifacts.sha256_file(tmp)[:12]
-    final = run_dir / f"{stem}-{digest}.ckpt"
-    tmp.replace(final)
-    return final
-
-
 def _effective_seed(args, cfg: ExperimentConfig) -> int:
     return args.seed if args.seed is not None else cfg.seed
 
@@ -142,8 +132,8 @@ def cmd_train(args) -> int:
     if regime == "task":
         net = _build_task_net(cfg, world, seed)
         result = training.train_task_network(world, net, train_cfg)
-        outputs.append(_save_addressed_checkpoint(
-            run_dir, "task", lambda p: net.save(p, world_hash, extra)))
+        outputs.append(artifacts.write_content_addressed(
+            run_dir, "task", ".ckpt", net.encode(world_hash, extra)))
     else:
         task_path = cfg.require("train.task_checkpoint")
         task_net = _load_task_net(cfg, world, task_path)
@@ -152,10 +142,10 @@ def cmd_train(args) -> int:
             result = training.train_selector_fixed(world, task_net, q_net, train_cfg)
         else:
             result = training.train_joint(world, task_net, q_net, train_cfg)
-            outputs.append(_save_addressed_checkpoint(
-                run_dir, "task-joint", lambda p: task_net.save(p, world_hash, extra)))
-        outputs.append(_save_addressed_checkpoint(
-            run_dir, "selector", lambda p: q_net.save(p, world_hash, extra)))
+            outputs.append(artifacts.write_content_addressed(
+                run_dir, "task-joint", ".ckpt", task_net.encode(world_hash, extra)))
+        outputs.append(artifacts.write_content_addressed(
+            run_dir, "selector", ".ckpt", q_net.encode(world_hash, extra)))
 
     outputs.append(artifacts.atomic_write_text(
         run_dir / "metrics.jsonl", artifacts.jsonl(result.epoch_logs)))

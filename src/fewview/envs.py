@@ -117,15 +117,6 @@ class World:
             raise IndexError(f"{split} instance {index} out of range")
         return np.random.default_rng([self.config.seed, _SPLIT_TAGS[split], index])
 
-    def train_instance(self, i: int):
-        return self.instance(TRAIN, i)
-
-    def val_instance(self, i: int):
-        return self.instance(VAL, i)
-
-    def eval_instance(self, i: int):
-        return self.instance(EVAL, i)
-
 
 # ---------------------------------------------------------------------------
 # classification world

@@ -4,8 +4,8 @@ Detection scoring follows the usual multi-object pipeline: peaks come out of
 the heatmap by 3x3 local-maximum suppression with a score threshold, are
 greedily matched one-to-one to ground truth nearest-pair-first within a
 world-scale distance threshold, and the match counts feed MODA / MODP /
-precision / recall. Classification uses instance-averaged accuracy. The cost
-ledger is analytic: multiply-accumulate counts per network, no wall clock.
+precision / recall. Classification accuracy lives on the classifier. The
+cost ledger is analytic: multiply-accumulate counts per network, no wall clock.
 """
 
 from __future__ import annotations
@@ -24,28 +24,6 @@ from .errors import ShapeError
 Array = np.ndarray
 
 PEAK_SCORE_THRESHOLD = 0.4
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-def classification_accuracy(predictions, labels) -> float:
-    """Fraction of correct predictions."""
-    preds = np.asarray(predictions)
-    labs = np.asarray(labels)
-    if preds.size == 0:
-        raise ShapeError("accuracy of an empty prediction set is undefined")
-    if preds.shape != labs.shape and labs.ndim == 1 and preds.ndim == 2:
-        labs = np.broadcast_to(labs[:, None], preds.shape)
-    if preds.shape != labs.shape:
-        raise ShapeError(f"predictions {preds.shape} vs labels {labs.shape}")
-    return float(np.mean(preds == labs))
-
-
-def classification_metrics(preds: Array, labels: Array) -> dict:
-    acc = classification_accuracy(preds, labels)
-    return {"accuracy": acc, "primary": acc}
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +94,6 @@ def frame_counts(heatmap: Array, gt_positions: Array, threshold: float) -> Array
     m = match_detections(peaks, gt_positions, threshold)
     credit = float(sum(1.0 - d / threshold for d in m.distances))
     return np.array([m.tp, m.fp, m.fn, m.gt, credit], dtype=float)
-
-
-def frame_moda(frame: Array) -> float:
-    """MODA of one frame-count row; frames without ground truth score 0."""
-    tp, fp, fn, gt = frame[:4]
-    if gt == 0:
-        return 0.0
-    return float(1.0 - (fp + fn) / gt)
 
 
 # ---------------------------------------------------------------------------

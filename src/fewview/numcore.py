@@ -9,7 +9,7 @@ while a single training loop owns parameter mutation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -269,33 +269,3 @@ class Adam:
             m_hat = m / (1.0 - self.beta1**t)
             v_hat = v / (1.0 - self.beta2**t)
             param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-def numeric_gradient(loss_fn: Callable[[], float], param: Array, step: float = 1e-5) -> Array:
-    """Central finite differences of ``loss_fn`` w.r.t. ``param``, entry by entry.
-
-    ``loss_fn`` must read ``param`` in place; it is restored after probing.
-    This is the independent oracle for backward passes and never calls them.
-    """
-    grad = np.zeros_like(param)
-    flat = param.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = loss_fn()
-        flat[i] = orig - step
-        lo = loss_fn()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2.0 * step)
-    return grad
-
-
-def max_relative_error(analytic: Array, numeric: Array, floor: float = 1e-6) -> float:
-    """Worst-case elementwise relative error between two gradient arrays."""
-    analytic = np.asarray(analytic, dtype=np.float64)
-    numeric = np.asarray(numeric, dtype=np.float64)
-    if analytic.shape != numeric.shape:
-        raise ShapeError("gradient arrays must share a shape")
-    scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
-    return float(np.max(np.abs(analytic - numeric) / scale))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import evaluation
 from .checkpoint import Persistable
 from .errors import ShapeError
 from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy
@@ -51,8 +52,14 @@ class TaskNet(Persistable):
     (f) and a decoder ``head_net`` (g) over the max-pooled features.
     Subclasses supply their task family: ``features_cache`` and
     ``head_cache`` for their shapes (any leading batch axes), the ground
-    truth of an instance, the batch loss, and the per-instance terminal
-    reward of the view selection."""
+    truth of an instance, the batch loss, the per-instance terminal reward
+    of the view selection, and the evaluation side: per-output ``records``,
+    the oracle ``score`` of each record and the report ``metrics``. ``mode``
+    names the task family in reports; ``train_batch`` fixes the instances
+    per training step (None: the config's ``batch_size``)."""
+
+    mode = ""
+    train_batch: int | None = None
 
     def named_params(self):
         return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
@@ -70,6 +77,7 @@ class MVClassifier(TaskNet):
     feature vector."""
 
     kind = "classifier"
+    mode = "classification"
     DIMS = ("obs_dim", "feat_dim", "n_classes", "hidden", "seed")
 
     def __init__(self, obs_dim: int, feat_dim: int, n_classes: int, hidden: int, seed: int):
@@ -122,6 +130,17 @@ class MVClassifier(TaskNet):
         ids (...): 1 for a correct argmax, 0 otherwise."""
         return (np.argmax(outputs, axis=-1) == np.asarray(truths)).astype(float)
 
+    def records(self, outputs: Array, instance, world) -> Array:
+        """Correctness of each row of logits (S, C) as (S, 1)."""
+        return self.reward(outputs, instance.class_id)[:, None]
+
+    def score(self, records: Array) -> Array:
+        return records[..., 0]
+
+    def metrics(self, records: Array) -> dict:
+        acc = float(np.mean(records))
+        return {"accuracy": acc, "primary": acc}
+
     def mac_counts(self) -> dict[str, int]:
         return {"f_per_view": self.feature_net.mac_count(), "g": self.head_net.mac_count()}
 
@@ -130,6 +149,8 @@ class MVDetector(TaskNet):
     """Per-cell feature extractor plus a per-cell sigmoid occupancy head."""
 
     kind = "detector"
+    mode = "detection"
+    train_batch = 1
     DIMS = ("channels", "feat_dim", "hidden", "seed")
 
     def __init__(self, channels: int, feat_dim: int, hidden: int, seed: int):
@@ -193,6 +214,21 @@ class MVDetector(TaskNet):
         their targets: the negative ``bev_mse`` of each."""
         diff = np.asarray(outputs, dtype=np.float64) - np.asarray(truths, dtype=np.float64)
         return -np.mean(diff * diff, axis=(-2, -1))
+
+    def records(self, outputs: Array, instance, world) -> Array:
+        """Frame counts [tp, fp, fn, gt, distance credit] of each heatmap of
+        (S, H, W) against the instance's occupants, as (S, 5)."""
+        thr = world.match_threshold_cells
+        return np.array([evaluation.frame_counts(heat, instance.positions, thr)
+                         for heat in outputs])
+
+    def score(self, records: Array) -> Array:
+        """Frame MODA of each record; frames without ground truth score 0."""
+        fp, fn, gt = records[..., 1], records[..., 2], records[..., 3]
+        return np.where(gt > 0, 1.0 - (fp + fn) / np.where(gt > 0, gt, 1.0), 0.0)
+
+    def metrics(self, records: Array) -> dict:
+        return evaluation.detection_metrics_arrays(records[..., :4], records[..., 4])
 
     def mac_counts(self) -> dict[str, int]:
         # per-cell nets applied to every grid cell; counts are per full map

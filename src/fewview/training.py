@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import evaluation
 from .envs import EVAL, TRAIN, VAL
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam
-from .tasknet import MVClassifier, MVDetector, pool_with_argmax, route_pooled_grad
+from .tasknet import MVClassifier, MVDetector, TaskNet, pool_with_argmax, route_pooled_grad
 
 Array = np.ndarray
 
@@ -113,10 +112,6 @@ def build_selector(world, task_net, hidden: int = 64, seed: int = 0, **flags) ->
     )
 
 
-def _mode_of(task_net) -> str:
-    return "classification" if task_net.kind == "classifier" else "detection"
-
-
 def _check_t(world, T: int) -> None:
     if not 1 <= T <= world.n_cameras:
         raise ConfigError(f"T={T} is outside the {world.n_cameras}-camera layout")
@@ -161,7 +156,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     counts = cfg.train_view_counts
     if counts is not None and any(not 1 <= c <= n_cams for c in counts):
         raise ConfigError("train_view_counts entries must lie in [1, N]")
-    batch = cfg.batch_size if _mode_of(net) == "classification" else 1
+    batch = net.train_batch or cfg.batch_size
     opt = Adam(net.named_params(), lr=cfg.task_lr)
     logs: list[dict] = []
     counters = {"task_terms": 0, "rl_terms": 0}
@@ -267,7 +262,7 @@ def train_joint(world, task_net, q_net, cfg: TrainConfig) -> TrainResult:
 
 def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> TrainResult:
     _check_t(world, cfg.T)
-    batch = cfg.batch_size if _mode_of(task_net) == "classification" else 1
+    batch = task_net.train_batch or cfg.batch_size
     rng = np.random.default_rng([cfg.seed, 13])
     n = world.n_train
     iters_per_epoch = (n + batch - 1) // batch
@@ -342,10 +337,21 @@ class PolicyTable:
     T: int
     entries: dict
 
-    def sequence(self, instance_index: int, initial_view: int) -> tuple[int, ...]:
-        if self.kind == "dataset":
-            return self.entries[initial_view]
-        return self.entries[(instance_index, initial_view)]
+    def view_sets(self, instance_index: int, n_cams: int) -> Array:
+        """(N, T) view sets of one instance, column 0 the initial view. An
+        entry that is missing, or that does not complete its initial view
+        with T-1 distinct other cameras of the layout, raises ConfigError."""
+        rows = []
+        for v0 in range(n_cams):
+            key = v0 if self.kind == "dataset" else (instance_index, v0)
+            if key not in self.entries:
+                raise ConfigError(f"policy table has no entry for {key}")
+            row = (v0,) + tuple(self.entries[key])
+            if len(row) != self.T or len(set(row)) < self.T or not all(0 <= a < n_cams for a in row):
+                raise ConfigError(f"policy table entry {key} {self.entries[key]} does not add "
+                                  f"{self.T - 1} distinct other cameras of {n_cams} to view {v0}")
+            rows.append(row)
+        return np.array(rows)
 
     def to_json(self) -> str:
         if self.kind == "dataset":
@@ -373,6 +379,9 @@ class PolicyTable:
             raise ConfigError(f"malformed policy table: {exc!r}") from exc
         if kind not in ("dataset", "instance"):
             raise ConfigError("policy table kind must be dataset or instance")
+        if any(len(seq) != T - 1 or len(set(seq)) < len(seq) or min(seq, default=0) < 0
+               for seq in entries.values()):
+            raise ConfigError(f"policy table entries must hold {T - 1} distinct non-negative ids")
         return PolicyTable(kind, T, entries)
 
 
@@ -392,44 +401,41 @@ def _subset_table(n_cams: int, T: int) -> Array:
 
 
 def _score_subsets(task_net, world, split: str, T: int):
-    """Per-instance score and tie value for every size-T view subset.
-
-    Classification scores the reward (correctness) and ties at zero;
-    detection scores the frame-level accuracy proxy (MODA) and ties on the
-    task loss. Returns subsets (S, T) and the (n, S) scores and ties.
+    """Per-instance score and tie value for every size-T view subset: the
+    network's score of its records (correctness, or frame MODA), with the
+    task loss (negative reward) as the tie value. Returns subsets (S, T)
+    and the (n, S) scores and ties.
     """
     n = world.split_size(split)
     subsets = _subset_table(world.n_cameras, T)
-    detection = _mode_of(task_net) == "detection"
-    reward = np.zeros((n, len(subsets)))
-    moda = np.zeros((n, len(subsets)))
+    score = np.zeros((n, len(subsets)))
+    tie = np.zeros((n, len(subsets)))
     for i in range(n):
         inst = world.instance(split, i)
         outputs = _predict_sets(task_net, task_net.features_cache(inst.observations)[0], subsets)
-        reward[i] = task_net.reward(outputs, task_net.truth(inst))
-        if detection:
-            moda[i] = [evaluation.frame_moda(evaluation.frame_counts(
-                heat, inst.positions, world.match_threshold_cells)) for heat in outputs]
-    if detection:
-        return subsets, moda, -reward
-    return subsets, reward, np.zeros_like(reward)
+        score[i] = task_net.score(task_net.records(outputs, inst, world))
+        tie[i] = -task_net.reward(outputs, task_net.truth(inst))
+    return subsets, score, tie
 
 
 def _oracle_table(world, task_net, T: int, split: str, budget: int, kind: str) -> PolicyTable:
     """Best view set per initial view: highest score among the subsets that
-    hold the view, then the lowest tie value, then the first subset in
-    sorted order. A dataset table judges the mean score over the split with
-    no tie value; an instance table judges each instance on its own."""
+    hold the view and otherwise only enabled cameras, then the lowest tie
+    value, then the first subset in sorted order. A dataset table judges
+    the mean score over the split with no tie value; an instance table
+    judges each instance on its own."""
     _check_t(world, T)
     check_enumeration_budget(world, T, split, budget)
     subsets, score, tie = _score_subsets(task_net, world, split, T)
     if kind == "dataset":
         score, tie = score.mean(axis=0, keepdims=True), np.zeros((1, len(subsets)))
     n_cams = world.n_cameras
-    member = (subsets[:, :, None] == np.arange(n_cams)).any(axis=1).T   # (N, S)
+    enabled = np.isin(subsets, world.layout.enabled)   # (S, T)
     best = np.zeros((len(score), n_cams), dtype=int)
     for v0 in range(n_cams):
-        primary = np.where(member[v0], score, -np.inf)
+        at_v0 = subsets == v0
+        allowed = at_v0.any(axis=1) & (enabled | at_v0).all(axis=1)
+        primary = np.where(allowed, score, -np.inf)
         top = primary == primary.max(axis=1, keepdims=True)
         best[:, v0] = np.where(top, tie, np.inf).argmin(axis=1)
     seqs = {(i, v0): tuple(int(a) for a in subsets[b] if a != v0)
@@ -448,9 +454,8 @@ def dataset_oracle_table(world, task_net, T: int, split: str,
 
 def instance_oracle_table(world, task_net, T: int, split: str,
                           budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
-    """Best view set per (instance, initial view). Classification maximizes
-    correctness; detection maximizes frame MODA with task loss as the
-    tie-break."""
+    """Best view set per (instance, initial view): the highest network
+    score (correctness, or frame MODA), the lower task loss breaking ties."""
     return _oracle_table(world, task_net, T, split, budget, "instance")
 
 
@@ -477,27 +482,27 @@ def greedy_sequences(q_net, feats: Array, n_cams: int, T: int,
 
 @dataclass
 class EvalRun:
-    """Raw per-(instance, initial view) evaluation records for one policy."""
+    """Raw per-(instance, initial view) evaluation records for one policy,
+    with the task network that wrote and scores them."""
 
-    mode: str
+    task_net: TaskNet
     policy: str
     split: str
     T: int
     n_cameras: int
-    chosen: Array          # (n, N, T) selected view ids, column 0 = initial
-    labels: Array | None = None       # (n,) classification ground truth
-    preds: Array | None = None        # (n, N) predicted classes
-    frame_counts: Array | None = None  # (n, N, 4) tp, fp, fn, gt
-    distance_credit: Array | None = None  # (n, N) sum of (1 - d/thr) over matches
+    chosen: Array    # (n, N, T) selected view ids, column 0 = initial
+    records: Array   # (n, N, k) the task network's record of each rollout
+
+    @property
+    def mode(self) -> str:
+        return self.task_net.mode
 
     @property
     def n_instances(self) -> int:
         return self.chosen.shape[0]
 
     def metrics(self) -> dict:
-        if self.mode == "classification":
-            return evaluation.classification_metrics(self.preds, self.labels)
-        return evaluation.detection_metrics_arrays(self.frame_counts, self.distance_credit)
+        return self.task_net.metrics(self.records)
 
 
 def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
@@ -512,7 +517,6 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
     _check_t(world, T if policy != "full-views" else world.n_cameras)
-    mode = _mode_of(task_net)
     n = world.split_size(split)
     n_cams = world.n_cameras
     disabled = world.layout.disabled
@@ -527,12 +531,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
 
     eff_T = n_cams if policy == "full-views" else T
     chosen = np.zeros((n, n_cams, eff_T), dtype=int)
-    labels = np.zeros(n, dtype=int) if mode == "classification" else None
-    preds = np.zeros((n, n_cams), dtype=int) if mode == "classification" else None
-    counts = np.zeros((n, n_cams, 4)) if mode == "detection" else None
-    credit = np.zeros((n, n_cams)) if mode == "detection" else None
-    thr = world.match_threshold_cells if mode == "detection" else None
-
+    records = []
     for i in range(n):
         inst = world.instance(split, i)
         feats = task_net.features_cache(inst.observations)[0]
@@ -546,76 +545,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
                 for v0 in range(n_cams)
             ])
         else:
-            sets = np.array([
-                (v0,) + table.sequence(i, v0) for v0 in range(n_cams)
-            ])
+            sets = table.view_sets(i, n_cams)
         chosen[i] = sets
-        outputs = _predict_sets(task_net, feats, sets)
-        if mode == "classification":
-            labels[i] = inst.class_id
-            preds[i] = np.argmax(outputs, axis=1)
-        else:
-            for v0 in range(n_cams):
-                frame = evaluation.frame_counts(outputs[v0], inst.positions, thr)
-                counts[i, v0] = frame[:4]
-                credit[i, v0] = frame[4]
-    return EvalRun(mode, policy, split, eff_T, n_cams, chosen,
-                   labels=labels, preds=preds,
-                   frame_counts=counts, distance_credit=credit)
-
-
-# ---------------------------------------------------------------------------
-# exact solver for tiny worlds
-
-
-def exact_q_table(world, task_net, T: int, split: str = "train",
-                  gamma: float = 0.99) -> dict:
-    """Exhaustive optimal action values for tiny worlds.
-
-    Keys are (instance index, frozenset of chosen views, action). A value is
-    the terminal task reward of the best completion, discounted by gamma per
-    remaining step. Only meant for layouts small enough to enumerate."""
-    n = world.split_size(split)
-    n_cams = world.n_cameras
-    disabled = world.layout.disabled
-    table: dict = {}
-    for i in range(n):
-        inst = world.instance(split, i)
-        feats = task_net.features_cache(inst.observations)[0]
-        truth = task_net.truth(inst)
-
-        def reward_of(view_set: frozenset) -> float:
-            pred = _predict_sets(task_net, feats, np.array([sorted(view_set)]))[0]
-            return float(task_net.reward(pred, truth))
-
-        def q_star(chosen: frozenset, action: int) -> float:
-            key = (i, chosen, action)
-            if key in table:
-                return table[key]
-            nxt = chosen | {action}
-            if len(nxt) == T:
-                value = reward_of(nxt)
-            else:
-                options = [a for a in range(n_cams) if a not in nxt and a not in disabled]
-                value = gamma * max(q_star(nxt, a) for a in options)
-            table[key] = value
-            return value
-
-        for size in range(1, T):
-            for combo in itertools.combinations(range(n_cams), size):
-                chosen_set = frozenset(combo)
-                for a in range(n_cams):
-                    if a not in chosen_set and a not in disabled:
-                        q_star(chosen_set, a)
-    return table
-
-
-def optimal_actions(table: dict, instance_index: int, chosen) -> set[int]:
-    """Actions attaining the optimal value from a chosen-set (tie set)."""
-    chosen_set = frozenset(chosen)
-    vals = {a: v for (i, s, a), v in table.items()
-            if i == instance_index and s == chosen_set}
-    if not vals:
-        raise StateError("chosen-set missing from the exact table")
-    best = max(vals.values())
-    return {a for a, v in vals.items() if v == best}
+        records.append(task_net.records(_predict_sets(task_net, feats, sets), inst, world))
+    return EvalRun(task_net, policy, split, eff_T, n_cams, chosen, np.stack(records))

@@ -37,10 +37,9 @@ from fewview.numcore import (
     LayerSpec,
     bev_mse,
     cross_entropy,
-    max_relative_error,
-    numeric_gradient,
 )
 from fewview.tasknet import aggregate_max
+from testkit import exact_q_table, max_relative_error, numeric_gradient, optimal_actions
 
 N_SEEDS = 5
 VIEW_MIX = (1, 2, 3, 4, 6, 12)
@@ -233,16 +232,16 @@ def test_selector_reproduces_exact_mdp_solution(capsys):
     q_net = tr.build_selector(toy, task, hidden=32, seed=7)
     tr.train_selector_fixed(toy, task, q_net, tr.TrainConfig(
         regime="select-fixed", epochs=60, T=2, selector_lr=2e-3, seed=7))
-    table = tr.exact_q_table(toy, task, T=2, split="train")
+    table = exact_q_table(toy, task, T=2, split="train")
     mismatches = []
     total = 0
     for i in range(toy.n_train):
-        feats = task.features_cache(toy.train_instance(i).observations)[0]
+        feats = task.features_cache(toy.instance("train", i).observations)[0]
         seqs = tr.greedy_sequences(q_net, feats, 3, T=2)
         for v0 in range(3):
             total += 1
             action = int(seqs[v0][1])
-            optimal = tr.optimal_actions(table, i, {v0})
+            optimal = optimal_actions(table, i, {v0})
             if action not in optimal:
                 mismatches.append((i, v0, action, sorted(optimal)))
     elapsed = time.time() - t0

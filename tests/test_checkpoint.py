@@ -1,5 +1,6 @@
 """Round-trip and byte-stability checks for the binary checkpoint format."""
 
+import os
 import struct
 
 import numpy as np
@@ -37,6 +38,24 @@ def test_same_content_same_bytes(tmp_path):
     save_checkpoint(a, sample_tensors(), {"k": 1})
     save_checkpoint(b, sample_tensors(), {"k": 1})
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_saved_checkpoints_are_synced_before_they_appear(tmp_path, monkeypatch):
+    # a manifest may list the file as soon as it exists, so its bytes must
+    # reach the disk before the rename makes it visible
+    synced = []
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        synced.append(sorted(p.name for p in tmp_path.iterdir()))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    net = QNetwork(n_cameras=3, feat_dim=2, hidden=4, seed=0)
+    net.save(tmp_path / "q.ckpt", world_hash="w")
+    save_checkpoint(tmp_path / "t.ckpt", sample_tensors(), {"k": 1})
+    assert synced == [["q.ckpt.tmp"], ["q.ckpt", "t.ckpt.tmp"]]
+    assert (tmp_path / "q.ckpt").read_bytes() == net.encode("w")
 
 
 def test_header_is_little_endian_and_magic_first(tmp_path):

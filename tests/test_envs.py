@@ -48,17 +48,17 @@ def test_classification_streams_deterministic():
             np.testing.assert_array_equal(ia.observations, ib.observations)
     c = small_class_world(seed=4)
     assert not np.array_equal(
-        a.train_instance(0).observations, c.train_instance(0).observations
+        a.instance("train", 0).observations, c.instance("train", 0).observations
     )
 
 
 def test_splits_use_distinct_noise():
     w = small_class_world()
     assert not np.array_equal(
-        w.train_instance(0).observations, w.eval_instance(0).observations
+        w.instance("train", 0).observations, w.instance("eval", 0).observations
     )
     assert not np.array_equal(
-        w.val_instance(0).observations, w.eval_instance(0).observations
+        w.instance("val", 0).observations, w.instance("eval", 0).observations
     )
 
 
@@ -117,7 +117,7 @@ def test_noise_free_full_views_fully_separable():
 def test_noisy_instances_separable_with_all_views():
     w = small_class_world()
     for i in range(w.n_eval):
-        inst = w.eval_instance(i)
+        inst = w.instance("eval", i)
         got = nearest_prototype(w, inst.observations, range(w.config.n_views))
         assert got == inst.class_id
 
@@ -127,7 +127,7 @@ def test_random_pose_world_rotates_prototypes():
     cfg = w.config
     poses = set()
     for i in range(30):
-        inst = w.train_instance(i)
+        inst = w.instance("train", i)
         poses.add(inst.pose_steps)
         k = inst.pose_steps
         for v in range(cfg.n_views):
@@ -199,7 +199,7 @@ def test_grid_layout_positions_are_integers_outside_grid():
 
 def test_detection_streams_deterministic():
     a, b = small_det_world(), small_det_world()
-    ia, ib = a.eval_instance(0), b.eval_instance(0)
+    ia, ib = a.instance("eval", 0), b.instance("eval", 0)
     np.testing.assert_array_equal(ia.occupancy, ib.occupancy)
     np.testing.assert_array_equal(ia.observations, ib.observations)
     assert ia.positions == ib.positions
@@ -208,7 +208,7 @@ def test_detection_streams_deterministic():
 def test_density_and_binary_occupancy():
     w = small_det_world()
     for i in range(w.n_train):
-        inst = w.train_instance(i)
+        inst = w.instance("train", i)
         count = int(inst.occupancy.sum())
         assert w.config.min_targets <= count <= w.config.max_targets
         assert set(np.unique(inst.occupancy)) <= {0, 1}
@@ -220,7 +220,7 @@ def test_density_and_binary_occupancy():
 def test_observations_zero_outside_visibility():
     w = small_det_world()
     for i in range(5):
-        inst = w.eval_instance(i)
+        inst = w.instance("eval", i)
         for v in range(w.n_cameras):
             hidden = ~inst.visibility[v]
             assert np.all(inst.observations[v][:, hidden] == 0.0)
@@ -271,7 +271,7 @@ def test_occlusion_blocks_rear_cell_but_not_side_camera():
 
 def test_occlusion_flag_off_restores_fov():
     w = small_det_world(occlusion=False)
-    inst = w.eval_instance(0)
+    inst = w.instance("eval", 0)
     np.testing.assert_array_equal(inst.visibility, w.fov_masks)
 
 
@@ -306,14 +306,14 @@ def exact_visibility(world, occupancy):
 def test_visibility_matches_exact_rational_oracle():
     w = small_det_world()
     for i in range(2):
-        inst = w.eval_instance(i)
+        inst = w.instance("eval", i)
         np.testing.assert_array_equal(inst.visibility, exact_visibility(w, inst.occupancy))
 
 
 def test_all_camera_misses_match_oracle():
     # occupants invisible to every camera are exactly those the oracle misses
     w = small_det_world(half_angle_deg=20.0, coverage_threshold=0.2)
-    inst = w.eval_instance(0)
+    inst = w.instance("eval", 0)
     oracle_vis = exact_visibility(w, inst.occupancy)
     for r, c in inst.positions:
         assert inst.visibility[:, r, c].any() == oracle_vis[:, r, c].any()
@@ -321,7 +321,7 @@ def test_all_camera_misses_match_oracle():
 
 def test_smoothed_target_peaks_and_range():
     w = small_det_world()
-    inst = w.eval_instance(1)
+    inst = w.instance("eval", 1)
     assert inst.target.min() >= 0.0 and inst.target.max() <= 1.0
     for r, c in inst.positions:
         assert inst.target[r, c] == 1.0
@@ -329,7 +329,7 @@ def test_smoothed_target_peaks_and_range():
 
 def test_smoothed_target_matches_naive_max_of_bumps():
     w = small_det_world()
-    inst = w.eval_instance(2)
+    inst = w.instance("eval", 2)
     sig = w.config.smooth_sigma
     h, wd = inst.occupancy.shape
     naive = np.zeros((h, wd))

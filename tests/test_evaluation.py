@@ -19,29 +19,6 @@ THR = 2.0  # matching radius in cells (0.5 m at 0.25 m per cell)
 
 
 # ---------------------------------------------------------------------------
-# classification accuracy
-
-
-def test_accuracy_trivial_values():
-    assert ev.classification_accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-    assert ev.classification_accuracy([1, 2, 3], [0, 0, 0]) == 0.0
-    assert ev.classification_accuracy([1, 2, 3, 4], [1, 2, 3, 0]) == 0.75
-
-
-def test_accuracy_broadcasts_labels_over_initial_views():
-    preds = np.array([[1, 1, 2], [0, 3, 3]])
-    labels = np.array([1, 3])
-    assert ev.classification_accuracy(preds, labels) == pytest.approx(4 / 6)
-
-
-def test_accuracy_rejects_empty_and_mismatched():
-    with pytest.raises(ShapeError):
-        ev.classification_accuracy([], [])
-    with pytest.raises(ShapeError):
-        ev.classification_accuracy([1, 2], [1, 2, 3])
-
-
-# ---------------------------------------------------------------------------
 # peak extraction
 
 

@@ -14,8 +14,8 @@ from fewview.mvselect import (
     rollout,
     td_targets,
 )
-from fewview.numcore import max_relative_error, numeric_gradient
 from fewview.tasknet import MVClassifier, MVDetector
+from testkit import max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
 

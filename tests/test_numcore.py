@@ -13,10 +13,9 @@ from fewview.numcore import (
     LayerSpec,
     bev_mse,
     cross_entropy,
-    max_relative_error,
-    numeric_gradient,
     softmax,
 )
+from testkit import max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
 

@@ -167,8 +167,8 @@ def test_world_with_layout_preserves_hash_and_original(world):
     assert world.layout.disabled == frozenset()
     assert shut.layout.disabled == frozenset({5})
     # instances are shared, not recomputed differently
-    a = world.eval_instance(0)
-    b = shut.eval_instance(0)
+    a = world.instance("eval", 0)
+    b = shut.instance("eval", 0)
     np.testing.assert_array_equal(a.observations, b.observations)
 
 

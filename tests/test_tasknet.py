@@ -1,14 +1,17 @@
 """Task-network checks: pooling laws, hand-traced predictions, end-to-end
 gradients against finite differences, and checkpoint round trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fewview import evaluation as ev
 from fewview import training as tr
 from fewview.errors import CompatibilityError, ShapeError
-from fewview.numcore import cross_entropy, max_relative_error, numeric_gradient
+from fewview.numcore import cross_entropy
 from fewview.tasknet import (
     MVClassifier,
     MVDetector,
@@ -16,8 +19,10 @@ from fewview.tasknet import (
     pool_with_argmax,
     route_pooled_grad,
 )
+from testkit import max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
+THR = 2.0  # matching radius in cells
 
 
 def tiny_classifier(seed=0):
@@ -279,6 +284,40 @@ def test_task_loss_mode_guards():
         tiny_detector().loss(np.zeros((1, 3)), [0])                    # logits, not heatmaps
     with pytest.raises(ValueError):
         tiny_classifier().loss(np.zeros((1, 2, 2)), [np.zeros((2, 2))])  # heatmaps, not logits
+
+
+# ---------------------------------------------------------------------------
+# evaluation records
+
+
+def test_classifier_records_score_and_metrics():
+    net = tiny_classifier()
+    logits = np.array([[0.1, 2.0, -1.0], [3.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    records = net.records(logits, SimpleNamespace(class_id=1), world=None)
+    np.testing.assert_array_equal(records, [[1.0], [0.0], [0.0]])
+    np.testing.assert_array_equal(net.score(records), [1.0, 0.0, 0.0])
+    # records of two instances, pooled over instances and initial views
+    both = np.stack([records, np.ones_like(records)])
+    assert net.metrics(both) == {"accuracy": 4 / 6, "primary": 4 / 6}
+
+
+def test_detector_records_score_and_metrics():
+    net = tiny_detector()
+    heat = np.zeros((3, 8, 8))
+    heat[0, 2, 2] = heat[0, 5, 5] = 0.9       # both occupants found
+    heat[1, 2, 2] = 0.9                       # one missed
+    inst = SimpleNamespace(positions=np.array([[2, 2], [6, 6]]))
+    world = SimpleNamespace(match_threshold_cells=THR)
+    records = net.records(heat, inst, world)
+    assert records.shape == (3, 5)
+    for row, h in zip(records, heat):
+        np.testing.assert_array_equal(row, ev.frame_counts(h, inst.positions, THR))
+    np.testing.assert_array_equal(records[:, :4], [[2, 0, 0, 2], [1, 0, 1, 2], [0, 0, 2, 2]])
+    np.testing.assert_array_equal(net.score(records), [1.0, 0.5, 0.0])
+    # a frame without ground truth scores 0 instead of dividing by zero
+    np.testing.assert_array_equal(net.score(np.array([[0.0, 3.0, 0.0, 0.0, 0.0]])), [0.0])
+    assert net.metrics(records) == ev.detection_metrics_arrays(records[:, :4], records[:, 4])
+    assert net.metrics(records)["moda"] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import itertools
 import numpy as np
 import pytest
 
-from fewview import evaluation, training as tr
+from fewview import evaluation, studies, training as tr
 from fewview.envs import (
     ClassificationConfig,
     ClassificationWorld,
     DetectionConfig,
     DetectionWorld,
+    shut_off_cameras,
 )
 from fewview.errors import (
     BudgetError,
@@ -30,6 +31,7 @@ from fewview.errors import (
 from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier
+from testkit import exact_q_table, optimal_actions
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -176,7 +178,7 @@ def test_selector_picks_discriminative_views_from_ambiguous_starts(cls_world, cl
     run = tr.evaluate_policy(cls_world, cls_net, T=2, policy="mvselect", q_net=cls_selector)
     hits = total = 0
     for i in range(run.n_instances):
-        label = int(run.labels[i])
+        label = cls_world.instance("eval", i).class_id
         disc = set(cls_world.discriminative_views(label))
         for v0 in range(run.n_cameras):
             if v0 in disc:
@@ -343,7 +345,7 @@ def test_toy_oracles_match_independent_brute_force():
     best_per_instance = {}
     mean_score = {}
     for pair in itertools.combinations(range(4), 2):
-        scores = [correct_with(world.eval_instance(i), pair) for i in range(n)]
+        scores = [correct_with(world.instance("eval", i), pair) for i in range(n)]
         mean_score[pair] = np.mean(scores)
         for i, s in enumerate(scores):
             best_per_instance.setdefault(i, {})[pair] = s
@@ -393,7 +395,11 @@ def test_policy_table_json_round_trip():
     '{"kind": "dataset", "T": "x", "entries": {}}',
     '{"kind": "dataset", "T": 2, "entries": {"0": 1}}',
     'not json',
-], ids=["list", "no entries", "key without colon", "non-integer T", "entry not a list", "not JSON"])
+    '{"kind": "dataset", "T": 3, "entries": {"0": [1]}}',
+    '{"kind": "dataset", "T": 3, "entries": {"0": [1, 2, 2]}}',
+    '{"kind": "instance", "T": 2, "entries": {"0:0": [-1]}}',
+], ids=["list", "no entries", "key without colon", "non-integer T", "entry not a list", "not JSON",
+        "entry too short", "repeated id", "negative id"])
 def test_malformed_policy_table_is_a_config_error(text):
     with pytest.raises(ConfigError):
         tr.PolicyTable.from_json(text)
@@ -431,12 +437,41 @@ def test_evaluate_policy_guards(cls_world, cls_net):
         tr.evaluate_policy(cls_world, cls_net, T=2, policy="dataset-oracle", table=table)
 
 
+def _bad_entries(case):
+    entries = {v: ((v + 1) % 12,) for v in range(12)}
+    if case == "missing entry":
+        del entries[3]
+    else:
+        entries[3] = {"camera 99": (99,), "wrong length": (4, 5), "camera -1": (-1,),
+                      "repeats initial": (3,)}[case]
+    return entries
+
+
+@pytest.mark.parametrize("case", ["missing entry", "camera 99", "wrong length", "camera -1",
+                                  "repeats initial"])
+@pytest.mark.parametrize("kind", ["dataset", "instance"])
+def test_policy_table_entries_are_checked_against_the_world(cls_world, cls_net, kind, case):
+    entries = _bad_entries(case)
+    if kind == "instance":
+        entries = {(i, v): seq for i in range(cls_world.n_eval) for v, seq in entries.items()}
+    table = tr.PolicyTable(kind, 2, entries)
+    with pytest.raises(ConfigError, match="policy table"):
+        tr.evaluate_policy(cls_world, cls_net, T=2, policy=f"{kind}-oracle", table=table)
+
+
+def test_oracles_select_only_enabled_cameras(cls_world, cls_net):
+    shut = studies.world_with_layout(cls_world, shut_off_cameras(cls_world.layout, range(6)))
+    for policy in ("dataset-oracle", "instance-oracle"):
+        run = tr.evaluate_policy(shut, cls_net, T=2, policy=policy)
+        assert (run.chosen[..., 1:] >= 6).all(), policy
+
+
 # ---------------------------------------------------------------------------
 # greedy rollout consistency and the exact solver
 
 
 def test_greedy_sequences_agree_with_single_rollouts(cls_world, cls_net, cls_selector):
-    inst = cls_world.eval_instance(0)
+    inst = cls_world.instance("eval", 0)
     feats = cls_net.features_cache(inst.observations)[0]
     sets = tr.greedy_sequences(cls_selector, feats, 12, T=3)
     for v0 in range(12):
@@ -453,7 +488,7 @@ def test_exact_q_table_is_td_fixed_point():
         regime="task", epochs=20, T=1, batch_size=2, task_lr=2e-3, seed=21,
         train_view_counts=(1, 2, 3)))
     gamma = 0.5
-    table = tr.exact_q_table(world, net, T=3, split="train", gamma=gamma)
+    table = exact_q_table(world, net, T=3, split="train", gamma=gamma)
     # every non-terminal value must equal gamma * best next value
     for (i, chosen, action), value in table.items():
         nxt = chosen | {action}
@@ -461,10 +496,10 @@ def test_exact_q_table_is_td_fixed_point():
             continue
         best_next = max(v for (j, s, a), v in table.items() if j == i and s == nxt)
         assert abs(value - gamma * best_next) < 1e-12
-    acts = tr.optimal_actions(table, 0, frozenset({0}))
+    acts = optimal_actions(table, 0, frozenset({0}))
     assert acts and all(a not in {0} for a in acts)
     with pytest.raises(StateError):
-        tr.optimal_actions(table, 0, frozenset({0, 1, 2, 3}))
+        optimal_actions(table, 0, frozenset({0, 1, 2, 3}))
 
 
 def test_training_is_bit_reproducible(cls_world):
@@ -484,4 +519,4 @@ def test_eval_runs_are_deterministic(cls_world, cls_net, cls_selector):
     a = tr.evaluate_policy(cls_world, cls_net, T=2, policy="mvselect", q_net=cls_selector)
     b = tr.evaluate_policy(cls_world, cls_net, T=2, policy="mvselect", q_net=cls_selector)
     np.testing.assert_array_equal(a.chosen, b.chosen)
-    np.testing.assert_array_equal(a.preds, b.preds)
+    np.testing.assert_array_equal(a.records, b.records)
