@@ -24,6 +24,7 @@ from .errors import ShapeError
 Array = np.ndarray
 
 PEAK_SCORE_THRESHOLD = 0.4
+_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -32,22 +33,23 @@ PEAK_SCORE_THRESHOLD = 0.4
 
 def extract_peaks(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Array:
     """Detection peaks: cells that are maximal in their 3x3 neighbourhood and
-    score at least the threshold. Exact plateau ties keep only the first cell
-    in row-major order within each adjacent group. Returns (K, 2) ints sorted
+    score at least the threshold. Adjacent such cells bound each other, so
+    each 8-connected group of them is a plateau of one value; a plateau gives
+    one peak, its first cell in row-major order. Returns (K, 2) ints sorted
     by descending score, then row, then column."""
     heat = np.asarray(heatmap, dtype=float)
     if heat.ndim != 2:
         raise ShapeError(f"heatmap must be 2-D, got {heat.shape}")
-    local_max = ndimage.maximum_filter(heat, size=3, mode="constant", cval=-np.inf)
-    candidates = np.argwhere((heat == local_max) & (heat >= threshold))
-    accepted: list[tuple[int, int]] = []
-    for r, c in candidates:  # row-major order from argwhere
-        if any(abs(r - ar) <= 1 and abs(c - ac) <= 1 and heat[ar, ac] == heat[r, c]
-               for ar, ac in accepted):
-            continue
-        accepted.append((int(r), int(c)))
-    accepted.sort(key=lambda rc: (-heat[rc], rc[0], rc[1]))
-    return np.array(accepted, dtype=int).reshape(-1, 2)
+    pad = np.full((heat.shape[0] + 2, heat.shape[1] + 2), -np.inf)
+    pad[1:-1, 1:-1] = heat
+    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
+    local_max = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    labels, _ = ndimage.label((heat == local_max) & (heat >= threshold), structure=_EIGHT_CONNECTED)
+    r, c = np.nonzero(labels)  # row-major order
+    _, first = np.unique(labels[r, c], return_index=True)
+    r, c = r[first], c[first]
+    order = np.lexsort((c, r, -heat[r, c]))
+    return np.stack([r[order], c[order]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -69,20 +71,17 @@ def match_detections(peaks: Array, gt_positions: Array, threshold: float) -> Det
     peaks = np.asarray(peaks, dtype=float).reshape(-1, 2)
     gts = np.asarray(gt_positions, dtype=float).reshape(-1, 2)
     n_peaks, n_gt = len(peaks), len(gts)
-    pairs = []
-    for p in range(n_peaks):
-        for g in range(n_gt):
-            d = float(np.hypot(*(peaks[p] - gts[g])))
-            if d <= threshold:
-                pairs.append((d, p, g))
-    pairs.sort()
+    dist = np.hypot(peaks[:, None, 0] - gts[None, :, 0], peaks[:, None, 1] - gts[None, :, 1])
+    p, g = np.nonzero(dist <= threshold)
+    d = dist[p, g]
+    order = np.lexsort((g, p, d))
     used_p, used_g, dists = set(), set(), []
-    for d, p, g in pairs:
-        if p in used_p or g in used_g:
+    for dk, pk, gk in zip(d[order].tolist(), p[order].tolist(), g[order].tolist()):
+        if pk in used_p or gk in used_g:
             continue
-        used_p.add(p)
-        used_g.add(g)
-        dists.append(d)
+        used_p.add(pk)
+        used_g.add(gk)
+        dists.append(dk)
     tp = len(dists)
     return DetectionMatchResult(tp, n_peaks - tp, n_gt - tp, n_gt, tuple(dists), threshold)
 

@@ -141,6 +141,15 @@ def _predict_sets(task_net, feats: Array, view_sets: Array):
     return np.stack([task_net.head_cache(p)[0] for p in pooled])
 
 
+def _distinct_sets(view_sets: Array) -> tuple[Array, Array]:
+    """The first row of each distinct view set among the rows of view_sets
+    (S, k), and the index of each row's set among those rows. Pooling is an
+    order-invariant max, so rows holding the same set share one output."""
+    slots: dict = {}
+    inverse = [slots.setdefault(frozenset(row), len(slots)) for row in view_sets.tolist()]
+    return view_sets[[inverse.index(s) for s in range(len(slots))]], np.array(inverse)
+
+
 # ---------------------------------------------------------------------------
 # task-network training
 
@@ -512,7 +521,8 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
 
     Every camera serves as the initial view once per instance (including
     disabled ones: shut-off constrains selection, not the handed-out start).
-    The full-views policy uses all cameras regardless of T.
+    The full-views policy uses all cameras regardless of T. Each distinct
+    view set of an instance is decoded and scored once.
     """
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -531,12 +541,13 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
 
     eff_T = n_cams if policy == "full-views" else T
     chosen = np.zeros((n, n_cams, eff_T), dtype=int)
+    all_views = np.tile(np.arange(n_cams), (n_cams, 1))
     records = []
     for i in range(n):
         inst = world.instance(split, i)
         feats = task_net.features_cache(inst.observations)[0]
         if policy == "full-views":
-            sets = np.tile(np.arange(n_cams), (n_cams, 1))
+            sets = all_views
         elif policy == "mvselect":
             sets = greedy_sequences(q_net, feats, n_cams, T, disabled)
         elif policy == "random":
@@ -547,5 +558,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
         else:
             sets = table.view_sets(i, n_cams)
         chosen[i] = sets
-        records.append(task_net.records(_predict_sets(task_net, feats, sets), inst, world))
+        distinct, inverse = _distinct_sets(sets)
+        outputs = _predict_sets(task_net, feats, distinct)
+        records.append(task_net.records(outputs, inst, world)[inverse])
     return EvalRun(task_net, policy, split, eff_T, n_cams, chosen, np.stack(records))

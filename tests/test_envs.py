@@ -52,6 +52,19 @@ def test_classification_streams_deterministic():
     )
 
 
+def test_classification_instances_are_cached_read_only():
+    w = small_class_world(random_pose=True)
+    for i in reversed(range(6)):  # warm the cache out of order
+        w.instance("eval", i)
+    inst = w.instance("eval", 2)
+    assert w.instance("eval", 2) is inst
+    fresh = small_class_world(random_pose=True).instance("eval", 2)
+    assert (inst.class_id, inst.pose_steps) == (fresh.class_id, fresh.pose_steps)
+    np.testing.assert_array_equal(inst.observations, fresh.observations)
+    with pytest.raises(ValueError):
+        inst.observations[0, 0] = 1.0
+
+
 def test_splits_use_distinct_noise():
     w = small_class_world()
     assert not np.array_equal(

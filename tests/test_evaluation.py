@@ -11,9 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fewview import evaluation as ev
 from fewview.errors import ShapeError
+from testkit import extract_peaks_bfs, extract_peaks_loop, match_detections_loop
 
 THR = 2.0  # matching radius in cells (0.5 m at 0.25 m per cell)
 
@@ -47,6 +51,19 @@ def test_extract_peaks_plateau_keeps_first_cell():
     heat = np.zeros((8, 8))
     heat[4, 4] = heat[4, 5] = 0.6  # adjacent exact tie
     np.testing.assert_array_equal(ev.extract_peaks(heat), [[4, 4]])
+
+
+def test_extract_peaks_one_peak_per_plateau():
+    row = np.zeros((5, 7))
+    row[2, 1:6] = 0.8  # a 1x5 plateau
+    np.testing.assert_array_equal(ev.extract_peaks(row), [[2, 1]])
+    block = np.zeros((8, 8))
+    block[2:6, 3:7] = 0.7  # a 4x4 plateau
+    np.testing.assert_array_equal(ev.extract_peaks(block), [[2, 3]])
+    split = np.zeros((5, 9))
+    split[2, 1:4] = split[2, 5:8] = 0.6
+    split[2, 4] = 0.5  # a lower cell between two equal plateaus
+    np.testing.assert_array_equal(ev.extract_peaks(split), [[2, 1], [2, 5]])
 
 
 def test_extract_peaks_border_and_order():
@@ -133,6 +150,38 @@ def test_known_greedy_suboptimal_configuration():
     greedy = ev.match_detections(peaks, gts, THR)
     assert greedy.tp == 2 or greedy.tp == 1  # documents greedy may trail optimal
     assert optimal_match_count(peaks, gts, THR) == 2
+
+
+# ---------------------------------------------------------------------------
+# array scoring against the loop references in testkit
+
+points = hnp.arrays(np.int64, st.tuples(st.integers(0, 8), st.just(2)),
+                    elements=st.integers(0, 5))
+map_sides = st.integers(1, 12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points, points, st.sampled_from([1.0, 2.0, float(np.sqrt(2.0)), float(np.sqrt(5.0))]))
+def test_match_equals_pairwise_loop(peaks, gts, thr):
+    # integer points in a small box force exact distance ties and d == thr
+    fast, loop = ev.match_detections(peaks, gts, thr), match_detections_loop(peaks, gts, thr)
+    assert fast == loop
+    assert [type(v) for v in vars(fast).values()] == [type(v) for v in vars(loop).values()]
+    assert all(type(d) is float for d in fast.distances)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), map_sides, map_sides)
+def test_extract_peaks_equals_loop_on_continuous_maps(seed, h, w):
+    heat = np.random.default_rng(seed).random((h, w))
+    np.testing.assert_array_equal(ev.extract_peaks(heat), extract_peaks_loop(heat))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(map_sides, map_sides),
+                  elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+def test_extract_peaks_equals_flood_fill_on_quantized_maps(heat):
+    np.testing.assert_array_equal(ev.extract_peaks(heat), extract_peaks_bfs(heat))
 
 
 # ---------------------------------------------------------------------------

@@ -520,3 +520,48 @@ def test_eval_runs_are_deterministic(cls_world, cls_net, cls_selector):
     b = tr.evaluate_policy(cls_world, cls_net, T=2, policy="mvselect", q_net=cls_selector)
     np.testing.assert_array_equal(a.chosen, b.chosen)
     np.testing.assert_array_equal(a.records, b.records)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per distinct view set
+
+
+@pytest.fixture(scope="module")
+def det_tiny():
+    world = DetectionWorld(DetectionConfig(
+        grid_h=16, grid_w=16, ring_radius=12.0, view_range=22.0, channels=4,
+        min_targets=3, max_targets=6, n_train=6, n_val=4, n_eval=5, seed=3))
+    net = tr.build_detector(world, hidden=8, feat_dim=6, seed=3)
+    tr.train_task_network(world, net, tr.TrainConfig(
+        regime="task", epochs=2, T=1, batch_size=1, task_lr=1e-3, seed=3))
+    return world, net, tr.build_selector(world, net, hidden=16, seed=3)
+
+
+def test_full_views_decodes_each_instance_once(det_tiny, monkeypatch):
+    world, net, _ = det_tiny
+    calls = []
+    head_cache = net.head_cache
+    monkeypatch.setattr(net, "head_cache", lambda pooled: calls.append(1) or head_cache(pooled))
+    run = tr.evaluate_policy(world, net, T=world.n_cameras, policy="full-views")
+    assert len(calls) == world.n_eval
+    assert run.records.shape == (world.n_eval, world.n_cameras, 5)
+
+
+@pytest.mark.parametrize("policy", tr.POLICIES)
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_distinct_set_records_equal_row_by_row(family, policy, request):
+    if family == "detection":
+        world, net, q_net = request.getfixturevalue("det_tiny")
+    else:
+        world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+        q_net = request.getfixturevalue("cls_selector")
+    T = world.n_cameras if policy == "full-views" else 3
+    run = tr.evaluate_policy(world, net, T=T, policy=policy, q_net=q_net)
+    for i in range(world.n_eval):
+        inst = world.instance("eval", i)
+        feats = net.features_cache(inst.observations)[0]
+        rows = net.records(tr._predict_sets(net, feats, run.chosen[i]), inst, world)
+        # detection records are bit-equal (the head runs once per set);
+        # classifier records are correctness flags, which last-bit
+        # differences of its batched head leave unchanged here
+        np.testing.assert_array_equal(run.records[i], rows)

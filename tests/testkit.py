@@ -1,13 +1,16 @@
 """Reference oracles the tests check the package against: finite-difference
-gradients and an exhaustive action-value solver for tiny worlds. Nothing in
-``fewview`` calls them."""
+gradients, an exhaustive action-value solver for tiny worlds, and loop forms
+of detection peak extraction and matching. Nothing in ``fewview`` calls
+them."""
 
 import itertools
 from typing import Callable
 
 import numpy as np
+from scipy import ndimage
 
 from fewview.errors import ShapeError, StateError
+from fewview.evaluation import PEAK_SCORE_THRESHOLD, DetectionMatchResult
 from fewview.training import _predict_sets
 
 Array = np.ndarray
@@ -94,3 +97,76 @@ def optimal_actions(table: dict, instance_index: int, chosen) -> set[int]:
         raise StateError("chosen-set missing from the exact table")
     best = max(vals.values())
     return {a for a, v in vals.items() if v == best}
+
+
+def _peak_candidates(heat: Array, threshold: float) -> Array:
+    local_max = ndimage.maximum_filter(heat, size=3, mode="constant", cval=-np.inf)
+    return (heat == local_max) & (heat >= threshold)
+
+
+def extract_peaks_loop(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Array:
+    """Peak extraction by a first-come scan: a 3x3 local maximum is kept
+    unless an already kept cell next to it has the same value. On a plateau
+    wider than two cells this keeps every other cell; it agrees with
+    ``extract_peaks`` wherever no plateau has more than two cells."""
+    heat = np.asarray(heatmap, dtype=float)
+    accepted: list[tuple[int, int]] = []
+    for r, c in np.argwhere(_peak_candidates(heat, threshold)):
+        if any(abs(r - ar) <= 1 and abs(c - ac) <= 1 and heat[ar, ac] == heat[r, c]
+               for ar, ac in accepted):
+            continue
+        accepted.append((int(r), int(c)))
+    accepted.sort(key=lambda rc: (-heat[rc], rc[0], rc[1]))
+    return np.array(accepted, dtype=int).reshape(-1, 2)
+
+
+def extract_peaks_bfs(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Array:
+    """Peak extraction by flood fill: scan the 3x3 local maxima in row-major
+    order, keep each one not yet reached, and flood from it over adjacent
+    local maxima of the same value, so each plateau gives one peak."""
+    heat = np.asarray(heatmap, dtype=float)
+    cand = _peak_candidates(heat, threshold)
+    h, w = heat.shape
+    seen = np.zeros_like(cand)
+    peaks = []
+    for r, c in np.argwhere(cand):
+        if seen[r, c]:
+            continue
+        peaks.append((int(r), int(c)))
+        seen[r, c] = True
+        queue = [(r, c)]
+        while queue:
+            qr, qc = queue.pop()
+            for nr in range(max(qr - 1, 0), min(qr + 2, h)):
+                for nc in range(max(qc - 1, 0), min(qc + 2, w)):
+                    if cand[nr, nc] and not seen[nr, nc] and heat[nr, nc] == heat[qr, qc]:
+                        seen[nr, nc] = True
+                        queue.append((nr, nc))
+    peaks.sort(key=lambda rc: (-heat[rc], rc[0], rc[1]))
+    return np.array(peaks, dtype=int).reshape(-1, 2)
+
+
+def match_detections_loop(peaks: Array, gt_positions: Array,
+                          threshold: float) -> DetectionMatchResult:
+    """Greedy nearest-pair-first matching over every (peak, ground truth)
+    pair, one scalar distance at a time, sorted as (distance, peak, gt)
+    tuples."""
+    peaks = np.asarray(peaks, dtype=float).reshape(-1, 2)
+    gts = np.asarray(gt_positions, dtype=float).reshape(-1, 2)
+    n_peaks, n_gt = len(peaks), len(gts)
+    pairs = []
+    for p in range(n_peaks):
+        for g in range(n_gt):
+            d = float(np.hypot(*(peaks[p] - gts[g])))
+            if d <= threshold:
+                pairs.append((d, p, g))
+    pairs.sort()
+    used_p, used_g, dists = set(), set(), []
+    for d, p, g in pairs:
+        if p in used_p or g in used_g:
+            continue
+        used_p.add(p)
+        used_g.add(g)
+        dists.append(d)
+    tp = len(dists)
+    return DetectionMatchResult(tp, n_peaks - tp, n_gt - tp, n_gt, tuple(dists), threshold)
