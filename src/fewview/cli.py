@@ -41,25 +41,26 @@ def _build_world(cfg: ExperimentConfig):
     return DetectionWorld(wc)
 
 
-def _build_task_net(cfg: ExperimentConfig, world, seed: int):
+def _network_args(cfg: ExperimentConfig, names: dict) -> dict:
+    """Builder arguments from the network keys that are set (null leaves a
+    key unset); the ``training.build_*`` builders hold the defaults."""
     net = cfg.network()
-    if cfg.world_kind == "classification":
-        return training.build_classifier(
-            world, hidden=net.get("task_hidden") or 64,
-            feat_dim=net.get("task_feat_dim") or 32, seed=seed)
-    return training.build_detector(
-        world, hidden=net.get("task_hidden") or 32,
-        feat_dim=net.get("task_feat_dim") or 16, seed=seed)
+    return {arg: net[key] for key, arg in names.items() if net.get(key) is not None}
+
+
+def _build_task_net(cfg: ExperimentConfig, world, seed: int):
+    build = (training.build_classifier if cfg.world_kind == "classification"
+             else training.build_detector)
+    return build(world, seed=seed, **_network_args(
+        cfg, {"task_hidden": "hidden", "task_feat_dim": "feat_dim"}))
 
 
 def _build_selector(cfg: ExperimentConfig, world, task_net, seed: int):
-    net = cfg.network()
-    sel_seed = net.get("selector_seed")
-    return training.build_selector(
-        world, task_net, hidden=net.get("selector_hidden") or 64,
-        seed=seed if sel_seed is None else sel_seed,
-        use_camera_branch=net.get("use_camera_branch", True),
-        use_feature_branch=net.get("use_feature_branch", True))
+    args = _network_args(cfg, {"selector_seed": "seed", "selector_hidden": "hidden",
+                               "use_camera_branch": "use_camera_branch",
+                               "use_feature_branch": "use_feature_branch"})
+    args.setdefault("seed", seed)
+    return training.build_selector(world, task_net, **args)
 
 
 def _check_world_hash(meta: dict, world, path) -> None:

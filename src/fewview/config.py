@@ -23,11 +23,12 @@ import yaml
 
 from .envs import ClassificationConfig, DetectionConfig
 from .errors import ConfigError
-from .training import DEFAULT_ENUM_BUDGET, JOINT_TASK_LR_FACTOR, TrainConfig
+from .training import DEFAULT_ENUM_BUDGET, TrainConfig
 
 WORLD_KINDS = ("classification", "detection")
 
 # keys that live outside the world/train dataclasses
+_POSITIVE_NETWORK_KEYS = ("task_hidden", "task_feat_dim", "selector_hidden")
 _NETWORK_KEYS = {
     "task_hidden": int,
     "task_feat_dim": int,
@@ -55,17 +56,8 @@ _EVAL_DEFAULTS = {"split": "eval", "budget": DEFAULT_ENUM_BUDGET,
                   "rank_split": "val", "n_random": 5, "k": 0}
 _NETWORK_DEFAULTS = {"selector_seed": None, "use_camera_branch": True,
                      "use_feature_branch": True}  # selector_seed None -> run seed
-_TRAIN_DEFAULTS = {
-    "batch_size": 8,
-    "task_lr": 1e-3,
-    "selector_lr": 1e-3,
-    "gamma": 0.99,
-    "epsilon_start": 0.95,
-    "epsilon_end": 0.05,
-    "joint_task_lr_factor": JOINT_TASK_LR_FACTOR,
-    "seed": 0,
-    "train_view_counts": None,
-}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)
+                   if f.default is not dataclasses.MISSING}
 _TRAIN_EXTRA_KEYS = {"task_checkpoint": str}  # checkpoint dependency for
 # select-fixed and joint regimes
 
@@ -234,6 +226,9 @@ def _validate_network(raw) -> dict:
         raise ConfigError("network section must be a mapping")
     _reject_unknown("network", raw, _NETWORK_KEYS)
     _check_types("network", _set_keys(raw), _NETWORK_KEYS)
+    for key in _POSITIVE_NETWORK_KEYS:
+        if raw.get(key) is not None and raw[key] < 1:
+            raise ConfigError(f"network.{key} must be positive, got {raw[key]!r}")
     out = dict(_NETWORK_DEFAULTS)
     out.update(raw)
     return out

@@ -2,8 +2,9 @@
 
 Both networks tolerate any nonempty view subset and produce outputs whose
 shape never depends on how many views were supplied. Pooling is an exact
-elementwise max; its gradient routes to the lowest-index view attaining the
-max, so backward passes are deterministic.
+elementwise max; its gradient routes to the first listed view attaining the
+max (the lowest index when all views are pooled in order, the earliest chosen
+in a selection), so backward passes are deterministic.
 """
 
 from __future__ import annotations
@@ -32,19 +33,17 @@ def aggregate_max(features) -> Array:
     return out
 
 
-def pool_with_argmax(stacked: Array) -> tuple[Array, Array]:
-    """Max over the leading axis plus the lowest attaining index per entry."""
-    if stacked.shape[0] < 1:
-        raise ShapeError("cannot pool zero views")
-    return stacked.max(axis=0), stacked.argmax(axis=0)
+def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
+    """Add the gradient of max-pooling each instance's listed views onto the
+    per-view feature gradients, at the first listed view attaining the max.
 
-
-def route_pooled_grad(grad_pooled: Array, argmax: Array, n_views: int) -> Array:
-    """Scatter a pooled gradient back to the views that produced each max."""
-    out = np.zeros((n_views,) + grad_pooled.shape)
-    idx = np.indices(grad_pooled.shape)
-    out[(argmax,) + tuple(idx)] = grad_pooled
-    return out
+    d_feats and feats are (G, V, D[, H, W]); views is (G, k) view ids on
+    axis 1; d_pooled is (G, D[, H, W]) or broadcasts to it.
+    """
+    inst = np.arange(len(views))[:, None]
+    amax = feats[inst, views].argmax(axis=1)            # (G, D[, H, W]) slot in views
+    idx = np.indices(amax.shape, sparse=True)
+    d_feats[(idx[0], views[idx[0], amax]) + tuple(idx[1:])] += d_pooled
 
 
 class TaskNet(Persistable):

@@ -27,7 +27,7 @@ from .envs import EVAL, TRAIN, VAL
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam
-from .tasknet import MVClassifier, MVDetector, TaskNet, pool_with_argmax, route_pooled_grad
+from .tasknet import MVClassifier, MVDetector, TaskNet, route_pooled_grad
 
 Array = np.ndarray
 
@@ -67,6 +67,12 @@ class TrainConfig:
             raise ConfigError("gamma must lie in [0, 1]")
         if self.joint_task_lr_factor <= 0:
             raise ConfigError("joint_task_lr_factor must be positive")
+        for name in ("task_lr", "selector_lr"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -195,13 +201,9 @@ def _batch_loss(net, obs, truths) -> tuple[float, dict]:
     """Task loss and gradients of a batch whose observations (G, V, ...)
     hold the views to pool."""
     feats, fcache = net.features_cache(obs)                       # (G, V, D[, H, W])
-    pooled, amax = pool_with_argmax(np.moveaxis(feats, 1, 0))     # pool over views
-    outputs, hcache = net.head_cache(pooled)
-    loss, d_out = net.loss(outputs, truths)
-    grads, d_pooled = net.head_backward(hcache, d_out)
-    d_feats = np.moveaxis(route_pooled_grad(d_pooled, amax, obs.shape[1]), 0, 1)
-    grads.update(net.features_backward(fcache, d_feats))
-    return loss, grads
+    outputs, hcache = net.head_cache(feats.max(axis=1))
+    views = np.broadcast_to(np.arange(obs.shape[1]), obs.shape[:2])
+    return _task_grads(net, feats, fcache, views, truths, outputs, hcache)
 
 
 # ---------------------------------------------------------------------------
@@ -215,32 +217,25 @@ def _batch(task_net, world, indices):
     return np.stack([inst.observations for inst in insts]), [task_net.truth(inst) for inst in insts]
 
 
-def _route_to_views(d_feats_b, feats_b, views, d_pooled) -> None:
-    """Add the gradient of a max-pooled feature over `views` back onto the
-    per-view feature buffer, at the first listed view attaining the max."""
-    amax = feats_b[views].argmax(axis=0)    # (D, *cells)
-    d_feats_b[(views[amax],) + tuple(np.indices(amax.shape))] += d_pooled
+def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=None):
+    """Task loss of the outputs pooled over each instance's views (G, k),
+    plus the gradients of both task-network parts.
 
-
-def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs):
-    """Terminal task loss plus feature gradients for the joint update.
-
-    d_obs holds the selector's gradient w.r.t. each state's observation
-    vector, rows in (instance, step) order. Spread evenly over any spatial
-    cells, each routes step by step to the views chosen up to that state;
-    the terminal pooled gradient follows, so the feature extractor takes a
-    single combined step."""
-    n_inst, T = views.shape
-    cells = feats.shape[3:]
-    d_obs = d_obs.reshape((n_inst, T - 1, -1) + (1,) * len(cells)) / math.prod(cells)
+    d_obs, when given, holds the selector's gradient w.r.t. each state's
+    observation vector, rows in (instance, step) order. Spread evenly over
+    any spatial cells, each routes step by step to the views chosen up to
+    that state; the terminal pooled gradient follows, so the feature
+    extractor takes a single combined step."""
     d_feats = np.zeros_like(feats)
-    for g in range(n_inst):
+    if d_obs is not None:
+        n_inst, T = views.shape
+        cells = feats.shape[3:]
+        d_obs = d_obs.reshape((n_inst, T - 1, -1) + (1,) * len(cells)) / math.prod(cells)
         for t in range(T - 1):
-            _route_to_views(d_feats[g], feats[g], views[g, : t + 1], d_obs[g, t])
+            route_pooled_grad(d_feats, feats, views[:, : t + 1], d_obs[:, t])
     loss, d_out = task_net.loss(outputs, truths)
     grads, d_pooled = task_net.head_backward(hcache, d_out)
-    for g in range(n_inst):
-        _route_to_views(d_feats[g], feats[g], views[g], d_pooled[g])
+    route_pooled_grad(d_feats, feats, views, d_pooled)
     grads.update(task_net.features_backward(fcache, d_feats))
     return loss, grads
 

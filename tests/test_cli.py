@@ -115,6 +115,20 @@ def test_malformed_value_exits_2_naming_the_path(tmp_path):
     assert "world.n_views" in r.stderr
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("network", "task_hidden", 0), ("network", "task_hidden", -1),
+    ("network", "task_feat_dim", 0), ("network", "selector_hidden", 0),
+    ("train", "task_lr", 0.0), ("train", "selector_lr", -1.0),
+    ("train", "epsilon_start", 3.0), ("train", "epsilon_end", -1.0),
+])
+def test_out_of_range_value_exits_2_naming_the_key(tmp_path, section, key, value):
+    cfg = base_config(tmp_path)
+    cfg.setdefault(section, {})[key] = value
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)))
+    assert r.returncode == 2, r.stderr
+    assert key in r.stderr
+
+
 def test_malformed_eval_value_exits_2_naming_the_path(tmp_path):
     cfg = base_config(tmp_path)
     cfg["eval"]["T"] = "abc"

@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from fewview import artifacts
+from fewview import artifacts, cli, training
 from fewview.config import load_config, validate_config
+from fewview.envs import ClassificationWorld
 from fewview.errors import ConfigError, StateError
 
 
@@ -109,8 +110,11 @@ def test_world_config_builds_both_kinds():
     (b"world: {kind: classification}\nnetwork: {use_camera_branch: 1}\n", "network.use_camera_branch"),
     (b"world: {kind: classification}\neval: {T_values: [2, three]}\n", r"eval.T_values\[1\]"),
     (b"world: {kind: classification}\neval: {policies: random}\n", "eval.policies"),
+    (b"world: {kind: classification}\nnetwork: {task_hidden: 0}\n", "network.task_hidden"),
+    (b"world: {kind: classification}\nnetwork: {selector_hidden: -3}\n", "network.selector_hidden"),
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
-        "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar"])
+        "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar",
+        "task_hidden 0", "selector_hidden -3"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)
@@ -126,6 +130,17 @@ def test_null_network_and_eval_values_stay_unset():
     assert cfg.network()["task_hidden"] is None
     with pytest.raises(ConfigError, match="missing required key: eval.T"):
         cfg.require("eval.T")
+
+
+def test_null_network_values_take_the_builder_defaults():
+    cfg = validate_config({"world": {"kind": "classification", "n_views": 4, "n_classes": 2,
+                                     "n_train": 2, "n_val": 2, "n_eval": 2},
+                           "network": {"task_hidden": None, "use_camera_branch": None}})
+    world = ClassificationWorld(cfg.world_config())
+    task_net = cli._build_task_net(cfg, world, seed=0)
+    assert task_net.hidden == training.build_classifier(world).hidden
+    q = cli._build_selector(cfg, world, task_net, seed=0)
+    assert q.use_camera_branch is True and q.use_feature_branch is True
 
 
 def test_load_config_errors(tmp_path):

@@ -12,13 +12,7 @@ from fewview import evaluation as ev
 from fewview import training as tr
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy
-from fewview.tasknet import (
-    MVClassifier,
-    MVDetector,
-    aggregate_max,
-    pool_with_argmax,
-    route_pooled_grad,
-)
+from fewview.tasknet import MVClassifier, MVDetector, aggregate_max, route_pooled_grad
 from testkit import max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
@@ -63,25 +57,53 @@ def test_aggregate_laws(seed, n_views, dim):
     np.testing.assert_array_equal(aggregate_max(feats + [feats[0]]), pooled)
 
 
+def routed_grad(feats, views, d_pooled):
+    """One router call onto a zero gradient buffer shaped like feats."""
+    d_feats = np.zeros_like(feats)
+    route_pooled_grad(d_feats, feats, np.asarray(views), d_pooled)
+    return d_feats
+
+
 def test_pool_argmax_prefers_lowest_view():
-    stacked = np.array([[1.0, 2.0], [1.0, 5.0], [1.0, 5.0]])
-    pooled, idx = pool_with_argmax(stacked)
-    np.testing.assert_array_equal(pooled, [1.0, 5.0])
-    np.testing.assert_array_equal(idx, [0, 1])
+    # one instance, all three views pooled in order: ties go to the lowest id
+    feats = np.array([[[1.0, 2.0], [1.0, 5.0], [1.0, 5.0]]])
+    np.testing.assert_array_equal(feats.max(axis=1), [[1.0, 5.0]])
+    routed = routed_grad(feats, [[0, 1, 2]], np.array([[3.0, 4.0]]))
+    np.testing.assert_array_equal(routed, [[[3.0, 0.0], [0.0, 4.0], [0.0, 0.0]]])
+
+
+def test_route_ties_go_to_first_listed_view():
+    feats = np.ones((1, 3, 2))
+    routed = routed_grad(feats, [[2, 0, 1]], np.array([[3.0, 4.0]]))
+    np.testing.assert_array_equal(routed, [[[0.0, 0.0], [0.0, 0.0], [3.0, 4.0]]])
 
 
 def test_route_pooled_grad_scatters_to_argmax_only():
+    # two instances, each pooling its own unsorted subset of four views
     rng = np.random.default_rng(4)
-    stacked = rng.normal(size=(3, 4, 2))
-    pooled, idx = pool_with_argmax(stacked)
-    grad = rng.normal(size=(4, 2))
-    routed = route_pooled_grad(grad, idx, 3)
-    assert routed.shape == stacked.shape
-    for v in range(3):
-        for a in range(4):
+    feats = rng.normal(size=(2, 4, 3, 2))
+    views = np.array([[3, 0, 2], [1, 2, 0]])
+    grad = rng.normal(size=(2, 3, 2))
+    routed = routed_grad(feats, views, grad)
+    assert routed.shape == feats.shape
+    for g in range(2):
+        for a in range(3):
             for b in range(2):
-                expect = grad[a, b] if idx[a, b] == v else 0.0
-                assert routed[v, a, b] == expect
+                best = views[g][int(np.argmax(feats[g, views[g], a, b]))]
+                for v in range(4):
+                    assert routed[g, v, a, b] == (grad[g, a, b] if v == best else 0.0)
+
+
+def test_route_adds_onto_existing_gradient():
+    # a broadcast (G, D, 1, 1) gradient lands on every cell, added in place
+    rng = np.random.default_rng(5)
+    feats = rng.normal(size=(2, 3, 2, 4, 5))
+    views = np.array([[1, 2], [0, 2]])
+    step = rng.normal(size=(2, 2, 1, 1))
+    d_feats = rng.normal(size=feats.shape)
+    expect = d_feats + routed_grad(feats, views, np.broadcast_to(step, (2, 2, 4, 5)))
+    route_pooled_grad(d_feats, feats, views, step)
+    np.testing.assert_array_equal(d_feats, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +159,11 @@ def test_hand_traced_identity_network():
 
 def classifier_loss_and_grads(net, obs, views, label):
     """Composed forward/backward through extract -> pool -> head -> CE."""
-    feats, fcache = net.features_cache(obs[views])
-    pooled, idx = pool_with_argmax(feats)
-    logits, hcache = net.head_cache(pooled)
-    loss, d_logits = cross_entropy(logits, label)
+    feats, fcache = net.features_cache(obs[None])
+    logits, hcache = net.head_cache(feats[:, views].max(axis=1))
+    loss, d_logits = cross_entropy(logits, np.array([label]))
     grads, d_pooled = net.head_backward(hcache, d_logits)
-    d_feats = route_pooled_grad(d_pooled, idx, len(views))
+    d_feats = routed_grad(feats, [views], d_pooled)
     grads.update(net.features_backward(fcache, d_feats))
     return loss, grads
 
@@ -164,14 +185,14 @@ def test_classifier_end_to_end_gradient():
 
 
 def test_gradient_skips_views_never_attaining_max():
-    # a view whose features are dominated everywhere contributes no gradient
+    # a view whose features are dominated everywhere contributes no gradient,
+    # even when it is listed first
     net = tiny_classifier(seed=7)
-    obs = np.vstack([np.full(5, 5.0), np.full(5, -5.0)])
-    feats, _ = net.features_cache(obs)
-    _, idx = pool_with_argmax(feats)
-    routed = route_pooled_grad(np.ones(4), idx, 2)
-    if np.all(idx == 0):
-        np.testing.assert_array_equal(routed[1], np.zeros(4))
+    feats, _ = net.features_cache(np.random.default_rng(7).normal(size=(1, 3, 5)))
+    feats = np.concatenate([feats, feats.min(axis=1, keepdims=True) - 1.0], axis=1)
+    routed = routed_grad(feats, [[3, 0, 1, 2]], np.ones((1, 4)))
+    np.testing.assert_array_equal(routed[0, 3], np.zeros(4))
+    np.testing.assert_array_equal(routed.sum(axis=1), np.ones((1, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +259,38 @@ def test_batch_loss_gradient_matches_finite_differences(kind):
 
     loss, grads = tr._batch_loss(net, obs, truths)
     assert loss == pytest.approx(loss_fn(), rel=1e-12)
+    for name, param in net.named_params():
+        num = numeric_gradient(loss_fn, param)
+        assert max_relative_error(grads[name], num) < GRAD_TOL, name
+
+
+@pytest.mark.parametrize("kind", ["classifier", "detector"])
+def test_joint_gradient_with_selector_term_matches_finite_differences(kind):
+    # L = sum over (g, t) of <c[g, t], cell mean of the max over views[g, :t+1]>
+    # plus the task loss of the terminal pool: d_obs = c routes each step's
+    # term to the views chosen up to it, in selection order
+    rng = np.random.default_rng(18)
+    views = np.array([[2, 0, 3], [1, 3, 0]])                # (G, T), unsorted
+    if kind == "classifier":
+        net, obs, truths = tiny_classifier(seed=19), rng.normal(size=(2, 4, 5)), [1, 2]
+    else:
+        net = tiny_detector(seed=19)
+        obs, truths = rng.normal(size=(2, 4, 3, 4, 5)), list(rng.uniform(size=(2, 4, 5)))
+    c = rng.normal(size=(2, 2, 4))                          # (G, T-1, D)
+
+    def loss_fn():
+        total = net.loss(np.stack([net.predict(o, v) for o, v in zip(obs, views)]), truths)[0]
+        for g in range(2):
+            feats = net.features_cache(obs[g])[0]
+            for t in range(2):
+                pooled = aggregate_max([feats[v] for v in views[g, : t + 1]])
+                total += np.dot(c[g, t], pooled.reshape(4, -1).mean(axis=1))
+        return total
+
+    feats, fcache = net.features_cache(obs)
+    outputs, hcache = net.head_cache(feats[[[0], [1]], views].max(axis=1))
+    _, grads = tr._task_grads(net, feats, fcache, views, truths, outputs, hcache,
+                              c.reshape(4, 4))
     for name, param in net.named_params():
         num = numeric_gradient(loss_fn, param)
         assert max_relative_error(grads[name], num) < GRAD_TOL, name

@@ -76,6 +76,15 @@ def test_train_config_rejects_bad_values():
         tr.TrainConfig(regime="task", epochs=1, T=1, gamma=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("task_lr", 0.0), ("selector_lr", -1e-3), ("task_lr", float("nan")),
+    ("epsilon_start", 3.0), ("epsilon_end", -1.0), ("epsilon_start", float("nan")),
+])
+def test_train_config_rejects_bad_rates_naming_the_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        tr.TrainConfig(regime="joint", epochs=1, T=2, **{field: value})
+
+
 def test_regime_dispatch_guards(cls_world, cls_net):
     q = tr.build_selector(cls_world, cls_net, seed=0)
     task_cfg = tr.TrainConfig(regime="task", epochs=1, T=1)
