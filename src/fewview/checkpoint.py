@@ -2,8 +2,8 @@
 
 Layout: an 8-byte magic, a little-endian uint64 header length, a UTF-8 JSON
 header ``{"version", "meta", "tensors": [{"name", "shape"}, ...]}``, then the
-tensor payloads as raw little-endian float64 in header order. Writing the same
-tensors and meta twice produces byte-identical files; there are no timestamps.
+tensor payloads as raw little-endian float64 in header order. Encoding the
+same tensors and meta twice produces identical bytes; there are no timestamps.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import atomic_write_bytes
 from .errors import CompatibilityError, CorruptCheckpoint
 
 MAGIC = b"FVCKPT01"
@@ -37,11 +36,6 @@ def encode_checkpoint(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
         separators=(",", ":"),
     ).encode("utf-8")
     return b"".join([MAGIC, struct.pack("<Q", len(header)), header, *blobs])
-
-
-def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Write named float64 tensors plus a JSON-safe meta dict to ``path``."""
-    atomic_write_bytes(path, encode_checkpoint(tensors, meta))
 
 
 def _valid_entry(entry) -> bool:
@@ -92,7 +86,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 class Persistable:
-    """Checkpoint save/load for networks. ``kind`` names the network type and
+    """Checkpoint encode/load for networks. ``kind`` names the network type and
     ``DIMS`` the constructor arguments, stored as meta ``dims``, that rebuild
     it before its tensors load."""
 
@@ -109,9 +103,6 @@ class Persistable:
         if extra_meta:
             meta.update(extra_meta)
         return encode_checkpoint(dict(self.named_params()), meta)
-
-    def save(self, path, world_hash: str, extra_meta: dict | None = None) -> None:
-        atomic_write_bytes(path, self.encode(world_hash, extra_meta))
 
     @classmethod
     def load(cls, path):

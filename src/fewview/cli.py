@@ -20,11 +20,9 @@ from pathlib import Path
 
 from . import artifacts, evaluation, studies, training
 from .config import ExperimentConfig, load_config
-from .envs import ClassificationWorld, DetectionWorld
 from .errors import BudgetError, CompatibilityError, ConfigError
 from .mvselect import QNetwork
 from .studies import STUDIES
-from .tasknet import MVClassifier, MVDetector
 from .training import POLICIES, REGIMES
 
 ORACLE_POLICIES = ("dataset-oracle", "instance-oracle")
@@ -35,10 +33,7 @@ ORACLE_POLICIES = ("dataset-oracle", "instance-oracle")
 
 
 def _build_world(cfg: ExperimentConfig):
-    wc = cfg.world_config()
-    if cfg.world_kind == "classification":
-        return ClassificationWorld(wc)
-    return DetectionWorld(wc)
+    return cfg.family.world(cfg.world_config())
 
 
 def _network_args(cfg: ExperimentConfig, names: dict) -> dict:
@@ -49,9 +44,7 @@ def _network_args(cfg: ExperimentConfig, names: dict) -> dict:
 
 
 def _build_task_net(cfg: ExperimentConfig, world, seed: int):
-    build = (training.build_classifier if cfg.world_kind == "classification"
-             else training.build_detector)
-    return build(world, seed=seed, **_network_args(
+    return cfg.family.build(world, seed=seed, **_network_args(
         cfg, {"task_hidden": "hidden", "task_feat_dim": "feat_dim"}))
 
 
@@ -71,10 +64,9 @@ def _check_world_hash(meta: dict, world, path) -> None:
 
 
 def _load_task_net(cfg: ExperimentConfig, world, path):
-    cls = MVClassifier if cfg.world_kind == "classification" else MVDetector
     if not Path(path).exists():
         raise ConfigError(f"task checkpoint not found: {path}")
-    net, meta = cls.load(path)
+    net, meta = cfg.family.net.load(path)
     _check_world_hash(meta, world, path)
     return net
 
@@ -210,10 +202,10 @@ def cmd_study(args) -> int:
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     task_net = _load_task_net(cfg, world, cfg.require("eval.task_checkpoint"))
-    selector_cfg = None
-    if (cfg.raw.get("train") or {}).get("epochs") is not None:
-        selector_cfg = cfg.train_config(regime="select-fixed", seed=seed)
     outputs = []
+
+    def selector_cfg():  # the train section, for the selectors a study retrains
+        return cfg.train_config(regime="select-fixed", seed=seed)
 
     if study == "sweep-T":
         t_values = cfg.require("eval.T_values")
@@ -221,10 +213,11 @@ def cmd_study(args) -> int:
         q_nets = {}
         for key, path in (ev_sec.get("selector_checkpoints") or {}).items():
             q_nets[int(key)] = _load_selector(world, path)
+        retrain = (cfg.raw["train"] or {}).get("epochs") is not None
         rows = studies.sweep_view_budget(
             world, task_net, t_values, policies=policies, q_nets=q_nets,
-            selector_cfg=selector_cfg, split=ev_sec["split"], seed=seed,
-            budget=ev_sec["budget"])
+            selector_cfg=selector_cfg() if retrain else None, split=ev_sec["split"],
+            seed=seed, budget=ev_sec["budget"])
         payload = artifacts.jsonl(rows)
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-sweep", ".jsonl", payload.encode("utf-8")))
@@ -239,12 +232,9 @@ def cmd_study(args) -> int:
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-shutoff", ".json", _study_json(out)))
     elif study == "random-pose":
-        if selector_cfg is None:
-            raise ConfigError("missing required key: train.epochs "
-                              "(random-pose retrains the selector)")
         out = studies.random_pose_study(
             world, task_net, T=cfg.require("eval.T"),
-            selector_cfg=selector_cfg, split=ev_sec["split"], seed=seed,
+            selector_cfg=selector_cfg(), split=ev_sec["split"], seed=seed,
             budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-random-pose", ".json", _study_json(out)))
@@ -252,12 +242,9 @@ def cmd_study(args) -> int:
             run_dir, "study-random-pose", ".csv",
             evaluation.table_csv(out["rows"], _row_fields(out["rows"])).encode("utf-8")))
     else:  # ablation
-        if selector_cfg is None:
-            raise ConfigError("missing required key: train.epochs "
-                              "(the ablation retrains the selector per variant)")
         rows = studies.selector_ablation_study(
             world, task_net, T=cfg.require("eval.T"),
-            selector_cfg=selector_cfg, split=ev_sec["split"])
+            selector_cfg=selector_cfg(), split=ev_sec["split"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-ablation", ".json", _study_json(rows)))
         outputs.append(artifacts.write_content_addressed(

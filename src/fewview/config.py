@@ -21,11 +21,11 @@ from pathlib import Path
 
 import yaml
 
-from .envs import ClassificationConfig, DetectionConfig
 from .errors import ConfigError
-from .training import DEFAULT_ENUM_BUDGET, TrainConfig
+from .training import (DEFAULT_ENUM_BUDGET, TASK_FAMILIES, TaskFamily, TrainConfig,
+                       check_train_ranges)
 
-WORLD_KINDS = ("classification", "detection")
+WORLD_KINDS = tuple(TASK_FAMILIES)
 
 # keys that live outside the world/train dataclasses
 _POSITIVE_NETWORK_KEYS = ("task_hidden", "task_feat_dim", "selector_hidden")
@@ -45,7 +45,6 @@ _EVAL_KEYS = {
     "task_checkpoint": str,
     "selector_checkpoint": str,
     "selector_checkpoints": dict,   # {str(T): path} for sweeps
-    "study": str,
     "T_values": tuple[int, ...],
     "k": int,
     "n_random": int,
@@ -104,10 +103,10 @@ def _set_keys(raw: dict) -> dict:
     return {k: v for k, v in raw.items() if v is not None}
 
 
-def _as_tuple_of_tuples(value):
-    if value is None:
-        return None
-    return tuple(tuple(int(x) for x in row) for row in value)
+def _world_config(section: dict):
+    """The world config of a normalized world section, built by its kind."""
+    fields = {k: v for k, v in section.items() if k != "kind"}
+    return TASK_FAMILIES[section["kind"]].config(**fields)
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,8 @@ class ExperimentConfig:
     # -- section accessors
 
     @property
-    def world_kind(self) -> str:
-        return self.raw["world"]["kind"]
+    def family(self) -> TaskFamily:
+        return TASK_FAMILIES[self.raw["world"]["kind"]]
 
     @property
     def seed(self) -> int:
@@ -132,13 +131,7 @@ class ExperimentConfig:
         return self.raw["output_dir"]
 
     def world_config(self):
-        section = {k: v for k, v in self.raw["world"].items() if k != "kind"}
-        if self.world_kind == "classification":
-            if section.get("discriminative_views") is not None:
-                section["discriminative_views"] = _as_tuple_of_tuples(
-                    section["discriminative_views"])
-            return ClassificationConfig(**section)
-        return DetectionConfig(**section)
+        return _world_config(self.raw["world"])
 
     def train_config(self, regime: str | None = None, seed: int | None = None) -> TrainConfig:
         section = dict(self.raw.get("train") or {})
@@ -182,24 +175,13 @@ def _validate_world(raw) -> dict:
     kind = raw["kind"]
     if kind not in WORLD_KINDS:
         raise ConfigError(f"world.kind must be one of {WORLD_KINDS}, got {kind!r}")
-    cls = ClassificationConfig if kind == "classification" else DetectionConfig
+    cls = TASK_FAMILIES[kind].config
     fields = _fields_of(cls)
     _reject_unknown("world", {k: v for k, v in raw.items() if k != "kind"}, fields)
     _check_types("world", raw, typing.get_type_hints(cls))
-    out = {"kind": kind}
-    for name, f in fields.items():
-        if name in raw:
-            out[name] = raw[name]
-        elif f.default is not dataclasses.MISSING:
-            out[name] = f.default
-        else:
-            raise ConfigError(f"missing required key: world.{name}")
-    # construct once so dataclass invariants run at validation time
-    probe = dict(out)
-    probe.pop("kind")
-    if kind == "classification" and probe.get("discriminative_views") is not None:
-        probe["discriminative_views"] = _as_tuple_of_tuples(probe["discriminative_views"])
-    cls(**probe)
+    # every world field has a default
+    out = {"kind": kind, **{name: raw.get(name, f.default) for name, f in fields.items()}}
+    _world_config(out)  # construct once so dataclass invariants run at validation time
     return out
 
 
@@ -211,7 +193,11 @@ def _validate_train(raw) -> dict | None:
     allowed = dict(_fields_of(TrainConfig))
     allowed.update(_TRAIN_EXTRA_KEYS)
     _reject_unknown("train", raw, allowed)
+    if "seed" in raw:
+        raise ConfigError("train.seed is not read: the run seed (top-level seed "
+                          "or --seed) seeds training")
     _check_types("train", raw, typing.get_type_hints(TrainConfig))
+    check_train_ranges(raw)
     out = dict(_TRAIN_DEFAULTS)
     out.update(raw)
     if out.get("train_view_counts") is not None:

@@ -141,6 +141,9 @@ class ClassificationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.discriminative_views is not None:  # lists from a config file
+            object.__setattr__(self, "discriminative_views", tuple(
+                tuple(int(v) for v in views) for views in self.discriminative_views))
         if self.n_classes < 2 or self.n_classes % 2 != 0:
             raise ConfigError("n_classes must be even and at least 2")
         if self.n_views < 2:

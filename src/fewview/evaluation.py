@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage, stats
+from scipy import ndimage
 
 from .errors import ShapeError
 
@@ -182,17 +182,11 @@ def cost_from_macs(f_per_view: int, g: int, selector_step: int, T: int,
 
 def cost_account(world, task_net, q_net, T: int) -> CostLedger:
     """Ledger from actual network shapes; q_net may be None (no selector)."""
-    macs = task_net.mac_counts()
-    if "f_per_view" in macs:
-        f, g = macs["f_per_view"], macs["g"]
-    else:
-        cells = world.config.grid_h * world.config.grid_w
-        f = macs["f_per_view_per_cell"] * cells
-        g = macs["g_per_cell"] * cells
+    macs = task_net.mac_counts(world)
     d = q_net.mac_count() if q_net is not None else 0
     if T == world.n_cameras:
         d = 0  # full-view inference never consults the selector
-    return cost_from_macs(f, g, d, T, world.n_cameras)
+    return cost_from_macs(macs["f_per_view"], macs["g"], d, T, world.n_cameras)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +219,6 @@ def camera_usage(chosen: Array, n_cameras: int) -> Array:
         for cam in set(int(c) for c in row):
             usage[cam] += 1.0
     return usage / len(chosen)
-
-
-# ---------------------------------------------------------------------------
-# significance
-
-
-def paired_t_pvalue(a, b) -> float:
-    """One-sided paired t-test p-value for mean(a - b) > 0. Degenerate
-    zero-variance differences collapse to 0 or 1 by sign."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
-        raise ShapeError("paired test needs two aligned 1-D samples, n >= 2")
-    diffs = a - b
-    if np.ptp(diffs) == 0.0:
-        return 0.0 if diffs[0] > 0 else 1.0
-    return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,16 @@ def _flatten_row(head: dict, metrics: dict) -> dict:
     return row
 
 
+def _trained_selector(world, task_net, T: int, selector_cfg: training.TrainConfig,
+                      **flags):
+    """A fresh selector trained select-fixed at budget T on the frozen task
+    network, seeded and scheduled by ``selector_cfg``."""
+    q_net = training.build_selector(world, task_net, seed=selector_cfg.seed, **flags)
+    training.train_selector_fixed(
+        world, task_net, q_net, replace(selector_cfg, regime="select-fixed", T=T))
+    return q_net
+
+
 # ---------------------------------------------------------------------------
 # view-budget sweep
 
@@ -74,11 +84,7 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
             if policy == "mvselect":
                 q_net = q_nets.get(t)
                 if q_net is None and selector_cfg is not None:
-                    q_net = training.build_selector(world, task_net, seed=selector_cfg.seed)
-                    training.train_selector_fixed(
-                        world, task_net, q_net,
-                        replace(selector_cfg, regime="select-fixed", T=t))
-                    q_nets[t] = q_net
+                    q_net = q_nets[t] = _trained_selector(world, task_net, t, selector_cfg)
                 elif q_net is None and t in (1, world.n_cameras):
                     # selection is vacuous at T = 1 (no step happens) and at
                     # T = N (masking forces the complete set): any Q works
@@ -180,9 +186,7 @@ def random_pose_study(world, task_net, T: int, *,
     per-instance selection must outperform fixed sets."""
     if not getattr(world.config, "random_pose", False):
         raise ConfigError("random-pose study needs a world built with random_pose=True")
-    q_net = training.build_selector(world, task_net, seed=selector_cfg.seed)
-    training.train_selector_fixed(
-        world, task_net, q_net, replace(selector_cfg, regime="select-fixed", T=T))
+    q_net = _trained_selector(world, task_net, T, selector_cfg)
     rows = []
     for policy in ("random", "dataset-oracle", "mvselect"):
         run = training.evaluate_policy(world, task_net, T, policy, split=split,
@@ -209,10 +213,7 @@ def selector_ablation_study(world, task_net, T: int, *,
     }
     rows = []
     for variant in ABLATION_VARIANTS:
-        q_net = training.build_selector(world, task_net, seed=selector_cfg.seed,
-                                        **flags[variant])
-        training.train_selector_fixed(
-            world, task_net, q_net, replace(selector_cfg, regime="select-fixed", T=T))
+        q_net = _trained_selector(world, task_net, T, selector_cfg, **flags[variant])
         run = training.evaluate_policy(world, task_net, T, "mvselect", split=split,
                                        q_net=q_net)
         rows.append(_flatten_row({"variant": variant}, run.metrics()))

@@ -19,20 +19,6 @@ from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy
 Array = np.ndarray
 
 
-def aggregate_max(features) -> Array:
-    """Elementwise maximum of a nonempty list of same-shape feature arrays."""
-    features = list(features)
-    if not features:
-        raise ShapeError("cannot aggregate zero views")
-    out = np.asarray(features[0], dtype=np.float64)
-    for feat in features[1:]:
-        feat = np.asarray(feat, dtype=np.float64)
-        if feat.shape != out.shape:
-            raise ShapeError(f"feature shapes differ: {feat.shape} vs {out.shape}")
-        out = np.maximum(out, feat)
-    return out
-
-
 def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
     """Add the gradient of max-pooling each instance's listed views onto the
     per-view feature gradients, at the first listed view attaining the max.
@@ -53,22 +39,16 @@ class TaskNet(Persistable):
     ``head_cache`` for their shapes (any leading batch axes), the ground
     truth of an instance, the batch loss, the per-instance terminal reward
     of the view selection, and the evaluation side: per-output ``records``,
-    the oracle ``score`` of each record and the report ``metrics``. ``mode``
-    names the task family in reports; ``train_batch`` fixes the instances
-    per training step (None: the config's ``batch_size``)."""
+    the oracle ``score`` of each record, the report ``metrics`` and the
+    ``mac_counts`` of f per view and of g for one observation of a world.
+    ``mode`` names the task family in reports; ``train_batch`` fixes the
+    instances per training step (None: the config's ``batch_size``)."""
 
     mode = ""
     train_batch: int | None = None
 
     def named_params(self):
         return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
-
-    def predict(self, obs: Array, views) -> Array:
-        """Output from the given view subset of one instance's observations.
-        Nothing in the package calls it: the gradient tests use it as a
-        forward independent of the training paths."""
-        feats, _ = self.features_cache(np.asarray(obs)[list(views)])
-        return self.head_cache(aggregate_max(feats))[0]
 
 
 class MVClassifier(TaskNet):
@@ -140,7 +120,7 @@ class MVClassifier(TaskNet):
         acc = float(np.mean(records))
         return {"accuracy": acc, "primary": acc}
 
-    def mac_counts(self) -> dict[str, int]:
+    def mac_counts(self, world) -> dict[str, int]:
         return {"f_per_view": self.feature_net.mac_count(), "g": self.head_net.mac_count()}
 
 
@@ -229,6 +209,8 @@ class MVDetector(TaskNet):
     def metrics(self, records: Array) -> dict:
         return evaluation.detection_metrics_arrays(records[..., :4], records[..., 4])
 
-    def mac_counts(self) -> dict[str, int]:
-        # per-cell nets applied to every grid cell; counts are per full map
-        return {"f_per_view_per_cell": self.feature_net.mac_count(), "g_per_cell": self.head_net.mac_count()}
+    def mac_counts(self, world) -> dict[str, int]:
+        # per-cell nets applied to every grid cell of the world's map
+        cells = world.config.grid_h * world.config.grid_w
+        return {"f_per_view": self.feature_net.mac_count() * cells,
+                "g": self.head_net.mac_count() * cells}

@@ -11,6 +11,9 @@ fixes the best view set per initial view on a designated split, and an
 instance-level oracle that picks the best set per instance. Both oracles
 enumerate view sets rather than sequences; pooling is order-invariant, so the
 sequence space collapses to the binomial one.
+
+``TASK_FAMILIES`` is the one place a world kind is decided: it names the
+config class, world class, task network and builder of each kind.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .envs import EVAL, TRAIN, VAL
+from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
+                   DetectionConfig, DetectionWorld)
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam
@@ -55,24 +60,22 @@ class TrainConfig:
     train_view_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ConfigError(f"regime must be one of {REGIMES}, got {self.regime!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be positive")
-        if self.T < 1:
-            raise ConfigError("T must be at least 1")
+        check_train_ranges(vars(self))
         if self.regime != "task" and self.T < 2:
             raise ConfigError("selection regimes need T >= 2")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
-        if self.joint_task_lr_factor <= 0:
-            raise ConfigError("joint_task_lr_factor must be positive")
-        for name in ("task_lr", "selector_lr"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
+
+
+def check_train_ranges(values: dict) -> None:
+    """Raise ConfigError naming the first out-of-range train setting in
+    ``values``; settings it does not hold are not checked."""
+    if "regime" in values and values["regime"] not in REGIMES:
+        raise ConfigError(f"regime must be one of {REGIMES}, got {values['regime']!r}")
+    for name in ("epochs", "batch_size", "T", "task_lr", "selector_lr", "joint_task_lr_factor"):
+        if name in values and not values[name] > 0:
+            raise ConfigError(f"{name} must be positive, got {values[name]!r}")
+    for name in ("gamma", "epsilon_start", "epsilon_end"):
+        if name in values and not 0.0 <= values[name] <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1], got {values[name]!r}")
 
 
 @dataclass
@@ -80,10 +83,6 @@ class TrainResult:
     epoch_logs: list[dict]
     counters: dict[str, int]
     total_steps: int
-
-    @property
-    def final_loss(self) -> float:
-        return self.epoch_logs[-1]["loss"] if self.epoch_logs else float("nan")
 
 
 def params_hash(net) -> str:
@@ -106,6 +105,25 @@ def build_classifier(world, hidden: int = 64, feat_dim: int = 32, seed: int = 0)
 
 def build_detector(world, hidden: int = 32, feat_dim: int = 16, seed: int = 0) -> MVDetector:
     return MVDetector(channels=world.config.channels, feat_dim=feat_dim, hidden=hidden, seed=seed)
+
+
+@dataclass(frozen=True)
+class TaskFamily:
+    """What one world kind is made of: its config and world classes, the
+    task network that solves it and that network's builder."""
+
+    config: type
+    world: type
+    net: type
+    build: Callable
+
+
+# every world kind, in the order config errors list them
+TASK_FAMILIES = {
+    "classification": TaskFamily(ClassificationConfig, ClassificationWorld,
+                                 MVClassifier, build_classifier),
+    "detection": TaskFamily(DetectionConfig, DetectionWorld, MVDetector, build_detector),
+}
 
 
 def build_selector(world, task_net, hidden: int = 64, seed: int = 0, **flags) -> QNetwork:

@@ -38,8 +38,8 @@ from fewview.numcore import (
     bev_mse,
     cross_entropy,
 )
-from fewview.tasknet import aggregate_max
-from testkit import exact_q_table, max_relative_error, numeric_gradient, optimal_actions
+from testkit import (aggregate_max, exact_q_table, max_relative_error, numeric_gradient,
+                     optimal_actions)
 
 N_SEEDS = 5
 VIEW_MIX = (1, 2, 3, 4, 6, 12)

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from fewview.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from fewview.artifacts import atomic_write_bytes
+from fewview.checkpoint import MAGIC, encode_checkpoint, load_checkpoint
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.mvselect import QNetwork
 
@@ -24,7 +25,7 @@ def test_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     tensors = sample_tensors()
     meta = {"world_hash": "abc123", "task": "classification"}
-    save_checkpoint(path, tensors, meta)
+    atomic_write_bytes(path, encode_checkpoint(tensors, meta))
     loaded, loaded_meta = load_checkpoint(path)
     assert loaded_meta == meta
     assert set(loaded) == set(tensors)
@@ -35,8 +36,8 @@ def test_round_trip(tmp_path):
 
 def test_same_content_same_bytes(tmp_path):
     a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    save_checkpoint(a, sample_tensors(), {"k": 1})
-    save_checkpoint(b, sample_tensors(), {"k": 1})
+    atomic_write_bytes(a, encode_checkpoint(sample_tensors(), {"k": 1}))
+    atomic_write_bytes(b, encode_checkpoint(sample_tensors(), {"k": 1}))
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -52,15 +53,15 @@ def test_saved_checkpoints_are_synced_before_they_appear(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fsync", fsync)
     net = QNetwork(n_cameras=3, feat_dim=2, hidden=4, seed=0)
-    net.save(tmp_path / "q.ckpt", world_hash="w")
-    save_checkpoint(tmp_path / "t.ckpt", sample_tensors(), {"k": 1})
+    atomic_write_bytes(tmp_path / "q.ckpt", net.encode("w"))
+    atomic_write_bytes(tmp_path / "t.ckpt", encode_checkpoint(sample_tensors(), {"k": 1}))
     assert synced == [["q.ckpt.tmp"], ["q.ckpt", "t.ckpt.tmp"]]
     assert (tmp_path / "q.ckpt").read_bytes() == net.encode("w")
 
 
 def test_header_is_little_endian_and_magic_first(tmp_path):
     path = tmp_path / "m.ckpt"
-    save_checkpoint(path, {"t": np.zeros(2)}, {})
+    atomic_write_bytes(path, encode_checkpoint({"t": np.zeros(2)}, {}))
     raw = path.read_bytes()
     assert raw[: len(MAGIC)] == MAGIC
     (hlen,) = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])
@@ -84,7 +85,7 @@ def test_rejects_future_version(tmp_path):
 
 def test_rejects_truncated_payload(tmp_path):
     path = tmp_path / "t.ckpt"
-    save_checkpoint(path, {"t": np.arange(8.0)}, {})
+    atomic_write_bytes(path, encode_checkpoint({"t": np.arange(8.0)}, {}))
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(ShapeError):
@@ -93,7 +94,7 @@ def test_rejects_truncated_payload(tmp_path):
 
 def test_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "x.ckpt"
-    save_checkpoint(path, {"t": np.arange(4.0)}, {})
+    atomic_write_bytes(path, encode_checkpoint({"t": np.arange(4.0)}, {}))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ShapeError):
         load_checkpoint(path)
@@ -101,7 +102,7 @@ def test_rejects_trailing_bytes(tmp_path):
 
 def test_no_tmp_file_left_behind(tmp_path):
     path = tmp_path / "clean.ckpt"
-    save_checkpoint(path, {"t": np.zeros(1)}, {})
+    atomic_write_bytes(path, encode_checkpoint({"t": np.zeros(1)}, {}))
     assert [p.name for p in tmp_path.iterdir()] == ["clean.ckpt"]
 
 
@@ -109,13 +110,11 @@ def _framed(header: bytes, length: int | None = None) -> bytes:
     return MAGIC + struct.pack("<Q", len(header) if length is None else length) + header
 
 
-def _selector_bytes(tmp_path, **extra_dims) -> bytes:
+def _selector_bytes(**extra_dims) -> bytes:
     net = QNetwork(n_cameras=3, feat_dim=2, hidden=4, seed=0)
     dims = {name: getattr(net, name) for name in QNetwork.DIMS}
-    path = tmp_path / "q.ckpt"
-    save_checkpoint(path, dict(net.named_params()),
-                    {"kind": "selector", "world_hash": "w", "dims": {**dims, **extra_dims}})
-    return path.read_bytes()
+    return encode_checkpoint(dict(net.named_params()),
+                             {"kind": "selector", "world_hash": "w", "dims": {**dims, **extra_dims}})
 
 
 MALFORMED = {
@@ -126,9 +125,9 @@ MALFORMED = {
     "header without tensors": lambda tmp: _framed(b'{"version":1,"meta":{}}'),
     "negative shape": lambda tmp: _framed(
         b'{"version":1,"meta":{},"tensors":[{"name":"t","shape":[-1]}]}'),
-    "unknown dims key": lambda tmp: _selector_bytes(tmp, depth=3),
-    "truncated payload": lambda tmp: _selector_bytes(tmp)[:-8],
-    "trailing bytes": lambda tmp: _selector_bytes(tmp) + b"\x00",
+    "unknown dims key": lambda tmp: _selector_bytes(depth=3),
+    "truncated payload": lambda tmp: _selector_bytes()[:-8],
+    "trailing bytes": lambda tmp: _selector_bytes() + b"\x00",
 }
 
 

@@ -13,7 +13,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+from fewview import evaluation
 from fewview.artifacts import OUTPUT_ROOT_ENV, sha256_file
+from fewview.envs import DetectionConfig, DetectionWorld
+from fewview.tasknet import MVDetector
 from fewview.training import PolicyTable
 
 
@@ -115,18 +118,36 @@ def test_malformed_value_exits_2_naming_the_path(tmp_path):
     assert "world.n_views" in r.stderr
 
 
-@pytest.mark.parametrize("section, key, value", [
+OUT_OF_RANGE = [
     ("network", "task_hidden", 0), ("network", "task_hidden", -1),
     ("network", "task_feat_dim", 0), ("network", "selector_hidden", 0),
     ("train", "task_lr", 0.0), ("train", "selector_lr", -1.0),
     ("train", "epsilon_start", 3.0), ("train", "epsilon_end", -1.0),
+]
+
+
+# the train section is range-checked also by commands that train nothing
+@pytest.mark.parametrize("section, key, value, command", [
+    *[pytest.param(s, k, v, ["train"], id=f"{s}-{k}-{v}") for s, k, v in OUT_OF_RANGE],
+    *[pytest.param(s, k, v, ["eval", "--policy", "full-views"], id=f"eval-{s}-{k}-{v}")
+      for s, k, v in OUT_OF_RANGE if s == "train"],
 ])
-def test_out_of_range_value_exits_2_naming_the_key(tmp_path, section, key, value):
+def test_out_of_range_value_exits_2_naming_the_key(tmp_path, section, key, value, command):
     cfg = base_config(tmp_path)
     cfg.setdefault(section, {})[key] = value
-    r = cli("train", "--config", str(write_config(tmp_path, cfg)))
+    r = cli(*command, "--config", str(write_config(tmp_path, cfg)))
     assert r.returncode == 2, r.stderr
     assert key in r.stderr
+
+
+def test_train_seed_exits_2_naming_the_key(tmp_path):
+    # the run seed (top-level seed or --seed) seeds training, so a train
+    # section's own seed would be hashed and then ignored
+    cfg = base_config(tmp_path)
+    cfg["train"]["seed"] = 99
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)))
+    assert r.returncode == 2, r.stderr
+    assert "train.seed" in r.stderr
 
 
 def test_malformed_eval_value_exits_2_naming_the_path(tmp_path):
@@ -309,6 +330,27 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     r = cli("eval", "--config", str(cpath), "--policy", "mvselect")
     assert r.returncode == 2, r.stderr
     assert "split" in r.stderr
+
+
+def test_detection_world_trains_and_evaluates_through_the_cli(tmp_path):
+    world = {"kind": "detection", "grid_h": 16, "grid_w": 16, "n_cameras": 6,
+             "channels": 4, "ring_radius": 12.0, "view_range": 21.0,
+             "n_train": 6, "n_val": 4, "n_eval": 8, "seed": 3}
+    cfg = {"world": world, "train": {"regime": "task", "epochs": 2, "T": 6},
+           "output_dir": str(tmp_path / "runs"), "seed": 0}
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)), "--regime", "task")
+    assert r.returncode == 0, r.stderr
+    task_ckpt = next(run_dir_of(r).glob("task-*.ckpt"))
+
+    cfg["eval"] = {"task_checkpoint": str(task_ckpt)}
+    r = cli("eval", "--config", str(write_config(tmp_path, cfg)), "--policy", "full-views")
+    assert r.returncode == 0, r.stderr
+    report = json.loads(next(run_dir_of(r).glob("report-*.json")).read_text())
+    assert report["mode"] == "detection"
+    net, _ = MVDetector.load(task_ckpt)
+    det_world = DetectionWorld(DetectionConfig(
+        **{k: v for k, v in world.items() if k != "kind"}))
+    assert report["cost"] == evaluation.cost_account(det_world, net, None, 6).to_dict()
 
 
 # ---------------------------------------------------------------------------

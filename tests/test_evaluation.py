@@ -17,7 +17,8 @@ from hypothesis.extra import numpy as hnp
 
 from fewview import evaluation as ev
 from fewview.errors import ShapeError
-from testkit import extract_peaks_bfs, extract_peaks_loop, match_detections_loop
+from testkit import (extract_peaks_bfs, extract_peaks_loop, match_detections_loop,
+                     paired_t_pvalue)
 
 THR = 2.0  # matching radius in cells (0.5 m at 0.25 m per cell)
 
@@ -309,9 +310,8 @@ def test_cost_account_detection_scales_by_cells():
     net = tr.build_detector(world, seed=0)
     ledger = ev.cost_account(world, net, None, T=3)
     cells = world.config.grid_h * world.config.grid_w
-    macs = net.mac_counts()
-    assert ledger.f_per_view == macs["f_per_view_per_cell"] * cells
-    assert ledger.g == macs["g_per_cell"] * cells
+    assert ledger.f_per_view == net.feature_net.mac_count() * cells
+    assert ledger.g == net.head_net.mac_count() * cells
     assert ledger.selector_step == 0
 
 
@@ -394,18 +394,18 @@ def test_frequency_guards():
 def test_paired_t_pvalue_detects_consistent_gain():
     a = [0.9, 0.92, 0.91, 0.93, 0.9]
     b = [0.7, 0.72, 0.69, 0.71, 0.7]
-    assert ev.paired_t_pvalue(a, b) < 0.01
-    assert ev.paired_t_pvalue(b, a) > 0.5
+    assert paired_t_pvalue(a, b) < 0.01
+    assert paired_t_pvalue(b, a) > 0.5
 
 
 def test_paired_t_pvalue_zero_variance_degenerate():
-    assert ev.paired_t_pvalue([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]) == 0.0
-    assert ev.paired_t_pvalue([0.5, 0.5], [0.5, 0.5]) == 1.0
+    assert paired_t_pvalue([1.0, 1.0, 1.0], [0.5, 0.5, 0.5]) == 0.0
+    assert paired_t_pvalue([0.5, 0.5], [0.5, 0.5]) == 1.0
 
 
 def test_significance_input_guards():
     with pytest.raises(ShapeError):
-        ev.paired_t_pvalue([1.0], [0.0])
+        paired_t_pvalue([1.0], [0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ gradient against finite differences."""
 import numpy as np
 import pytest
 
-from fewview.checkpoint import load_checkpoint, save_checkpoint
+from fewview.artifacts import atomic_write_bytes
+from fewview.checkpoint import encode_checkpoint, load_checkpoint
 from fewview.errors import CompatibilityError, ShapeError, StateError
 from fewview.mvselect import (
     QNetwork,
@@ -168,7 +169,7 @@ def test_batched_values_match_singletons():
 def test_qnetwork_checkpoint_round_trip(tmp_path):
     net = QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=9, use_camera_branch=False)
     path = tmp_path / "q.ckpt"
-    net.save(path, world_hash="wh")
+    atomic_write_bytes(path, net.encode("wh"))
     loaded, meta = QNetwork.load(path)
     assert meta["world_hash"] == "wh"
     assert loaded.use_camera_branch is False
@@ -178,10 +179,10 @@ def test_qnetwork_checkpoint_round_trip(tmp_path):
 
 def test_qnetwork_checkpoint_with_unknown_tensor_rejected(tmp_path):
     path = tmp_path / "q.ckpt"
-    QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=9).save(path, world_hash="wh")
+    atomic_write_bytes(path, QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=9).encode("wh"))
     tensors, meta = load_checkpoint(path)
     tensors["stray.weight"] = np.zeros(2)
-    save_checkpoint(path, tensors, meta)
+    atomic_write_bytes(path, encode_checkpoint(tensors, meta))
     with pytest.raises(CompatibilityError, match="stray.weight"):
         QNetwork.load(path)
 

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 from fewview import evaluation as ev
 from fewview import training as tr
+from fewview.artifacts import atomic_write_bytes
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy
-from fewview.tasknet import MVClassifier, MVDetector, aggregate_max, route_pooled_grad
-from testkit import max_relative_error, numeric_gradient
+from fewview.tasknet import MVClassifier, MVDetector, route_pooled_grad
+from testkit import aggregate_max, max_relative_error, numeric_gradient, predict
 
 GRAD_TOL = 1e-4
 THR = 2.0  # matching radius in cells
@@ -114,22 +115,22 @@ def test_classifier_prediction_shape_constant_across_subsets():
     net = tiny_classifier()
     obs = np.random.default_rng(1).normal(size=(7, 5))
     for views in ([0], [3, 5], [0, 1, 2, 3, 4, 5, 6]):
-        assert net.predict(obs, views).shape == (3,)
+        assert predict(net, obs, views).shape == (3,)
 
 
 def test_classifier_duplicate_and_permutation_invariance():
     net = tiny_classifier()
     obs = np.random.default_rng(2).normal(size=(6, 5))
-    base = net.predict(obs, [1, 4, 5])
-    np.testing.assert_array_equal(net.predict(obs, [5, 1, 4]), base)
-    np.testing.assert_array_equal(net.predict(obs, [1, 4, 5, 4]), base)
+    base = predict(net, obs, [1, 4, 5])
+    np.testing.assert_array_equal(predict(net, obs, [5, 1, 4]), base)
+    np.testing.assert_array_equal(predict(net, obs, [1, 4, 5, 4]), base)
 
 
 def test_full_view_equivalence_any_order():
     net = tiny_classifier()
     obs = np.random.default_rng(3).normal(size=(5, 5))
-    full = net.predict(obs, range(5))
-    np.testing.assert_array_equal(net.predict(obs, [4, 2, 0, 3, 1]), full)
+    full = predict(net, obs, range(5))
+    np.testing.assert_array_equal(predict(net, obs, [4, 2, 0, 3, 1]), full)
 
 
 def test_zeroed_feature_net_gives_zero_features():
@@ -151,10 +152,10 @@ def test_hand_traced_identity_network():
     for b in net.feature_net.biases + net.head_net.biases:
         b[...] = 0.0
     obs = np.array([[2.0, 0.0], [0.0, 1.0]])
-    logits = net.predict(obs, [0, 1])
+    logits = predict(net, obs, [0, 1])
     np.testing.assert_array_equal(logits, [2.0, 1.0])
     assert int(np.argmax(logits)) == 0
-    np.testing.assert_array_equal(net.predict(obs, [1]), [0.0, 1.0])
+    np.testing.assert_array_equal(predict(net, obs, [1]), [0.0, 1.0])
 
 
 def classifier_loss_and_grads(net, obs, views, label):
@@ -176,7 +177,7 @@ def test_classifier_end_to_end_gradient():
     label = 1
 
     def loss_fn():
-        return cross_entropy(net.predict(obs, views), label)[0]
+        return cross_entropy(predict(net, obs, views), label)[0]
 
     _, grads = classifier_loss_and_grads(net, obs, views, label)
     for name, param in net.named_params():
@@ -203,7 +204,7 @@ def test_detector_heatmap_shape_and_range():
     net = tiny_detector()
     obs = np.random.default_rng(8).normal(size=(4, 3, 6, 7))
     for views in ([2], [0, 3], [0, 1, 2, 3]):
-        heat = net.predict(obs, views)
+        heat = predict(net, obs, views)
         assert heat.shape == (6, 7)
         assert heat.min() >= 0.0 and heat.max() <= 1.0
 
@@ -220,9 +221,9 @@ def test_detector_unseen_cell_feature_is_f_of_zero():
 def test_detector_permutation_and_duplicate_invariance():
     net = tiny_detector()
     obs = np.random.default_rng(10).normal(size=(3, 3, 5, 5))
-    base = net.predict(obs, [0, 1, 2])
-    np.testing.assert_array_equal(net.predict(obs, [2, 0, 1]), base)
-    np.testing.assert_array_equal(net.predict(obs, [0, 1, 2, 1]), base)
+    base = predict(net, obs, [0, 1, 2])
+    np.testing.assert_array_equal(predict(net, obs, [2, 0, 1]), base)
+    np.testing.assert_array_equal(predict(net, obs, [0, 1, 2, 1]), base)
 
 
 def test_detector_end_to_end_gradient():
@@ -234,7 +235,7 @@ def test_detector_end_to_end_gradient():
     views = [0, 2]
 
     def loss_fn():
-        return net.loss(net.predict(obs, views)[None], [target])[0]
+        return net.loss(predict(net, obs, views)[None], [target])[0]
 
     _, grads = tr._batch_loss(net, obs[views][None], [target])
     for name, param in net.named_params():
@@ -254,7 +255,7 @@ def test_batch_loss_gradient_matches_finite_differences(kind):
         obs, truths = rng.normal(size=(2, 3, 3, 4, 5)), list(rng.uniform(size=(2, 4, 5)))
 
     def loss_fn():
-        outputs = np.stack([net.predict(o, range(3)) for o in obs])
+        outputs = np.stack([predict(net, o, range(3)) for o in obs])
         return net.loss(outputs, truths)[0]
 
     loss, grads = tr._batch_loss(net, obs, truths)
@@ -279,7 +280,7 @@ def test_joint_gradient_with_selector_term_matches_finite_differences(kind):
     c = rng.normal(size=(2, 2, 4))                          # (G, T-1, D)
 
     def loss_fn():
-        total = net.loss(np.stack([net.predict(o, v) for o, v in zip(obs, views)]), truths)[0]
+        total = net.loss(np.stack([predict(net, o, v) for o, v in zip(obs, views)]), truths)[0]
         for g in range(2):
             feats = net.features_cache(obs[g])[0]
             for t in range(2):
@@ -380,7 +381,7 @@ def test_detector_records_score_and_metrics():
 def test_classifier_checkpoint_round_trip(tmp_path):
     net = tiny_classifier(seed=20)
     path = tmp_path / "clf.ckpt"
-    net.save(path, world_hash="w123", extra_meta={"regime": "task"})
+    atomic_write_bytes(path, net.encode("w123", {"regime": "task"}))
     loaded, meta = MVClassifier.load(path)
     assert meta["world_hash"] == "w123"
     assert meta["regime"] == "task"
@@ -388,32 +389,34 @@ def test_classifier_checkpoint_round_trip(tmp_path):
         assert na == nb
         np.testing.assert_array_equal(pa, pb)
     obs = np.random.default_rng(21).normal(size=(4, 5))
-    np.testing.assert_array_equal(loaded.predict(obs, [0, 2]), net.predict(obs, [0, 2]))
+    np.testing.assert_array_equal(predict(loaded, obs, [0, 2]), predict(net, obs, [0, 2]))
 
 
 def test_detector_checkpoint_round_trip(tmp_path):
     net = tiny_detector(seed=22)
     path = tmp_path / "det.ckpt"
-    net.save(path, world_hash="w9")
+    atomic_write_bytes(path, net.encode("w9"))
     loaded, meta = MVDetector.load(path)
     assert meta["world_hash"] == "w9"
     obs = np.random.default_rng(23).normal(size=(2, 3, 4, 4))
-    np.testing.assert_array_equal(loaded.predict(obs, [0, 1]), net.predict(obs, [0, 1]))
+    np.testing.assert_array_equal(predict(loaded, obs, [0, 1]), predict(net, obs, [0, 1]))
 
 
 def test_kind_mismatch_rejected(tmp_path):
     net = tiny_classifier()
     path = tmp_path / "clf.ckpt"
-    net.save(path, world_hash="w")
+    atomic_write_bytes(path, net.encode("w"))
     with pytest.raises(CompatibilityError):
         MVDetector.load(path)
 
 
 def test_mac_counts():
+    world = SimpleNamespace(config=SimpleNamespace(grid_h=4, grid_w=7))
     clf = tiny_classifier()
-    assert clf.mac_counts() == {"f_per_view": 5 * 6 + 6 * 6 + 6 * 4, "g": 4 * 3}
+    assert clf.mac_counts(world) == {"f_per_view": 5 * 6 + 6 * 6 + 6 * 4, "g": 4 * 3}
     det = tiny_detector()
-    assert det.mac_counts() == {
-        "f_per_view_per_cell": 3 * 5 + 5 * 4,
-        "g_per_cell": 4 * 5 + 5 * 1,
+    # the per-cell nets run on every one of the 4 x 7 grid cells
+    assert det.mac_counts(world) == {
+        "f_per_view": (3 * 5 + 5 * 4) * 28,
+        "g": (4 * 5 + 5 * 1) * 28,
     }

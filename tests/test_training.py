@@ -31,7 +31,7 @@ from fewview.errors import (
 from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier
-from testkit import exact_q_table, optimal_actions
+from testkit import exact_q_table, optimal_actions, paired_t_pvalue
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -227,7 +227,7 @@ def test_mvselect_beats_random_with_paired_significance():
         mv_accs.append(mv.metrics()["accuracy"])
         rnd_accs.append(rnd.metrics()["accuracy"])
     assert all(m > r for m, r in zip(mv_accs, rnd_accs))
-    assert evaluation.paired_t_pvalue(mv_accs, rnd_accs) < 0.01
+    assert paired_t_pvalue(mv_accs, rnd_accs) < 0.01
 
 
 # ---------------------------------------------------------------------------

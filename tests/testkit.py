@@ -1,13 +1,14 @@
 """Reference oracles the tests check the package against: finite-difference
-gradients, an exhaustive action-value solver for tiny worlds, and loop forms
-of detection peak extraction and matching. Nothing in ``fewview`` calls
+gradients, a loop-form max-pool and task-network forward, an exhaustive
+action-value solver for tiny worlds, loop forms of detection peak extraction
+and matching, and a paired significance test. Nothing in ``fewview`` calls
 them."""
 
 import itertools
 from typing import Callable
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, stats
 
 from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, DetectionMatchResult
@@ -44,6 +45,27 @@ def max_relative_error(analytic: Array, numeric: Array, floor: float = 1e-6) -> 
         raise ShapeError("gradient arrays must share a shape")
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+def aggregate_max(features) -> Array:
+    """Elementwise maximum of a nonempty list of same-shape feature arrays."""
+    features = list(features)
+    if not features:
+        raise ShapeError("cannot aggregate zero views")
+    out = np.asarray(features[0], dtype=np.float64)
+    for feat in features[1:]:
+        feat = np.asarray(feat, dtype=np.float64)
+        if feat.shape != out.shape:
+            raise ShapeError(f"feature shapes differ: {feat.shape} vs {out.shape}")
+        out = np.maximum(out, feat)
+    return out
+
+
+def predict(net, obs: Array, views) -> Array:
+    """A task network's output from the given view subset of one instance's
+    observations: a forward independent of the training paths."""
+    feats, _ = net.features_cache(np.asarray(obs)[list(views)])
+    return net.head_cache(aggregate_max(feats))[0]
 
 
 def exact_q_table(world, task_net, T: int, split: str = "train",
@@ -170,3 +192,16 @@ def match_detections_loop(peaks: Array, gt_positions: Array,
         dists.append(d)
     tp = len(dists)
     return DetectionMatchResult(tp, n_peaks - tp, n_gt - tp, n_gt, tuple(dists), threshold)
+
+
+def paired_t_pvalue(a, b) -> float:
+    """One-sided paired t-test p-value for mean(a - b) > 0. Degenerate
+    zero-variance differences collapse to 0 or 1 by sign."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 1 or len(a) < 2:
+        raise ShapeError("paired test needs two aligned 1-D samples, n >= 2")
+    diffs = a - b
+    if np.ptp(diffs) == 0.0:
+        return 0.0 if diffs[0] > 0 else 1.0
+    return float(stats.ttest_rel(a, b, alternative="greater").pvalue)
