@@ -57,6 +57,12 @@ def write_content_addressed(directory: str | Path, stem: str, suffix: str,
     return atomic_write_bytes(Path(directory) / f"{stem}-{digest}{suffix}", payload)
 
 
+def json_bytes(body) -> bytes:
+    """Indented JSON with sorted keys and a trailing newline: the form of
+    every report, study result and manifest."""
+    return (json.dumps(body, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
 def jsonl(rows) -> str:
     """Line-delimited JSON with sorted keys, one row per line."""
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
@@ -95,8 +101,12 @@ class RunManifest:
             "sha256": sha256_file(path),
         })
 
-    def to_json(self) -> str:
-        body = {
+    def write(self, run_dir: str | Path) -> Path:
+        """Write the manifest last, after all listed files exist."""
+        for entry in self.outputs:
+            if not (Path(run_dir) / entry["path"]).exists():
+                raise StateError(f"manifest lists a missing file: {entry['path']}")
+        return atomic_write_bytes(Path(run_dir) / MANIFEST_NAME, json_bytes({
             "command": self.command,
             "config": self.config,
             "config_hash": self.config_hash,
@@ -104,15 +114,7 @@ class RunManifest:
             "tool_version": self.tool_version,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
             "timing_seconds": self.timing_seconds,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-    def write(self, run_dir: str | Path) -> Path:
-        """Write the manifest last, after all listed files exist."""
-        for entry in self.outputs:
-            if not (Path(run_dir) / entry["path"]).exists():
-                raise StateError(f"manifest lists a missing file: {entry['path']}")
-        return atomic_write_text(Path(run_dir) / MANIFEST_NAME, self.to_json())
+        }))
 
 
 def run_directory(root: str | Path, command: str, config_hash: str, seed: int,

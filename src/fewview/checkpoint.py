@@ -63,7 +63,7 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         raise CompatibilityError(f"{path}: header length {hlen} exceeds the file size")
     try:
         header = json.loads(raw[_PREFIX : _PREFIX + hlen].decode("utf-8"))
-    except ValueError as exc:  # undecodable bytes or invalid JSON
+    except (RecursionError, ValueError) as exc:  # undecodable, invalid or too deeply nested
         raise CompatibilityError(f"{path}: unreadable checkpoint header ({exc})") from exc
     version = header.get("version") if isinstance(header, dict) else None
     if version != VERSION:
@@ -116,7 +116,7 @@ class Persistable:
             raise CompatibilityError(f"{path}: checkpoint dims {dims} do not match {list(cls.DIMS)}")
         try:
             net = cls(**dims)
-        except (TypeError, ValueError) as exc:
+        except (ArithmeticError, MemoryError, TypeError, ValueError) as exc:
             raise CompatibilityError(f"{path}: cannot rebuild a {cls.kind} from {dims}: {exc}") from exc
         params = dict(net.named_params())
         for name, param in params.items():

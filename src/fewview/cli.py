@@ -179,14 +179,14 @@ def cmd_eval(args) -> int:
     cost = evaluation.cost_account(world, task_net, q_net, run.T)
     report = evaluation.build_report(run, cost, cfg.config_hash(), [seed])
     outputs = [artifacts.write_content_addressed(
-        run_dir, f"report-{policy}", ".json", report.to_json().encode("utf-8"))]
-    if report.frequency is not None:
+        run_dir, f"report-{policy}", ".json", artifacts.json_bytes(report))]
+    if report["frequency"] is not None:
         outputs.append(artifacts.write_content_addressed(
             run_dir, f"frequency-{policy}", ".csv",
-            evaluation.frequency_csv(report.frequency).encode("utf-8")))
+            evaluation.frequency_csv(report["frequency"]).encode("utf-8")))
     _finish_run(run_dir, manifest, started, outputs)
     print(f"{policy} T={run.T} {run.split}: " + ", ".join(
-        f"{k}={v:.4f}" for k, v in sorted(report.metrics.items())))
+        f"{k}={v:.4f}" for k, v in sorted(report["metrics"].items())))
     return 0
 
 
@@ -230,14 +230,14 @@ def cmd_study(args) -> int:
             k=ev_sec["k"], rank_split=ev_sec["rank_split"],
             eval_split=ev_sec["split"], n_random=ev_sec["n_random"], seed=seed)
         outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-shutoff", ".json", _study_json(out)))
+            run_dir, "study-shutoff", ".json", artifacts.json_bytes(out)))
     elif study == "random-pose":
         out = studies.random_pose_study(
             world, task_net, T=cfg.require("eval.T"),
             selector_cfg=selector_cfg(), split=ev_sec["split"], seed=seed,
             budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-random-pose", ".json", _study_json(out)))
+            run_dir, "study-random-pose", ".json", artifacts.json_bytes(out)))
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-random-pose", ".csv",
             evaluation.table_csv(out["rows"], _row_fields(out["rows"])).encode("utf-8")))
@@ -246,18 +246,13 @@ def cmd_study(args) -> int:
             world, task_net, T=cfg.require("eval.T"),
             selector_cfg=selector_cfg(), split=ev_sec["split"])
         outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-ablation", ".json", _study_json(rows)))
+            run_dir, "study-ablation", ".json", artifacts.json_bytes(rows)))
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-ablation", ".csv",
             evaluation.table_csv(rows, _row_fields(rows)).encode("utf-8")))
 
     _finish_run(run_dir, manifest, started, outputs)
     return 0
-
-
-def _study_json(payload) -> bytes:
-    import json
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _row_fields(rows: list[dict]) -> list[str]:

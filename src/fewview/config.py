@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -89,6 +90,8 @@ def _check_type(path: str, value, hint) -> None:
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
         raise ConfigError(f"{path} must be of type {hint.__name__}, got {value!r}")
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
 
 
 def _check_types(section: str, raw: dict, hints: dict) -> None:
@@ -260,6 +263,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
-    except yaml.YAMLError as exc:
+    except (RecursionError, ValueError, yaml.YAMLError) as exc:  # ValueError: e.g. a bad date
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return validate_config(raw)

@@ -150,9 +150,9 @@ class ClassificationConfig:
             raise ConfigError("n_views must be at least 2")
         if self.feat_dim < 1:
             raise ConfigError("feat_dim must be positive")
-        if self.noise < 0:
+        if not self.noise >= 0:
             raise ConfigError("noise must be nonnegative")
-        if self.margin <= 6.0 * self.noise:
+        if not self.margin > 6.0 * self.noise:
             raise ConfigError(
                 "margin must exceed 6x the noise level or the designed "
                 "discriminative views stop discriminating"
@@ -267,11 +267,11 @@ class DetectionConfig:
             raise ConfigError("need 0 < min_targets <= max_targets")
         if self.max_targets > self.grid_h * self.grid_w // 4:
             raise ConfigError("occupant density too high for the grid")
-        if self.smooth_sigma <= 0:
+        if not self.smooth_sigma > 0:
             raise ConfigError("smooth_sigma must be positive")
         if not 0 < self.coverage_threshold <= 1:
             raise ConfigError("coverage_threshold must be in (0, 1]")
-        if self.meters_per_cell <= 0:
+        if not self.meters_per_cell > 0:
             raise ConfigError("meters_per_cell must be positive")
 
 

@@ -12,23 +12,29 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ShapeError
 
 Array = np.ndarray
 
 PEAK_SCORE_THRESHOLD = 0.4
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
 # peak extraction and matching
+
+
+def _window3(grid: Array, fill, op) -> Array:
+    """``op`` (np.maximum or np.minimum) over each cell's 3x3 neighbourhood,
+    cells outside the map reading ``fill``."""
+    pad = np.full((grid.shape[0] + 2, grid.shape[1] + 2), fill, dtype=grid.dtype)
+    pad[1:-1, 1:-1] = grid
+    rows = op(op(pad[:-2], pad[1:-1]), pad[2:])
+    return op(op(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
 
 
 def extract_peaks(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Array:
@@ -40,14 +46,16 @@ def extract_peaks(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Ar
     heat = np.asarray(heatmap, dtype=float)
     if heat.ndim != 2:
         raise ShapeError(f"heatmap must be 2-D, got {heat.shape}")
-    pad = np.full((heat.shape[0] + 2, heat.shape[1] + 2), -np.inf)
-    pad[1:-1, 1:-1] = heat
-    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
-    local_max = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
-    labels, _ = ndimage.label((heat == local_max) & (heat >= threshold), structure=_EIGHT_CONNECTED)
-    r, c = np.nonzero(labels)  # row-major order
-    _, first = np.unique(labels[r, c], return_index=True)
-    r, c = r[first], c[first]
+    marked = (heat == _window3(heat, -np.inf, np.maximum)) & (heat >= threshold)
+    # spread the least row-major index over each plateau until it settles
+    own = np.arange(heat.size).reshape(heat.shape)
+    first = np.where(marked, own, heat.size)
+    while True:
+        spread = np.where(marked, _window3(first, heat.size, np.minimum), heat.size)
+        if np.array_equal(spread, first):
+            break
+        first = spread
+    r, c = np.nonzero(first == own)  # row-major order
     order = np.lexsort((c, r, -heat[r, c]))
     return np.stack([r[order], c[order]], axis=1)
 
@@ -225,54 +233,25 @@ def camera_usage(chosen: Array, n_cameras: int) -> Array:
 # reports
 
 
-@dataclass
-class EvalReport:
-    """Deterministic metric bundle for one evaluated policy."""
-
-    mode: str
-    policy: str
-    split: str
-    T: int
-    metrics: dict
-    cost: dict
-    config_hash: str
-    seeds: list
-    frequency: list | None = None  # nested (T-1, N, N) lists
-    notes: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        body = {
-            "mode": self.mode,
-            "policy": self.policy,
-            "split": self.split,
-            "T": self.T,
-            "metrics": self.metrics,
-            "cost": self.cost,
-            "config_hash": self.config_hash,
-            "seeds": list(self.seeds),
-            "frequency": self.frequency,
-            "notes": self.notes,
-        }
-        return json.dumps(body, indent=2, sort_keys=True) + "\n"
-
-
-def build_report(run, cost: CostLedger, config_hash: str, seeds,
-                 notes: dict | None = None, include_frequency: bool = True) -> EvalReport:
+def build_report(run, cost: CostLedger, config_hash: str, seeds) -> dict:
+    """The report body of one evaluated policy. Selection policies with
+    T >= 2 carry their per-step selection frequencies as nested (T-1, N, N)
+    lists; other runs carry None."""
     freq = None
-    if include_frequency and run.T >= 2 and run.policy != "full-views":
+    if run.T >= 2 and run.policy != "full-views":
         freq = policy_frequency(run.chosen, run.n_cameras).tolist()
-    return EvalReport(
-        mode=run.mode,
-        policy=run.policy,
-        split=run.split,
-        T=run.T,
-        metrics=run.metrics(),
-        cost=cost.to_dict(),
-        config_hash=config_hash,
-        seeds=[int(s) for s in seeds],
-        frequency=freq,
-        notes=notes or {},
-    )
+    return {
+        "mode": run.mode,
+        "policy": run.policy,
+        "split": run.split,
+        "T": run.T,
+        "metrics": run.metrics(),
+        "cost": cost.to_dict(),
+        "config_hash": config_hash,
+        "seeds": [int(s) for s in seeds],
+        "frequency": freq,
+        "notes": {},
+    }
 
 
 def frequency_csv(freq: Array) -> str:

@@ -69,7 +69,7 @@ class DenseNet:
     """A stack of dense layers with deterministic seeded initialization.
 
     Parameters are initialized uniformly in [-sqrt(1/fan_in), +sqrt(1/fan_in)].
-    Inputs may be a single vector ``(in_dim,)`` or a batch ``(B, in_dim)``.
+    Inputs are batches ``(B, in_dim)``.
     """
 
     def __init__(self, specs: Sequence[LayerSpec], seed: int):
@@ -99,9 +99,6 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.specs[-1].out_dim
 
-    def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
-
     def mac_count(self) -> int:
         """Multiply-accumulate count of one forward pass on a single input."""
         return sum(spec.in_dim * spec.out_dim for spec in self.specs)
@@ -113,29 +110,20 @@ class DenseNet:
             out.append((f"{prefix}layer{i}.bias", b))
         return out
 
-    def _check_input(self, x: Array) -> tuple[Array, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"input width {x.shape[-1] if x.ndim else 0} does not match "
-                f"first layer width {self.in_dim}"
-            )
-        return x, single
-
     def forward_cache(self, x: Array) -> tuple[Array, list]:
-        """Forward pass: the output plus the per-layer cache backward() needs."""
-        x2, single = self._check_input(x)
-        cache: list = [single]
+        """Forward pass of a batch: the output plus the per-layer cache
+        backward() needs."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != self.in_dim:
+            raise ShapeError(f"input shape {x.shape} is not a batch of width {self.in_dim}")
+        cache = []
         for w, b, spec in zip(self.weights, self.biases, self.specs):
-            z = x2 @ w.T + b
+            z = x @ w.T + b
             y = _activate(spec.activation, z)
-            cache.append((x2, z, y))
-            x2 = y
-        _require_finite(x2, "forward output")
-        return (x2[0] if single else x2), cache
+            cache.append((x, z, y))
+            x = y
+        _require_finite(x, "forward output")
+        return x, cache
 
     def backward(self, cache: list | None, grad_out: Array) -> tuple[dict[str, Array], Array]:
         """Backpropagate ``grad_out`` through a cached forward pass.
@@ -143,19 +131,16 @@ class DenseNet:
         Returns (parameter gradients keyed like named_params, gradient w.r.t.
         the forward input).
         """
-        if cache is None or len(cache) != len(self.specs) + 1:
+        if cache is None or len(cache) != len(self.specs):
             raise StateError("backward needs the cache from a matching forward_cache call")
-        single = cache[0]
         grad = np.asarray(grad_out, dtype=np.float64)
-        if single:
-            grad = grad[None, :]
         if grad.shape != cache[-1][2].shape:
             raise ShapeError(
                 f"loss gradient shape {grad.shape} does not match output shape {cache[-1][2].shape}"
             )
         grads: dict[str, Array] = {}
         for i in range(len(self.specs) - 1, -1, -1):
-            x_in, z, y = cache[i + 1]
+            x_in, z, y = cache[i]
             dz = grad * _activate_grad(self.specs[i].activation, z, y)
             grads[f"layer{i}.weight"] = dz.T @ x_in
             grads[f"layer{i}.bias"] = dz.sum(axis=0)
@@ -163,7 +148,7 @@ class DenseNet:
         for name, g in grads.items():
             _require_finite(g, f"gradient of {name}")
         _require_finite(grad, "input gradient")
-        return grads, (grad[0] if single else grad)
+        return grads, grad
 
 
 def softmax(logits: Array) -> Array:
@@ -175,20 +160,12 @@ def softmax(logits: Array) -> Array:
 
 
 def cross_entropy(logits: Array, labels) -> tuple[float, Array]:
-    """Cross-entropy loss for class logits.
-
-    Accepts a single ``(C,)`` logit vector with an integer label, or a batch
-    ``(B, C)`` with labels ``(B,)``; batch losses are averaged. Returns the
-    scalar loss and the gradient w.r.t. the logits (``softmax - onehot``,
-    divided by B in the batched case).
+    """Mean cross-entropy of a batch of class logits ``(B, C)`` against
+    integer labels ``(B,)``. Returns the scalar loss and the gradient w.r.t.
+    the logits (``(softmax - onehot) / B``).
     """
     logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
-    if single:
-        logits = logits[None, :]
-        labels = np.asarray([labels])
-    else:
-        labels = np.asarray(labels)
+    labels = np.asarray(labels)
     n, c = logits.shape
     if labels.shape != (n,):
         raise ShapeError(f"labels shape {labels.shape} does not match batch {n}")
@@ -201,7 +178,7 @@ def cross_entropy(logits: Array, labels) -> tuple[float, Array]:
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     _require_finite(grad, "cross-entropy gradient")
-    return loss, (grad[0] if single else grad)
+    return loss, grad
 
 
 def bev_mse(heatmap: Array, target: Array) -> tuple[float, Array]:

@@ -397,7 +397,8 @@ class PolicyTable:
                     i, v = key.split(":")
                     entries[(int(i), int(v))] = tuple(int(a) for a in seq)
             T = int(raw["T"])
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
+                ValueError) as exc:
             raise ConfigError(f"malformed policy table: {exc!r}") from exc
         if kind not in ("dataset", "instance"):
             raise ConfigError("policy table kind must be dataset or instance")
@@ -518,10 +519,6 @@ class EvalRun:
     @property
     def mode(self) -> str:
         return self.task_net.mode
-
-    @property
-    def n_instances(self) -> int:
-        return self.chosen.shape[0]
 
     def metrics(self) -> dict:
         return self.task_net.metrics(self.records)

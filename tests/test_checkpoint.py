@@ -126,6 +126,11 @@ MALFORMED = {
     "negative shape": lambda tmp: _framed(
         b'{"version":1,"meta":{},"tensors":[{"name":"t","shape":[-1]}]}'),
     "unknown dims key": lambda tmp: _selector_bytes(depth=3),
+    "deeply nested header": lambda tmp: _framed(b"[" * 100_000),
+    # 10**16 embedding entries: more than any address space holds, so the
+    # allocation fails whatever the host's overcommit policy
+    "dims past any address space": lambda tmp: _selector_bytes(n_cameras=10**8, feat_dim=10**8),
+    "zero cameras": lambda tmp: _selector_bytes(n_cameras=0),
     "truncated payload": lambda tmp: _selector_bytes()[:-8],
     "trailing bytes": lambda tmp: _selector_bytes() + b"\x00",
 }

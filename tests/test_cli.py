@@ -6,6 +6,7 @@ second.
 
 import json
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import yaml
 
 from fewview import evaluation
 from fewview.artifacts import OUTPUT_ROOT_ENV, sha256_file
+from fewview.checkpoint import MAGIC
 from fewview.envs import DetectionConfig, DetectionWorld
 from fewview.tasknet import MVDetector
 from fewview.training import PolicyTable
@@ -282,6 +284,35 @@ def test_malformed_checkpoint_exits_3(workspace, tmp_path):
     r = cli("eval", "--config", str(cpath), "--policy", "mvselect")
     assert r.returncode == 3, r.stderr
     assert "compatibility error" in r.stderr
+
+
+def test_deeply_nested_checkpoint_header_exits_3(workspace, tmp_path):
+    bad = tmp_path / "task-deep.ckpt"
+    header = b"[" * 100_000
+    bad.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header)
+    cfg = dict(workspace["cfg"])
+    cfg["eval"] = dict(cfg["eval"], task_checkpoint=str(bad))
+    cfg["output_dir"] = str(tmp_path / "runs")
+    cpath = write_config(tmp_path, cfg, "deep-ckpt.yaml")
+    r = cli("eval", "--config", str(cpath), "--policy", "full-views")
+    assert r.returncode == 3, r.stderr
+    assert "compatibility error" in r.stderr
+
+
+def test_deeply_nested_config_exits_2(tmp_path):
+    path = tmp_path / "deep.yaml"
+    path.write_text("[" * 5000)
+    r = cli("eval", "--config", str(path), "--policy", "full-views")
+    assert r.returncode == 2, r.stderr
+    assert "config error" in r.stderr
+
+
+def test_nan_world_value_exits_2_naming_the_key(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["world"]["noise"] = float("nan")
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)))
+    assert r.returncode == 2, r.stderr
+    assert "world.noise" in r.stderr
 
 
 def test_enumeration_budget_exceeded_exits_4(workspace, tmp_path):

@@ -112,9 +112,19 @@ def test_world_config_builds_both_kinds():
     (b"world: {kind: classification}\neval: {policies: random}\n", "eval.policies"),
     (b"world: {kind: classification}\nnetwork: {task_hidden: 0}\n", "network.task_hidden"),
     (b"world: {kind: classification}\nnetwork: {selector_hidden: -3}\n", "network.selector_hidden"),
+    (b"world: {kind: classification, noise: .nan}\n", "world.noise"),
+    (b"world: {kind: classification, margin: .nan}\n", "world.margin"),
+    (b"world: {kind: detection, smooth_sigma: .nan}\n", "world.smooth_sigma"),
+    (b"world: {kind: detection, meters_per_cell: .inf}\n", "world.meters_per_cell"),
+    (b"world: {kind: classification, noise: 1" + b"0" * 400 + b"}\n", "world.noise"),
+    (b"world: {kind: classification}\ntrain: {regime: task, epochs: 1, T: 2, task_lr: .inf}\n",
+     "train.task_lr"),
+    (b"[" * 5000, "YAML"),
+    (b"world: {kind: classification}\noutput_dir: 2020-13-45\n", "YAML"),
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
         "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar",
-        "task_hidden 0", "selector_hidden -3"])
+        "task_hidden 0", "selector_hidden -3", "noise nan", "margin nan", "smooth_sigma nan",
+        "meters_per_cell inf", "noise 10**400", "task_lr inf", "deeply nested", "impossible date"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)

@@ -8,6 +8,7 @@ bounded at 5% over randomized small scenes.
 import itertools
 import json
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fewview import artifacts
 from fewview import evaluation as ev
 from fewview.errors import ShapeError
 from testkit import (extract_peaks_bfs, extract_peaks_loop, match_detections_loop,
@@ -65,6 +67,13 @@ def test_extract_peaks_one_peak_per_plateau():
     split[2, 1:4] = split[2, 5:8] = 0.6
     split[2, 4] = 0.5  # a lower cell between two equal plateaus
     np.testing.assert_array_equal(ev.extract_peaks(split), [[2, 1], [2, 5]])
+    vee = np.zeros((4, 5))
+    vee[1, 1] = vee[2, 2] = vee[1, 3] = 0.7  # (1, 3) touches no earlier cell of its plateau
+    np.testing.assert_array_equal(ev.extract_peaks(vee), [[1, 1]])
+    snake = np.zeros((32, 32))
+    snake[::2] = 0.6  # even rows, joined at alternating ends: one long path
+    snake[1::4, 31] = snake[3::4, 0] = 0.6
+    np.testing.assert_array_equal(ev.extract_peaks(snake), [[0, 0]])
 
 
 def test_extract_peaks_border_and_order():
@@ -414,20 +423,23 @@ def test_significance_input_guards():
 
 def test_report_json_is_deterministic_and_complete():
     cost = ev.cost_from_macs(1000, 50, 10, 2, 6)
-    report = ev.EvalReport(
-        mode="classification", policy="mvselect", split="eval", T=2,
-        metrics={"accuracy": 0.9917, "primary": 0.9917},
-        cost=cost.to_dict(), config_hash="abc123", seeds=[0, 1, 2],
-        frequency=[[[0.0, 1.0], [1.0, 0.0]]], notes={"oracle_split": "eval"})
-    text1 = report.to_json()
-    text2 = report.to_json()
+    run = SimpleNamespace(mode="classification", policy="mvselect", split="eval", T=2,
+                          n_cameras=2, chosen=np.array([[[0, 1], [1, 0]]]),
+                          metrics=lambda: {"accuracy": 0.9917, "primary": 0.9917})
+    report = ev.build_report(run, cost, "abc123", [0, 1, 2])
+    text1 = artifacts.json_bytes(report).decode()
+    text2 = artifacts.json_bytes(report).decode()
     assert text1 == text2
+    assert text1 == json.dumps(json.loads(text1), indent=2, sort_keys=True) + "\n"
     parsed = json.loads(text1)
     assert parsed["config_hash"] == "abc123"
     assert parsed["seeds"] == [0, 1, 2]
     assert parsed["metrics"]["accuracy"] == 0.9917
+    assert parsed["frequency"] == [[[0.0, 1.0], [1.0, 0.0]]]
+    assert parsed["notes"] == {}
+    assert sorted(parsed) == ["T", "config_hash", "cost", "frequency", "metrics", "mode",
+                              "notes", "policy", "seeds", "split"]
     assert "throughput" not in text1
-    assert "throughput" not in ev.EvalReport.__dataclass_fields__
 
 
 def test_build_report_attaches_frequency_and_metrics():
@@ -439,16 +451,16 @@ def test_build_report_attaches_frequency_and_metrics():
     run = tr.evaluate_policy(world, net, T=2, policy="random")
     cost = ev.cost_account(world, net, None, T=2)
     report = ev.build_report(run, cost, world.world_hash(), [0])
-    assert report.metrics == run.metrics()
-    freq = np.array(report.frequency)
+    assert report["metrics"] == run.metrics()
+    freq = np.array(report["frequency"])
     assert freq.shape == (1, 12, 12)
     np.testing.assert_allclose(freq.sum(axis=2), 1.0)
     # full-view runs carry no frequency table
     full = tr.evaluate_policy(world, net, T=12, policy="full-views")
     report_full = ev.build_report(full, ev.cost_account(world, net, None, T=12),
                                   world.world_hash(), [0])
-    assert report_full.frequency is None
-    assert report_full.cost["ratio"] == 1.0
+    assert report_full["frequency"] is None
+    assert report_full["cost"]["ratio"] == 1.0
 
 
 def test_frequency_csv_layout():

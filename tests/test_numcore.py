@@ -52,7 +52,8 @@ def test_forward_matches_naive_loops():
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.normal(size=4)
-        np.testing.assert_allclose(net.forward_cache(x)[0], naive_forward(net, x), rtol=1e-12)
+        np.testing.assert_allclose(net.forward_cache(x[None])[0][0], naive_forward(net, x),
+                                   rtol=1e-12)
 
 
 def test_forward_batch_matches_single():
@@ -64,7 +65,8 @@ def test_forward_batch_matches_single():
     for i in range(7):
         # batched matmul may take a different BLAS path; agreement is to
         # rounding, not bit-for-bit
-        np.testing.assert_allclose(batched[i], net.forward_cache(xs[i])[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(batched[i], net.forward_cache(xs[i : i + 1])[0][0],
+                                   rtol=1e-12, atol=1e-14)
 
 
 def test_seeded_init_is_deterministic():
@@ -90,8 +92,8 @@ def test_init_respects_fan_in_limit():
 def test_backward_matches_finite_differences():
     net = small_net(seed=7)
     rng = np.random.default_rng(8)
-    x = rng.normal(size=4)
-    target = rng.normal(size=2)
+    x = rng.normal(size=(1, 4))
+    target = rng.normal(size=(1, 2))
 
     def loss():
         y = net.forward_cache(x)[0]
@@ -127,7 +129,7 @@ def test_backward_batched_matches_finite_differences():
 def test_backward_without_cache_raises():
     net = small_net()
     with pytest.raises(StateError):
-        net.backward(None, np.zeros(2))
+        net.backward(None, np.zeros((1, 2)))
 
 
 def test_mismatched_layer_widths_rejected():
@@ -138,19 +140,19 @@ def test_mismatched_layer_widths_rejected():
 def test_wrong_input_width_rejected():
     net = small_net()
     with pytest.raises(ShapeError):
-        net.forward_cache(np.zeros(9))
+        net.forward_cache(np.zeros((1, 9)))
 
 
 def test_nonfinite_forward_raises():
     net = small_net()
     with pytest.raises(NonFiniteError):
-        net.forward_cache(np.array([np.nan, 0.0, 0.0, 0.0]))
+        net.forward_cache(np.array([[np.nan, 0.0, 0.0, 0.0]]))
 
 
 def test_mac_count():
     net = small_net()
     assert net.mac_count() == 4 * 5 + 5 * 3 + 3 * 2
-    assert net.param_count() == (4 * 5 + 5) + (5 * 3 + 3) + (3 * 2 + 2)
+    assert sum(p.size for _, p in net.named_params()) == (4 * 5 + 5) + (5 * 3 + 3) + (3 * 2 + 2)
 
 
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
@@ -172,13 +174,13 @@ def test_softmax_shift_invariant(logits, shift):
 
 def test_cross_entropy_frozen_values():
     # softmax([1, 2]) = [1/(1+e), e/(1+e)]; -log of each picked entry:
-    loss0, _ = cross_entropy(np.array([1.0, 2.0]), 0)
-    loss1, _ = cross_entropy(np.array([1.0, 2.0]), 1)
+    loss0, _ = cross_entropy(np.array([[1.0, 2.0]]), np.array([0]))
+    loss1, _ = cross_entropy(np.array([[1.0, 2.0]]), np.array([1]))
     assert abs(loss0 - 1.3132616875182228) < 1e-15
     assert abs(loss1 - 0.3132616875182228) < 1e-15
     # uniform logits over C classes cost exactly ln C
     for c in (2, 5, 10):
-        loss, _ = cross_entropy(np.zeros(c), c - 1)
+        loss, _ = cross_entropy(np.zeros((1, c)), np.array([c - 1]))
         assert abs(loss - np.log(c)) < 1e-12
 
 
@@ -187,10 +189,10 @@ def test_cross_entropy_batch_is_mean_of_singles():
     logits = rng.normal(size=(6, 4))
     labels = rng.integers(0, 4, size=6)
     batch_loss, batch_grad = cross_entropy(logits, labels)
-    singles = [cross_entropy(logits[i], int(labels[i])) for i in range(6)]
+    singles = [cross_entropy(logits[i : i + 1], labels[i : i + 1]) for i in range(6)]
     assert abs(batch_loss - np.mean([s[0] for s in singles])) < 1e-12
     for i in range(6):
-        np.testing.assert_allclose(batch_grad[i], singles[i][1] / 6.0, atol=1e-15)
+        np.testing.assert_allclose(batch_grad[i], singles[i][1][0] / 6.0, atol=1e-15)
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
@@ -208,9 +210,9 @@ def test_cross_entropy_gradient_matches_finite_differences():
 
 def test_cross_entropy_label_out_of_range():
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros(3), 3)
+        cross_entropy(np.zeros((1, 3)), np.array([3]))
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros(3), -1)
+        cross_entropy(np.zeros((1, 3)), np.array([-1]))
 
 
 def test_bev_mse_zero_iff_equal():

@@ -177,7 +177,7 @@ def test_classifier_end_to_end_gradient():
     label = 1
 
     def loss_fn():
-        return cross_entropy(predict(net, obs, views), label)[0]
+        return cross_entropy(predict(net, obs, views)[None], np.array([label]))[0]
 
     _, grads = classifier_loss_and_grads(net, obs, views, label)
     for name, param in net.named_params():
@@ -214,7 +214,7 @@ def test_detector_unseen_cell_feature_is_f_of_zero():
     obs = np.random.default_rng(9).normal(size=(1, 3, 4, 4))
     obs[0, :, 2, 3] = 0.0  # a cell outside this camera's visibility
     feats = net.features_cache(obs)[0]
-    f_zero = net.feature_net.forward_cache(np.zeros(3))[0]
+    f_zero = net.feature_net.forward_cache(np.zeros((1, 3)))[0][0]
     np.testing.assert_allclose(feats[0, :, 2, 3], f_zero, rtol=1e-12)
 
 

@@ -186,7 +186,7 @@ def test_selector_fixed_keeps_task_net_byte_identical(cls_world, cls_net, cls_se
 def test_selector_picks_discriminative_views_from_ambiguous_starts(cls_world, cls_net, cls_selector):
     run = tr.evaluate_policy(cls_world, cls_net, T=2, policy="mvselect", q_net=cls_selector)
     hits = total = 0
-    for i in range(run.n_instances):
+    for i in range(len(run.chosen)):
         label = cls_world.instance("eval", i).class_id
         disc = set(cls_world.discriminative_views(label))
         for v0 in range(run.n_cameras):
@@ -347,7 +347,7 @@ def test_toy_oracles_match_independent_brute_force():
     # independent brute force: plain loops, direct network calls
     def correct_with(inst, views):
         feats = net.features_cache(inst.observations[list(views)])[0]
-        logits = net.head_cache(feats.max(axis=0))[0]
+        logits = net.head_cache(feats.max(axis=0)[None])[0][0]
         return int(np.argmax(logits)) == inst.class_id
 
     n = world.split_size("eval")
@@ -407,8 +407,9 @@ def test_policy_table_json_round_trip():
     '{"kind": "dataset", "T": 3, "entries": {"0": [1]}}',
     '{"kind": "dataset", "T": 3, "entries": {"0": [1, 2, 2]}}',
     '{"kind": "instance", "T": 2, "entries": {"0:0": [-1]}}',
+    "[" * 100_000,
 ], ids=["list", "no entries", "key without colon", "non-integer T", "entry not a list", "not JSON",
-        "entry too short", "repeated id", "negative id"])
+        "entry too short", "repeated id", "negative id", "deeply nested"])
 def test_malformed_policy_table_is_a_config_error(text):
     with pytest.raises(ConfigError):
         tr.PolicyTable.from_json(text)

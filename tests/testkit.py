@@ -65,7 +65,7 @@ def predict(net, obs: Array, views) -> Array:
     """A task network's output from the given view subset of one instance's
     observations: a forward independent of the training paths."""
     feats, _ = net.features_cache(np.asarray(obs)[list(views)])
-    return net.head_cache(aggregate_max(feats))[0]
+    return net.head_cache(aggregate_max(feats)[None])[0][0]
 
 
 def exact_q_table(world, task_net, T: int, split: str = "train",
