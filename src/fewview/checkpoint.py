@@ -88,10 +88,17 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 class Persistable:
     """Checkpoint encode/load for networks. ``kind`` names the network type and
     ``DIMS`` the constructor arguments, stored as meta ``dims``, that rebuild
-    it before its tensors load."""
+    it before its tensors load; ``param_shapes`` states the parameters those
+    dims give."""
 
     kind = ""
     DIMS: tuple[str, ...] = ()
+
+    @classmethod
+    def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
+        """Name and shape of each parameter of the network that ``dims``
+        build, without building it."""
+        raise NotImplementedError
 
     def encode(self, world_hash: str, extra_meta: dict | None = None) -> bytes:
         """The checkpoint bytes of this network's parameters."""
@@ -107,7 +114,9 @@ class Persistable:
     @classmethod
     def load(cls, path):
         """(network, meta) from a checkpoint of this kind whose tensors match
-        the rebuilt network's parameters name for name and shape for shape."""
+        the parameters its dims give, name for name and shape for shape. The
+        shapes are compared before the network is built, so dims that the
+        tensors do not back allocate nothing."""
         tensors, meta = load_checkpoint(path)
         if meta.get("kind") != cls.kind:
             raise CompatibilityError(f"{path}: checkpoint holds a {meta.get('kind')}, not a {cls.kind}")
@@ -115,19 +124,23 @@ class Persistable:
         if not isinstance(dims, dict) or set(dims) != set(cls.DIMS):
             raise CompatibilityError(f"{path}: checkpoint dims {dims} do not match {list(cls.DIMS)}")
         try:
+            shapes = cls.param_shapes(**dims)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise CompatibilityError(f"{path}: no {cls.kind} has dims {dims}: {exc}") from exc
+        for name, shape in shapes.items():
+            if name not in tensors:
+                raise CompatibilityError(f"{path}: checkpoint misses tensor {name!r}")
+            if tensors[name].shape != shape:
+                raise CompatibilityError(
+                    f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {shape}"
+                )
+        extra = set(tensors) - set(shapes)
+        if extra:
+            raise CompatibilityError(f"{path}: checkpoint carries unknown tensors {sorted(extra)}")
+        try:
             net = cls(**dims)
         except (ArithmeticError, MemoryError, TypeError, ValueError) as exc:
             raise CompatibilityError(f"{path}: cannot rebuild a {cls.kind} from {dims}: {exc}") from exc
-        params = dict(net.named_params())
-        for name, param in params.items():
-            if name not in tensors:
-                raise CompatibilityError(f"{path}: checkpoint misses tensor {name!r}")
-            if tensors[name].shape != param.shape:
-                raise CompatibilityError(
-                    f"{path}: tensor {name!r} has shape {tensors[name].shape}, expected {param.shape}"
-                )
+        for name, param in net.named_params():
             param[...] = tensors[name]
-        extra = set(tensors) - set(params)
-        if extra:
-            raise CompatibilityError(f"{path}: checkpoint carries unknown tensors {sorted(extra)}")
         return net, meta

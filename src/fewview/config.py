@@ -230,6 +230,11 @@ def _validate_eval(raw) -> dict:
         raise ConfigError("eval section must be a mapping")
     _reject_unknown("eval", raw, _EVAL_KEYS)
     _check_types("eval", _set_keys(raw), _EVAL_KEYS)
+    for key, path in (raw.get("selector_checkpoints") or {}).items():
+        if not (isinstance(key, str) and key.isdecimal()):
+            raise ConfigError(f"eval.selector_checkpoints keys must be view budgets T "
+                              f"written as strings, got {key!r}")
+        _check_type(f"eval.selector_checkpoints.{key}", path, str)
     out = dict(_EVAL_DEFAULTS)
     out.update(raw)
     return out
@@ -252,6 +257,7 @@ def validate_config(raw) -> ExperimentConfig:
         "seed": raw.get("seed", 0),
     }
     _check_type("seed", normalized["seed"], int)
+    _check_type("output_dir", normalized["output_dir"], str)
     return ExperimentConfig(normalized)
 
 

@@ -10,6 +10,11 @@ Two families:
   cones and a discrete ray-casting occlusion rule, producing per-camera
   observation maps plus smoothed occupancy targets.
 
+Occlusion is read from one occupant-shadow table per camera, built once per
+geometry: a packed bit row per cell marking the cells it hides. The tables
+hold N * (H*W)**2 / 8 bytes: 0.79 MB at 32 x 32 with 6 cameras, 12.6 MB at
+64 x 64.
+
 Instance streams are pure functions of (config, split, index): every instance
 comes from its own child seed. A classification world keeps each instance it
 generates (about 3 KB, observations read-only), since training and evaluation
@@ -284,30 +289,22 @@ class DetectionInstance:
     visibility: np.ndarray           # (N, H, W) bool, FoV minus occlusion
 
 
-def _ray_path(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
-    """Integer cells strictly between start and end on the sampled line.
-
-    Samples the segment at K equal steps (K = Chebyshev distance) and rounds
-    each coordinate with floor(x + 0.5), midpoints rounding up. All quantities
-    stay exactly representable, so the rule has one well-defined answer.
-    """
-    (r0, c0), (r1, c1) = start, end
-    k = max(abs(r1 - r0), abs(c1 - c0))
-    path = []
-    for m in range(1, k):
-        rr = int(np.floor((r0 * (k - m) + r1 * m) / k + 0.5))
-        cc = int(np.floor((c0 * (k - m) + c1 * m) / k + 0.5))
-        path.append((rr, cc))
-    return path
-
-
 @lru_cache(maxsize=8)
 def _grid_geometry(n: int, h: int, w: int, ring_radius: float, half_angle_deg: float,
                    view_range: float):
-    """Camera anchors, FoV masks and padded ray-path tables of N cameras on
+    """Camera anchors, FoV masks and occupant-shadow tables of N cameras on
     a ring around an H x W grid, each aimed at the grid center; cached by
     geometry. Anchors are integer (row, col) cells, possibly outside the
-    grid."""
+    grid.
+
+    Shadow table ``v`` is (H*W, ceil(H*W/8)) packed bits: row ``c`` marks
+    every cell whose ray from camera ``v`` passes through cell ``c``. A ray
+    samples the segment from the anchor to a cell at K equal steps (K = the
+    Chebyshev distance) and rounds each coordinate with floor(x + 0.5),
+    midpoints rounding up; the cells strictly between, inside the grid, are
+    its path. The numerators are integers well below 2**53 and IEEE division
+    is correctly rounded, so the rule has one exact answer.
+    """
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     positions = np.zeros((n, 2), dtype=np.int64)
     for v in range(n):
@@ -329,25 +326,22 @@ def _grid_geometry(n: int, h: int, w: int, ring_radius: float, half_angle_deg: f
         inside = (dist > 0) & (dist <= view_range) & (cosang >= cos_half)
         fov[v] = inside
 
-    sentinel = h * w
-    paths = []
+    cells = h * w
+    r1, c1 = rows.ravel()[:, None], cols.ravel()[:, None]   # (H*W, 1) ray ends
+    shadows = np.zeros((n, cells, -(-cells // 8)), dtype=np.uint8)
     for v in range(n):
-        pr, pc = positions[v]
-        per_cell = []
-        for r in range(h):
-            for c in range(w):
-                cells = [
-                    rr * w + cc
-                    for rr, cc in _ray_path((pr, pc), (r, c))
-                    if 0 <= rr < h and 0 <= cc < w
-                ]
-                per_cell.append(cells)
-        longest = max(len(p) for p in per_cell)
-        table = np.full((h * w, max(longest, 1)), sentinel, dtype=np.int64)
-        for idx, cells in enumerate(per_cell):
-            table[idx, : len(cells)] = cells
-        paths.append(table)
-    return positions, fov, paths
+        r0, c0 = (int(x) for x in positions[v])
+        k = np.maximum(abs(r1 - r0), abs(c1 - c0))           # (H*W, 1) steps
+        m = np.arange(1, max(int(k.max()), 1))[None, :]      # (1, K_max - 1)
+        kk = np.maximum(k, 1)                                # a ray of length 0 has no steps
+        rr = np.floor((r0 * (k - m) + r1 * m) / kk + 0.5).astype(np.int64)
+        cc = np.floor((c0 * (k - m) + c1 * m) / kk + 0.5).astype(np.int64)
+        keep = (m < k) & (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+        ends = np.broadcast_to(np.arange(cells)[:, None], keep.shape)
+        table = np.zeros((cells, cells), dtype=bool)
+        table[(rr * w + cc)[keep], ends[keep]] = True
+        shadows[v] = np.packbits(table, axis=1)
+    return positions, fov, shadows
 
 
 @lru_cache(maxsize=16)
@@ -382,7 +376,7 @@ class DetectionWorld(World):
 
     def __init__(self, config: DetectionConfig):
         super().__init__(config, config.n_cameras)
-        self.positions, self.fov_masks, self._paths = _grid_geometry(
+        self.positions, self.fov_masks, self._shadows = _grid_geometry(
             config.n_cameras, config.grid_h, config.grid_w, config.ring_radius,
             config.half_angle_deg, config.view_range)
         coverage = float(self.fov_masks.any(axis=0).mean())
@@ -400,16 +394,15 @@ class DetectionWorld(World):
         return 0.5 / self.config.meters_per_cell
 
     def visibility(self, occupancy: np.ndarray) -> np.ndarray:
-        """FoV masks minus cells whose ray passes through an occupant."""
+        """FoV masks minus cells whose ray passes through an occupant: the
+        union of the occupied cells' shadow rows, one per camera."""
         cfg = self.config
-        vis = self.fov_masks.copy()
         if not cfg.occlusion:
-            return vis
-        occ_flat = np.concatenate([occupancy.astype(bool).ravel(), [False]])
-        for v in range(cfg.n_cameras):
-            blocked = occ_flat[self._paths[v]].any(axis=1).reshape(cfg.grid_h, cfg.grid_w)
-            vis[v] &= ~blocked
-        return vis
+            return self.fov_masks.copy()
+        occupied = np.flatnonzero(occupancy)
+        shadow = np.bitwise_or.reduce(self._shadows[:, occupied], axis=1)
+        blocked = np.unpackbits(shadow, axis=1, count=cfg.grid_h * cfg.grid_w).view(bool)
+        return self.fov_masks & ~blocked.reshape(self.fov_masks.shape)
 
     def render_views(self, occupancy: np.ndarray, noise: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Observation maps for a given occupancy grid.

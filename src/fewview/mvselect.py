@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import Persistable
 from .errors import ShapeError, StateError
-from .numcore import DenseNet, LayerSpec
+from .numcore import DenseNet, LayerSpec, param_shapes
 
 Array = np.ndarray
 
@@ -56,12 +56,25 @@ class QNetwork(Persistable):
         rng = np.random.default_rng([seed, 0])
         limit = np.sqrt(1.0 / n_cameras)
         self.embeddings = rng.uniform(-limit, limit, size=(n_cameras, feat_dim))
-        self.camera_branch = DenseNet([LayerSpec(feat_dim, hidden, "relu")], seed=[seed, 1])
-        self.feature_branch = DenseNet([LayerSpec(feat_dim, hidden, "relu")], seed=[seed, 2])
-        self.combiner = DenseNet(
-            [LayerSpec(hidden, hidden, "relu"), LayerSpec(hidden, n_cameras, "linear")],
-            seed=[seed, 3],
-        )
+        camera, feature, combiner = self.layer_specs(n_cameras, feat_dim, hidden)
+        self.camera_branch = DenseNet(camera, seed=[seed, 1])
+        self.feature_branch = DenseNet(feature, seed=[seed, 2])
+        self.combiner = DenseNet(combiner, seed=[seed, 3])
+
+    @staticmethod
+    def layer_specs(n_cameras: int, feat_dim: int, hidden: int, **_):
+        """The layers of the camera branch, the feature branch and the
+        combiner."""
+        return ([LayerSpec(feat_dim, hidden, "relu")],
+                [LayerSpec(feat_dim, hidden, "relu")],
+                [LayerSpec(hidden, hidden, "relu"), LayerSpec(hidden, n_cameras, "linear")])
+
+    @classmethod
+    def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
+        camera, feature, combiner = cls.layer_specs(**dims)
+        return {"embeddings": (dims["n_cameras"], dims["feat_dim"]),
+                **dict(param_shapes(camera, "camera.") + param_shapes(feature, "feature.")
+                       + param_shapes(combiner, "combiner."))}
 
     def named_params(self):
         return (

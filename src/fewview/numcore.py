@@ -33,11 +33,12 @@ def _activate(tag: str, z: Array) -> Array:
 
 
 def _activate_grad(tag: str, z: Array, y: Array) -> Array:
-    # derivative w.r.t. pre-activation z; y is the activation output
+    # derivative w.r.t. pre-activation z; y is the activation output. ReLU's
+    # is a bool mask: a float times a bool is bit-equal to times 1.0 or 0.0
     if tag == "linear":
         return np.ones_like(z)
     if tag == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0
     if tag == "tanh":
         return 1.0 - y * y
     if tag == "sigmoid":
@@ -63,6 +64,16 @@ class LayerSpec:
             raise ShapeError(f"layer dims must be positive, got {self.in_dim}x{self.out_dim}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+
+
+def param_shapes(specs: Sequence[LayerSpec], prefix: str = "") -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of each parameter of a DenseNet of these layers, in
+    ``named_params`` order, without building it."""
+    out = []
+    for i, spec in enumerate(specs):
+        out.append((f"{prefix}layer{i}.weight", (spec.out_dim, spec.in_dim)))
+        out.append((f"{prefix}layer{i}.bias", (spec.out_dim,)))
+    return out
 
 
 class DenseNet:
@@ -104,11 +115,8 @@ class DenseNet:
         return sum(spec.in_dim * spec.out_dim for spec in self.specs)
 
     def named_params(self, prefix: str = "") -> list[tuple[str, Array]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"{prefix}layer{i}.weight", w))
-            out.append((f"{prefix}layer{i}.bias", b))
-        return out
+        params = [p for pair in zip(self.weights, self.biases) for p in pair]
+        return [(name, p) for (name, _), p in zip(param_shapes(self.specs, prefix), params)]
 
     def forward_cache(self, x: Array) -> tuple[Array, list]:
         """Forward pass of a batch: the output plus the per-layer cache

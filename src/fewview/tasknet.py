@@ -14,7 +14,7 @@ import numpy as np
 from . import evaluation
 from .checkpoint import Persistable
 from .errors import ShapeError
-from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy
+from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy, param_shapes
 
 Array = np.ndarray
 
@@ -26,10 +26,17 @@ def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Arra
     d_feats and feats are (G, V, D[, H, W]); views is (G, k) view ids on
     axis 1; d_pooled is (G, D[, H, W]) or broadcasts to it.
     """
-    inst = np.arange(len(views))[:, None]
-    amax = feats[inst, views].argmax(axis=1)            # (G, D[, H, W]) slot in views
-    idx = np.indices(amax.shape, sparse=True)
-    d_feats[(idx[0], views[idx[0], amax]) + tuple(idx[1:])] += d_pooled
+    inst = np.arange(len(views))
+    listed = feats[inst[:, None], views]                # (G, k, D[, H, W])
+    top = listed.max(axis=1)
+    free = np.ones(top.shape, dtype=bool)               # cells not yet routed
+    for j in range(views.shape[1]):
+        hit = listed[:, j] == top
+        hit &= free
+        free ^= hit
+        # a miss adds d_pooled * 0.0 = +-0.0, which changes no value except
+        # a -0.0 entry; d_feats only ever sums from +0.0, so it holds none
+        d_feats[inst, views[:, j]] += d_pooled * hit
 
 
 class TaskNet(Persistable):
@@ -46,6 +53,11 @@ class TaskNet(Persistable):
 
     mode = ""
     train_batch: int | None = None
+
+    @classmethod
+    def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
+        feature, head = cls.layer_specs(**dims)
+        return dict(param_shapes(feature, "feature.") + param_shapes(head, "head."))
 
     def named_params(self):
         return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
@@ -65,15 +77,17 @@ class MVClassifier(TaskNet):
         self.n_classes = n_classes
         self.hidden = hidden
         self.seed = seed
-        self.feature_net = DenseNet(
-            [
-                LayerSpec(obs_dim, hidden, "relu"),
-                LayerSpec(hidden, hidden, "relu"),
-                LayerSpec(hidden, feat_dim, "relu"),
-            ],
-            seed=[seed, 0],
-        )
-        self.head_net = DenseNet([LayerSpec(feat_dim, n_classes, "linear")], seed=[seed, 1])
+        feature, head = self.layer_specs(obs_dim, feat_dim, n_classes, hidden)
+        self.feature_net = DenseNet(feature, seed=[seed, 0])
+        self.head_net = DenseNet(head, seed=[seed, 1])
+
+    @staticmethod
+    def layer_specs(obs_dim: int, feat_dim: int, n_classes: int, hidden: int, **_):
+        """The layers of f and of g."""
+        return ([LayerSpec(obs_dim, hidden, "relu"),
+                 LayerSpec(hidden, hidden, "relu"),
+                 LayerSpec(hidden, feat_dim, "relu")],
+                [LayerSpec(feat_dim, n_classes, "linear")])
 
     def features_cache(self, obs: Array):
         """f applied to every view, (..., N, obs_dim) -> (..., N, feat_dim),
@@ -137,20 +151,15 @@ class MVDetector(TaskNet):
         self.feat_dim = feat_dim
         self.hidden = hidden
         self.seed = seed
-        self.feature_net = DenseNet(
-            [
-                LayerSpec(channels, hidden, "relu"),
-                LayerSpec(hidden, feat_dim, "relu"),
-            ],
-            seed=[seed, 0],
-        )
-        self.head_net = DenseNet(
-            [
-                LayerSpec(feat_dim, hidden, "relu"),
-                LayerSpec(hidden, 1, "sigmoid"),
-            ],
-            seed=[seed, 1],
-        )
+        feature, head = self.layer_specs(channels, feat_dim, hidden)
+        self.feature_net = DenseNet(feature, seed=[seed, 0])
+        self.head_net = DenseNet(head, seed=[seed, 1])
+
+    @staticmethod
+    def layer_specs(channels: int, feat_dim: int, hidden: int, **_):
+        """The layers of f and of g."""
+        return ([LayerSpec(channels, hidden, "relu"), LayerSpec(hidden, feat_dim, "relu")],
+                [LayerSpec(feat_dim, hidden, "relu"), LayerSpec(hidden, 1, "sigmoid")])
 
     def features_cache(self, obs: Array):
         """f per cell, (..., V, C, H, W) -> (..., V, D, H, W), with the cache

@@ -552,6 +552,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     eff_T = n_cams if policy == "full-views" else T
     chosen = np.zeros((n, n_cams, eff_T), dtype=int)
     all_views = np.tile(np.arange(n_cams), (n_cams, 1))
+    all_distinct = _distinct_sets(all_views)
     records = []
     for i in range(n):
         inst = world.instance(split, i)
@@ -568,7 +569,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
         else:
             sets = table.view_sets(i, n_cams)
         chosen[i] = sets
-        distinct, inverse = _distinct_sets(sets)
+        distinct, inverse = all_distinct if sets is all_views else _distinct_sets(sets)
         outputs = _predict_sets(task_net, feats, distinct)
         records.append(task_net.records(outputs, inst, world)[inverse])
     return EvalRun(task_net, policy, split, eff_T, n_cams, chosen, np.stack(records))

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -142,3 +144,33 @@ def test_malformed_checkpoint_raises_compatibility_error(tmp_path, case):
     path.write_bytes(MALFORMED[case](tmp_path))
     with pytest.raises(CompatibilityError):
         QNetwork.load(path)
+
+
+# the child imports, then caps its own address space at what it holds plus
+# 512 MB, so a load that built the 3.2 GB embedding before comparing shapes
+# fails as MemoryError instead of filling the machine's memory
+_CAPPED_LOAD = """
+import resource, sys
+from fewview.errors import CompatibilityError
+from fewview.mvselect import QNetwork
+held = int(open("/proc/self/statm").read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (held + 2**29, resource.getrlimit(resource.RLIMIT_AS)[1]))
+try:
+    QNetwork.load(sys.argv[1])
+except CompatibilityError as exc:
+    print(exc)
+"""
+
+
+def test_dims_the_tensors_do_not_back_are_rejected_before_allocating(tmp_path):
+    pytest.importorskip("resource")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("needs /proc to read the child's address space")
+    path = tmp_path / "big.ckpt"
+    path.write_bytes(_selector_bytes(n_cameras=20000, feat_dim=20000))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    r = subprocess.run([sys.executable, "-c", _CAPPED_LOAD, str(path)],
+                       capture_output=True, text=True, env=env, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert "tensor 'embeddings' has shape (3, 2), expected (20000, 20000)" in r.stdout

@@ -121,10 +121,16 @@ def test_world_config_builds_both_kinds():
      "train.task_lr"),
     (b"[" * 5000, "YAML"),
     (b"world: {kind: classification}\noutput_dir: 2020-13-45\n", "YAML"),
+    (b"world: {kind: classification}\noutput_dir: 2020-01-01\n", "output_dir"),
+    (b"world: {kind: classification}\neval: {selector_checkpoints: {1: a, b: c}}\n",
+     "eval.selector_checkpoints"),
+    (b"world: {kind: classification}\neval: {selector_checkpoints: {'2': 3}}\n",
+     "eval.selector_checkpoints.2"),
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
         "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar",
         "task_hidden 0", "selector_hidden -3", "noise nan", "margin nan", "smooth_sigma nan",
-        "meters_per_cell inf", "noise 10**400", "task_lr inf", "deeply nested", "impossible date"])
+        "meters_per_cell inf", "noise 10**400", "task_lr inf", "deeply nested", "impossible date",
+        "output_dir date", "selector_checkpoints mixed keys", "selector_checkpoints int path"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)

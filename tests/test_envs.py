@@ -1,11 +1,14 @@
 """World checks: determinism, designed ambiguity/separability, pose rotation,
 FoV and occlusion against an exact-rational ray-casting oracle, shut-off."""
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fewview.envs import (
     ClassificationConfig,
@@ -17,6 +20,7 @@ from fewview.envs import (
     smooth_occupancy,
 )
 from fewview.errors import ConfigError
+from testkit import ray_cast_visibility, ray_paths
 
 
 def small_class_world(**over):
@@ -330,6 +334,51 @@ def test_all_camera_misses_match_oracle():
     oracle_vis = exact_visibility(w, inst.occupancy)
     for r, c in inst.positions:
         assert inst.visibility[:, r, c].any() == oracle_vis[:, r, c].any()
+
+
+# 13 x 11 = 143 cells is not a multiple of 8, so packed shadow rows end in
+# padding bits; the 16 x 16 ring sits outside its grid; the radius-5 ring puts
+# every anchor inside the grid, where the anchor's own ray has no steps
+SHADOW_GEOMETRIES = {
+    "13x11": dict(grid_h=13, grid_w=11, ring_radius=9.0, view_range=9.0,
+                  half_angle_deg=30.0, coverage_threshold=0.5),
+    "anchors outside": dict(),
+    "anchors inside": dict(n_cameras=4, ring_radius=5.0, view_range=8.0,
+                           coverage_threshold=0.1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def shadow_world(name, occlusion=True):
+    """A world of the named geometry and its ray-path reference tables."""
+    world = small_det_world(occlusion=occlusion, **SHADOW_GEOMETRIES[name])
+    return world, ray_paths(world)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SHADOW_GEOMETRIES)), st.booleans(), st.floats(0.0, 0.3),
+       st.integers(0, 2**32 - 1))
+@example("13x11", True, 0.0, 0)
+@example("anchors inside", True, 0.0, 0)
+def test_visibility_equals_ray_cast_reference(name, occlusion, density, seed):
+    world, paths = shadow_world(name, occlusion)
+    shape = (world.config.grid_h, world.config.grid_w)
+    occupancy = (np.random.default_rng(seed).random(shape) < density).astype(np.uint8)
+    vis = world.visibility(occupancy)
+    assert vis.dtype == bool
+    np.testing.assert_array_equal(vis, ray_cast_visibility(world, paths, occupancy))
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_GEOMETRIES))
+def test_shadow_tables_pack_the_ray_paths(name):
+    world, paths = shadow_world(name)
+    n, cells = world.n_cameras, world.config.grid_h * world.config.grid_w
+    table = np.zeros((n, cells, cells), dtype=bool)
+    for v in range(n):
+        for end, path in enumerate(paths[v]):
+            table[v, path, end] = True
+    np.testing.assert_array_equal(world._shadows, np.packbits(table, axis=2))
+    assert world._shadows.nbytes == n * cells * math.ceil(cells / 8)
 
 
 def test_smoothed_target_peaks_and_range():

@@ -126,6 +126,24 @@ def test_backward_batched_matches_finite_differences():
         assert max_relative_error(grads[name], num) < GRAD_TOL, name
 
 
+def test_relu_backward_equals_float_mask_bit_for_bit():
+    # units 0 and 1 sit exactly at or below zero: their gradient is zeroed
+    # with the incoming gradient's sign, as a float 0/1 mask zeroes it
+    net = DenseNet([LayerSpec(3, 4, "relu")], seed=0)
+    net.weights[0][:2] = 0.0
+    net.biases[0][:2] = [0.0, -1.0]
+    rng = np.random.default_rng(1)
+    out, cache = net.forward_cache(rng.normal(size=(5, 3)))
+    grad = rng.normal(size=out.shape)
+    grads, d_x = net.backward(cache, grad)
+    x, z, _ = cache[0]
+    dz = grad * (z > 0.0).astype(np.float64)
+    assert grads["layer0.bias"].tobytes() == dz.sum(axis=0).tobytes()
+    assert grads["layer0.weight"].tobytes() == (dz.T @ x).tobytes()
+    assert d_x.tobytes() == (dz @ net.weights[0]).tobytes()
+    np.testing.assert_array_equal(grads["layer0.bias"][:2], 0.0)
+
+
 def test_backward_without_cache_raises():
     net = small_net()
     with pytest.raises(StateError):

@@ -14,7 +14,8 @@ from fewview.artifacts import atomic_write_bytes
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector, route_pooled_grad
-from testkit import aggregate_max, max_relative_error, numeric_gradient, predict
+from testkit import (aggregate_max, max_relative_error, numeric_gradient, predict,
+                     route_pooled_grad_argmax)
 
 GRAD_TOL = 1e-4
 THR = 2.0  # matching radius in cells
@@ -105,6 +106,25 @@ def test_route_adds_onto_existing_gradient():
     expect = d_feats + routed_grad(feats, views, np.broadcast_to(step, (2, 2, 4, 5)))
     route_pooled_grad(d_feats, feats, views, step)
     np.testing.assert_array_equal(d_feats, expect)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_route_equals_argmax_scatter_bit_for_bit(seed, detection, broadcast, warm):
+    # classification (G, V, D) or detection (G, V, D, H, W) shapes; rounded
+    # ReLU features tie often, at zero and above it
+    rng = np.random.default_rng(seed)
+    g, v, d = (int(x) for x in rng.integers(1, [4, 7, 5]))
+    cells = tuple(int(x) for x in rng.integers(1, 5, size=2)) if detection else ()
+    feats = np.maximum(np.round(rng.normal(size=(g, v, d) + cells), 1), 0.0)
+    k = int(rng.integers(1, v + 1))
+    views = np.array([rng.permutation(v)[:k] for _ in range(g)])
+    d_pooled = rng.normal(size=(g, d) + ((1, 1) if detection and broadcast else cells))
+    start = rng.normal(size=feats.shape) if warm else np.zeros(feats.shape)
+    got, want = start.copy(), start.copy()
+    route_pooled_grad(got, feats, views, d_pooled)
+    route_pooled_grad_argmax(want, feats, views, d_pooled)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference oracles the tests check the package against: finite-difference
-gradients, a loop-form max-pool and task-network forward, an exhaustive
-action-value solver for tiny worlds, loop forms of detection peak extraction
-and matching, and a paired significance test. Nothing in ``fewview`` calls
-them."""
+gradients, a loop-form max-pool and task-network forward, the argmax form of
+the max-pool gradient router, the per-camera ray-cast form of detection
+visibility, an exhaustive action-value solver for tiny worlds, loop forms of
+detection peak extraction and matching, and a paired significance test.
+Nothing in ``fewview`` calls them."""
 
 import itertools
 from typing import Callable
@@ -66,6 +67,60 @@ def predict(net, obs: Array, views) -> Array:
     observations: a forward independent of the training paths."""
     feats, _ = net.features_cache(np.asarray(obs)[list(views)])
     return net.head_cache(aggregate_max(feats)[None])[0][0]
+
+
+def route_pooled_grad_argmax(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
+    """The max-pool gradient router as an argmax scatter: each (instance,
+    feature[, cell]) adds d_pooled at the view of ``views`` that ``argmax``
+    picks, the first listed one on ties."""
+    inst = np.arange(len(views))[:, None]
+    amax = feats[inst, views].argmax(axis=1)            # (G, D[, H, W]) slot in views
+    idx = np.indices(amax.shape, sparse=True)
+    d_feats[(idx[0], views[idx[0], amax]) + tuple(idx[1:])] += d_pooled
+
+
+def _ray_path(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
+    """Integer cells strictly between start and end on the sampled line.
+
+    Samples the segment at K equal steps (K = Chebyshev distance) and rounds
+    each coordinate with floor(x + 0.5), midpoints rounding up. All quantities
+    stay exactly representable, so the rule has one well-defined answer.
+    """
+    (r0, c0), (r1, c1) = start, end
+    k = max(abs(r1 - r0), abs(c1 - c0))
+    path = []
+    for m in range(1, k):
+        rr = int(np.floor((r0 * (k - m) + r1 * m) / k + 0.5))
+        cc = int(np.floor((c0 * (k - m) + c1 * m) / k + 0.5))
+        path.append((rr, cc))
+    return path
+
+
+def ray_paths(world) -> list[list[list[int]]]:
+    """Per camera and flat target cell, the flat in-grid cells of its ray."""
+    h, w = world.config.grid_h, world.config.grid_w
+    return [[[rr * w + cc for rr, cc in _ray_path(tuple(world.positions[v]), (r, c))
+              if 0 <= rr < h and 0 <= cc < w]
+             for r in range(h) for c in range(w)]
+            for v in range(world.n_cameras)]
+
+
+def ray_cast_visibility(world, paths, occupancy: Array) -> Array:
+    """FoV masks minus the cells whose ray (from ``ray_paths``) meets an
+    occupant, camera by camera: a padded ray table per camera, indexed by
+    the occupancy."""
+    cfg = world.config
+    vis = world.fov_masks.copy()
+    if not cfg.occlusion:
+        return vis
+    sentinel = cfg.grid_h * cfg.grid_w
+    occ_flat = np.concatenate([np.asarray(occupancy).astype(bool).ravel(), [False]])
+    for v in range(world.n_cameras):
+        table = np.full((sentinel, max(1, max(map(len, paths[v])))), sentinel, dtype=np.int64)
+        for idx, cells in enumerate(paths[v]):
+            table[idx, : len(cells)] = cells
+        vis[v] &= ~occ_flat[table].any(axis=1).reshape(cfg.grid_h, cfg.grid_w)
+    return vis
 
 
 def exact_q_table(world, task_net, T: int, split: str = "train",
