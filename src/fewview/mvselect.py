@@ -138,7 +138,7 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
             epsilon: float = 0.0, rng=None):
     """Run R selection rollouts of T views for each of G instances at once.
 
-    feats is (G, N, D) or (G, N, D, H, W), the per-view features of each
+    feats is (G, N, D) or (G, N, H, W, D), the per-view features of each
     instance; initial is (G, R) start views. Every step values each state
     with one Q forward per instance over its R rows, then picks the masked
     argmax (ties go to the lowest index). With epsilon > 0 each row instead
@@ -151,7 +151,8 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
     view ids with column 0 the initial view; for the T-1 states visited,
     camera counts (G, R, T-1, N), observation vectors (G, R, T-1, D), action
     masks (G, R, T-1, N) and action values (G, R, T-1, N); and the features
-    max-pooled over all T chosen views, (G, R, D[, H, W]).
+    max-pooled over all T chosen views, (G, R[, H, W], D). A state's
+    observation vector is the mean of the running max over the cells.
     """
     feats = np.asarray(feats, dtype=np.float64)
     initial = np.asarray(initial, dtype=int)
@@ -164,16 +165,17 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
     chosen[..., 0] = initial
     taken = np.zeros((n_inst, n_rows, n_cams))
     taken[inst, row, initial] = 1.0
-    # the running max stays in C order, which fixes the summation order of
-    # the spatial means whatever the layout of feats
-    pooled = np.ascontiguousarray(feats[inst, initial])  # (G, R, D[, H, W])
+    pooled = feats[inst, initial]                       # (G, R[, H, W], D)
     spatial = tuple(range(3, pooled.ndim))
     cams = np.zeros((n_inst, n_rows, steps, n_cams))
-    obs = np.zeros((n_inst, n_rows, steps, feats.shape[2]))
+    obs = np.zeros((n_inst, n_rows, steps, feats.shape[-1]))
     masks = np.zeros((n_inst, n_rows, steps, n_cams), dtype=bool)
     values = np.zeros((n_inst, n_rows, steps, n_cams))
     for t in range(steps):
-        obs_t = pooled.mean(axis=spatial) if spatial else pooled
+        # each feature's cell mean sums a C-order (D, H, W) block, which fixes
+        # the summation order whatever the layout of feats
+        obs_t = (np.ascontiguousarray(np.moveaxis(pooled, -1, 2)).mean(axis=spatial)
+                 if spatial else pooled)
         mask = (taken > 0) | blocked
         if mask.all(axis=-1).any():
             raise StateError("every camera is masked")
@@ -190,7 +192,7 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
         cams[:, :, t], obs[:, :, t], masks[:, :, t], values[:, :, t] = taken, obs_t, mask, q
         chosen[..., t + 1] = action
         taken[inst, row, action] += 1.0
-        pooled = np.maximum(pooled, feats[inst, action], order="C")
+        pooled = np.maximum(pooled, feats[inst, action])
     return chosen, cams, obs, masks, values, pooled
 
 

@@ -21,10 +21,11 @@ ACTIVATIONS = ("linear", "relu", "tanh", "sigmoid")
 
 
 def _activate(tag: str, z: Array) -> Array:
+    # z is the fresh pre-activation array of one layer, so ReLU may overwrite it
     if tag == "linear":
         return z
     if tag == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if tag == "tanh":
         return np.tanh(z)
     if tag == "sigmoid":
@@ -32,13 +33,14 @@ def _activate(tag: str, z: Array) -> Array:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activate_grad(tag: str, z: Array, y: Array) -> Array:
-    # derivative w.r.t. pre-activation z; y is the activation output. ReLU's
-    # is a bool mask: a float times a bool is bit-equal to times 1.0 or 0.0
+def _activate_grad(tag: str, y: Array) -> Array | None:
+    # derivative w.r.t. the pre-activation, from the activation output y
+    # (None: the identity). ReLU's is a bool mask, y > 0 wherever z > 0 (NaN
+    # included): a float times a bool is bit-equal to times 1.0 or 0.0
     if tag == "linear":
-        return np.ones_like(z)
+        return None
     if tag == "relu":
-        return z > 0.0
+        return y > 0.0
     if tag == "tanh":
         return 1.0 - y * y
     if tag == "sigmoid":
@@ -126,36 +128,41 @@ class DenseNet:
             raise ShapeError(f"input shape {x.shape} is not a batch of width {self.in_dim}")
         cache = []
         for w, b, spec in zip(self.weights, self.biases, self.specs):
-            z = x @ w.T + b
+            z = x @ w.T
+            z += b
             y = _activate(spec.activation, z)
-            cache.append((x, z, y))
+            cache.append((x, y))
             x = y
         _require_finite(x, "forward output")
         return x, cache
 
-    def backward(self, cache: list | None, grad_out: Array) -> tuple[dict[str, Array], Array]:
+    def backward(self, cache: list | None, grad_out: Array,
+                 input_grad: bool = True) -> tuple[dict[str, Array], Array | None]:
         """Backpropagate ``grad_out`` through a cached forward pass.
 
         Returns (parameter gradients keyed like named_params, gradient w.r.t.
-        the forward input).
+        the forward input, or None when ``input_grad`` is false and the
+        caller has no use for it).
         """
         if cache is None or len(cache) != len(self.specs):
             raise StateError("backward needs the cache from a matching forward_cache call")
         grad = np.asarray(grad_out, dtype=np.float64)
-        if grad.shape != cache[-1][2].shape:
+        if grad.shape != cache[-1][1].shape:
             raise ShapeError(
-                f"loss gradient shape {grad.shape} does not match output shape {cache[-1][2].shape}"
+                f"loss gradient shape {grad.shape} does not match output shape {cache[-1][1].shape}"
             )
         grads: dict[str, Array] = {}
         for i in range(len(self.specs) - 1, -1, -1):
-            x_in, z, y = cache[i]
-            dz = grad * _activate_grad(self.specs[i].activation, z, y)
+            x_in, y = cache[i]
+            mask = _activate_grad(self.specs[i].activation, y)
+            dz = grad if mask is None else grad * mask
             grads[f"layer{i}.weight"] = dz.T @ x_in
             grads[f"layer{i}.bias"] = dz.sum(axis=0)
-            grad = dz @ self.weights[i]
+            grad = dz @ self.weights[i] if i or input_grad else None
         for name, g in grads.items():
             _require_finite(g, f"gradient of {name}")
-        _require_finite(grad, "input gradient")
+        if input_grad:
+            _require_finite(grad, "input gradient")
         return grads, grad
 
 

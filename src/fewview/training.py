@@ -159,7 +159,7 @@ def _predict_sets(task_net, feats: Array, view_sets: Array):
     view_sets is (S, k) integer view ids. Classification returns logits
     (S, C); detection returns heatmaps (S, H, W).
     """
-    pooled = feats[view_sets].max(axis=1)  # (S, D, ...) max over the k views
+    pooled = feats[view_sets].max(axis=1)  # (S[, H, W], D) max over the k views
     if pooled.ndim == 2:
         return task_net.head_cache(pooled)[0]
     return np.stack([task_net.head_cache(p)[0] for p in pooled])
@@ -218,7 +218,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
 def _batch_loss(net, obs, truths) -> tuple[float, dict]:
     """Task loss and gradients of a batch whose observations (G, V, ...)
     hold the views to pool."""
-    feats, fcache = net.features_cache(obs)                       # (G, V, D[, H, W])
+    feats, fcache = net.features_cache(obs)                       # (G, V[, H, W], D)
     outputs, hcache = net.head_cache(feats.max(axis=1))
     views = np.broadcast_to(np.arange(obs.shape[1]), obs.shape[:2])
     return _task_grads(net, feats, fcache, views, truths, outputs, hcache)
@@ -239,16 +239,16 @@ def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=N
     """Task loss of the outputs pooled over each instance's views (G, k),
     plus the gradients of both task-network parts.
 
-    d_obs, when given, holds the selector's gradient w.r.t. each state's
-    observation vector, rows in (instance, step) order. Spread evenly over
-    any spatial cells, each routes step by step to the views chosen up to
-    that state; the terminal pooled gradient follows, so the feature
-    extractor takes a single combined step."""
+    feats are (G, V[, H, W], D). d_obs, when given, holds the selector's
+    gradient w.r.t. each state's observation vector (D,), rows in (instance,
+    step) order. Spread evenly over any spatial cells, each routes step by
+    step to the views chosen up to that state; the terminal pooled gradient
+    follows, so the feature extractor takes a single combined step."""
     d_feats = np.zeros_like(feats)
     if d_obs is not None:
         n_inst, T = views.shape
-        cells = feats.shape[3:]
-        d_obs = d_obs.reshape((n_inst, T - 1, -1) + (1,) * len(cells)) / math.prod(cells)
+        cells = feats.shape[2:-1]
+        d_obs = d_obs.reshape((n_inst, T - 1) + (1,) * len(cells) + (-1,)) / math.prod(cells)
         for t in range(T - 1):
             route_pooled_grad(d_feats, feats, views[:, : t + 1], d_obs[:, t])
     loss, d_out = task_net.loss(outputs, truths)

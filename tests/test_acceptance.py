@@ -3,14 +3,18 @@
 Each test prints its verdict to the real terminal (bypassing capture) before
 asserting, so a full run always shows eleven lines. The two expensive
 fixtures train the five-seed classification and detection suites once and
-share them across the ordering, joint-gain, and shut-off checks.
+share them across the ordering, joint-gain, and shut-off checks. Each suite
+trains its seeds in a pool of spawned processes, one BLAS thread each.
 """
 
 import copy
 import itertools
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,73 +59,99 @@ def _report(capsys, num: int, name: str, ok: bool) -> bool:
 # shared multi-seed suites
 
 
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def _per_seed(run_seed) -> list[dict]:
+    """``run_seed`` for every seed, in a spawn process pool of up to one
+    worker per CPU. Each worker starts with every BLAS and OpenMP pool
+    pinned to one thread, before it imports NumPy, so seeds running side by
+    side do not share cores."""
+    saved = {k: os.environ.get(k) for k in THREAD_VARS}
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=min(N_SEEDS, os.cpu_count()),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(run_seed, range(N_SEEDS)))
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
+def _cls_seed(seed: int) -> dict:
+    """One classification seed: task net, fixed selector, joint pair."""
+    t0 = time.time()
+    world = ClassificationWorld(ClassificationConfig(
+        n_train=120, n_val=60, n_eval=80, noise=0.3, seed=seed))
+    task = tr.build_classifier(world, seed=seed)
+    tr.train_task_network(world, task, tr.TrainConfig(
+        regime="task", epochs=40, T=12, task_lr=2e-3, seed=seed,
+        train_view_counts=VIEW_MIX))
+    acc = {}
+    acc["full"] = tr.evaluate_policy(
+        world, task, 12, "full-views").metrics()["accuracy"]
+    acc["random"] = tr.evaluate_policy(
+        world, task, 2, "random", seed=seed).metrics()["accuracy"]
+    q_fixed = tr.build_selector(world, task, seed=seed)
+    tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
+        regime="select-fixed", epochs=30, T=2, selector_lr=1e-3, seed=seed))
+    acc["mvselect"] = tr.evaluate_policy(
+        world, task, 2, "mvselect", q_net=q_fixed).metrics()["accuracy"]
+    acc["dataset-oracle"] = tr.evaluate_policy(
+        world, task, 2, "dataset-oracle").metrics()["accuracy"]
+    acc["instance-oracle"] = tr.evaluate_policy(
+        world, task, 2, "instance-oracle").metrics()["accuracy"]
+    task_joint = copy.deepcopy(task)
+    q_joint = tr.build_selector(world, task_joint, seed=seed)
+    tr.train_joint(world, task_joint, q_joint, tr.TrainConfig(
+        regime="joint", epochs=30, T=2, task_lr=2e-3, selector_lr=1e-3,
+        seed=seed))
+    acc["joint"] = tr.evaluate_policy(
+        world, task_joint, 2, "mvselect", q_net=q_joint).metrics()["accuracy"]
+    return {"seed": seed, "world": world, "task": task, "q_fixed": q_fixed,
+            "acc": acc, "seconds": time.time() - t0}
+
+
+def _det_seed(seed: int) -> dict:
+    """One detection seed: full-view, fixed-selector, and joint MODA."""
+    t0 = time.time()
+    world = DetectionWorld(DetectionConfig(
+        noise=0.2, half_angle_deg=60.0, view_range=50.0, seed=seed))
+    task = tr.build_detector(world, seed=seed)
+    tr.train_task_network(world, task, tr.TrainConfig(
+        regime="task", epochs=4, T=6, task_lr=1e-3, seed=seed))
+    moda = {}
+    moda["full"] = tr.evaluate_policy(
+        world, task, 6, "full-views").metrics()["moda"]
+    q_fixed = tr.build_selector(world, task, seed=seed)
+    tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
+        regime="select-fixed", epochs=10, T=3, selector_lr=1e-3, seed=seed))
+    moda["mvselect"] = tr.evaluate_policy(
+        world, task, 3, "mvselect", q_net=q_fixed).metrics()["moda"]
+    task_joint = copy.deepcopy(task)
+    q_joint = tr.build_selector(world, task_joint, seed=seed)
+    tr.train_joint(world, task_joint, q_joint, tr.TrainConfig(
+        regime="joint", epochs=16, T=3, task_lr=1e-3, selector_lr=1e-3,
+        joint_task_lr_factor=0.5, seed=seed))
+    moda["joint"] = tr.evaluate_policy(
+        world, task_joint, 3, "mvselect", q_net=q_joint).metrics()["moda"]
+    return {"seed": seed, "moda": moda, "seconds": time.time() - t0}
+
+
 @pytest.fixture(scope="module")
 def cls_suite():
     """Five-seed classification runs: task net, fixed selector, joint pair."""
-    runs = []
-    for seed in range(N_SEEDS):
-        t0 = time.time()
-        world = ClassificationWorld(ClassificationConfig(
-            n_train=120, n_val=60, n_eval=80, noise=0.3, seed=seed))
-        task = tr.build_classifier(world, seed=seed)
-        tr.train_task_network(world, task, tr.TrainConfig(
-            regime="task", epochs=40, T=12, task_lr=2e-3, seed=seed,
-            train_view_counts=VIEW_MIX))
-        acc = {}
-        acc["full"] = tr.evaluate_policy(
-            world, task, 12, "full-views").metrics()["accuracy"]
-        acc["random"] = tr.evaluate_policy(
-            world, task, 2, "random", seed=seed).metrics()["accuracy"]
-        q_fixed = tr.build_selector(world, task, seed=seed)
-        tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
-            regime="select-fixed", epochs=30, T=2, selector_lr=1e-3, seed=seed))
-        acc["mvselect"] = tr.evaluate_policy(
-            world, task, 2, "mvselect", q_net=q_fixed).metrics()["accuracy"]
-        acc["dataset-oracle"] = tr.evaluate_policy(
-            world, task, 2, "dataset-oracle").metrics()["accuracy"]
-        acc["instance-oracle"] = tr.evaluate_policy(
-            world, task, 2, "instance-oracle").metrics()["accuracy"]
-        task_joint = copy.deepcopy(task)
-        q_joint = tr.build_selector(world, task_joint, seed=seed)
-        tr.train_joint(world, task_joint, q_joint, tr.TrainConfig(
-            regime="joint", epochs=30, T=2, task_lr=2e-3, selector_lr=1e-3,
-            seed=seed))
-        acc["joint"] = tr.evaluate_policy(
-            world, task_joint, 2, "mvselect", q_net=q_joint).metrics()["accuracy"]
-        runs.append({"seed": seed, "world": world, "task": task,
-                     "q_fixed": q_fixed, "acc": acc,
-                     "seconds": time.time() - t0})
-    return runs
+    return _per_seed(_cls_seed)
 
 
 @pytest.fixture(scope="module")
 def det_suite():
     """Five-seed detection runs: full-view, fixed-selector, and joint MODA."""
-    runs = []
-    for seed in range(N_SEEDS):
-        t0 = time.time()
-        world = DetectionWorld(DetectionConfig(
-            noise=0.2, half_angle_deg=60.0, view_range=50.0, seed=seed))
-        task = tr.build_detector(world, seed=seed)
-        tr.train_task_network(world, task, tr.TrainConfig(
-            regime="task", epochs=4, T=6, task_lr=1e-3, seed=seed))
-        moda = {}
-        moda["full"] = tr.evaluate_policy(
-            world, task, 6, "full-views").metrics()["moda"]
-        q_fixed = tr.build_selector(world, task, seed=seed)
-        tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
-            regime="select-fixed", epochs=10, T=3, selector_lr=1e-3, seed=seed))
-        moda["mvselect"] = tr.evaluate_policy(
-            world, task, 3, "mvselect", q_net=q_fixed).metrics()["moda"]
-        task_joint = copy.deepcopy(task)
-        q_joint = tr.build_selector(world, task_joint, seed=seed)
-        tr.train_joint(world, task_joint, q_joint, tr.TrainConfig(
-            regime="joint", epochs=16, T=3, task_lr=1e-3, selector_lr=1e-3,
-            joint_task_lr_factor=0.5, seed=seed))
-        moda["joint"] = tr.evaluate_policy(
-            world, task_joint, 3, "mvselect", q_net=q_joint).metrics()["moda"]
-        runs.append({"seed": seed, "moda": moda, "seconds": time.time() - t0})
-    return runs
+    return _per_seed(_det_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +534,6 @@ def test_branch_ablations_enforce_invariances(capsys):
 
 
 def _cli(*argv):
-    import os
     return subprocess.run([sys.executable, "-m", "fewview.cli", *argv],
                           capture_output=True, text=True,
                           cwd=Path(__file__).resolve().parents[1],

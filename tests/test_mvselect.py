@@ -61,11 +61,11 @@ def test_build_state_running_max():
 
 
 def test_build_state_reduces_feature_maps():
-    a = np.arange(8.0).reshape(2, 2, 2)
-    b = a[:, ::-1, :]
+    a = np.arange(8.0).reshape(2, 2, 2)                     # (H, W, D)
+    b = a[::-1]
     _, obs = scripted([0, 1, 2], [a, b, np.zeros_like(a)])
-    np.testing.assert_array_equal(obs[0], a.mean(axis=(1, 2)))
-    np.testing.assert_array_equal(obs[1], np.maximum(a, b).mean(axis=(1, 2)))
+    np.testing.assert_array_equal(obs[0], a.mean(axis=(0, 1)))
+    np.testing.assert_array_equal(obs[1], np.maximum(a, b).mean(axis=(0, 1)))
 
 
 def test_build_state_order_insensitive():

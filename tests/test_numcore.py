@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fewview.errors import NonFiniteError, ShapeError, StateError
 from fewview.numcore import (
+    ACTIVATIONS,
     Adam,
     DenseNet,
     LayerSpec,
@@ -133,15 +134,34 @@ def test_relu_backward_equals_float_mask_bit_for_bit():
     net.weights[0][:2] = 0.0
     net.biases[0][:2] = [0.0, -1.0]
     rng = np.random.default_rng(1)
-    out, cache = net.forward_cache(rng.normal(size=(5, 3)))
+    x = rng.normal(size=(5, 3))
+    out, cache = net.forward_cache(x)
     grad = rng.normal(size=out.shape)
     grads, d_x = net.backward(cache, grad)
-    x, z, _ = cache[0]
+    z = x @ net.weights[0].T + net.biases[0]
     dz = grad * (z > 0.0).astype(np.float64)
     assert grads["layer0.bias"].tobytes() == dz.sum(axis=0).tobytes()
     assert grads["layer0.weight"].tobytes() == (dz.T @ x).tobytes()
     assert d_x.tobytes() == (dz @ net.weights[0]).tobytes()
     np.testing.assert_array_equal(grads["layer0.bias"][:2], 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
+def test_backward_without_input_gradient_keeps_parameter_gradients(seed, activations):
+    rng = np.random.default_rng(seed)
+    widths = [int(w) for w in rng.integers(1, 6, size=len(activations) + 1)]
+    net = DenseNet([LayerSpec(a, b, act) for a, b, act in zip(widths, widths[1:], activations)],
+                   seed=seed)
+    x = rng.normal(size=(int(rng.integers(1, 7)), widths[0]))
+    out, cache = net.forward_cache(x)
+    grad = rng.normal(size=out.shape)
+    full, d_x = net.backward(cache, grad)
+    params, skipped = net.backward(cache, grad, input_grad=False)
+    assert skipped is None and d_x.shape == x.shape
+    assert list(params) == list(full)
+    for name, g in full.items():
+        assert params[name].tobytes() == g.tobytes(), name
 
 
 def test_backward_without_cache_raises():

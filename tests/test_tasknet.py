@@ -13,9 +13,10 @@ from fewview import training as tr
 from fewview.artifacts import atomic_write_bytes
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy
-from fewview.tasknet import MVClassifier, MVDetector, route_pooled_grad
-from testkit import (aggregate_max, max_relative_error, numeric_gradient, predict,
-                     route_pooled_grad_argmax)
+from fewview.mvselect import QNetwork, rollout
+from fewview.tasknet import SCATTER_MAX_BLOCK, MVClassifier, MVDetector, route_pooled_grad
+from testkit import (ChannelFirstDetector, aggregate_max, max_relative_error, numeric_gradient,
+                     predict, rollout_channel_first, route_pooled_grad_argmax)
 
 GRAD_TOL = 1e-4
 THR = 2.0  # matching radius in cells
@@ -97,29 +98,36 @@ def test_route_pooled_grad_scatters_to_argmax_only():
 
 
 def test_route_adds_onto_existing_gradient():
-    # a broadcast (G, D, 1, 1) gradient lands on every cell, added in place
+    # a broadcast (G, 1, 1, D) gradient lands on every cell, added in place
     rng = np.random.default_rng(5)
-    feats = rng.normal(size=(2, 3, 2, 4, 5))
+    feats = rng.normal(size=(2, 3, 4, 5, 2))
     views = np.array([[1, 2], [0, 2]])
-    step = rng.normal(size=(2, 2, 1, 1))
+    step = rng.normal(size=(2, 1, 1, 2))
     d_feats = rng.normal(size=feats.shape)
-    expect = d_feats + routed_grad(feats, views, np.broadcast_to(step, (2, 2, 4, 5)))
+    expect = d_feats + routed_grad(feats, views, np.broadcast_to(step, (2, 4, 5, 2)))
     route_pooled_grad(d_feats, feats, views, step)
     np.testing.assert_array_equal(d_feats, expect)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
-def test_route_equals_argmax_scatter_bit_for_bit(seed, detection, broadcast, warm):
-    # classification (G, V, D) or detection (G, V, D, H, W) shapes; rounded
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_route_equals_argmax_scatter_bit_for_bit(seed, detection, broadcast, warm, large):
+    # classification (G, V, D) or detection (G, V, H, W, D) shapes, with view
+    # blocks on both sides of the router's scatter/walk threshold; rounded
     # ReLU features tie often, at zero and above it
     rng = np.random.default_rng(seed)
-    g, v, d = (int(x) for x in rng.integers(1, [4, 7, 5]))
-    cells = tuple(int(x) for x in rng.integers(1, 5, size=2)) if detection else ()
-    feats = np.maximum(np.round(rng.normal(size=(g, v, d) + cells), 1), 0.0)
+    g, v = (int(x) for x in rng.integers(1, [4, 7]))
+    if detection:
+        cells = tuple(int(x) for x in (rng.integers(5, 9, size=2) if large
+                                       else rng.integers(1, 5, size=2)))
+        d = int(rng.integers(3, 6) if large else rng.integers(1, 5))
+    else:
+        cells, d = (), int(rng.integers(65, 100) if large else rng.integers(1, 65))
+    assert (d * int(np.prod(cells)) > SCATTER_MAX_BLOCK) == large
+    feats = np.maximum(np.round(rng.normal(size=(g, v) + cells + (d,)), 1), 0.0)
     k = int(rng.integers(1, v + 1))
     views = np.array([rng.permutation(v)[:k] for _ in range(g)])
-    d_pooled = rng.normal(size=(g, d) + ((1, 1) if detection and broadcast else cells))
+    d_pooled = rng.normal(size=(g,) + ((1, 1) if detection and broadcast else cells) + (d,))
     start = rng.normal(size=feats.shape) if warm else np.zeros(feats.shape)
     got, want = start.copy(), start.copy()
     route_pooled_grad(got, feats, views, d_pooled)
@@ -233,9 +241,9 @@ def test_detector_unseen_cell_feature_is_f_of_zero():
     net = tiny_detector()
     obs = np.random.default_rng(9).normal(size=(1, 3, 4, 4))
     obs[0, :, 2, 3] = 0.0  # a cell outside this camera's visibility
-    feats = net.features_cache(obs)[0]
+    feats = net.features_cache(obs)[0]                      # (V, H, W, D)
     f_zero = net.feature_net.forward_cache(np.zeros((1, 3)))[0][0]
-    np.testing.assert_allclose(feats[0, :, 2, 3], f_zero, rtol=1e-12)
+    np.testing.assert_allclose(feats[0, 2, 3], f_zero, rtol=1e-12)
 
 
 def test_detector_permutation_and_duplicate_invariance():
@@ -305,7 +313,7 @@ def test_joint_gradient_with_selector_term_matches_finite_differences(kind):
             feats = net.features_cache(obs[g])[0]
             for t in range(2):
                 pooled = aggregate_max([feats[v] for v in views[g, : t + 1]])
-                total += np.dot(c[g, t], pooled.reshape(4, -1).mean(axis=1))
+                total += np.dot(c[g, t], pooled.reshape(-1, 4).mean(axis=0))
         return total
 
     feats, fcache = net.features_cache(obs)
@@ -324,15 +332,15 @@ def test_detector_batch_axis_matches_stacked_instances():
     net = tiny_detector(seed=16)
     rng = np.random.default_rng(17)
     obs = rng.normal(size=(2, 3, 3, 4, 5))                  # (G, V, C, H, W)
-    feats, fcache = net.features_cache(obs)
+    feats, fcache = net.features_cache(obs)                 # (G, V, H, W, D)
     np.testing.assert_array_equal(feats, np.stack([net.features_cache(o)[0] for o in obs]))
     d_feats = rng.normal(size=feats.shape)
     _, flat_cache = net.features_cache(obs.reshape(6, 3, 4, 5))
-    flat = net.features_backward(flat_cache, d_feats.reshape(6, 4, 4, 5))
+    flat = net.features_backward(flat_cache, d_feats.reshape(6, 4, 5, 4))
     for name, g in net.features_backward(fcache, d_feats).items():
         np.testing.assert_array_equal(g, flat[name], err_msg=name)
 
-    pooled = feats.max(axis=1)                              # (G, D, H, W)
+    pooled = feats.max(axis=1)                              # (G, H, W, D)
     heat, hcache = net.head_cache(pooled)
     singles = [net.head_cache(p) for p in pooled]
     np.testing.assert_array_equal(heat, np.stack([h for h, _ in singles]))
@@ -340,11 +348,49 @@ def test_detector_batch_axis_matches_stacked_instances():
     grads, d_pooled = net.head_backward(hcache, d_heat)
     np.testing.assert_array_equal(d_pooled, np.stack(
         [net.head_backward(c, d)[1] for (_, c), d in zip(singles, d_heat)]))
-    rows = pooled.transpose(1, 0, 2, 3).reshape(4, 8, 5)    # (D, G*H, W)
+    rows = pooled.reshape(8, 5, 4)                          # (G*H, W, D)
     _, row_cache = net.head_cache(rows)
     row_grads, _ = net.head_backward(row_cache, d_heat.reshape(8, 5))
     for name, g in grads.items():
         np.testing.assert_array_equal(g, row_grads[name], err_msg=name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.6]))
+def test_feature_last_path_equals_channel_first_reference(seed, epsilon):
+    # features, heatmaps, batch-loss gradients and the selection rollout on
+    # the feature-last layout equal the channel-first reference bit for bit
+    rng = np.random.default_rng(seed)
+    g, v, c, h, w, d = (int(x) for x in rng.integers(1, [3, 5, 4, 6, 6, 5]))
+    v += 1
+    net = MVDetector(channels=c, feat_dim=d, hidden=int(rng.integers(1, 6)), seed=seed)
+    ref = ChannelFirstDetector(net)
+    obs = rng.normal(size=(g, v, c, h, w))
+    truths = list(rng.uniform(size=(g, h, w)))
+
+    feats, _ = net.features_cache(obs)                      # (G, V, H, W, D)
+    ref_feats, _ = ref.features_cache(obs)                  # (G, V, D, H, W)
+    assert feats.tobytes() == np.moveaxis(ref_feats, 2, -1).tobytes()
+    heat = net.head_cache(feats.max(axis=1))[0]
+    assert heat.tobytes() == ref.head_cache(ref_feats.max(axis=1))[0].tobytes()
+
+    loss, grads = tr._batch_loss(net, obs, truths)
+    ref_loss, ref_grads = tr._batch_loss(ref, obs, truths)
+    assert loss == ref_loss and list(grads) == list(ref_grads)
+    for name, grad in grads.items():
+        assert grad.tobytes() == ref_grads[name].tobytes(), name
+
+    q_net = QNetwork(n_cameras=v, feat_dim=d, hidden=int(rng.integers(1, 6)), seed=seed)
+    initial = rng.integers(v, size=(g, 2))
+    T = int(rng.integers(2, v + 1))
+    chosen, _, q_obs, _, values, pooled = rollout(
+        q_net, feats, initial, T, frozenset(), epsilon, np.random.default_rng(seed))
+    ref_chosen, ref_obs, ref_values, ref_pooled = rollout_channel_first(
+        q_net, ref_feats, initial, T, frozenset(), epsilon, np.random.default_rng(seed))
+    np.testing.assert_array_equal(chosen, ref_chosen)
+    assert q_obs.tobytes() == ref_obs.tobytes()
+    assert values.tobytes() == ref_values.tobytes()
+    assert pooled.tobytes() == np.moveaxis(ref_pooled, 2, -1).tobytes()
 
 
 def test_perfect_heatmap_zero_loss():

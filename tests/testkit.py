@@ -1,6 +1,7 @@
 """Reference oracles the tests check the package against: finite-difference
 gradients, a loop-form max-pool and task-network forward, the argmax form of
-the max-pool gradient router, the per-camera ray-cast form of detection
+the max-pool gradient router, the channel-first form of the detector and of
+the selection rollout, the per-camera ray-cast form of detection
 visibility, an exhaustive action-value solver for tiny worlds, loop forms of
 detection peak extraction and matching, and a paired significance test.
 Nothing in ``fewview`` calls them."""
@@ -77,6 +78,74 @@ def route_pooled_grad_argmax(d_feats: Array, feats: Array, views: Array, d_poole
     amax = feats[inst, views].argmax(axis=1)            # (G, D[, H, W]) slot in views
     idx = np.indices(amax.shape, sparse=True)
     d_feats[(idx[0], views[idx[0], amax]) + tuple(idx[1:])] += d_pooled
+
+
+class ChannelFirstDetector:
+    """An ``MVDetector``'s networks on channel-first features (..., V, D, H,
+    W): each step moves the feature axis last for the per-cell networks and
+    back again. ``training._batch_loss`` runs on it as on the detector."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def features_cache(self, obs: Array):
+        obs = np.asarray(obs, dtype=np.float64)
+        *lead, c, h, w = obs.shape
+        feats, cache = self.net.feature_net.forward_cache(np.moveaxis(obs, -3, -1).reshape(-1, c))
+        return np.moveaxis(feats.reshape(*lead, h, w, self.net.feat_dim), -1, -3), cache
+
+    def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:
+        flat = np.moveaxis(np.asarray(d_feats), -3, -1).reshape(-1, self.net.feat_dim)
+        grads, _ = self.net.feature_net.backward(cache, flat)
+        return {f"feature.{k}": g for k, g in grads.items()}
+
+    def head_cache(self, pooled: Array):
+        *lead, d, h, w = pooled.shape
+        out, cache = self.net.head_net.forward_cache(np.moveaxis(pooled, -3, -1).reshape(-1, d))
+        return out.reshape(*lead, h, w), (cache, pooled.shape)
+
+    def head_backward(self, hcache, d_heatmap: Array):
+        cache, (*lead, d, h, w) = hcache
+        grads, d_flat = self.net.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1))
+        d_pooled = np.moveaxis(d_flat.reshape(*lead, h, w, d), -1, -3)
+        return {f"head.{k}": v for k, v in grads.items()}, d_pooled
+
+    def loss(self, outputs: Array, truths):
+        return self.net.loss(outputs, truths)
+
+
+def rollout_channel_first(q_net, feats: Array, initial, T: int, disabled=frozenset(),
+                          epsilon: float = 0.0, rng=None):
+    """The selection rollout on channel-first features (G, N, D, H, W): a C
+    order running max, whose cell mean over its trailing axes is each
+    state's observation vector. Returns (chosen, obs, values, pooled) as
+    ``mvselect.rollout`` does, pooled (G, R, D, H, W)."""
+    initial = np.asarray(initial, dtype=int)
+    (n_inst, n_rows), n_cams = initial.shape, feats.shape[1]
+    inst, row = np.arange(n_inst)[:, None], np.arange(n_rows)
+    chosen = np.zeros((n_inst, n_rows, T), dtype=int)
+    chosen[..., 0] = initial
+    taken = np.zeros((n_inst, n_rows, n_cams))
+    taken[inst, row, initial] = 1.0
+    pooled = np.ascontiguousarray(feats[inst, initial])
+    obs, values = [], []
+    for _ in range(T - 1):
+        obs_t = pooled.mean(axis=(3, 4))
+        mask = (taken > 0) | np.isin(np.arange(n_cams), list(disabled))
+        q = np.stack([q_net.forward_cache(taken[g], obs_t[g])[0] for g in range(n_inst)])
+        action = np.where(mask, -np.inf, q).argmax(axis=-1)
+        if epsilon > 0:
+            for g in range(n_inst):
+                for r in range(n_rows):
+                    if rng.random() < epsilon:
+                        open_cams = np.flatnonzero(~mask[g, r])
+                        action[g, r] = open_cams[rng.integers(len(open_cams))]
+        obs.append(obs_t)
+        values.append(q)
+        chosen[..., len(obs)] = action
+        taken[inst, row, action] += 1.0
+        pooled = np.maximum(pooled, feats[inst, action], order="C")
+    return chosen, np.stack(obs, axis=2), np.stack(values, axis=2), pooled
 
 
 def _ray_path(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
