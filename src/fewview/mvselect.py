@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checkpoint import Persistable
-from .errors import ShapeError, StateError
+from .errors import ConfigError, ShapeError, StateError
 from .numcore import DenseNet, LayerSpec, param_shapes
 
 Array = np.ndarray
@@ -139,13 +139,17 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
     """Run R selection rollouts of T views for each of G instances at once.
 
     feats is (G, N, D) or (G, N, H, W, D), the per-view features of each
-    instance; initial is (G, R) start views. Every step values each state
-    with one Q forward per instance over its R rows, then picks the masked
-    argmax (ties go to the lowest index). With epsilon > 0 each row instead
-    takes a uniform unmasked camera with probability epsilon: per step and
-    per (instance, row), the rng draws the coin first and the index only on
-    the random arm, so a replay from the same generator state reproduces
-    the choices. A camera is masked once taken or when disabled.
+    instance, read only through ``feats.shape`` and ``feats[inst, views]``
+    (so a ``tasknet.ViewFeatures`` table, which featurizes a view when it is
+    first read, serves as well); initial is (G, R) start views in [0, N),
+    checked before the first step. Every step values each state with one Q
+    forward per instance over its R rows, then picks the masked argmax
+    (ties go to the lowest index). With epsilon > 0, which needs an rng,
+    each row instead takes a uniform unmasked camera with probability
+    epsilon: per step and per (instance, row), the rng draws the coin first
+    and the index only on the random arm, so a replay from the same
+    generator state reproduces the choices. A camera is masked once taken
+    or when disabled.
 
     Returns (chosen, cams, obs, masks, values, pooled): chosen (G, R, T)
     view ids with column 0 the initial view; for the T-1 states visited,
@@ -154,9 +158,15 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
     max-pooled over all T chosen views, (G, R[, H, W], D). A state's
     observation vector is the mean of the running max over the cells.
     """
-    feats = np.asarray(feats, dtype=np.float64)
     initial = np.asarray(initial, dtype=int)
-    (n_inst, n_rows), n_cams, steps = initial.shape, feats.shape[1], T - 1
+    n_cams, steps = feats.shape[1], T - 1
+    if initial.ndim != 2 or len(initial) != feats.shape[0] or not (
+            (initial >= 0) & (initial < n_cams)).all():
+        raise ShapeError(f"initial views must be (G, R) ids in [0, {n_cams}) for "
+                         f"{feats.shape[0]} instances")
+    if epsilon > 0 and rng is None:
+        raise ConfigError("an epsilon-greedy rollout needs an rng")
+    n_inst, n_rows = initial.shape
     inst = np.arange(n_inst)[:, None]
     row = np.arange(n_rows)
     blocked = np.zeros(n_cams, dtype=bool)

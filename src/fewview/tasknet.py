@@ -14,6 +14,8 @@ step between extraction and decoding copies them into another layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import evaluation
@@ -32,6 +34,15 @@ Array = np.ndarray
 # 12 views listed, and lost at every k from 512 entries on (a detection
 # frame's 16,384: 0.92 against 0.22 ms with 3 of 6 views listed).
 SCATTER_MAX_BLOCK = 64
+
+# Fewest rows of f in one view (one per cell) for ``forward_features`` to
+# featurize that view alone. A row keeps its bits in a smaller call only
+# while both calls run the same BLAS kernel. With OpenBLAS 0.3.31 and f
+# layers 2 to 64 wide, some views of up to 75 rows took other bits alone
+# than in a call of 2 to 12 views, and no view of 76 rows or more did; 256
+# (a 16 x 16 grid) leaves a margin. A classification view is one row, a
+# detection view 1,024 on the acceptance world.
+VIEW_ALONE_MIN_ROWS = 256
 
 
 def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
@@ -57,6 +68,40 @@ def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Arra
         # a miss adds d_pooled * 0.0 = +-0.0, which changes no value except
         # a -0.0 entry; d_feats only ever sums from +0.0, so it holds none
         d_feats[inst, views[:, j]] += d_pooled * hit
+
+
+def forward_features(net: TaskNet, observations):
+    """The per-view features (G, N[, H, W], D) of G instances'
+    observations, each (N, C[, H, W]), for a pass that needs no backward.
+    Views of at least ``VIEW_ALONE_MIN_ROWS`` cells come as a
+    ``ViewFeatures`` table that featurizes each view when first read;
+    smaller views are featurized at once, in one call."""
+    if math.prod(observations[0].shape[2:]) < VIEW_ALONE_MIN_ROWS:
+        return net.features_cache(np.stack(observations))[0]
+    return ViewFeatures(net, observations)
+
+
+class ViewFeatures:
+    """Per-view features (G, N, H, W, D), each view featurized alone the
+    first time it is read. It is read like the array ``features_cache``
+    returns, through ``shape`` and ``table[inst, views]``, with the same
+    bits for views of at least ``VIEW_ALONE_MIN_ROWS`` cells."""
+
+    def __init__(self, net: TaskNet, observations):
+        self.net = net
+        self.observations = observations
+        n_views, _, *cells = observations[0].shape
+        self.shape = (len(observations), n_views, *cells, net.feat_dim)
+        self.feats = np.empty(self.shape)
+        self.done = np.zeros(self.shape[:2], dtype=bool)
+
+    def __getitem__(self, key):
+        inst, views = np.broadcast_arrays(*key)
+        todo = ~self.done[inst, views]
+        for g, v in dict.fromkeys(zip(inst[todo].tolist(), views[todo].tolist())):
+            self.feats[g, v] = self.net.features_cache(self.observations[g][v])[0]
+        self.done[inst, views] = True
+        return self.feats[inst, views]
 
 
 class TaskNet(Persistable):

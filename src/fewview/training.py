@@ -6,6 +6,16 @@ epsilon-greedy selections, regresses the taken action values onto inline TD
 targets, adds the terminal task loss, and updates both networks (the task
 network at a fifth of its usual learning rate).
 
+Selector training against the frozen network featurizes only what its
+rollouts read: ``tasknet.forward_features`` hands them a table that runs f
+on a detection view (1,024 cells on the acceptance world) the first time
+the rollout visits it, T of N views per instance, but featurizes a
+classification batch in one call, because one-row views featurized in a
+smaller call change in the last bits. Joint training and policy
+evaluation featurize every view: the joint backward over fewer rows would
+reorder float sums, and greedy evaluation from every initial view visits
+every camera anyway.
+
 Reference policies: uniform-random completion, a dataset-level oracle that
 fixes the best view set per initial view on a designated split, and an
 instance-level oracle that picks the best set per instance. Both oracles
@@ -32,7 +42,7 @@ from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam
-from .tasknet import MVClassifier, MVDetector, TaskNet, route_pooled_grad
+from .tasknet import MVClassifier, MVDetector, TaskNet, forward_features, route_pooled_grad
 
 Array = np.ndarray
 
@@ -205,7 +215,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
                 size = int(counts[rng.integers(len(counts))])
                 views = np.sort(rng.permutation(n_cams)[:size])
             obs, truths = _batch(net, world, idx)
-            loss, grads = _batch_loss(net, obs[:, views], truths)
+            loss, grads = _batch_loss(net, np.stack(obs)[:, views], truths)
             _require_finite_loss(loss, f"epoch {epoch}")
             opt.step(grads)
             counters["task_terms"] += 1
@@ -229,10 +239,10 @@ def _batch_loss(net, obs, truths) -> tuple[float, dict]:
 
 
 def _batch(task_net, world, indices):
-    """Stacked observations (G, N, ...) of training instances and their
-    ground truths."""
+    """The observations (N, ...) of each training instance and their ground
+    truths."""
     insts = [world.instance(TRAIN, int(i)) for i in indices]
-    return np.stack([inst.observations for inst in insts]), [task_net.truth(inst) for inst in insts]
+    return [inst.observations for inst in insts], [task_net.truth(inst) for inst in insts]
 
 
 def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=None):
@@ -308,7 +318,12 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
             initial = rng.integers(world.n_cameras, size=len(idx))
             batch_obs, truths = _batch(task_net, world, idx)
-            feats, fcache = task_net.features_cache(batch_obs)
+            if update_task:
+                feats, fcache = task_net.features_cache(np.stack(batch_obs))
+            else:
+                # nothing flows back into the frozen network, so the rollout
+                # may featurize only the views it reads
+                feats = forward_features(task_net, batch_obs)
             chosen, cams, obs, masks, values, pooled = rollout(
                 q_net, feats, initial[:, None], cfg.T, disabled, eps, rng)
             views = chosen[:, 0]                                 # (G, T)

@@ -1,8 +1,10 @@
 """Checks on the committed benchmark results: every ``BENCH_*.json`` at the
 repository root reports only workloads and end-to-end metrics that
-``BENCHMARK.json`` declares, each with the parent's and the change's runs."""
+``BENCHMARK.json`` declares, each with the parent's and the change's runs,
+names its parent commit by a hex prefix, and claims a metric it reports."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -34,3 +36,13 @@ def test_bench_file_reports_declared_metrics_on_both_sides(path):
                 assert SIDE_KEYS <= set(sides[side]), f"{path.name}: {name} {metric} {side}"
                 assert len(sides[side]["runs"]) == len(seeds)
                 assert sides[side]["q1"] <= sides[side]["median"] <= sides[side]["q3"]
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_claims_a_reported_metric_against_a_commit(path):
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    assert re.fullmatch(r"[0-9a-f]{7,40}", bench["parent"]), f"{path.name}: parent {bench['parent']!r}"
+    workload, metric = bench["claimed"]["workload"], bench["claimed"]["metric"]
+    assert workload in bench["workloads"], f"{path.name}: claims unreported workload {workload!r}"
+    assert metric in bench["workloads"][workload]["metrics"], \
+        f"{path.name}: claims {metric!r}, which it does not report for {workload}"

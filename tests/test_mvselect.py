@@ -7,7 +7,7 @@ import pytest
 
 from fewview.artifacts import atomic_write_bytes
 from fewview.checkpoint import encode_checkpoint, load_checkpoint
-from fewview.errors import CompatibilityError, ShapeError, StateError
+from fewview.errors import CompatibilityError, ConfigError, ShapeError, StateError
 from fewview.mvselect import (
     QNetwork,
     epsilon_schedule,
@@ -15,7 +15,7 @@ from fewview.mvselect import (
     rollout,
     td_targets,
 )
-from fewview.tasknet import MVClassifier, MVDetector
+from fewview.tasknet import MVClassifier, MVDetector, ViewFeatures
 from testkit import max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
@@ -83,6 +83,28 @@ def test_build_state_guards():
         rollout(net, np.zeros((1, 3, 2)), [[0]], 2, disabled={1, 2})
     with pytest.raises(ShapeError):
         rollout(QNetwork(3, 4, 5, seed=0), np.zeros((1, 3, 2)), [[0]], 2)
+
+
+def features_of(form):
+    """Features (1, 3, 2) of one instance, as an array or as a view table."""
+    net = MVClassifier(obs_dim=4, feat_dim=2, n_classes=2, hidden=3, seed=0)
+    obs = np.random.default_rng(0).normal(size=(3, 4))
+    return net.features_cache(obs[None])[0] if form == "array" else ViewFeatures(net, [obs])
+
+
+@pytest.mark.parametrize("form", ["array", "table"])
+@pytest.mark.parametrize("initial", [[[3]], [[-1]], [[0, 4]], [[0], [1]], [0]])
+def test_rollout_rejects_initial_views_outside_the_instances(form, initial):
+    with pytest.raises(ShapeError):
+        rollout(StubNet([0.1, 0.9, 0.5]), features_of(form), initial, 2)
+
+
+@pytest.mark.parametrize("form", ["array", "table"])
+def test_rollout_with_epsilon_needs_an_rng(form):
+    with pytest.raises(ConfigError):
+        rollout(StubNet([0.1, 0.9, 0.5]), features_of(form), [[0]], 2, epsilon=0.5)
+    chosen = rollout(StubNet([0.1, 0.9, 0.5]), features_of(form), [[0]], 2, epsilon=0.0)[0]
+    np.testing.assert_array_equal(chosen, [[[0, 1]]])
 
 
 def test_rollout_records_each_state_once():

@@ -3,6 +3,8 @@ gradients against finite differences, and checkpoint round trips."""
 
 from types import SimpleNamespace
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from fewview import evaluation as ev
 from fewview import training as tr
 from fewview.artifacts import atomic_write_bytes
+from fewview.envs import DetectionConfig, DetectionWorld
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy
 from fewview.mvselect import QNetwork, rollout
-from fewview.tasknet import SCATTER_MAX_BLOCK, MVClassifier, MVDetector, route_pooled_grad
+from fewview.tasknet import (SCATTER_MAX_BLOCK, VIEW_ALONE_MIN_ROWS, MVClassifier, MVDetector,
+                             ViewFeatures, forward_features, route_pooled_grad)
 from testkit import (ChannelFirstDetector, aggregate_max, max_relative_error, numeric_gradient,
                      predict, rollout_channel_first, route_pooled_grad_argmax)
 
@@ -353,6 +357,37 @@ def test_detector_batch_axis_matches_stacked_instances():
     row_grads, _ = net.head_backward(row_cache, d_heat.reshape(8, 5))
     for name, g in grads.items():
         np.testing.assert_array_equal(g, row_grads[name], err_msg=name)
+
+
+def test_detector_view_alone_equals_its_slice_on_the_acceptance_geometry():
+    # select-fixed training featurizes each detection view on its own; on
+    # the acceptance world that must give the bits of the all-views call
+    world = DetectionWorld(DetectionConfig(
+        noise=0.2, half_angle_deg=60.0, view_range=50.0, seed=1))
+    net = tr.build_detector(world, seed=1)
+    assert world.config.grid_h * world.config.grid_w >= VIEW_ALONE_MIN_ROWS
+    for i in range(4):
+        obs = world.instance("train", i).observations
+        every = net.features_cache(obs[None])[0][0]
+        for v in range(world.n_cameras):
+            assert net.features_cache(obs[v])[0].tobytes() == every[v].tobytes()
+
+
+@pytest.mark.parametrize("net, cells", [(tiny_classifier(3), ()), (tiny_detector(3), (4, 5)),
+                                        (tiny_detector(3), (16, 16))],
+                         ids=["classifier", "detector-20-cells", "detector-256-cells"])
+def test_forward_features_read_equal_the_batched_features(net, cells):
+    # one-row and 20-cell views come featurized in one call, 256-cell views
+    # as a table that featurizes each view alone when first read
+    channels = net.obs_dim if isinstance(net, MVClassifier) else net.channels
+    obs = np.random.default_rng(4).normal(size=(3, 5, channels, *cells))   # (G, N, C[, H, W])
+    every = net.features_cache(obs)[0]
+    feats = forward_features(net, list(obs))
+    assert isinstance(feats, ViewFeatures) == (math.prod(cells) >= VIEW_ALONE_MIN_ROWS)
+    assert feats.shape == every.shape
+    inst = np.arange(3)[:, None]
+    for views in ([[0], [4], [2]], [[0, 3], [1, 1], [2, 4]], np.tile(np.arange(5), (3, 1))):
+        assert feats[inst, np.array(views)].tobytes() == every[inst, np.array(views)].tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ budget guards, and bit-reproducibility.
 
 import copy
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from fewview.errors import (
 )
 from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
-from fewview.tasknet import MVClassifier
-from testkit import exact_q_table, optimal_actions, paired_t_pvalue
+from fewview.tasknet import MVClassifier, MVDetector
+from testkit import exact_q_table, optimal_actions, paired_t_pvalue, train_selector_fixed_eager
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -575,3 +576,48 @@ def test_distinct_set_records_equal_row_by_row(family, policy, request):
         # classifier records are correctness flags, which last-bit
         # differences of its batched head leave unchanged here
         np.testing.assert_array_equal(run.records[i], rows)
+
+
+# ---------------------------------------------------------------------------
+# select-fixed training featurizes only the views its rollouts visit
+
+
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_select_fixed_equals_the_eager_loop(family, request):
+    if family == "detection":
+        world, net, _ = request.getfixturevalue("det_tiny")
+    else:
+        cls_world = request.getfixturevalue("cls_world")
+        world = studies.world_with_layout(cls_world, shut_off_cameras(cls_world.layout, [5]))
+        net = request.getfixturevalue("cls_net")
+    cfg = tr.TrainConfig(regime="select-fixed", epochs=2, T=3, epsilon_start=0.9,
+                         epsilon_end=0.3, seed=8)
+    q_net = tr.build_selector(world, net, seed=8)
+    q_eager = copy.deepcopy(q_net)
+    result = tr.train_selector_fixed(world, net, q_net, cfg)
+    eager = train_selector_fixed_eager(world, net, q_eager, cfg)
+    assert tr.params_hash(q_net) == tr.params_hash(q_eager)
+    assert result.epoch_logs == eager.epoch_logs
+    assert (result.counters, result.total_steps) == (eager.counters, eager.total_steps)
+
+
+def test_select_fixed_featurizes_only_the_visited_views(det_tiny, monkeypatch):
+    world, net, _ = det_tiny
+    views_per_step = []
+    instance, features_cache = world.instance, MVDetector.features_cache
+
+    def counted_instance(split, index):
+        views_per_step.append(0)       # one instance per detection step
+        return instance(split, index)
+
+    def counted_features(self, obs):
+        views_per_step[-1] += math.prod(np.shape(obs)[:-3])
+        return features_cache(self, obs)
+
+    monkeypatch.setattr(world, "instance", counted_instance)
+    monkeypatch.setattr(MVDetector, "features_cache", counted_features)
+    T = 3
+    tr.train_selector_fixed(world, net, tr.build_selector(world, net, seed=2),
+                            tr.TrainConfig(regime="select-fixed", epochs=1, T=T, seed=2))
+    assert T < world.n_cameras
+    assert views_per_step == [T] * world.n_train

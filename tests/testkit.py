@@ -1,7 +1,8 @@
 """Reference oracles the tests check the package against: finite-difference
 gradients, a loop-form max-pool and task-network forward, the argmax form of
 the max-pool gradient router, the channel-first form of the detector and of
-the selection rollout, the per-camera ray-cast form of detection
+the selection rollout, the eager select-fixed loop that featurizes every
+view of a batch, the per-camera ray-cast form of detection
 visibility, an exhaustive action-value solver for tiny worlds, loop forms of
 detection peak extraction and matching, and a paired significance test.
 Nothing in ``fewview`` calls them."""
@@ -14,7 +15,9 @@ from scipy import ndimage, stats
 
 from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, DetectionMatchResult
-from fewview.training import _predict_sets
+from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
+from fewview.numcore import Adam
+from fewview.training import TrainResult, _batch, _check_t, _predict_sets
 
 Array = np.ndarray
 
@@ -146,6 +149,45 @@ def rollout_channel_first(q_net, feats: Array, initial, T: int, disabled=frozens
         taken[inst, row, action] += 1.0
         pooled = np.maximum(pooled, feats[inst, action], order="C")
     return chosen, np.stack(obs, axis=2), np.stack(values, axis=2), pooled
+
+
+def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
+    """Select-fixed training that featurizes all N views of every batch in
+    one call before the rollout reads T of them: the loop
+    ``training.train_selector_fixed`` must match bit for bit."""
+    _check_t(world, cfg.T)
+    batch = task_net.train_batch or cfg.batch_size
+    rng = np.random.default_rng([cfg.seed, 13])
+    n = world.n_train
+    total_steps = cfg.epochs * ((n + batch - 1) // batch)
+    opt_q = Adam(q_net.named_params(), lr=cfg.selector_lr)
+    logs, counters, step = [], {"task_terms": 0, "rl_terms": 0}, 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        rl_losses = []
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
+            initial = rng.integers(world.n_cameras, size=len(idx))
+            batch_obs, truths = _batch(task_net, world, idx)
+            feats = task_net.features_cache(np.stack(batch_obs))[0]
+            chosen, cams, obs, masks, values, pooled = rollout(
+                q_net, feats, initial[:, None], cfg.T, world.layout.disabled, eps, rng)
+            rewards = task_net.reward(task_net.head_cache(pooled[:, 0])[0], truths)
+            actions = chosen[..., 1:].reshape(-1)
+            q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
+            targets = td_targets(values, masks, np.reshape(rewards, (-1, 1)), cfg.gamma).reshape(-1)
+            loss_rl, d_terms = rl_loss(q_taken, targets)
+            counters["rl_terms"] += len(actions)
+            q_all, q_cache = q_net.forward_cache(cams.reshape(len(actions), -1),
+                                                 obs.reshape(len(actions), -1))
+            d_q = np.zeros_like(q_all)
+            d_q[np.arange(len(actions)), actions] = d_terms / len(idx)
+            opt_q.step(q_net.backward(q_cache, d_q)[0])
+            rl_losses.append(loss_rl / len(idx))
+            step += 1
+        logs.append({"epoch": epoch, "loss": float(np.mean(rl_losses)), "epsilon": float(eps)})
+    return TrainResult(logs, counters, step)
 
 
 def _ray_path(start: tuple[int, int], end: tuple[int, int]) -> list[tuple[int, int]]:
