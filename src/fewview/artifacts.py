@@ -88,7 +88,6 @@ class RunManifest:
     config: dict
     config_hash: str
     seed: int
-    tool_version: str = __version__
     outputs: list = field(default_factory=list)  # [{"path", "sha256"}, ...]
     timing_seconds: float | None = None
 
@@ -111,7 +110,7 @@ class RunManifest:
             "config": self.config,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "outputs": sorted(self.outputs, key=lambda o: o["path"]),
             "timing_seconds": self.timing_seconds,
         }))

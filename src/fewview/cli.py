@@ -63,28 +63,17 @@ def _check_world_hash(meta: dict, world, path) -> None:
             f"world hash mismatch for {path}: checkpoint has {got}, config has {want}")
 
 
-def _load_task_net(cfg: ExperimentConfig, world, path):
+def _load_net(net_cls, world, path):
+    """A task network or selector checkpoint of ``net_cls`` for ``world``."""
     if not Path(path).exists():
-        raise ConfigError(f"task checkpoint not found: {path}")
-    net, meta = cfg.family.net.load(path)
+        raise ConfigError(f"{net_cls.kind} checkpoint not found: {path}")
+    net, meta = net_cls.load(path)
     _check_world_hash(meta, world, path)
     return net
 
 
-def _load_selector(world, path) -> QNetwork:
-    if not Path(path).exists():
-        raise ConfigError(f"selector checkpoint not found: {path}")
-    q_net, meta = QNetwork.load(path)
-    _check_world_hash(meta, world, path)
-    return q_net
-
-
-def _effective_seed(args, cfg: ExperimentConfig) -> int:
-    return args.seed if args.seed is not None else cfg.seed
-
-
 def _start_run(args, cfg: ExperimentConfig, command: str):
-    seed = _effective_seed(args, cfg)
+    seed = args.seed if args.seed is not None else cfg.seed
     root = artifacts.output_root(args.out, cfg.output_dir)
     run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed,
                                       getattr(args, "force", False))
@@ -111,8 +100,6 @@ def _finish_run(run_dir: Path, manifest: artifacts.RunManifest, started: float,
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     regime = args.regime or cfg.require("train.regime")
-    if regime not in REGIMES:
-        raise ConfigError(f"regime must be one of {REGIMES}, got {regime!r}")
     started = time.perf_counter()
     seed, run_dir, manifest = _start_run(args, cfg, f"train-{regime}")
     world = _build_world(cfg)
@@ -129,7 +116,7 @@ def cmd_train(args) -> int:
             run_dir, "task", ".ckpt", net.encode(world_hash, extra)))
     else:
         task_path = cfg.require("train.task_checkpoint")
-        task_net = _load_task_net(cfg, world, task_path)
+        task_net = _load_net(cfg.family.net, world, task_path)
         q_net = _build_selector(cfg, world, task_net, seed)
         if regime == "select-fixed":
             result = training.train_selector_fixed(world, task_net, q_net, train_cfg)
@@ -156,9 +143,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     ev_sec = cfg.eval_section()
-    policy = args.policy or ev_sec.get("policy") or cfg.require("eval.policy")
-    if policy not in POLICIES:
-        raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
+    policy = args.policy or cfg.require("eval.policy")
     started = time.perf_counter()
     seed, run_dir, manifest = _start_run(args, cfg, f"eval-{policy}")
     world = _build_world(cfg)
@@ -168,10 +153,10 @@ def cmd_eval(args) -> int:
         T = ev_sec.get("T") or world.n_cameras
     else:
         T = cfg.require("eval.T")
-    task_net = _load_task_net(cfg, world, cfg.require("eval.task_checkpoint"))
+    task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     q_net = None
     if policy == "mvselect":
-        q_net = _load_selector(world, cfg.require("eval.selector_checkpoint"))
+        q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
 
     run = training.evaluate_policy(world, task_net, T, policy,
                                    split=ev_sec["split"], q_net=q_net, seed=seed,
@@ -201,7 +186,7 @@ def cmd_study(args) -> int:
     seed, run_dir, manifest = _start_run(args, cfg, f"study-{study}")
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
-    task_net = _load_task_net(cfg, world, cfg.require("eval.task_checkpoint"))
+    task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     outputs = []
 
     def selector_cfg():  # the train section, for the selectors a study retrains
@@ -212,7 +197,7 @@ def cmd_study(args) -> int:
         policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
         q_nets = {}
         for key, path in (ev_sec.get("selector_checkpoints") or {}).items():
-            q_nets[int(key)] = _load_selector(world, path)
+            q_nets[int(key)] = _load_net(QNetwork, world, path)
         retrain = (cfg.raw["train"] or {}).get("epochs") is not None
         rows = studies.sweep_view_budget(
             world, task_net, t_values, policies=policies, q_nets=q_nets,
@@ -222,9 +207,10 @@ def cmd_study(args) -> int:
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-sweep", ".jsonl", payload.encode("utf-8")))
         outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-sweep", ".csv", studies.sweep_csv(rows).encode("utf-8")))
+            run_dir, "study-sweep", ".csv",
+            evaluation.table_csv(rows, ("T", "policy")).encode("utf-8")))
     elif study == "shutoff":
-        q_net = _load_selector(world, cfg.require("eval.selector_checkpoint"))
+        q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
         out = studies.camera_shutoff_study(
             world, task_net, q_net, T=cfg.require("eval.T"),
             k=ev_sec["k"], rank_split=ev_sec["rank_split"],
@@ -240,7 +226,7 @@ def cmd_study(args) -> int:
             run_dir, "study-random-pose", ".json", artifacts.json_bytes(out)))
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-random-pose", ".csv",
-            evaluation.table_csv(out["rows"], _row_fields(out["rows"])).encode("utf-8")))
+            evaluation.table_csv(out["rows"], ("policy",)).encode("utf-8")))
     else:  # ablation
         rows = studies.selector_ablation_study(
             world, task_net, T=cfg.require("eval.T"),
@@ -249,15 +235,10 @@ def cmd_study(args) -> int:
             run_dir, "study-ablation", ".json", artifacts.json_bytes(rows)))
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-ablation", ".csv",
-            evaluation.table_csv(rows, _row_fields(rows)).encode("utf-8")))
+            evaluation.table_csv(rows, ("variant",)).encode("utf-8")))
 
     _finish_run(run_dir, manifest, started, outputs)
     return 0
-
-
-def _row_fields(rows: list[dict]) -> list[str]:
-    head = [k for k in ("variant", "policy", "T") if k in rows[0]]
-    return head + sorted(k for k in rows[0] if k not in head)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +255,7 @@ def cmd_oracle(args) -> int:
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     T = args.T if args.T is not None else cfg.require("eval.T")
-    task_net = _load_task_net(cfg, world, cfg.require("eval.task_checkpoint"))
+    task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     build = (training.dataset_oracle_table if policy == "dataset-oracle"
              else training.instance_oracle_table)
     table = build(world, task_net, T, ev_sec["split"], ev_sec["budget"])

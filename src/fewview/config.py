@@ -23,8 +23,8 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError
-from .training import (DEFAULT_ENUM_BUDGET, TASK_FAMILIES, TaskFamily, TrainConfig,
-                       check_train_ranges)
+from .training import (DEFAULT_ENUM_BUDGET, POLICIES, SPLITS, TASK_FAMILIES, TaskFamily,
+                       TrainConfig, check_train_ranges)
 
 WORLD_KINDS = tuple(TASK_FAMILIES)
 
@@ -229,7 +229,14 @@ def _validate_eval(raw) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("eval section must be a mapping")
     _reject_unknown("eval", raw, _EVAL_KEYS)
-    _check_types("eval", _set_keys(raw), _EVAL_KEYS)
+    given = _set_keys(raw)
+    _check_types("eval", given, _EVAL_KEYS)
+    names = [(key, given.get(key), allowed) for key, allowed in
+             (("split", SPLITS), ("rank_split", SPLITS), ("policy", POLICIES))]
+    names += [(f"policies[{i}]", name, POLICIES) for i, name in enumerate(given.get("policies", ()))]
+    for key, name, allowed in names:
+        if name is not None and name not in allowed:
+            raise ConfigError(f"eval.{key} must be one of {tuple(allowed)}, got {name!r}")
     for key, path in (raw.get("selector_checkpoints") or {}).items():
         if not (isinstance(key, str) and key.isdecimal()):
             raise ConfigError(f"eval.selector_checkpoints keys must be view budgets T "

@@ -76,9 +76,6 @@ def shut_off_cameras(layout: Layout, disabled) -> Layout:
     space. Observations and instances are untouched; selection masks change.
     """
     disabled = frozenset(int(v) for v in disabled)
-    bad = [v for v in disabled if not 0 <= v < layout.n_cameras]
-    if bad:
-        raise ConfigError(f"cannot disable unknown cameras {sorted(bad)}")
     merged = layout.disabled | disabled
     if layout.n_cameras - len(merged) < 2:
         raise ConfigError("shut-off must leave at least 2 usable cameras")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 Array = np.ndarray
 
@@ -107,23 +107,11 @@ def frame_counts(heatmap: Array, gt_positions: Array, threshold: float) -> Array
 # detection metric bundle
 
 
-def detection_metrics_from_counts(tp: float, fp: float, fn: float, gt: float,
-                                  credit: float) -> dict:
-    """Formula substitution on aggregated counts: MODA = 1 - (FP+FN)/GT,
-    MODP = credit/TP, precision = TP/(TP+FP), recall = TP/GT."""
-    if gt <= 0:
-        raise ShapeError("detection metrics need positive ground-truth count")
-    moda = 1.0 - (fp + fn) / gt
-    modp = credit / tp if tp > 0 else 0.0
-    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
-    recall = tp / gt
-    return {"moda": float(moda), "modp": float(modp),
-            "precision": float(precision), "recall": float(recall),
-            "primary": float(moda)}
-
-
 def detection_metrics_arrays(counts: Array, credit: Array) -> dict:
-    """Aggregate (…, 4) frame-count rows and matching credit sums."""
+    """Aggregate (…, 4) frame-count rows [tp, fp, fn, gt] and matching
+    credit sums over the frames with ground truth, then substitute the
+    totals: MODA = 1 - (FP+FN)/GT, MODP = credit/TP, precision =
+    TP/(TP+FP), recall = TP/GT."""
     counts = np.asarray(counts, dtype=float).reshape(-1, 4)
     credit = np.asarray(credit, dtype=float).ravel()
     if len(counts) != len(credit):
@@ -135,7 +123,13 @@ def detection_metrics_arrays(counts: Array, credit: Array) -> dict:
     if not keep.any():
         raise ShapeError("all frames lacked ground truth")
     tp, fp, fn, gt = counts[keep].sum(axis=0)
-    return detection_metrics_from_counts(tp, fp, fn, gt, float(credit[keep].sum()))
+    moda = 1.0 - (fp + fn) / gt
+    modp = float(credit[keep].sum()) / tp if tp > 0 else 0.0
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / gt
+    return {"moda": float(moda), "modp": float(modp),
+            "precision": float(precision), "recall": float(recall),
+            "primary": float(moda)}
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +259,13 @@ def frequency_csv(freq: Array) -> str:
     return out.getvalue()
 
 
-def table_csv(rows: list[dict], fieldnames: list[str]) -> str:
-    """Generic plot-ready CSV; floats written via repr for determinism."""
+def table_csv(rows: list[dict], head) -> str:
+    """Plot-ready CSV of study rows: the ``head`` columns first, then the
+    other keys of the first row in sorted order; floats written via repr
+    for determinism."""
+    if not rows:
+        raise ConfigError("study produced no rows")
+    fieldnames = list(head) + sorted(k for k in rows[0] if k not in head)
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
@@ -275,4 +274,3 @@ def table_csv(rows: list[dict], fieldnames: list[str]) -> str:
             k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()
         })
     return out.getvalue()
-

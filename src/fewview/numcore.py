@@ -95,7 +95,6 @@ class DenseNet:
                     f"layer widths do not chain: {prev.out_dim} -> {nxt.in_dim}"
                 )
         self.specs = specs
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.weights: list[Array] = []
         self.biases: list[Array] = []
@@ -107,10 +106,6 @@ class DenseNet:
     @property
     def in_dim(self) -> int:
         return self.specs[0].in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.specs[-1].out_dim
 
     def mac_count(self) -> int:
         """Multiply-accumulate count of one forward pass on a single input."""

@@ -73,13 +73,14 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     complete view set whatever the Q values, so an untrained selector is
     substituted at those budgets when neither is given.
     """
+    for policy in policies:
+        if policy not in training.POLICIES:
+            raise ConfigError(f"unknown policy {policy!r} in sweep")
     T_values = [int(t) for t in T_values]
     q_nets = dict(q_nets or {})
     rows = []
     for t in T_values:
         for policy in policies:
-            if policy not in training.POLICIES:
-                raise ConfigError(f"unknown policy {policy!r} in sweep")
             q_net = None
             if policy == "mvselect":
                 q_net = q_nets.get(t)
@@ -100,15 +101,6 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
             row["cost_ratio"] = cost.ratio
             rows.append(row)
     return rows
-
-
-def sweep_csv(rows: list[dict]) -> str:
-    """Plot-ready CSV of sweep rows."""
-    if not rows:
-        raise ConfigError("sweep produced no rows")
-    head = ["T", "policy"]
-    metric_keys = sorted(k for k in rows[0] if k not in head)
-    return evaluation.table_csv(rows, head + metric_keys)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ Array = np.ndarray
 
 REGIMES = ("task", "select-fixed", "joint")
 POLICIES = ("mvselect", "random", "dataset-oracle", "instance-oracle", "full-views")
-SPLITS = {"train": TRAIN, "val": VAL, "eval": EVAL}  # split names; perfbench reads this
+SPLITS = {"train": TRAIN, "val": VAL, "eval": EVAL}  # the split names a config may use
 JOINT_TASK_LR_FACTOR = 0.2  # the task network learns at a fifth of its rate
 DEFAULT_ENUM_BUDGET = 5_000_000
 
@@ -397,30 +397,6 @@ class PolicyTable:
             body = {f"{i}:{v}": list(self.entries[(i, v)]) for (i, v) in sorted(self.entries)}
         return json.dumps({"kind": self.kind, "T": self.T, "entries": body},
                           sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "PolicyTable":
-        """Parse the ``to_json`` form; a malformed table raises ConfigError."""
-        try:
-            raw = json.loads(text)
-            kind = raw["kind"]
-            entries = {}
-            for key, seq in raw["entries"].items():
-                if kind == "dataset":
-                    entries[int(key)] = tuple(int(a) for a in seq)
-                else:
-                    i, v = key.split(":")
-                    entries[(int(i), int(v))] = tuple(int(a) for a in seq)
-            T = int(raw["T"])
-        except (AttributeError, KeyError, OverflowError, RecursionError, TypeError,
-                ValueError) as exc:
-            raise ConfigError(f"malformed policy table: {exc!r}") from exc
-        if kind not in ("dataset", "instance"):
-            raise ConfigError("policy table kind must be dataset or instance")
-        if any(len(seq) != T - 1 or len(set(seq)) < len(seq) or min(seq, default=0) < 0
-               for seq in entries.values()):
-            raise ConfigError(f"policy table entries must hold {T - 1} distinct non-negative ids")
-        return PolicyTable(kind, T, entries)
 
 
 def check_enumeration_budget(world, T: int, split: str, budget: int = DEFAULT_ENUM_BUDGET) -> int:

@@ -31,7 +31,7 @@ from fewview.envs import (
 )
 from fewview.evaluation import (
     cost_from_macs,
-    detection_metrics_from_counts,
+    detection_metrics_arrays,
     match_detections,
 )
 from fewview.mvselect import QNetwork
@@ -396,7 +396,7 @@ def test_detection_metric_formulas_and_matching(capsys):
         fn = int(rng.integers(0, 20))
         gt = tp + fn
         credit = float(rng.uniform(0.0, tp))
-        m = detection_metrics_from_counts(tp, fp, fn, gt, credit)
+        m = detection_metrics_arrays(np.array([tp, fp, fn, gt]), np.array([credit]))
         direct = {"moda": 1.0 - (fp + fn) / gt, "modp": credit / tp,
                   "precision": tp / (tp + fp) if tp + fp > 0 else 0.0,
                   "recall": tp / gt}

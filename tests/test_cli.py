@@ -19,7 +19,7 @@ from fewview.artifacts import OUTPUT_ROOT_ENV, sha256_file
 from fewview.checkpoint import MAGIC
 from fewview.envs import DetectionConfig, DetectionWorld
 from fewview.tasknet import MVDetector
-from fewview.training import PolicyTable
+from testkit import read_policy_table
 
 
 def base_config(tmp: Path) -> dict:
@@ -363,6 +363,22 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     assert "split" in r.stderr
 
 
+@pytest.mark.parametrize("command, eval_keys, named", [
+    (["study", "sweep-T"], {"T_values": [2], "policies": ["random", "mvselect", "bogus"]},
+     "eval.policies[2]"),
+    (["eval", "--policy", "random"], {"split": "test"}, "eval.split"),
+], ids=["sweep-policy", "eval-split"])
+def test_bad_eval_names_exit_2_before_any_run_directory(workspace, tmp_path, command,
+                                                       eval_keys, named):
+    cfg = dict(workspace["cfg"])
+    cfg["eval"] = dict(cfg["eval"], **eval_keys)
+    cfg["output_dir"] = str(tmp_path / "runs")
+    r = cli(*command, "--config", str(write_config(tmp_path, cfg, "names.yaml")))
+    assert r.returncode == 2, r.stderr
+    assert not (tmp_path / "runs").exists()
+    assert named in r.stderr
+
+
 def test_detection_world_trains_and_evaluates_through_the_cli(tmp_path):
     world = {"kind": "detection", "grid_h": 16, "grid_w": 16, "n_cameras": 6,
              "channels": 4, "ring_radius": 12.0, "view_range": 21.0,
@@ -395,7 +411,7 @@ def test_oracle_table_round_trips(workspace, tmp_path):
     r = cli("oracle", "--config", str(cpath), "--policy", "dataset-oracle", "--T", "2")
     assert r.returncode == 0, r.stderr
     table_path = next(run_dir_of(r).glob("table-dataset-T2-*.json"))
-    table = PolicyTable.from_json(table_path.read_text())
+    table = read_policy_table(table_path.read_text())
     assert table.kind == "dataset" and table.T == 2
     assert set(table.entries) == set(range(6))
 

@@ -18,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 
 from fewview import artifacts
 from fewview import evaluation as ev
-from fewview.errors import ShapeError
+from fewview.errors import ConfigError, ShapeError
 from testkit import (extract_peaks_bfs, extract_peaks_loop, match_detections_loop,
                      paired_t_pvalue)
 
@@ -473,6 +473,24 @@ def test_frequency_csv_layout():
     assert lines[1] == "1,0,0,0.0"
     assert lines[2] == "1,0,1,1.0"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("head, rows, lines", [
+    (("policy",),
+     [{"primary": 0.5, "accuracy": 0.1 + 0.2, "policy": "random"},
+      {"accuracy": 1.0, "policy": "mvselect", "primary": 1 / 3}],
+     ["policy,accuracy,primary", f"random,{0.1 + 0.2!r},0.5", f"mvselect,1.0,{1 / 3!r}"]),
+    (("variant",),
+     [{"primary": 2 / 3, "variant": "no-camera-branch", "accuracy": 2 / 3}],
+     ["variant,accuracy,primary", f"no-camera-branch,{2 / 3!r},{2 / 3!r}"]),
+], ids=["random-pose", "ablation"])
+def test_table_csv_puts_head_first_then_sorted_keys(head, rows, lines):
+    assert ev.table_csv(rows, head) == "".join(line + "\n" for line in lines)
+
+
+def test_table_csv_rejects_empty_rows():
+    with pytest.raises(ConfigError, match="no rows"):
+        ev.table_csv([], ("policy",))
 
 
 def test_table_csv_round_trips_floats():

@@ -1,10 +1,12 @@
-"""Fuzz tests for the three input loaders: checkpoints, policy tables and
-experiment configs.
+"""Fuzz tests for the two input loaders: checkpoints and experiment
+configs. No command reads a policy table back, so there is no policy-table
+loader to fuzz; ``PolicyTable.view_sets`` checks every table that
+evaluation is handed.
 
 Each loader meets random bytes and mutations of a valid file: truncation,
 bit flips, key deletion and type swaps. Every input must load cleanly or
 raise the loader's documented error class: CompatibilityError for
-checkpoints, ConfigError for policy tables and configs.
+checkpoints, ConfigError for configs.
 """
 
 import copy
@@ -21,7 +23,6 @@ from fewview.config import load_config
 from fewview.errors import CompatibilityError, ConfigError
 from fewview.mvselect import QNetwork
 from fewview.tasknet import MVClassifier, MVDetector
-from fewview.training import PolicyTable
 
 FUZZ = settings(max_examples=200, deadline=None)
 
@@ -126,41 +127,6 @@ def test_checkpoint_truncated_or_bit_flipped(scratch, cls, data):
 def test_checkpoint_header_key_deleted_or_type_swapped(scratch, cls, data):
     header, payload = split_checkpoint(VALID_CKPT[cls])
     load_or_compatibility_error(cls, scratch, framed(data.draw(mutated_tree(header)), payload))
-
-
-# ---------------------------------------------------------------------------
-# policy tables
-
-VALID_TABLES = [
-    PolicyTable("dataset", 3, {0: (1, 2), 1: (2, 0), 2: (0, 1)}).to_json(),
-    PolicyTable("instance", 2, {(0, 0): (1,), (0, 1): (0,), (1, 0): (1,), (1, 1): (0,)}).to_json(),
-]
-
-
-def load_or_config_error(text: str) -> None:
-    try:
-        PolicyTable.from_json(text)
-    except ConfigError:
-        pass
-
-
-@FUZZ
-@given(st.one_of(st.text(max_size=200),
-                 st.binary(max_size=200).map(lambda b: b.decode("utf-8", "replace"))))
-def test_policy_table_random_text(text):
-    load_or_config_error(text)
-
-
-@FUZZ
-@given(st.sampled_from(VALID_TABLES), st.data())
-def test_policy_table_truncated_or_bit_flipped(table, data):
-    load_or_config_error(data.draw(mutated_bytes(table.encode("utf-8"))).decode("utf-8", "replace"))
-
-
-@FUZZ
-@given(st.sampled_from(VALID_TABLES), st.data())
-def test_policy_table_key_deleted_or_type_swapped(table, data):
-    load_or_config_error(json.dumps(data.draw(mutated_tree(json.loads(table)))))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ the max-pool gradient router, the channel-first form of the detector and of
 the selection rollout, the eager select-fixed loop that featurizes every
 view of a batch, the per-camera ray-cast form of detection
 visibility, an exhaustive action-value solver for tiny worlds, loop forms of
-detection peak extraction and matching, and a paired significance test.
-Nothing in ``fewview`` calls them."""
+detection peak extraction and matching, a paired significance test, and a
+reader of exported policy tables. Nothing in ``fewview`` calls them."""
 
 import itertools
+import json
 from typing import Callable
 
 import numpy as np
@@ -17,9 +18,20 @@ from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, DetectionMatchResult
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
-from fewview.training import TrainResult, _batch, _check_t, _predict_sets
+from fewview.training import PolicyTable, TrainResult, _batch, _check_t, _predict_sets
 
 Array = np.ndarray
+
+
+def read_policy_table(text: str) -> PolicyTable:
+    """The table whose ``PolicyTable.to_json`` form is ``text``; it reads
+    that form back and validates nothing."""
+    raw = json.loads(text)
+    entries = {}
+    for key, seq in raw["entries"].items():
+        index = tuple(int(part) for part in key.split(":"))
+        entries[index[0] if raw["kind"] == "dataset" else index] = tuple(seq)
+    return PolicyTable(raw["kind"], raw["T"], entries)
 
 
 def numeric_gradient(loss_fn: Callable[[], float], param: Array, step: float = 1e-5) -> Array:
