@@ -72,14 +72,20 @@ def _load_net(net_cls, world, path):
     return net
 
 
-def _start_run(args, cfg: ExperimentConfig, command: str):
-    seed = args.seed if args.seed is not None else cfg.seed
+def _load(args) -> tuple[ExperimentConfig, int]:
+    """The experiment config and the run seed (``--seed`` beats the config)."""
+    cfg = load_config(args.config)
+    return cfg, cfg.seed if args.seed is None else args.seed
+
+
+def _start_run(args, cfg: ExperimentConfig, command: str, seed: int):
+    """The run directory and manifest; callers read every input first."""
     root = artifacts.output_root(args.out, cfg.output_dir)
     run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed,
                                       getattr(args, "force", False))
     manifest = artifacts.RunManifest(command=command, config=cfg.raw,
                                      config_hash=cfg.config_hash(), seed=seed)
-    return seed, run_dir, manifest
+    return run_dir, manifest
 
 
 def _finish_run(run_dir: Path, manifest: artifacts.RunManifest, started: float,
@@ -98,25 +104,26 @@ def _finish_run(run_dir: Path, manifest: artifacts.RunManifest, started: float,
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = _load(args)
     regime = args.regime or cfg.require("train.regime")
     started = time.perf_counter()
-    seed, run_dir, manifest = _start_run(args, cfg, f"train-{regime}")
     world = _build_world(cfg)
     train_cfg = cfg.train_config(regime=regime, seed=seed)
+    if regime == "task":
+        task_net = _build_task_net(cfg, world, seed)
+    else:
+        task_net = _load_net(cfg.family.net, world, cfg.require("train.task_checkpoint"))
+    run_dir, manifest = _start_run(args, cfg, f"train-{regime}", seed)
     world_hash = world.world_hash()
     extra = {"regime": regime, "train_config": asdict(train_cfg),
              "config_hash": cfg.config_hash()}
     outputs = []
 
     if regime == "task":
-        net = _build_task_net(cfg, world, seed)
-        result = training.train_task_network(world, net, train_cfg)
+        result = training.train_task_network(world, task_net, train_cfg)
         outputs.append(artifacts.write_content_addressed(
-            run_dir, "task", ".ckpt", net.encode(world_hash, extra)))
+            run_dir, "task", ".ckpt", task_net.encode(world_hash, extra)))
     else:
-        task_path = cfg.require("train.task_checkpoint")
-        task_net = _load_net(cfg.family.net, world, task_path)
         q_net = _build_selector(cfg, world, task_net, seed)
         if regime == "select-fixed":
             result = training.train_selector_fixed(world, task_net, q_net, train_cfg)
@@ -141,11 +148,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = _load(args)
     ev_sec = cfg.eval_section()
     policy = args.policy or cfg.require("eval.policy")
     started = time.perf_counter()
-    seed, run_dir, manifest = _start_run(args, cfg, f"eval-{policy}")
     world = _build_world(cfg)
     if args.T is not None:
         T = args.T
@@ -157,6 +163,7 @@ def cmd_eval(args) -> int:
     q_net = None
     if policy == "mvselect":
         q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
+    run_dir, manifest = _start_run(args, cfg, f"eval-{policy}", seed)
 
     run = training.evaluate_policy(world, task_net, T, policy,
                                    split=ev_sec["split"], q_net=q_net, seed=seed,
@@ -180,47 +187,46 @@ def cmd_eval(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = _load(args)
     study = args.study
     started = time.perf_counter()
-    seed, run_dir, manifest = _start_run(args, cfg, f"study-{study}")
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
-    outputs = []
-
-    def selector_cfg():  # the train section, for the selectors a study retrains
-        return cfg.train_config(regime="select-fixed", seed=seed)
-
     if study == "sweep-T":
         t_values = cfg.require("eval.T_values")
-        policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
-        q_nets = {}
-        for key, path in (ev_sec.get("selector_checkpoints") or {}).items():
-            q_nets[int(key)] = _load_net(QNetwork, world, path)
+        q_nets = {int(key): _load_net(QNetwork, world, path)
+                  for key, path in (ev_sec.get("selector_checkpoints") or {}).items()}
         retrain = (cfg.raw["train"] or {}).get("epochs") is not None
+    else:
+        T = cfg.require("eval.T")
+        retrain = study != "shutoff"
+    if study == "shutoff":
+        q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
+    # the train section, for the selectors a study retrains
+    selector_cfg = cfg.train_config(regime="select-fixed", seed=seed) if retrain else None
+    run_dir, manifest = _start_run(args, cfg, f"study-{study}", seed)
+    outputs = []
+
+    if study == "sweep-T":
+        policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
         rows = studies.sweep_view_budget(
-            world, task_net, t_values, policies=policies, q_nets=q_nets,
-            selector_cfg=selector_cfg() if retrain else None, split=ev_sec["split"],
-            seed=seed, budget=ev_sec["budget"])
-        payload = artifacts.jsonl(rows)
+            world, task_net, t_values, policies=policies, q_nets=q_nets, selector_cfg=selector_cfg,
+            split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-sweep", ".jsonl", payload.encode("utf-8")))
+            run_dir, "study-sweep", ".jsonl", artifacts.jsonl(rows).encode("utf-8")))
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-sweep", ".csv",
             evaluation.table_csv(rows, ("T", "policy")).encode("utf-8")))
     elif study == "shutoff":
-        q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
         out = studies.camera_shutoff_study(
-            world, task_net, q_net, T=cfg.require("eval.T"),
-            k=ev_sec["k"], rank_split=ev_sec["rank_split"],
+            world, task_net, q_net, T=T, k=ev_sec["k"], rank_split=ev_sec["rank_split"],
             eval_split=ev_sec["split"], n_random=ev_sec["n_random"], seed=seed)
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-shutoff", ".json", artifacts.json_bytes(out)))
     elif study == "random-pose":
         out = studies.random_pose_study(
-            world, task_net, T=cfg.require("eval.T"),
-            selector_cfg=selector_cfg(), split=ev_sec["split"], seed=seed,
+            world, task_net, T=T, selector_cfg=selector_cfg, split=ev_sec["split"], seed=seed,
             budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-random-pose", ".json", artifacts.json_bytes(out)))
@@ -229,8 +235,7 @@ def cmd_study(args) -> int:
             evaluation.table_csv(out["rows"], ("policy",)).encode("utf-8")))
     else:  # ablation
         rows = studies.selector_ablation_study(
-            world, task_net, T=cfg.require("eval.T"),
-            selector_cfg=selector_cfg(), split=ev_sec["split"])
+            world, task_net, T=T, selector_cfg=selector_cfg, split=ev_sec["split"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-ablation", ".json", artifacts.json_bytes(rows)))
         outputs.append(artifacts.write_content_addressed(
@@ -246,16 +251,16 @@ def cmd_study(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
+    cfg, seed = _load(args)
     policy = args.policy or cfg.require("eval.policy")
     if policy not in ORACLE_POLICIES:
         raise ConfigError(f"oracle policy must be one of {ORACLE_POLICIES}, got {policy!r}")
     started = time.perf_counter()
-    seed, run_dir, manifest = _start_run(args, cfg, f"oracle-{policy}")
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     T = args.T if args.T is not None else cfg.require("eval.T")
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
+    run_dir, manifest = _start_run(args, cfg, f"oracle-{policy}", seed)
     build = (training.dataset_oracle_table if policy == "dataset-oracle"
              else training.instance_oracle_table)
     table = build(world, task_net, T, ev_sec["split"], ev_sec["budget"])

@@ -2,11 +2,15 @@
 
 The file has up to five parts: a ``world`` section (required), optional
 ``network``, ``train``, and ``eval`` sections, plus top-level ``output_dir``
-and ``seed``. Every key is schema-checked before any computation; unknown
-keys are rejected with their dotted path, and missing required keys are
-reported the same way. Hyperparameter defaults: discount 0.99, exploration
-linearly annealed 0.95 -> 0.05, joint fine-tuning runs the task network at a
-fifth of its learning rate.
+and ``seed``. Each section has one key table that gives every key its type
+and its default, and one validator reads them all: before any computation
+it rejects unknown keys and wrongly typed values by their dotted path, and
+fills in the defaults. A key may be null only when its type is ``X | None``
+(every ``network`` key, the eval keys without a default, and
+``train.train_view_counts`` and ``train.task_checkpoint``); null then leaves
+it unset. Hyperparameter defaults: discount 0.99, exploration linearly
+annealed 0.95 -> 0.05, joint fine-tuning runs the task network at a fifth of
+its learning rate.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import sys
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 
 import yaml
@@ -28,42 +32,39 @@ from .training import (DEFAULT_ENUM_BUDGET, POLICIES, SPLITS, TASK_FAMILIES, Tas
 
 WORLD_KINDS = tuple(TASK_FAMILIES)
 
-# keys that live outside the world/train dataclasses
-_POSITIVE_NETWORK_KEYS = ("task_hidden", "task_feat_dim", "selector_hidden")
+
+def _key_table(cls) -> dict:
+    """key -> (type, default) for the fields of dataclass ``cls``; a key
+    without a default has ``MISSING``."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+
+
+# null on a network key takes the builder default in training.build_*
 _NETWORK_KEYS = {
-    "task_hidden": int,
-    "task_feat_dim": int,
-    "selector_hidden": int,
-    "selector_seed": int,
-    "use_camera_branch": bool,
-    "use_feature_branch": bool,
+    "task_hidden": (int | None, MISSING),
+    "task_feat_dim": (int | None, MISSING),
+    "selector_hidden": (int | None, MISSING),
+    "selector_seed": (int | None, None),  # None -> run seed
+    "use_camera_branch": (bool | None, True),
+    "use_feature_branch": (bool | None, True),
 }
 _EVAL_KEYS = {
-    "split": str,
-    "policy": str,
-    "T": int,
-    "budget": int,
-    "task_checkpoint": str,
-    "selector_checkpoint": str,
-    "selector_checkpoints": dict,   # {str(T): path} for sweeps
-    "T_values": tuple[int, ...],
-    "k": int,
-    "n_random": int,
-    "rank_split": str,
-    "policies": tuple[str, ...],
+    "split": (str, "eval"),
+    "policy": (str | None, MISSING),
+    "T": (int | None, MISSING),
+    "budget": (int, DEFAULT_ENUM_BUDGET),
+    "task_checkpoint": (str | None, MISSING),
+    "selector_checkpoint": (str | None, MISSING),
+    "selector_checkpoints": (dict | None, MISSING),  # {str(T): path} for sweeps
+    "T_values": (tuple[int, ...] | None, MISSING),
+    "k": (int, 0),
+    "n_random": (int, 5),
+    "rank_split": (str, "val"),
+    "policies": (tuple[str, ...] | None, MISSING),
 }
-_EVAL_DEFAULTS = {"split": "eval", "budget": DEFAULT_ENUM_BUDGET,
-                  "rank_split": "val", "n_random": 5, "k": 0}
-_NETWORK_DEFAULTS = {"selector_seed": None, "use_camera_branch": True,
-                     "use_feature_branch": True}  # selector_seed None -> run seed
-_TRAIN_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainConfig)
-                   if f.default is not dataclasses.MISSING}
-_TRAIN_EXTRA_KEYS = {"task_checkpoint": str}  # checkpoint dependency for
-# select-fixed and joint regimes
-
-
-def _fields_of(cls) -> dict:
-    return {f.name: f for f in dataclasses.fields(cls)}
+# task_checkpoint: the task network that select-fixed and joint start from
+_TRAIN_KEYS = {**_key_table(TrainConfig), "task_checkpoint": (str | None, MISSING)}
 
 
 def _reject_unknown(section: str, raw: dict, allowed) -> None:
@@ -94,16 +95,15 @@ def _check_type(path: str, value, hint) -> None:
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
 
 
-def _check_types(section: str, raw: dict, hints: dict) -> None:
+def _validate_section(section: str, raw, keys: dict) -> dict:
+    """``raw`` checked against the key table ``keys``, with the defaults
+    filled in; a key without a default stays out unless it is given."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} section must be a mapping")
+    _reject_unknown(section, raw, keys)
     for key, value in raw.items():
-        if key in hints:
-            _check_type(f"{section}.{key}", value, hints[key])
-
-
-def _set_keys(raw: dict) -> dict:
-    """The entries of a network or eval section that are set (null leaves a
-    key unset)."""
-    return {k: v for k, v in raw.items() if v is not None}
+        _check_type(f"{section}.{key}", value, keys[key][0])
+    return {key: default for key, (_, default) in keys.items() if default is not MISSING} | raw
 
 
 def _world_config(section: dict):
@@ -151,10 +151,10 @@ class ExperimentConfig:
         return TrainConfig(**section)
 
     def network(self) -> dict:
-        return dict(self.raw.get("network") or {})
+        return dict(self.raw["network"])
 
     def eval_section(self) -> dict:
-        return dict(self.raw.get("eval") or {})
+        return dict(self.raw["eval"])
 
     def require(self, dotted: str):
         """Fetch ``section.key``; absent or None -> ConfigError naming the path."""
@@ -178,12 +178,10 @@ def _validate_world(raw) -> dict:
     kind = raw["kind"]
     if kind not in WORLD_KINDS:
         raise ConfigError(f"world.kind must be one of {WORLD_KINDS}, got {kind!r}")
-    cls = TASK_FAMILIES[kind].config
-    fields = _fields_of(cls)
-    _reject_unknown("world", {k: v for k, v in raw.items() if k != "kind"}, fields)
-    _check_types("world", raw, typing.get_type_hints(cls))
+    fields = {k: v for k, v in raw.items() if k != "kind"}
     # every world field has a default
-    out = {"kind": kind, **{name: raw.get(name, f.default) for name, f in fields.items()}}
+    out = {"kind": kind, **_validate_section(
+        "world", fields, _key_table(TASK_FAMILIES[kind].config))}
     _world_config(out)  # construct once so dataclass invariants run at validation time
     return out
 
@@ -191,59 +189,35 @@ def _validate_world(raw) -> dict:
 def _validate_train(raw) -> dict | None:
     if raw is None:
         return None
-    if not isinstance(raw, dict):
-        raise ConfigError("train section must be a mapping")
-    allowed = dict(_fields_of(TrainConfig))
-    allowed.update(_TRAIN_EXTRA_KEYS)
-    _reject_unknown("train", raw, allowed)
+    out = _validate_section("train", raw, _TRAIN_KEYS)
     if "seed" in raw:
         raise ConfigError("train.seed is not read: the run seed (top-level seed "
                           "or --seed) seeds training")
-    _check_types("train", raw, typing.get_type_hints(TrainConfig))
     check_train_ranges(raw)
-    out = dict(_TRAIN_DEFAULTS)
-    out.update(raw)
-    if out.get("train_view_counts") is not None:
-        out["train_view_counts"] = [int(c) for c in out["train_view_counts"]]
     return out
 
 
 def _validate_network(raw) -> dict:
-    if raw is None:
-        return dict(_NETWORK_DEFAULTS)
-    if not isinstance(raw, dict):
-        raise ConfigError("network section must be a mapping")
-    _reject_unknown("network", raw, _NETWORK_KEYS)
-    _check_types("network", _set_keys(raw), _NETWORK_KEYS)
-    for key in _POSITIVE_NETWORK_KEYS:
-        if raw.get(key) is not None and raw[key] < 1:
-            raise ConfigError(f"network.{key} must be positive, got {raw[key]!r}")
-    out = dict(_NETWORK_DEFAULTS)
-    out.update(raw)
+    out = _validate_section("network", {} if raw is None else raw, _NETWORK_KEYS)
+    for key in ("task_hidden", "task_feat_dim", "selector_hidden"):
+        if out.get(key) is not None and out[key] < 1:
+            raise ConfigError(f"network.{key} must be positive, got {out[key]!r}")
     return out
 
 
 def _validate_eval(raw) -> dict:
-    if raw is None:
-        return dict(_EVAL_DEFAULTS)
-    if not isinstance(raw, dict):
-        raise ConfigError("eval section must be a mapping")
-    _reject_unknown("eval", raw, _EVAL_KEYS)
-    given = _set_keys(raw)
-    _check_types("eval", given, _EVAL_KEYS)
-    names = [(key, given.get(key), allowed) for key, allowed in
+    out = _validate_section("eval", {} if raw is None else raw, _EVAL_KEYS)
+    names = [(key, out.get(key), allowed) for key, allowed in
              (("split", SPLITS), ("rank_split", SPLITS), ("policy", POLICIES))]
-    names += [(f"policies[{i}]", name, POLICIES) for i, name in enumerate(given.get("policies", ()))]
+    names += [(f"policies[{i}]", name, POLICIES) for i, name in enumerate(out.get("policies") or ())]
     for key, name, allowed in names:
         if name is not None and name not in allowed:
             raise ConfigError(f"eval.{key} must be one of {tuple(allowed)}, got {name!r}")
-    for key, path in (raw.get("selector_checkpoints") or {}).items():
+    for key, path in (out.get("selector_checkpoints") or {}).items():
         if not (isinstance(key, str) and key.isdecimal()):
             raise ConfigError(f"eval.selector_checkpoints keys must be view budgets T "
                               f"written as strings, got {key!r}")
         _check_type(f"eval.selector_checkpoints.{key}", path, str)
-    out = dict(_EVAL_DEFAULTS)
-    out.update(raw)
     return out
 
 

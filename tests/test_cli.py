@@ -363,15 +363,24 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     assert "split" in r.stderr
 
 
-@pytest.mark.parametrize("command, eval_keys, named", [
-    (["study", "sweep-T"], {"T_values": [2], "policies": ["random", "mvselect", "bogus"]},
-     "eval.policies[2]"),
-    (["eval", "--policy", "random"], {"split": "test"}, "eval.split"),
-], ids=["sweep-policy", "eval-split"])
+# every input is read before the run directory is made
+@pytest.mark.parametrize("command, section, keys, named", [
+    (["study", "sweep-T"], "eval",
+     {"T_values": [2], "policies": ["random", "mvselect", "bogus"]}, "eval.policies[2]"),
+    (["eval", "--policy", "random"], "eval", {"split": "test"}, "eval.split"),
+    (["eval", "--policy", "random"], "eval", {"split": None}, "eval.split"),
+    (["eval", "--policy", "random"], "eval", {"task_checkpoint": "no-such-task.ckpt"},
+     "checkpoint not found: no-such-task.ckpt"),
+    (["train", "--regime", "select-fixed"], "train", {"task_checkpoint": None},
+     "train.task_checkpoint"),
+    (["train", "--regime", "select-fixed"], "train", {"task_checkpoint": 5},
+     "train.task_checkpoint"),
+], ids=["sweep-policy", "eval-split", "eval-split-null", "eval-missing-task-checkpoint",
+        "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int"])
 def test_bad_eval_names_exit_2_before_any_run_directory(workspace, tmp_path, command,
-                                                       eval_keys, named):
+                                                       section, keys, named):
     cfg = dict(workspace["cfg"])
-    cfg["eval"] = dict(cfg["eval"], **eval_keys)
+    cfg[section] = dict(cfg[section], **keys)
     cfg["output_dir"] = str(tmp_path / "runs")
     r = cli(*command, "--config", str(write_config(tmp_path, cfg, "names.yaml")))
     assert r.returncode == 2, r.stderr

@@ -90,6 +90,43 @@ def test_config_hash_is_stable_and_covers_defaults():
     assert c.config_hash() != a.config_hash()
 
 
+# config_hash() names every run directory and is written into every report,
+# so a config that loads keeps its hash
+PINNED_HASHES = [
+    ({"world": {"kind": "classification"}},
+     "f6a141762105911e8c5e7f83fe633d033c54a5e141a00d1a5f2925e617afc963"),
+    ({"world": {"kind": "detection", "n_cameras": 4, "grid_h": 16, "grid_w": 16,
+                "channels": 4, "ring_radius": 12.0, "view_range": 21, "seed": 3},
+      "network": {"task_hidden": None, "task_feat_dim": 8, "selector_hidden": None,
+                  "selector_seed": None, "use_camera_branch": None,
+                  "use_feature_branch": False},
+      "train": {"regime": "joint", "epochs": 2, "T": 2, "task_lr": 1,
+                "task_checkpoint": "task.ckpt"},
+      "eval": {"policy": "mvselect", "T": 2, "split": "val", "budget": 1000,
+               "task_checkpoint": "task.ckpt", "selector_checkpoint": "sel.ckpt",
+               "selector_checkpoints": {"2": "sel.ckpt"}, "T_values": [2, 3],
+               "policies": ["random", "mvselect"], "k": 1, "n_random": 3,
+               "rank_split": "train"},
+      "output_dir": "out", "seed": 7},
+     "aabff9c30a25dc1c6c5cbc5a2d9242177070163524a37b20e1feaca1d493d94c"),
+    ({"world": {"kind": "classification", "n_views": 6, "n_classes": 4,
+                "discriminative_views": [[0, 1], [2, 3]]},
+      "train": {"regime": "task", "epochs": 3, "T": 6, "train_view_counts": [1, 2, 6]}},
+     "e5be7c659cf2e31fd61d12575644efaaec1d7057bfbcd38242566dc11bfeb70f"),
+    ({"world": {"kind": "classification", "n_train": 120, "n_val": 60, "n_eval": 80,
+                "noise": 0.3},
+      "seed": 1, "output_dir": "work",
+      "eval": {"T": 2, "task_checkpoint": "task.ckpt", "selector_checkpoint": "selector.ckpt"}},
+     "02d4c3dac075bb23c78ba6bb3b3f7b40898f8ab1d993e981bfb2a1fbac638459"),
+]
+
+
+@pytest.mark.parametrize("raw, digest", PINNED_HASHES,
+                         ids=["minimal", "detection-every-section", "lists", "cls-cli-eval"])
+def test_config_hash_is_pinned(raw, digest):
+    assert validate_config(raw).config_hash() == digest
+
+
 def test_world_config_builds_both_kinds():
     cls = validate_config({"world": {"kind": "classification", "n_views": 6,
                                      "n_classes": 4}}).world_config()
@@ -126,11 +163,16 @@ def test_world_config_builds_both_kinds():
      "eval.selector_checkpoints"),
     (b"world: {kind: classification}\neval: {selector_checkpoints: {'2': 3}}\n",
      "eval.selector_checkpoints.2"),
+    *[(b"world: {kind: classification}\neval: {%s: null}\n" % key.encode(), f"eval.{key}")
+      for key in ("split", "rank_split", "budget", "k", "n_random")],
+    (b"world: {kind: classification}\ntrain: {task_checkpoint: 5}\n", "train.task_checkpoint"),
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
         "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar",
         "task_hidden 0", "selector_hidden -3", "noise nan", "margin nan", "smooth_sigma nan",
         "meters_per_cell inf", "noise 10**400", "task_lr inf", "deeply nested", "impossible date",
-        "output_dir date", "selector_checkpoints mixed keys", "selector_checkpoints int path"])
+        "output_dir date", "selector_checkpoints mixed keys", "selector_checkpoints int path",
+        "split null", "rank_split null", "budget null", "k null", "n_random null",
+        "task_checkpoint 5"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)

@@ -1,9 +1,11 @@
-"""Reachability check: every function, class and method that ``fewview``
-defines is named somewhere else in ``fewview``.
+"""Reachability check: every function, class, method and module-level
+name that ``fewview`` defines is named somewhere else in ``fewview``.
 
 A definition counts as reached when its name appears outside its own
-definition as a bare name, an attribute or a keyword argument. Dunder
-methods are exempt, since the interpreter calls them. Code that only the
+definition as a bare name, an attribute or a keyword argument. A
+module-level name is one bound by a top-level assignment (``NAME = ...``,
+annotated or not), so a leftover table fails the check too. Dunder methods
+and names are exempt, since the interpreter reads them. Code that only the
 tests call belongs in ``tests/testkit.py``.
 
 Blind spot: the scan matches names, not bindings, so a method that shares
@@ -26,17 +28,26 @@ EXCEPTIONS: dict[str, str] = {}
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def definitions(tree: ast.Module):
-    """(qualname, node) for each top-level function and class and each
-    non-dunder method of a top-level class."""
+    """(qualname, name, node) for each top-level function, class and
+    assigned name, and each non-dunder method of a top-level class."""
     for node in tree.body:
         if isinstance(node, _DEFS):
-            yield node.name, node
+            yield node.name, node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:  # ``A, B = ...`` binds each element
+                for bound in getattr(target, "elts", [target]):
+                    if isinstance(bound, ast.Name) and not _dunder(bound.id):
+                        yield bound.id, bound.id, node
         if isinstance(node, ast.ClassDef):
             for member in node.body:
-                if isinstance(member, _DEFS) and not (
-                        member.name.startswith("__") and member.name.endswith("__")):
-                    yield f"{node.name}.{member.name}", member
+                if isinstance(member, _DEFS) and not _dunder(member.name):
+                    yield f"{node.name}.{member.name}", member.name, member
 
 
 def names_used(node: ast.AST) -> Counter:
@@ -58,8 +69,8 @@ def unreached() -> list[str]:
     used = sum((names_used(tree) for tree in trees.values()), Counter())
     return [f"{module}.{qualname}"
             for module, tree in trees.items()
-            for qualname, node in definitions(tree)
-            if used[node.name] - names_used(node)[node.name] <= 0]
+            for qualname, name, node in definitions(tree)
+            if used[name] - names_used(node)[name] <= 0]
 
 
 def test_every_definition_is_named_elsewhere_in_the_package():
