@@ -113,6 +113,7 @@ def cmd_train(args) -> int:
         task_net = _build_task_net(cfg, world, seed)
     else:
         task_net = _load_net(cfg.family.net, world, cfg.require("train.task_checkpoint"))
+        training.check_t(world, train_cfg.T)
     run_dir, manifest = _start_run(args, cfg, f"train-{regime}", seed)
     world_hash = world.world_hash()
     extra = {"regime": regime, "train_config": asdict(train_cfg),
@@ -159,6 +160,10 @@ def cmd_eval(args) -> int:
         T = ev_sec.get("T") or world.n_cameras
     else:
         T = cfg.require("eval.T")
+    if policy != "full-views":
+        training.check_t(world, T)
+    if policy in ORACLE_POLICIES:
+        training.check_enumeration_budget(world, T, ev_sec["split"], ev_sec["budget"])
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     q_net = None
     if policy == "mvselect":
@@ -201,7 +206,10 @@ def cmd_study(args) -> int:
     else:
         T = cfg.require("eval.T")
         retrain = study != "shutoff"
+    for t in t_values if study == "sweep-T" else [T]:
+        training.check_t(world, t)
     if study == "shutoff":
+        studies.check_shutoff(world, T, ev_sec["k"])
         q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
     # the train section, for the selectors a study retrains
     selector_cfg = cfg.train_config(regime="select-fixed", seed=seed) if retrain else None
@@ -259,6 +267,8 @@ def cmd_oracle(args) -> int:
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     T = args.T if args.T is not None else cfg.require("eval.T")
+    training.check_t(world, T)
+    training.check_enumeration_budget(world, T, ev_sec["split"], ev_sec["budget"])
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     run_dir, manifest = _start_run(args, cfg, f"oracle-{policy}", seed)
     build = (training.dataset_oracle_table if policy == "dataset-oracle"

@@ -2,13 +2,15 @@
 
 The file has up to five parts: a ``world`` section (required), optional
 ``network``, ``train``, and ``eval`` sections, plus top-level ``output_dir``
-and ``seed``. Each section has one key table that gives every key its type
-and its default, and one validator reads them all: before any computation
-it rejects unknown keys and wrongly typed values by their dotted path, and
-fills in the defaults. A key may be null only when its type is ``X | None``
-(every ``network`` key, the eval keys without a default, and
-``train.train_view_counts`` and ``train.task_checkpoint``); null then leaves
-it unset. Hyperparameter defaults: discount 0.99, exploration linearly
+and ``seed``. Each section has one key table that gives every key its type,
+its default and its least value, and one validator reads them all: before
+any computation it rejects unknown keys, wrongly typed values and numbers
+below their least value by their dotted path, and fills in the defaults.
+Ranges that depend on the world (``T`` against the cameras, ``k`` against
+the enabled ones) are checked by each command once it has built the world.
+A key may be null only when its type is ``X | None`` (every ``network`` key,
+the eval keys without a default, and ``train.train_view_counts`` and
+``train.task_checkpoint``); null then leaves it unset. Hyperparameter defaults: discount 0.99, exploration linearly
 annealed 0.95 -> 0.05, joint fine-tuning runs the task network at a fifth of
 its learning rate.
 """
@@ -34,37 +36,40 @@ WORLD_KINDS = tuple(TASK_FAMILIES)
 
 
 def _key_table(cls) -> dict:
-    """key -> (type, default) for the fields of dataclass ``cls``; a key
-    without a default has ``MISSING``."""
+    """key -> (type, default, least) for the fields of dataclass ``cls``; a
+    key without a default has ``MISSING``, and no field has a least value
+    (the dataclass checks its own ranges)."""
     hints = typing.get_type_hints(cls)
-    return {f.name: (hints[f.name], f.default) for f in dataclasses.fields(cls)}
+    return {f.name: (hints[f.name], f.default, None) for f in dataclasses.fields(cls)}
 
 
-# null on a network key takes the builder default in training.build_*
+# (type, default, least): ``least`` is the smallest value a number, or each
+# number of a list, may take (None: any). Null on a network key takes the
+# builder default in training.build_*
 _NETWORK_KEYS = {
-    "task_hidden": (int | None, MISSING),
-    "task_feat_dim": (int | None, MISSING),
-    "selector_hidden": (int | None, MISSING),
-    "selector_seed": (int | None, None),  # None -> run seed
-    "use_camera_branch": (bool | None, True),
-    "use_feature_branch": (bool | None, True),
+    "task_hidden": (int | None, MISSING, 1),
+    "task_feat_dim": (int | None, MISSING, 1),
+    "selector_hidden": (int | None, MISSING, 1),
+    "selector_seed": (int | None, None, None),  # None -> run seed
+    "use_camera_branch": (bool | None, True, None),
+    "use_feature_branch": (bool | None, True, None),
 }
 _EVAL_KEYS = {
-    "split": (str, "eval"),
-    "policy": (str | None, MISSING),
-    "T": (int | None, MISSING),
-    "budget": (int, DEFAULT_ENUM_BUDGET),
-    "task_checkpoint": (str | None, MISSING),
-    "selector_checkpoint": (str | None, MISSING),
-    "selector_checkpoints": (dict | None, MISSING),  # {str(T): path} for sweeps
-    "T_values": (tuple[int, ...] | None, MISSING),
-    "k": (int, 0),
-    "n_random": (int, 5),
-    "rank_split": (str, "val"),
-    "policies": (tuple[str, ...] | None, MISSING),
+    "split": (str, "eval", None),
+    "policy": (str | None, MISSING, None),
+    "T": (int | None, MISSING, 1),
+    "budget": (int, DEFAULT_ENUM_BUDGET, 1),
+    "task_checkpoint": (str | None, MISSING, None),
+    "selector_checkpoint": (str | None, MISSING, None),
+    "selector_checkpoints": (dict | None, MISSING, None),  # {str(T): path} for sweeps
+    "T_values": (tuple[int, ...] | None, MISSING, 1),
+    "k": (int, 0, 0),
+    "n_random": (int, 5, 0),
+    "rank_split": (str, "val", None),
+    "policies": (tuple[str, ...] | None, MISSING, None),
 }
 # task_checkpoint: the task network that select-fixed and joint start from
-_TRAIN_KEYS = {**_key_table(TrainConfig), "task_checkpoint": (str | None, MISSING)}
+_TRAIN_KEYS = {**_key_table(TrainConfig), "task_checkpoint": (str | None, MISSING, None)}
 
 
 def _reject_unknown(section: str, raw: dict, allowed) -> None:
@@ -74,10 +79,11 @@ def _reject_unknown(section: str, raw: dict, allowed) -> None:
             raise ConfigError(f"unknown key: {path}")
 
 
-def _check_type(path: str, value, hint) -> None:
+def _check_type(path: str, value, hint, least=None) -> None:
     """Raise ConfigError naming ``path`` unless ``value`` can fill a field
     typed ``hint``: a scalar (an int also fills a float; bools fill only
-    bools), ``tuple[X, ...]`` given as a list, or ``X | None``."""
+    bools) of at least ``least`` when that is given, ``tuple[X, ...]``
+    given as a list, or ``X | None``."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         if value is None:
             return
@@ -86,13 +92,15 @@ def _check_type(path: str, value, hint) -> None:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path} must be a list, got {value!r}")
         for i, item in enumerate(value):
-            _check_type(f"{path}[{i}]", item, typing.get_args(hint)[0])
+            _check_type(f"{path}[{i}]", item, typing.get_args(hint)[0], least)
         return
     allowed = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, allowed):
         raise ConfigError(f"{path} must be of type {hint.__name__}, got {value!r}")
     if hint is float and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{path} must be at least {least}, got {value!r}")
 
 
 def _validate_section(section: str, raw, keys: dict) -> dict:
@@ -102,8 +110,8 @@ def _validate_section(section: str, raw, keys: dict) -> dict:
         raise ConfigError(f"{section} section must be a mapping")
     _reject_unknown(section, raw, keys)
     for key, value in raw.items():
-        _check_type(f"{section}.{key}", value, keys[key][0])
-    return {key: default for key, (_, default) in keys.items() if default is not MISSING} | raw
+        _check_type(f"{section}.{key}", value, keys[key][0], keys[key][2])
+    return {key: default for key, (_, default, _) in keys.items() if default is not MISSING} | raw
 
 
 def _world_config(section: dict):
@@ -198,11 +206,7 @@ def _validate_train(raw) -> dict | None:
 
 
 def _validate_network(raw) -> dict:
-    out = _validate_section("network", {} if raw is None else raw, _NETWORK_KEYS)
-    for key in ("task_hidden", "task_feat_dim", "selector_hidden"):
-        if out.get(key) is not None and out[key] < 1:
-            raise ConfigError(f"network.{key} must be positive, got {out[key]!r}")
-    return out
+    return _validate_section("network", {} if raw is None else raw, _NETWORK_KEYS)
 
 
 def _validate_eval(raw) -> dict:

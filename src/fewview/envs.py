@@ -19,8 +19,10 @@ Instance streams are pure functions of (config, split, index): every instance
 comes from its own child seed. A classification world keeps each instance it
 generates (about 3 KB, observations read-only), since training and evaluation
 read the same instances many times. A detection world regenerates each one on
-demand: an instance holds N x C full-grid observation maps (0.8 MB at the
-default config), so a cached 160-instance training split would hold 126 MB.
+demand. Its observations are a read-only broadcast of the N one-channel maps
+across the C channels: 49 KB at the default config, where N x C materialized
+maps would take 0.8 MB. The extractor copies them once, into its per-cell
+rows.
 """
 
 from __future__ import annotations
@@ -406,7 +408,8 @@ class DetectionWorld(World):
 
         Per camera and visible cell, the map carries the occupancy indicator
         plus noise, broadcast across all channels; cells outside the camera's
-        visibility are exactly zero.
+        visibility are exactly zero. The observations are a read-only
+        broadcast view (N, C, H, W) of the N one-channel maps.
         """
         cfg = self.config
         occupancy = np.asarray(occupancy)
@@ -415,7 +418,7 @@ class DetectionWorld(World):
         vis = self.visibility(occupancy)
         signal = occupancy.astype(np.float64)[None, :, :] + (0.0 if noise is None else noise)
         signal = signal * vis
-        obs = np.repeat(signal[:, None, :, :], cfg.channels, axis=1)
+        obs = np.broadcast_to(signal[:, None], (len(signal), cfg.channels, cfg.grid_h, cfg.grid_w))
         return obs, vis
 
     def instance(self, split: str, index: int) -> DetectionInstance:

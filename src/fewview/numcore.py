@@ -211,8 +211,10 @@ def bev_mse(heatmap: Array, target: Array) -> tuple[float, Array]:
 class Adam:
     """Adaptive-moment optimizer over a fixed set of named parameters.
 
-    Holds references to the parameter arrays and updates them in place.
-    Moment accumulators mirror parameter shapes exactly.
+    Holds references to the parameter arrays and updates them in place. The
+    moments of all parameters are one flat vector each, in which every
+    parameter owns a fixed slice. Adam is elementwise, so one update over
+    the vectors gives each parameter the bits a per-array update would.
     """
 
     def __init__(
@@ -231,28 +233,41 @@ class Adam:
         self.eps = eps
         self.step_count = 0
         self._params = list(named_params)
-        self._m = {name: np.zeros_like(p) for name, p in self._params}
-        self._v = {name: np.zeros_like(p) for name, p in self._params}
+        sizes = [p.size for _, p in self._params]
+        ends = np.cumsum(sizes, dtype=int).tolist()
+        self._slices = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        # the moments, the gathered gradient and two work vectors
+        self._m, self._v, self._g, *self._work = np.zeros((5, sum(sizes)))
 
     def step(self, grads: Mapping[str, Array]) -> None:
         for name, param in self._params:
             if name not in grads:
                 raise KeyError(f"missing gradient for parameter {name!r}")
-            g = grads[name]
-            if g.shape != param.shape:
-                raise ShapeError(f"gradient shape {g.shape} != parameter {name!r} shape {param.shape}")
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+            if grads[name].shape != param.shape:
+                raise ShapeError(f"gradient shape {grads[name].shape} != parameter {name!r} "
+                                 f"shape {param.shape}")
+        g = self._g
+        if self._params:
+            np.concatenate([grads[name].reshape(-1) for name, _ in self._params], out=g)
+        if not np.isfinite(g).all():
+            bad = next(name for (name, _), s in zip(self._params, self._slices)
+                       if not np.isfinite(g[s]).all())
+            raise NonFiniteError(f"non-finite gradient for parameter {bad!r}")
         self.step_count += 1
         t = self.step_count
-        for name, param in self._params:
-            g = grads[name]
-            m = self._m[name]
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v = self._m, self._v
+        a, b = self._work
+        # per element, in the order of the per-array update: m = b1 m +
+        # (1-b1) g, v = b2 v + ((1-b2) g) g, param -= (lr m_hat) /
+        # (sqrt(v_hat) + eps); a product's operands commute bit-exactly. The
+        # work vectors spare the step any allocation
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, 1.0 - self.beta2, out=a), g, out=a)
+        np.multiply(np.divide(m, 1.0 - self.beta1**t, out=a), self.lr, out=a)
+        np.sqrt(np.divide(v, 1.0 - self.beta2**t, out=b), out=b)
+        b += self.eps
+        a /= b
+        for (_, param), s in zip(self._params, self._slices):
+            param -= a[s].reshape(param.shape)

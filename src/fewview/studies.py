@@ -118,6 +118,16 @@ def rank_cameras_by_usage(world, task_net, q_net, T: int,
     return ranking, usage
 
 
+def check_shutoff(world, T: int, k: int) -> None:
+    """Raise ConfigError unless k of the enabled cameras can be disabled
+    with T usable cameras left."""
+    enabled = len(world.layout.enabled)
+    if not 0 <= k <= enabled:
+        raise ConfigError(f"cannot disable k={k} of {enabled} enabled cameras")
+    if enabled - k < T:
+        raise ConfigError(f"disabling {k} cameras leaves fewer usable cameras than T={T}")
+
+
 def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
                          rank_split: str = "val", eval_split: str = "eval",
                          n_random: int = 5, seed: int = 0) -> dict:
@@ -126,11 +136,7 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
     random k-subsets of the currently enabled cameras. k = 0 is a no-op."""
     n_cams = world.n_cameras
     enabled = list(world.layout.enabled)
-    if not 0 <= k <= len(enabled):
-        raise ConfigError(f"cannot disable k={k} of {len(enabled)} enabled cameras")
-    if len(enabled) - k < T:
-        raise ConfigError(
-            f"disabling {k} cameras leaves fewer usable cameras than T={T}")
+    check_shutoff(world, T, k)
 
     baseline = training.evaluate_policy(world, task_net, T, "mvselect",
                                         split=eval_split, q_net=q_net)

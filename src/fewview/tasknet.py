@@ -233,7 +233,10 @@ class MVDetector(TaskNet):
         ``features_backward`` needs."""
         obs = np.asarray(obs, dtype=np.float64)
         *lead, c, h, w = obs.shape
-        feats, cache = self.feature_net.forward_cache(np.moveaxis(obs, -3, -1).reshape(-1, c))
+        # one copy into per-cell rows: reshaped uncopied, a channel broadcast
+        # is a stride-0 view, and matmul on it can give other bits
+        rows = np.ascontiguousarray(np.moveaxis(obs, -3, -1)).reshape(-1, c)
+        feats, cache = self.feature_net.forward_cache(rows)
         return feats.reshape(*lead, h, w, self.feat_dim), cache
 
     def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:

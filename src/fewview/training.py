@@ -146,7 +146,9 @@ def build_selector(world, task_net, hidden: int = 64, seed: int = 0, **flags) ->
     )
 
 
-def _check_t(world, T: int) -> None:
+def check_t(world, T: int) -> None:
+    """Raise ConfigError unless the view budget T fits the world's cameras
+    and its enabled ones."""
     if not 1 <= T <= world.n_cameras:
         raise ConfigError(f"T={T} is outside the {world.n_cameras}-camera layout")
     usable = len(world.layout.enabled)
@@ -210,7 +212,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             if counts is None:
-                views = np.arange(n_cams)
+                views = slice(None)
             else:
                 size = int(counts[rng.integers(len(counts))])
                 views = np.sort(rng.permutation(n_cams)[:size])
@@ -293,7 +295,7 @@ def train_joint(world, task_net, q_net, cfg: TrainConfig) -> TrainResult:
 
 
 def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> TrainResult:
-    _check_t(world, cfg.T)
+    check_t(world, cfg.T)
     batch = task_net.train_batch or cfg.batch_size
     rng = np.random.default_rng([cfg.seed, 13])
     n = world.n_train
@@ -438,7 +440,7 @@ def _oracle_table(world, task_net, T: int, split: str, budget: int, kind: str) -
     value, then the first subset in sorted order. A dataset table judges
     the mean score over the split with no tie value; an instance table
     judges each instance on its own."""
-    _check_t(world, T)
+    check_t(world, T)
     check_enumeration_budget(world, T, split, budget)
     subsets, score, tie = _score_subsets(task_net, world, split, T)
     if kind == "dataset":
@@ -527,7 +529,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     """
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
-    _check_t(world, T if policy != "full-views" else world.n_cameras)
+    check_t(world, T if policy != "full-views" else world.n_cameras)
     n = world.split_size(split)
     n_cams = world.n_cameras
     disabled = world.layout.disabled

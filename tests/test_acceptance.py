@@ -1,7 +1,8 @@
 """Acceptance gate: eleven system-level checks, one printed PASS/FAIL line each.
 
 Each test prints its verdict to the real terminal (bypassing capture) before
-asserting, so a full run always shows eleven lines. The two expensive
+asserting, with each statistic it checks beside its bound, so a full run
+always shows eleven lines and their margins. The two expensive
 fixtures train the five-seed classification and detection suites once and
 share them across the ordering, joint-gain, and shut-off checks. Each suite
 trains its seeds in a pool of spawned processes, one BLAS thread each.
@@ -49,9 +50,9 @@ N_SEEDS = 5
 VIEW_MIX = (1, 2, 3, 4, 6, 12)
 
 
-def _report(capsys, num: int, name: str, ok: bool) -> bool:
+def _report(capsys, num: int, name: str, ok: bool, stats: str) -> bool:
     with capsys.disabled():
-        print(f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'}")
+        print(f"[criterion {num:02d}] {name}: {'PASS' if ok else 'FAIL'} — {stats}")
     return ok
 
 
@@ -210,7 +211,8 @@ def test_layer_and_loss_gradients_match_finite_differences(capsys):
 
     elapsed = time.time() - t0
     ok = worst <= 1e-4 and elapsed < 60.0
-    _report(capsys, 1, "layer and loss gradients match central differences", ok)
+    _report(capsys, 1, "layer and loss gradients match central differences", ok,
+            f"worst relative error {worst:.3e} ≤ 1e-4, {elapsed:.1f} s < 60 s")
     assert worst <= 1e-4, f"worst relative error {worst:.3e} at {worst_at}"
     assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
@@ -242,7 +244,7 @@ def test_max_aggregation_laws_hold_bit_exactly(capsys):
             failures.append((case, "singleton"))
     ok = not failures
     _report(capsys, 2, "max aggregation is permutation-invariant, idempotent, "
-                       "singleton-exact", ok)
+                       "singleton-exact", ok, f"{len(failures)} violations in 1000 cases = 0")
     assert ok, f"aggregation law violations: {failures[:10]}"
 
 
@@ -276,7 +278,8 @@ def test_selector_reproduces_exact_mdp_solution(capsys):
                 mismatches.append((i, v0, action, sorted(optimal)))
     elapsed = time.time() - t0
     ok = not mismatches and elapsed < 60.0
-    _report(capsys, 3, "trained selector matches the exhaustive MDP solution", ok)
+    _report(capsys, 3, "trained selector matches the exhaustive MDP solution", ok,
+            f"{len(mismatches)}/{total} suboptimal greedy actions = 0, {elapsed:.1f} s < 60 s")
     assert not mismatches, (
         f"{len(mismatches)}/{total} greedy actions are suboptimal: {mismatches[:8]}")
     assert elapsed < 60.0, f"toy-world check took {elapsed:.1f}s"
@@ -303,7 +306,10 @@ def test_policy_ordering_chain_on_classification(capsys, cls_suite):
     if margin < 0.05:
         problems.append(("all", f"mvselect-random margin {margin:.4f} < 0.05", {}))
     ok = not problems
-    _report(capsys, 4, "policy ordering chain holds on the classification world", ok)
+    slowest = max(run["seconds"] for run in cls_suite)
+    _report(capsys, 4, "policy ordering chain holds on the classification world", ok,
+            f"mvselect − random {margin:.4f} ≥ 0.05, {len(problems)} violations = 0, "
+            f"slowest seed {slowest:.1f} s < 600 s")
     assert ok, f"ordering violations: {problems}"
 
 
@@ -312,12 +318,15 @@ def test_policy_ordering_chain_on_classification(capsys, cls_suite):
 
 
 def test_joint_training_beats_fixed_and_closes_on_full(capsys, cls_suite, det_suite):
-    problems = []
+    problems, stats = [], []
     for label, runs, key in (("classification", cls_suite, "acc"),
                              ("detection", det_suite, "moda")):
         fixed = float(np.mean([r[key]["mvselect"] for r in runs]))
         joint = float(np.mean([r[key]["joint"] for r in runs]))
         full = float(np.mean([r[key]["full"] for r in runs]))
+        stats.append(f"{label}: joint − fixed {joint - fixed:.4f} ≥ 0, full − joint "
+                     f"{full - joint:.4f} ≤ 0.02, slowest seed "
+                     f"{max(r['seconds'] for r in runs):.1f} s < 1200 s")
         if joint < fixed:
             problems.append(f"{label}: joint {joint:.4f} < fixed {fixed:.4f}")
         if full - joint > 0.02 + 1e-12:
@@ -329,7 +338,7 @@ def test_joint_training_beats_fixed_and_closes_on_full(capsys, cls_suite, det_su
             problems.append(f"{label}: seeds over 20 min: {slow}")
     ok = not problems
     _report(capsys, 5, "joint training beats fixed selection and closes on "
-                       "full views", ok)
+                       "full views", ok, "; ".join(stats))
     assert ok, f"joint-training guarantees violated: {problems}"
 
 
@@ -348,6 +357,7 @@ def test_view_budget_sweep_plateaus(capsys):
     curve = [tr.evaluate_policy(world, task, t, "instance-oracle")
              .metrics()["accuracy"] for t in budgets]
     nondecreasing = all(b >= a - 1e-12 for a, b in zip(curve, curve[1:]))
+    least_step = min(b - a for a, b in zip(curve, curve[1:]))
 
     full = tr.evaluate_policy(world, task, 12, "full-views").metrics()
     q_any = tr.build_selector(world, task, seed=0)  # vacuous at T = N
@@ -360,7 +370,9 @@ def test_view_budget_sweep_plateaus(capsys):
     exact = {name: m == full for name, m in at_full_T.items()}
     ok = nondecreasing and all(exact.values())
     _report(capsys, 6, "instance-oracle sweep is nondecreasing with exact "
-                       "plateau at T=N", ok)
+                       "plateau at T=N", ok,
+            f"least step {least_step:.4f} ≥ -1e-12, {sum(exact.values())}/{len(exact)} "
+            f"policies equal full views at T=N = {len(exact)}")
     assert nondecreasing, f"instance-oracle curve decreases: {list(zip(budgets, curve))}"
     assert all(exact.values()), (
         f"policies unequal to full system at T=N: "
@@ -423,7 +435,9 @@ def test_detection_metric_formulas_and_matching(capsys):
         for line in discrepancies:
             print(f"[criterion 07] matching discrepancy — {line}")
     _report(capsys, 7, "detection metrics match formula substitution; greedy "
-                       f"matching optimal on {fraction:.1%} of scenes", ok)
+                       f"matching optimal on {fraction:.1%} of scenes", ok,
+            f"formulas {'exact' if formula_ok else 'off'}, greedy optimal "
+            f"{fraction:.1%} ≥ 95%")
     assert formula_ok, "metric bundle deviates from direct formula substitution"
     assert fraction >= 0.95, f"greedy matching optimal on only {fraction:.1%}"
 
@@ -457,7 +471,7 @@ def test_cost_ratio_tracks_view_fraction(capsys):
                     worst, worst_at = dev, f"T={T} N={n_cams} f={f} g={g} d={d}"
     ok = worst <= 0.10
     _report(capsys, 8, "selected-view cost ratio tracks T/N under dominant "
-                       "per-view cost", ok)
+                       "per-view cost", ok, f"worst deviation {worst:.4f} ≤ 0.10")
     assert ok, f"worst deviation {worst:.4f} from T/N at {worst_at}"
 
 
@@ -466,17 +480,19 @@ def test_cost_ratio_tracks_view_fraction(capsys):
 
 
 def test_disabling_least_used_cameras_beats_random(capsys, cls_suite):
-    problems = []
+    problems, gaps = [], []
     for run in cls_suite:
         result = studies.camera_shutoff_study(
             run["world"], run["task"], run["q_fixed"], T=2, k=6,
             n_random=5, seed=run["seed"])
         ranked = result["ranked"]["metrics"]["primary"]
         random_mean = result["random_mean_primary"]
+        gaps.append(ranked - random_mean)
         if ranked < random_mean:
             problems.append((run["seed"], ranked, random_mean))
     ok = not problems
-    _report(capsys, 9, "usage-ranked camera shut-off beats random subsets", ok)
+    _report(capsys, 9, "usage-ranked camera shut-off beats random subsets", ok,
+            f"least ranked − random mean {min(gaps):.4f} ≥ 0")
     assert ok, f"(seed, ranked, random-mean) violations: {problems}"
 
 
@@ -519,7 +535,10 @@ def test_branch_ablations_enforce_invariances(capsys):
                               full.forward_cache(*state(other, obs_b))[0]):
             full_sensitive = True
     ok = feat_dep_violations == 0 and cam_dep_violations == 0 and full_sensitive
-    _report(capsys, 10, "selector branch ablations enforce their invariances", ok)
+    _report(capsys, 10, "selector branch ablations enforce their invariances", ok,
+            f"{feat_dep_violations} feature-free and {cam_dep_violations} camera-free "
+            f"violations in 20 cases = 0, two-branch network "
+            f"{'sensitive' if full_sensitive else 'blind'} to state changes")
     assert feat_dep_violations == 0, (
         f"feature-branch-free Q depends on the instance in "
         f"{feat_dep_violations} cases")
@@ -596,5 +615,6 @@ def test_full_pipeline_reruns_are_byte_identical(capsys, tmp_path):
     both(eval_cfg, "eval")
 
     ok = not mismatched
-    _report(capsys, 11, "pipeline reruns reproduce artifacts byte-for-byte", ok)
+    _report(capsys, 11, "pipeline reruns reproduce artifacts byte-for-byte", ok,
+            f"{len(mismatched)} differing artifacts = 0")
     assert ok, f"artifacts differing between reruns: {mismatched}"

@@ -323,6 +323,7 @@ def test_enumeration_budget_exceeded_exits_4(workspace, tmp_path):
     r = cli("eval", "--config", str(cpath), "--policy", "instance-oracle")
     assert r.returncode == 4
     assert "budget" in r.stderr
+    assert not (tmp_path / "runs").exists()
 
 
 def test_eval_reports_are_byte_identical_across_reruns(workspace, tmp_path):
@@ -375,8 +376,21 @@ def test_unknown_split_exits_2(workspace, tmp_path):
      "train.task_checkpoint"),
     (["train", "--regime", "select-fixed"], "train", {"task_checkpoint": 5},
      "train.task_checkpoint"),
+    # ranges: the key tables check them at load, the commands check T and k
+    # against the world they build
+    (["eval", "--policy", "random"], "eval", {"T": 0}, "eval.T must be at least 1"),
+    (["eval", "--policy", "random"], "eval", {"T": 99}, "T=99 is outside the 6-camera layout"),
+    (["eval", "--policy", "random", "--T", "0"], "eval", {}, "T=0 is outside"),
+    (["oracle", "--policy", "instance-oracle"], "eval", {"budget": -5}, "eval.budget"),
+    (["oracle", "--policy", "instance-oracle"], "eval", {"T": 7}, "T=7 is outside"),
+    (["study", "shutoff"], "eval", {"k": -1}, "eval.k"),
+    (["study", "shutoff"], "eval", {"k": 5}, "disabling 5 cameras leaves fewer"),
+    (["study", "sweep-T"], "eval", {"T_values": [2, 7]}, "T=7 is outside"),
+    (["train", "--regime", "select-fixed"], "train", {"T": 7}, "T=7 is outside"),
 ], ids=["sweep-policy", "eval-split", "eval-split-null", "eval-missing-task-checkpoint",
-        "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int"])
+        "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int", "eval-T-0",
+        "eval-T-99", "eval-cli-T-0", "oracle-budget-negative", "oracle-T-7", "shutoff-k-negative",
+        "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7"])
 def test_bad_eval_names_exit_2_before_any_run_directory(workspace, tmp_path, command,
                                                        section, keys, named):
     cfg = dict(workspace["cfg"])

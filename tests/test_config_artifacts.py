@@ -166,13 +166,19 @@ def test_world_config_builds_both_kinds():
     *[(b"world: {kind: classification}\neval: {%s: null}\n" % key.encode(), f"eval.{key}")
       for key in ("split", "rank_split", "budget", "k", "n_random")],
     (b"world: {kind: classification}\ntrain: {task_checkpoint: 5}\n", "train.task_checkpoint"),
+    *[(b"world: {kind: classification}\neval: {%s}\n" % entry.encode(), named)
+      for entry, named in (("T: 0", "eval.T"), ("T: -3", "eval.T"), ("budget: 0", "eval.budget"),
+                           ("budget: -5", "eval.budget"), ("k: -1", "eval.k"),
+                           ("n_random: -1", "eval.n_random"),
+                           ("T_values: [2, 0]", r"eval.T_values\[1\]"))],
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
         "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar",
         "task_hidden 0", "selector_hidden -3", "noise nan", "margin nan", "smooth_sigma nan",
         "meters_per_cell inf", "noise 10**400", "task_lr inf", "deeply nested", "impossible date",
         "output_dir date", "selector_checkpoints mixed keys", "selector_checkpoints int path",
         "split null", "rank_split null", "budget null", "k null", "n_random null",
-        "task_checkpoint 5"])
+        "task_checkpoint 5", "T 0", "T -3", "budget 0", "budget -5", "k -1", "n_random -1",
+        "T_values item 0"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)

@@ -222,6 +222,17 @@ def test_detection_streams_deterministic():
     assert ia.positions == ib.positions
 
 
+def test_detection_observations_are_a_read_only_channel_broadcast():
+    w = small_det_world()
+    inst = w.instance("train", 0)
+    obs = inst.observations
+    assert obs.shape == (w.n_cameras, w.config.channels, w.config.grid_h, w.config.grid_w)
+    assert not obs.flags.writeable
+    with pytest.raises(ValueError):
+        obs[0, 0, 0, 0] = 1.0
+    np.testing.assert_array_equal(obs, np.repeat(obs[:, :1], w.config.channels, axis=1))
+
+
 def test_density_and_binary_occupancy():
     w = small_det_world()
     for i in range(w.n_train):

@@ -16,7 +16,7 @@ from fewview.numcore import (
     cross_entropy,
     softmax,
 )
-from testkit import max_relative_error, numeric_gradient
+from testkit import LoopAdam, max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
 
@@ -334,6 +334,65 @@ def test_adam_rejects_missing_or_misshaped_grad():
         opt.step({})
     with pytest.raises(ShapeError):
         opt.step({"p": np.zeros(3)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 4), max_size=3).map(tuple), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 0.1, 2.0]))
+def test_adam_flat_update_equals_the_per_array_reference(shapes, seed, lr):
+    # 30 steps over 1-6 parameters of mixed shapes, gradient magnitudes from
+    # 1e-12 to 1e3 with about a fifth exact zeros: the same bytes per step
+    rng = np.random.default_rng(seed)
+    names = [f"p{i}" for i in range(len(shapes))]
+    flat = [rng.normal(size=shape) for shape in shapes]
+    loop = [p.copy() for p in flat]
+    opt = Adam(list(zip(names, flat)), lr=lr)
+    ref = LoopAdam(list(zip(names, loop)), lr=lr)
+    for _ in range(30):
+        grads = {}
+        for name, shape in zip(names, shapes):
+            size = int(np.prod(shape))
+            mag = 10.0 ** rng.uniform(-12.0, 3.0, size=size) * rng.choice([-1.0, 1.0], size=size)
+            grads[name] = np.where(rng.random(size) < 0.2, 0.0, mag).reshape(shape)
+        opt.step(grads)
+        ref.step(grads)
+        for name, p, r in zip(names, flat, loop):
+            assert p.tobytes() == r.tobytes(), name
+    assert opt.step_count == ref.step_count == 30
+
+
+def test_adam_failed_step_on_the_last_parameter_changes_nothing():
+    rng = np.random.default_rng(5)
+    names, shapes = ["a", "b", "c"], [(3, 2), (4,), (2, 2)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    opt = Adam(list(zip(names, params)), lr=0.1)
+    ref = LoopAdam(list(zip(names, ref_params)), lr=0.1)
+    good = [{n: rng.normal(size=s) for n, s in zip(names, shapes)} for _ in range(3)]
+    opt.step(good[0])
+    ref.step(good[0])
+    before = [p.copy() for p in params]
+    last_bad = dict(good[1], c=np.array([[1.0, 2.0], [np.nan, 0.0]]))
+    with pytest.raises(NonFiniteError, match="'c'"):
+        opt.step(last_bad)
+    with pytest.raises(NonFiniteError, match="'b'"):  # the first bad one is named
+        opt.step(dict(last_bad, b=np.array([0.0, -np.inf, 0.0, 0.0])))
+    assert opt.step_count == 1
+    for p, b in zip(params, before):
+        assert p.tobytes() == b.tobytes()
+    # the moments are untouched too: later steps match a reference that
+    # never saw the failed ones
+    for grads in good[1:]:
+        opt.step(grads)
+        ref.step(grads)
+    for p, r in zip(params, ref_params):
+        assert p.tobytes() == r.tobytes()
+
+
+def test_adam_with_no_parameters_still_counts_steps():
+    opt = Adam([], lr=0.1)
+    opt.step({})
+    assert opt.step_count == 1
 
 
 def test_adam_reduces_quadratic_loss():

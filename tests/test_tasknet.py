@@ -373,6 +373,30 @@ def test_detector_view_alone_equals_its_slice_on_the_acceptance_geometry():
             assert net.features_cache(obs[v])[0].tobytes() == every[v].tobytes()
 
 
+def test_broadcast_observations_featurize_like_materialized_ones(monkeypatch):
+    # a detection instance's observations broadcast one map per camera over
+    # the channels; featurized, they give the bits of the materialized
+    # np.repeat copy, and the extractor receives contiguous rows (a stride-0
+    # view would send matmul past BLAS, to other bits)
+    world = DetectionWorld(DetectionConfig(
+        noise=0.2, half_angle_deg=60.0, view_range=50.0, seed=0))
+    net = tr.build_detector(world, seed=0)
+    seen = []
+    forward = net.feature_net.forward_cache
+    monkeypatch.setattr(net.feature_net, "forward_cache",
+                        lambda x: seen.append(x.flags.c_contiguous) or forward(x))
+    for i in range(3):
+        obs = world.instance("train", i).observations
+        assert obs.strides[1] == 0
+        copy = np.repeat(obs[:, :1], world.config.channels, axis=1)
+        for a, b in ((obs, copy), (obs[None], copy[None]), (obs[2], copy[2])):
+            feats, cache = net.features_cache(a)
+            ref_feats, ref_cache = net.features_cache(b)
+            assert feats.tobytes() == ref_feats.tobytes()
+            assert cache[0][0].tobytes() == ref_cache[0][0].tobytes()
+    assert seen and all(seen)
+
+
 @pytest.mark.parametrize("net, cells", [(tiny_classifier(3), ()), (tiny_detector(3), (4, 5)),
                                         (tiny_detector(3), (16, 16))],
                          ids=["classifier", "detector-20-cells", "detector-256-cells"])

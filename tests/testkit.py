@@ -1,5 +1,5 @@
 """Reference oracles the tests check the package against: finite-difference
-gradients, a loop-form max-pool and task-network forward, the argmax form of
+gradients, the per-array form of the Adam update, a loop-form max-pool and task-network forward, the argmax form of
 the max-pool gradient router, the channel-first form of the detector and of
 the selection rollout, the eager select-fixed loop that featurizes every
 view of a batch, the per-camera ray-cast form of detection
@@ -18,7 +18,7 @@ from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, DetectionMatchResult
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
-from fewview.training import PolicyTable, TrainResult, _batch, _check_t, _predict_sets
+from fewview.training import PolicyTable, TrainResult, _batch, _predict_sets, check_t
 
 Array = np.ndarray
 
@@ -62,6 +62,35 @@ def max_relative_error(analytic: Array, numeric: Array, floor: float = 1e-6) -> 
         raise ShapeError("gradient arrays must share a shape")
     scale = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
     return float(np.max(np.abs(analytic - numeric) / scale))
+
+
+class LoopAdam:
+    """Adam stepping each parameter array on its own, with a moment array
+    per parameter: the update ``numcore.Adam`` must match bit for bit. It
+    checks no gradient."""
+
+    def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+                 eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.step_count = 0
+        self._params = list(named_params)
+        self._m = {name: np.zeros_like(p) for name, p in self._params}
+        self._v = {name: np.zeros_like(p) for name, p in self._params}
+
+    def step(self, grads) -> None:
+        self.step_count += 1
+        t = self.step_count
+        for name, param in self._params:
+            g = grads[name]
+            m = self._m[name]
+            v = self._v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1**t)
+            v_hat = v / (1.0 - self.beta2**t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def aggregate_max(features) -> Array:
@@ -167,7 +196,7 @@ def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
     """Select-fixed training that featurizes all N views of every batch in
     one call before the rollout reads T of them: the loop
     ``training.train_selector_fixed`` must match bit for bit."""
-    _check_t(world, cfg.T)
+    check_t(world, cfg.T)
     batch = task_net.train_batch or cfg.batch_size
     rng = np.random.default_rng([cfg.seed, 13])
     n = world.n_train
