@@ -110,6 +110,7 @@ def cmd_train(args) -> int:
     world = _build_world(cfg)
     train_cfg = cfg.train_config(regime=regime, seed=seed)
     if regime == "task":
+        training.check_view_counts(world, train_cfg.train_view_counts)
         task_net = _build_task_net(cfg, world, seed)
     else:
         task_net = _load_net(cfg.family.net, world, cfg.require("train.task_checkpoint"))
@@ -197,19 +198,29 @@ def cmd_study(args) -> int:
     started = time.perf_counter()
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
-    task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     if study == "sweep-T":
         t_values = cfg.require("eval.T_values")
-        q_nets = {int(key): _load_net(QNetwork, world, path)
-                  for key, path in (ev_sec.get("selector_checkpoints") or {}).items()}
+        policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
+        selector_paths = {int(key): path
+                          for key, path in (ev_sec.get("selector_checkpoints") or {}).items()}
         retrain = (cfg.raw["train"] or {}).get("epochs") is not None
     else:
         T = cfg.require("eval.T")
         retrain = study != "shutoff"
     for t in t_values if study == "sweep-T" else [T]:
         training.check_t(world, t)
-    if study == "shutoff":
+    if study == "sweep-T":
+        studies.check_sweep_selectors(world, t_values, policies, selector_paths, retrain)
+    elif study == "shutoff":
         studies.check_shutoff(world, T, ev_sec["k"])
+    elif T < 2:
+        raise ConfigError(f"eval.T={T}: the {study} study trains a selector, which needs T >= 2")
+    if study == "random-pose":
+        studies.check_random_pose(world)
+    task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
+    if study == "sweep-T":
+        q_nets = {t: _load_net(QNetwork, world, path) for t, path in selector_paths.items()}
+    elif study == "shutoff":
         q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
     # the train section, for the selectors a study retrains
     selector_cfg = cfg.train_config(regime="select-fixed", seed=seed) if retrain else None
@@ -217,7 +228,6 @@ def cmd_study(args) -> int:
     outputs = []
 
     if study == "sweep-T":
-        policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
         rows = studies.sweep_view_budget(
             world, task_net, t_values, policies=policies, q_nets=q_nets, selector_cfg=selector_cfg,
             split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])

@@ -78,6 +78,7 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
             raise ConfigError(f"unknown policy {policy!r} in sweep")
     T_values = [int(t) for t in T_values]
     q_nets = dict(q_nets or {})
+    check_sweep_selectors(world, T_values, policies, q_nets, selector_cfg is not None)
     rows = []
     for t in T_values:
         for policy in policies:
@@ -86,13 +87,8 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
                 q_net = q_nets.get(t)
                 if q_net is None and selector_cfg is not None:
                     q_net = q_nets[t] = _trained_selector(world, task_net, t, selector_cfg)
-                elif q_net is None and t in (1, world.n_cameras):
-                    # selection is vacuous at T = 1 (no step happens) and at
-                    # T = N (masking forces the complete set): any Q works
-                    q_net = training.build_selector(world, task_net, seed=seed)
                 elif q_net is None:
-                    raise ConfigError(
-                        f"sweep needs a selector for T={t}: pass q_nets or selector_cfg")
+                    q_net = training.build_selector(world, task_net, seed=seed)
             run = training.evaluate_policy(world, task_net, t, policy, split=split,
                                            q_net=q_net, seed=seed, budget=budget)
             cost = evaluation.cost_account(
@@ -101,6 +97,22 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
             row["cost_ratio"] = cost.ratio
             rows.append(row)
     return rows
+
+
+def check_sweep_selectors(world, T_values, policies, given, train: bool) -> None:
+    """Raise ConfigError unless the sweep has a selector for every budget
+    of its mvselect rows: one ``given`` for that T, one trained there
+    (``train``: selection needs T >= 2), or an untrained one at T = 1 (no
+    step happens) or T = N (masking forces the complete set)."""
+    if "mvselect" not in policies:
+        return
+    for t in T_values:
+        if t in given:
+            continue
+        if train and t < 2:
+            raise ConfigError(f"eval.T_values entry {t}: a trained selector needs T >= 2")
+        if not train and t not in (1, world.n_cameras):
+            raise ConfigError(f"sweep needs a selector for T={t}: pass q_nets or selector_cfg")
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +186,12 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
 # pose randomization
 
 
+def check_random_pose(world) -> None:
+    """Raise ConfigError unless the world randomizes object pose."""
+    if not getattr(world.config, "random_pose", False):
+        raise ConfigError("random-pose study needs a world built with world.random_pose: true")
+
+
 def random_pose_study(world, task_net, T: int, *,
                       selector_cfg: training.TrainConfig,
                       split: str = "eval", seed: int = 0,
@@ -182,8 +200,7 @@ def random_pose_study(world, task_net, T: int, *,
     deployable policies. Randomized object pose breaks any fixed mapping from
     initial view to informative views, which is exactly the regime where
     per-instance selection must outperform fixed sets."""
-    if not getattr(world.config, "random_pose", False):
-        raise ConfigError("random-pose study needs a world built with random_pose=True")
+    check_random_pose(world)
     q_net = _trained_selector(world, task_net, T, selector_cfg)
     rows = []
     for policy in ("random", "dataset-oracle", "mvselect"):

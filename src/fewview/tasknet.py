@@ -45,6 +45,16 @@ SCATTER_MAX_BLOCK = 64
 VIEW_ALONE_MIN_ROWS = 256
 
 
+def max_pool_into(out: Array, feats: Array, views: list[int]) -> Array:
+    """The max of ``feats[v]`` over the listed views, in their order, into
+    ``out``: basic-index reads copy no (k, ...) gather, and max is exact,
+    so the bits equal ``feats[views].max(axis=0)``."""
+    np.copyto(out, feats[views[0]])
+    for v in views[1:]:
+        np.maximum(out, feats[v], out=out)
+    return out
+
+
 def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
     """Add the gradient of max-pooling each instance's listed views onto the
     per-view feature gradients, at the first listed view attaining the max.
@@ -52,22 +62,24 @@ def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Arra
     d_feats and feats are (G, V[, H, W], D); views is (G, k) view ids on
     axis 1; d_pooled is (G[, H, W], D) or broadcasts to it.
     """
-    inst = np.arange(len(views))
-    listed = feats[inst[:, None], views]                # (G, k[, H, W], D)
-    if listed[0, 0].size <= SCATTER_MAX_BLOCK:
-        first = listed.argmax(axis=1)                   # first listed slot at the max
+    if feats[0, 0].size <= SCATTER_MAX_BLOCK:
+        inst = np.arange(len(views))
+        first = feats[inst[:, None], views].argmax(axis=1)  # first listed slot at the max
         idx = np.indices(first.shape, sparse=True)
         d_feats[(idx[0], views[idx[0], first]) + tuple(idx[1:])] += d_pooled
         return
-    top = listed.max(axis=1)
-    free = np.ones(top.shape, dtype=bool)               # cells not yet routed
-    for j in range(views.shape[1]):
-        hit = listed[:, j] == top
-        hit &= free
-        free ^= hit
-        # a miss adds d_pooled * 0.0 = +-0.0, which changes no value except
-        # a -0.0 entry; d_feats only ever sums from +0.0, so it holds none
-        d_feats[inst, views[:, j]] += d_pooled * hit
+    # each listed view is read by basic index, so no (G, k, ...) gather is made
+    d_pooled = np.broadcast_to(d_pooled, feats.shape[:1] + feats.shape[2:])
+    for g, row in enumerate(views.tolist()):
+        top = max_pool_into(np.empty(feats.shape[2:]), feats[g], row)
+        free = np.ones(top.shape, dtype=bool)           # cells not yet routed
+        for v in row:
+            hit = feats[g, v] == top
+            hit &= free
+            free ^= hit
+            # a miss adds d_pooled * 0.0 = +-0.0, which changes no value except
+            # a -0.0 entry; d_feats only ever sums from +0.0, so it holds none
+            d_feats[g, v] += d_pooled[g] * hit
 
 
 def forward_features(net: TaskNet, observations):

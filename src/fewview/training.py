@@ -16,6 +16,10 @@ evaluation featurize every view: the joint backward over fewer rows would
 reorder float sums, and greedy evaluation from every initial view visits
 every camera anyway.
 
+Every decode (a policy's view sets, the oracles' subsets) goes through
+``_predict_sets``, which pools a detection subset by a running max into one
+reused buffer rather than reducing a gathered (S, k, H, W, D) copy.
+
 Reference policies: uniform-random completion, a dataset-level oracle that
 fixes the best view set per initial view on a designated split, and an
 instance-level oracle that picks the best set per instance. Both oracles
@@ -42,7 +46,8 @@ from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam
-from .tasknet import MVClassifier, MVDetector, TaskNet, forward_features, route_pooled_grad
+from .tasknet import (MVClassifier, MVDetector, TaskNet, forward_features, max_pool_into,
+                      route_pooled_grad)
 
 Array = np.ndarray
 
@@ -156,6 +161,13 @@ def check_t(world, T: int) -> None:
         raise ConfigError(f"shut-off leaves {usable} usable cameras, fewer than T={T}")
 
 
+def check_view_counts(world, counts) -> None:
+    """Raise ConfigError unless every task-training view count lies in [1, N]."""
+    if counts is not None and any(not 1 <= c <= world.n_cameras for c in counts):
+        raise ConfigError(f"train.train_view_counts entries must lie in "
+                          f"[1, {world.n_cameras}], got {list(counts)}")
+
+
 def _require_finite_loss(value: float, where: str) -> None:
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite loss at {where}")
@@ -169,12 +181,19 @@ def _predict_sets(task_net, feats: Array, view_sets: Array):
     """Predictions for many view subsets of one instance.
 
     view_sets is (S, k) integer view ids. Classification returns logits
-    (S, C); detection returns heatmaps (S, H, W).
+    (S, C) from one gather and one head call. Detection returns heatmaps
+    (S, H, W): each row pools its views by a running ``np.maximum``, in the
+    listed order, over basic-index views ``feats[v]`` into one reused
+    (H, W, D) buffer, so no (S, k, H, W, D) gather is copied just to be
+    reduced; max is exact, so the bits are the gathered reduce's.
     """
-    pooled = feats[view_sets].max(axis=1)  # (S[, H, W], D) max over the k views
-    if pooled.ndim == 2:
-        return task_net.head_cache(pooled)[0]
-    return np.stack([task_net.head_cache(p)[0] for p in pooled])
+    if feats.ndim == 2:
+        return task_net.head_cache(feats[view_sets].max(axis=1))[0]
+    out = np.empty((len(view_sets),) + feats.shape[1:-1])
+    pooled = np.empty(feats.shape[1:])
+    for s, row in enumerate(view_sets.tolist()):
+        out[s] = task_net.head_cache(max_pool_into(pooled, feats, row))[0]
+    return out
 
 
 def _distinct_sets(view_sets: Array) -> tuple[Array, Array]:
@@ -199,8 +218,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     n = world.n_train
     n_cams = world.n_cameras
     counts = cfg.train_view_counts
-    if counts is not None and any(not 1 <= c <= n_cams for c in counts):
-        raise ConfigError("train_view_counts entries must lie in [1, N]")
+    check_view_counts(world, counts)
     batch = net.train_batch or cfg.batch_size
     opt = Adam(net.named_params(), lr=cfg.task_lr)
     logs: list[dict] = []

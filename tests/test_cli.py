@@ -402,6 +402,30 @@ def test_bad_eval_names_exit_2_before_any_run_directory(workspace, tmp_path, com
     assert named in r.stderr
 
 
+# inputs checked against the built world, also before the run directory
+@pytest.mark.parametrize("command, updates, named", [
+    (["train", "--regime", "task"], {"train": {"train_view_counts": [1, 2, 7]}},
+     "train.train_view_counts entries must lie in [1, 6]"),
+    (["study", "random-pose"], {}, "world.random_pose"),
+    (["study", "sweep-T"], {"eval": {"T_values": [1, 2]}}, "eval.T_values entry 1"),
+    (["study", "random-pose"], {"world": {"random_pose": True}, "eval": {"T": 1}}, "eval.T=1"),
+    (["study", "ablation"], {"eval": {"T": 1}}, "eval.T=1"),
+    (["study", "sweep-T"], {"train": None, "eval": {"T_values": [3]}},
+     "sweep needs a selector for T=3"),
+], ids=["train-view-counts-7", "random-pose-without-pose", "sweep-T-trains-at-1",
+        "random-pose-T-1", "ablation-T-1", "sweep-T-no-selector"])
+def test_world_checks_exit_2_before_any_run_directory(workspace, tmp_path, command, updates,
+                                                      named):
+    cfg = dict(workspace["cfg"])
+    for section, keys in updates.items():
+        cfg[section] = None if keys is None else dict(cfg[section], **keys)
+    cfg["output_dir"] = str(tmp_path / "runs")
+    r = cli(*command, "--config", str(write_config(tmp_path, cfg, "late.yaml")))
+    assert r.returncode == 2, r.stderr
+    assert not (tmp_path / "runs").exists()
+    assert named in r.stderr
+
+
 def test_detection_world_trains_and_evaluates_through_the_cli(tmp_path):
     world = {"kind": "detection", "grid_h": 16, "grid_w": 16, "n_cameras": 6,
              "channels": 4, "ring_radius": 12.0, "view_range": 21.0,

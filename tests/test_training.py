@@ -32,8 +32,8 @@ from fewview.errors import (
 from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector
-from testkit import (exact_q_table, optimal_actions, paired_t_pvalue, read_policy_table,
-                     train_selector_fixed_eager)
+from testkit import (exact_q_table, optimal_actions, paired_t_pvalue, predict_sets_gathered,
+                     read_policy_table, train_selector_fixed_eager)
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -557,6 +557,49 @@ def test_distinct_set_records_equal_row_by_row(family, policy, request):
         # classifier records are correctness flags, which last-bit
         # differences of its batched head leave unchanged here
         np.testing.assert_array_equal(run.records[i], rows)
+
+
+def subset_rows(rng, n_views: int, k: int) -> np.ndarray:
+    """Unsorted k-view rows of n_views, each set also listed again in
+    another order."""
+    rows = [rng.permutation(n_views)[:k] for _ in range(4)]
+    return np.array(rows + [rng.permutation(row) for row in rows])
+
+
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_predict_sets_equals_the_gathered_reduce_bit_for_bit(family, request):
+    if family == "detection":
+        world, net, _ = request.getfixturevalue("det_tiny")
+    else:
+        world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+    rng = np.random.default_rng(6)
+    n_cams = world.n_cameras
+    for i in range(3):
+        feats = net.features_cache(world.instance("eval", i).observations)[0]
+        # rounded ReLU features tie across views, at zero and above it, and
+        # view 2 repeats view 0 exactly
+        feats = np.round(feats, 1)
+        feats[2] = feats[0]
+        for k in range(1, n_cams + 1):
+            rows = subset_rows(rng, n_cams, k)
+            got = tr._predict_sets(net, feats, rows)
+            want = predict_sets_gathered(net, feats, rows)
+            assert got.shape == want.shape
+            assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+
+
+def test_oracle_and_policy_decodes_equal_the_gathered_reduce(det_tiny, monkeypatch):
+    world, net, q_net = det_tiny
+
+    def decode_all():
+        table = tr.instance_oracle_table(world, net, 3, "eval").to_json()
+        runs = [tr.evaluate_policy(world, net, T=world.n_cameras if p == "full-views" else 3,
+                                   policy=p, q_net=q_net) for p in tr.POLICIES]
+        return table, [(run.chosen.tobytes(), run.records.tobytes()) for run in runs]
+
+    got = decode_all()
+    monkeypatch.setattr(tr, "_predict_sets", predict_sets_gathered)
+    assert got == decode_all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Reference oracles the tests check the package against: finite-difference
-gradients, the per-array form of the Adam update, a loop-form max-pool and task-network forward, the argmax form of
-the max-pool gradient router, the channel-first form of the detector and of
+gradients, the per-array form of the Adam update, a loop-form max-pool and task-network forward, the gather-and-reduce
+form of subset decoding, the argmax form of the max-pool gradient router, the channel-first form of the detector and of
 the selection rollout, the eager select-fixed loop that featurizes every
 view of a batch, the per-camera ray-cast form of detection
 visibility, an exhaustive action-value solver for tiny worlds, loop forms of
@@ -112,6 +112,16 @@ def predict(net, obs: Array, views) -> Array:
     observations: a forward independent of the training paths."""
     feats, _ = net.features_cache(np.asarray(obs)[list(views)])
     return net.head_cache(aggregate_max(feats)[None])[0][0]
+
+
+def predict_sets_gathered(task_net, feats: Array, view_sets: Array) -> Array:
+    """Predictions for the view subsets (S, k) of one instance from one
+    gather of the (S, k[, H, W], D) features and one max over its k axis,
+    the detector head then run per set."""
+    pooled = feats[view_sets].max(axis=1)
+    if pooled.ndim == 2:
+        return task_net.head_cache(pooled)[0]
+    return np.stack([task_net.head_cache(p)[0] for p in pooled])
 
 
 def route_pooled_grad_argmax(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
