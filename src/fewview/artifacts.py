@@ -120,6 +120,8 @@ def run_directory(root: str | Path, command: str, config_hash: str, seed: int,
                   force: bool) -> Path:
     """Deterministic run directory ``<root>/<command>-<confighash12>-s<seed>``.
 
+    Only the path: the directory appears with its first file (no file, no
+    directory), so a run that fails before it writes leaves nothing behind.
     A directory that already holds a manifest is a finished run: rerunning
     into it needs --force (reruns are deterministic, so forcing overwrites
     with identical bytes).
@@ -129,5 +131,4 @@ def run_directory(root: str | Path, command: str, config_hash: str, seed: int,
         raise ConfigError(
             f"run directory {run_dir} already holds a finished run; "
             "pass --force to overwrite")
-    run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir

@@ -79,7 +79,8 @@ def _load(args) -> tuple[ExperimentConfig, int]:
 
 
 def _start_run(args, cfg: ExperimentConfig, command: str, seed: int):
-    """The run directory and manifest; callers read every input first."""
+    """The run directory's path and manifest; the directory appears with the
+    first file written into it, so a run that fails before then leaves none."""
     root = artifacts.output_root(args.out, cfg.output_dir)
     run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed,
                                       getattr(args, "force", False))
@@ -110,11 +111,9 @@ def cmd_train(args) -> int:
     world = _build_world(cfg)
     train_cfg = cfg.train_config(regime=regime, seed=seed)
     if regime == "task":
-        training.check_view_counts(world, train_cfg.train_view_counts)
         task_net = _build_task_net(cfg, world, seed)
     else:
         task_net = _load_net(cfg.family.net, world, cfg.require("train.task_checkpoint"))
-        training.check_t(world, train_cfg.T)
     run_dir, manifest = _start_run(args, cfg, f"train-{regime}", seed)
     world_hash = world.world_hash()
     extra = {"regime": regime, "train_config": asdict(train_cfg),
@@ -161,10 +160,6 @@ def cmd_eval(args) -> int:
         T = ev_sec.get("T") or world.n_cameras
     else:
         T = cfg.require("eval.T")
-    if policy != "full-views":
-        training.check_t(world, T)
-    if policy in ORACLE_POLICIES:
-        training.check_enumeration_budget(world, T, ev_sec["split"], ev_sec["budget"])
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     q_net = None
     if policy == "mvselect":
@@ -207,16 +202,9 @@ def cmd_study(args) -> int:
     else:
         T = cfg.require("eval.T")
         retrain = study != "shutoff"
-    for t in t_values if study == "sweep-T" else [T]:
-        training.check_t(world, t)
-    if study == "sweep-T":
-        studies.check_sweep_selectors(world, t_values, policies, selector_paths, retrain)
-    elif study == "shutoff":
-        studies.check_shutoff(world, T, ev_sec["k"])
-    elif T < 2:
-        raise ConfigError(f"eval.T={T}: the {study} study trains a selector, which needs T >= 2")
-    if study == "random-pose":
-        studies.check_random_pose(world)
+        if retrain and T < 2:  # before the checkpoint load, whose world may not match
+            raise ConfigError(f"eval.T={T}: the {study} study trains a selector, "
+                              "which needs T >= 2")
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     if study == "sweep-T":
         q_nets = {t: _load_net(QNetwork, world, path) for t, path in selector_paths.items()}
@@ -277,8 +265,6 @@ def cmd_oracle(args) -> int:
     world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     T = args.T if args.T is not None else cfg.require("eval.T")
-    training.check_t(world, T)
-    training.check_enumeration_budget(world, T, ev_sec["split"], ev_sec["budget"])
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     run_dir, manifest = _start_run(args, cfg, f"oracle-{policy}", seed)
     build = (training.dataset_oracle_table if policy == "dataset-oracle"

@@ -71,14 +71,25 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     ``q_nets`` keyed by T, or pass ``selector_cfg`` to have each one trained
     here. At T = 1 no selection step happens and at T = N masking forces the
     complete view set whatever the Q values, so an untrained selector is
-    substituted at those budgets when neither is given.
+    substituted at those budgets when neither is given; a trained one needs
+    T >= 2. Every T, its selector and its oracle enumeration (against
+    ``budget``) are checked before the first evaluation.
     """
     for policy in policies:
         if policy not in training.POLICIES:
             raise ConfigError(f"unknown policy {policy!r} in sweep")
     T_values = [int(t) for t in T_values]
     q_nets = dict(q_nets or {})
-    check_sweep_selectors(world, T_values, policies, q_nets, selector_cfg is not None)
+    for t in T_values:
+        training.check_t(world, t)
+    for t in T_values if "mvselect" in policies else ():
+        if t not in q_nets and selector_cfg is not None and t < 2:
+            raise ConfigError(f"eval.T_values entry {t}: a trained selector needs T >= 2")
+        if t not in q_nets and selector_cfg is None and t not in (1, world.n_cameras):
+            raise ConfigError(f"sweep needs a selector for T={t}: pass q_nets or selector_cfg")
+    if any(policy.endswith("-oracle") for policy in policies):
+        for t in T_values:
+            training.check_enumeration_budget(world, t, split, budget)
     rows = []
     for t in T_values:
         for policy in policies:
@@ -99,22 +110,6 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     return rows
 
 
-def check_sweep_selectors(world, T_values, policies, given, train: bool) -> None:
-    """Raise ConfigError unless the sweep has a selector for every budget
-    of its mvselect rows: one ``given`` for that T, one trained there
-    (``train``: selection needs T >= 2), or an untrained one at T = 1 (no
-    step happens) or T = N (masking forces the complete set)."""
-    if "mvselect" not in policies:
-        return
-    for t in T_values:
-        if t in given:
-            continue
-        if train and t < 2:
-            raise ConfigError(f"eval.T_values entry {t}: a trained selector needs T >= 2")
-        if not train and t not in (1, world.n_cameras):
-            raise ConfigError(f"sweep needs a selector for T={t}: pass q_nets or selector_cfg")
-
-
 # ---------------------------------------------------------------------------
 # camera shut-off
 
@@ -130,25 +125,17 @@ def rank_cameras_by_usage(world, task_net, q_net, T: int,
     return ranking, usage
 
 
-def check_shutoff(world, T: int, k: int) -> None:
-    """Raise ConfigError unless k of the enabled cameras can be disabled
-    with T usable cameras left."""
-    enabled = len(world.layout.enabled)
-    if not 0 <= k <= enabled:
-        raise ConfigError(f"cannot disable k={k} of {enabled} enabled cameras")
-    if enabled - k < T:
-        raise ConfigError(f"disabling {k} cameras leaves fewer usable cameras than T={T}")
-
-
 def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
                          rank_split: str = "val", eval_split: str = "eval",
                          n_random: int = 5, seed: int = 0) -> dict:
     """Disable the k least-used cameras (ranked on ``rank_split``) and
     re-evaluate the selector on ``eval_split``; compare against ``n_random``
     random k-subsets of the currently enabled cameras. k = 0 is a no-op."""
-    n_cams = world.n_cameras
     enabled = list(world.layout.enabled)
-    check_shutoff(world, T, k)
+    if not 0 <= k <= len(enabled):
+        raise ConfigError(f"cannot disable k={k} of {len(enabled)} enabled cameras")
+    if len(enabled) - k < T:
+        raise ConfigError(f"disabling {k} cameras leaves fewer usable cameras than T={T}")
 
     baseline = training.evaluate_policy(world, task_net, T, "mvselect",
                                         split=eval_split, q_net=q_net)
@@ -186,12 +173,6 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
 # pose randomization
 
 
-def check_random_pose(world) -> None:
-    """Raise ConfigError unless the world randomizes object pose."""
-    if not getattr(world.config, "random_pose", False):
-        raise ConfigError("random-pose study needs a world built with world.random_pose: true")
-
-
 def random_pose_study(world, task_net, T: int, *,
                       selector_cfg: training.TrainConfig,
                       split: str = "eval", seed: int = 0,
@@ -199,8 +180,12 @@ def random_pose_study(world, task_net, T: int, *,
     """Retrain the selector on a pose-randomized world and compare the three
     deployable policies. Randomized object pose breaks any fixed mapping from
     initial view to informative views, which is exactly the regime where
-    per-instance selection must outperform fixed sets."""
-    check_random_pose(world)
+    per-instance selection must outperform fixed sets. The whole input is
+    checked before the selector trains."""
+    if not getattr(world.config, "random_pose", False):
+        raise ConfigError("random-pose study needs a world built with world.random_pose: true")
+    training.check_t(world, T)
+    training.check_enumeration_budget(world, T, split, budget)
     q_net = _trained_selector(world, task_net, T, selector_cfg)
     rows = []
     for policy in ("random", "dataset-oracle", "mvselect"):

@@ -161,13 +161,6 @@ def check_t(world, T: int) -> None:
         raise ConfigError(f"shut-off leaves {usable} usable cameras, fewer than T={T}")
 
 
-def check_view_counts(world, counts) -> None:
-    """Raise ConfigError unless every task-training view count lies in [1, N]."""
-    if counts is not None and any(not 1 <= c <= world.n_cameras for c in counts):
-        raise ConfigError(f"train.train_view_counts entries must lie in "
-                          f"[1, {world.n_cameras}], got {list(counts)}")
-
-
 def _require_finite_loss(value: float, where: str) -> None:
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite loss at {where}")
@@ -218,7 +211,9 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     n = world.n_train
     n_cams = world.n_cameras
     counts = cfg.train_view_counts
-    check_view_counts(world, counts)
+    if counts is not None and any(not 1 <= c <= n_cams for c in counts):
+        raise ConfigError(f"train.train_view_counts entries must lie in "
+                          f"[1, {n_cams}], got {list(counts)}")
     batch = net.train_batch or cfg.batch_size
     opt = Adam(net.named_params(), lr=cfg.task_lr)
     logs: list[dict] = []

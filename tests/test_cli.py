@@ -315,14 +315,37 @@ def test_nan_world_value_exits_2_naming_the_key(tmp_path):
     assert "world.noise" in r.stderr
 
 
-def test_enumeration_budget_exceeded_exits_4(workspace, tmp_path):
+# the oracle enumeration is checked before the first computation, so even a
+# study that trains a selector first leaves no run directory
+@pytest.mark.parametrize("command, updates", [
+    (["eval", "--policy", "instance-oracle"], {}),
+    (["study", "sweep-T"], {"eval": {"T_values": [2], "policies": ["random", "instance-oracle"]}}),
+    (["study", "random-pose"], {"world": {"random_pose": True}}),
+], ids=["eval-instance-oracle", "sweep-T-oracle", "random-pose"])
+def test_enumeration_budget_exceeded_exits_4(workspace, tmp_path, command, updates):
     cfg = dict(workspace["cfg"])
+    for section, keys in updates.items():
+        cfg[section] = dict(cfg[section], **keys)
+    if cfg["world"].get("random_pose"):  # the pose world needs its own task checkpoint
+        r = cli("train", "--config", str(write_config(tmp_path, cfg, "pose.yaml")),
+                "--regime", "task", "--out", str(tmp_path / "pose"))
+        assert r.returncode == 0, r.stderr
+        cfg["eval"] = dict(cfg["eval"],
+                           task_checkpoint=str(next(run_dir_of(r).glob("task-*.ckpt"))))
     cfg["eval"] = dict(cfg["eval"], budget=10)
     cfg["output_dir"] = str(tmp_path / "runs")
-    cpath = write_config(tmp_path, cfg, "budget.yaml")
-    r = cli("eval", "--config", str(cpath), "--policy", "instance-oracle")
-    assert r.returncode == 4
+    r = cli(*command, "--config", str(write_config(tmp_path, cfg, "budget.yaml")))
+    assert r.returncode == 4, r.stderr
     assert "budget" in r.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_failing_mid_computation_leaves_no_run_directory(tmp_path):
+    cfg = base_config(tmp_path)
+    cfg["train"]["task_lr"] = 1e300
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)), "--regime", "task")
+    assert r.returncode == 1, r.stderr
+    assert "NonFiniteError" in r.stderr
     assert not (tmp_path / "runs").exists()
 
 

@@ -255,15 +255,22 @@ def test_manifest_refuses_missing_files(tmp_path):
 
 
 def test_run_directory_collision_semantics(tmp_path):
-    d1 = artifacts.run_directory(tmp_path, "train", "abcdef123456", 0, force=False)
+    root = tmp_path / "runs"
+    d1 = artifacts.run_directory(root, "train", "abcdef123456", 0, force=False)
+    # only the path: no file, no directory
+    assert d1 == root / "train-abcdef123456-s0"
+    assert not root.exists()
+    artifacts.atomic_write_text(d1 / "metrics.jsonl", "")
+    assert d1.is_dir()
     # no manifest yet: re-entry is fine (an interrupted run is resumable)
-    d2 = artifacts.run_directory(tmp_path, "train", "abcdef123456", 0, force=False)
+    d2 = artifacts.run_directory(root, "train", "abcdef123456", 0, force=False)
     assert d1 == d2
     artifacts.atomic_write_text(d1 / artifacts.MANIFEST_NAME, "{}")
     with pytest.raises(ConfigError, match="--force"):
-        artifacts.run_directory(tmp_path, "train", "abcdef123456", 0, force=False)
-    d3 = artifacts.run_directory(tmp_path, "train", "abcdef123456", 0, force=True)
+        artifacts.run_directory(root, "train", "abcdef123456", 0, force=False)
+    d3 = artifacts.run_directory(root, "train", "abcdef123456", 0, force=True)
     assert d3 == d1
+    assert sorted(p.name for p in d1.iterdir()) == [artifacts.MANIFEST_NAME, "metrics.jsonl"]
 
 
 def test_jsonl_rows_are_sorted_and_line_delimited():

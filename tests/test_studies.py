@@ -6,7 +6,7 @@ import pytest
 
 from fewview import evaluation, studies, training as tr
 from fewview.envs import ClassificationConfig, ClassificationWorld, shut_off_cameras
-from fewview.errors import ConfigError
+from fewview.errors import BudgetError, ConfigError
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +193,25 @@ def test_random_pose_study_requires_pose_world(world, task_net):
     with pytest.raises(ConfigError, match="random_pose"):
         studies.random_pose_study(world, task_net, 2, selector_cfg=tr.TrainConfig(
             regime="select-fixed", epochs=1, T=2))
+
+
+@pytest.mark.parametrize("study, error", [
+    (lambda w, net, cfg: studies.random_pose_study(w, net, 2, selector_cfg=cfg, budget=10),
+     BudgetError),
+    (lambda w, net, cfg: studies.sweep_view_budget(
+        w, net, [2, 3], policies=("mvselect", "instance-oracle"), selector_cfg=cfg, budget=10),
+     BudgetError),
+    (lambda w, net, cfg: studies.sweep_view_budget(
+        w, net, [2, 99], policies=("mvselect",), selector_cfg=cfg), ConfigError),
+], ids=["random-pose-budget", "sweep-budget", "sweep-T-99"])
+def test_studies_check_their_input_before_any_selector_trains(pose_world, monkeypatch,
+                                                              study, error):
+    trained = []
+    monkeypatch.setattr(tr, "train_selector_fixed", lambda *args: trained.append(args))
+    cfg = tr.TrainConfig(regime="select-fixed", epochs=1, T=2)
+    with pytest.raises(error):
+        study(pose_world, tr.build_classifier(pose_world, seed=0), cfg)
+    assert trained == []
 
 
 def test_random_pose_study_three_way_comparison(pose_world, pose_task_net):
