@@ -4,14 +4,19 @@ Detection scoring follows the usual multi-object pipeline: peaks come out of
 the heatmap by 3x3 local-maximum suppression with a score threshold, are
 greedily matched one-to-one to ground truth nearest-pair-first within a
 world-scale distance threshold, and the match counts feed MODA / MODP /
-precision / recall. Classification accuracy lives on the classifier. The
-cost ledger is analytic: multiply-accumulate counts per network, no wall clock.
+precision / recall. ``extract_peaks`` and ``frame_counts`` take a stack of
+heatmaps (..., H, W), the leading axes indexing maps, and score it in one
+call, each map's row bit-equal to scoring that map alone: one decode's
+maps share a padded buffer and one greedy matcher. Classification accuracy
+lives on the classifier. The cost ledger is analytic: multiply-accumulate
+counts per network, no wall clock.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -28,79 +33,112 @@ PEAK_SCORE_THRESHOLD = 0.4
 # peak extraction and matching
 
 
-def _window3(grid: Array, fill, op) -> Array:
-    """``op`` (np.maximum or np.minimum) over each cell's 3x3 neighbourhood,
-    cells outside the map reading ``fill``."""
-    pad = np.full((grid.shape[0] + 2, grid.shape[1] + 2), fill, dtype=grid.dtype)
-    pad[1:-1, 1:-1] = grid
-    rows = op(op(pad[:-2], pad[1:-1]), pad[2:])
-    return op(op(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+def _window3(pad: Array, width: int, op) -> Array:
+    """``op`` (np.maximum or np.minimum) over the 3x3 neighbourhood of each
+    cell of a flat buffer of padded maps whose rows are ``width`` long:
+    entry j is the window of ``pad[j + width + 1]``. Offsets of +-width,
+    then +-1, read contiguous slices."""
+    rows = op(op(pad[: -2 * width], pad[width:-width]), pad[2 * width :])
+    return op(op(rows[:-2], rows[1:-1]), rows[2:])
+
+
+def _plateau_firsts(marked: Array, width: int) -> Array:
+    """The first cell in row-major order of each 8-connected plateau of
+    ``marked`` (entry j the cell ``j + width + 1`` of a padded flat
+    buffer): the least flat index is spread over each plateau until it
+    settles."""
+    n = marked.size + 2 * width + 2
+    own = np.arange(width + 1, n - width - 1)
+    first = np.full(n, n)
+    core = first[width + 1 : -width - 1]
+    core[:] = np.where(marked, own, n)
+    while True:
+        spread = np.where(marked, _window3(first, width, np.minimum), n)
+        if np.array_equal(spread, core):
+            return core == own
+        core[:] = spread
 
 
 def extract_peaks(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Array:
-    """Detection peaks: cells that are maximal in their 3x3 neighbourhood and
-    score at least the threshold. Adjacent such cells bound each other, so
-    each 8-connected group of them is a plateau of one value; a plateau gives
-    one peak, its first cell in row-major order. Returns (K, 2) ints sorted
-    by descending score, then row, then column."""
+    """Detection peaks of each map of a (..., H, W) stack: cells that are
+    maximal in their 3x3 neighbourhood and score at least the threshold.
+    Adjacent such cells bound each other, so each 8-connected group of them
+    is a plateau of one value; a plateau gives one peak, its first cell in
+    row-major order. Returns (K, ndim) ints, each row a peak's map index
+    (none for one (H, W) map), row and column, sorted by map, then
+    descending score, then row, then column.
+
+    The maps are padded by one cell of -inf into one flat buffer, so a 3x3
+    window never reads another map. Only a stack whose marked cells touch
+    runs the plateau pass; elsewhere every marked cell is a peak."""
     heat = np.asarray(heatmap, dtype=float)
-    if heat.ndim != 2:
-        raise ShapeError(f"heatmap must be 2-D, got {heat.shape}")
-    marked = (heat == _window3(heat, -np.inf, np.maximum)) & (heat >= threshold)
-    # spread the least row-major index over each plateau until it settles
-    own = np.arange(heat.size).reshape(heat.shape)
-    first = np.where(marked, own, heat.size)
-    while True:
-        spread = np.where(marked, _window3(first, heat.size, np.minimum), heat.size)
-        if np.array_equal(spread, first):
-            break
-        first = spread
-    r, c = np.nonzero(first == own)  # row-major order
-    order = np.lexsort((c, r, -heat[r, c]))
-    return np.stack([r[order], c[order]], axis=1)
+    if heat.ndim < 2:
+        raise ShapeError(f"heatmap must be (..., H, W), got {heat.shape}")
+    *lead, h, w = heat.shape
+    width, size = w + 2, (h + 2) * (w + 2)
+    pad = np.full((math.prod(lead), h + 2, width), -np.inf)
+    pad[:, 1:-1, 1:-1] = heat.reshape(-1, h, w)
+    flat = pad.reshape(-1)
+    core = flat[width + 1 : -width - 1]
+    marked = core == _window3(flat, width, np.maximum)
+    marked &= core >= threshold
+    if not threshold > -np.inf:  # the -inf padding passes such a threshold
+        inside = np.zeros(pad.shape, dtype=bool)
+        inside[:, 1:-1, 1:-1] = True
+        marked &= inside.reshape(-1)[width + 1 : -width - 1]
+    at = np.flatnonzero(marked)
+    # two marked cells touch when one is right of the other or among the three below it
+    if len(at) > 1 and marked.take(at[:, None] + (1, width - 1, width, width + 1),
+                                   mode="clip").any():
+        at = np.flatnonzero(_plateau_firsts(marked, width))
+    cell = at + width + 1          # ascending, so row-major within each map
+    cell = cell[np.lexsort((-flat[cell], cell // size))]
+    frame, rest = np.divmod(cell, size)
+    r, c = np.divmod(rest, width)
+    frames = np.unravel_index(frame, lead) if len(lead) > 1 else [frame] * len(lead)
+    return np.stack([*frames, r - 1, c - 1], axis=1)
 
 
-@dataclass(frozen=True)
-class DetectionMatchResult:
-    tp: int
-    fp: int
-    fn: int
-    gt: int
-    distances: tuple  # matched-pair distances, in cells
-    threshold: float  # matching radius, in cells
-
-
-def match_detections(peaks: Array, gt_positions: Array, threshold: float) -> DetectionMatchResult:
-    """Greedy nearest-pair-first one-to-one matching within the threshold.
-
-    Ties on distance break to the lower peak index, then lower ground-truth
-    index, so results are deterministic.
-    """
-    peaks = np.asarray(peaks, dtype=float).reshape(-1, 2)
-    gts = np.asarray(gt_positions, dtype=float).reshape(-1, 2)
-    n_peaks, n_gt = len(peaks), len(gts)
-    dist = np.hypot(peaks[:, None, 0] - gts[None, :, 0], peaks[:, None, 1] - gts[None, :, 1])
+def _greedy_matches(peaks: Array, frame: Array, gts: Array, threshold: float):
+    """Greedy nearest-pair-first one-to-one matching of each frame's peaks
+    to the ground truth (G, 2) that all frames share, within the threshold.
+    Pairs are taken in (frame, distance, peak, ground truth) order, each
+    unless its peak or its frame's ground truth is already taken. Returns
+    the distance and the frame of each taken pair, in that order."""
+    dist = np.hypot(peaks[:, 0, None] - gts[:, 0], peaks[:, 1, None] - gts[:, 1])
     p, g = np.nonzero(dist <= threshold)
-    d = dist[p, g]
-    order = np.lexsort((g, p, d))
-    used_p, used_g, dists = set(), set(), []
-    for dk, pk, gk in zip(d[order].tolist(), p[order].tolist(), g[order].tolist()):
-        if pk in used_p or gk in used_g:
+    d, f = dist[p, g], frame[p]
+    order = np.lexsort((d, f))  # stable: nonzero lists (p, g) ascending
+    taken_p, taken_g, keep = set(), set(), []
+    for k, pk, gk in zip(order.tolist(), p[order].tolist(), (f * len(gts) + g)[order].tolist()):
+        if pk in taken_p or gk in taken_g:
             continue
-        used_p.add(pk)
-        used_g.add(gk)
-        dists.append(dk)
-    tp = len(dists)
-    return DetectionMatchResult(tp, n_peaks - tp, n_gt - tp, n_gt, tuple(dists), threshold)
+        taken_p.add(pk)
+        taken_g.add(gk)
+        keep.append(k)
+    return d[keep], f[keep]
 
 
 def frame_counts(heatmap: Array, gt_positions: Array, threshold: float) -> Array:
-    """[tp, fp, fn, gt, distance credit] for one frame; credit is the MODP
-    numerator sum(1 - d/threshold) over matched pairs."""
-    peaks = extract_peaks(heatmap)
-    m = match_detections(peaks, gt_positions, threshold)
-    credit = float(sum(1.0 - d / threshold for d in m.distances))
-    return np.array([m.tp, m.fp, m.fn, m.gt, credit], dtype=float)
+    """[tp, fp, fn, gt, distance credit] of each map of a (..., H, W) stack
+    against one frame's ground truth, as (..., 5). Credit is the MODP
+    numerator sum(1 - d/threshold) over a map's matched pairs."""
+    heat = np.asarray(heatmap, dtype=float)
+    if heat.ndim < 2:
+        raise ShapeError(f"heatmap must be (..., H, W), got {heat.shape}")
+    n_maps = math.prod(heat.shape[:-2])
+    peaks = extract_peaks(heat.reshape(n_maps, *heat.shape[-2:]))
+    gts = np.asarray(gt_positions, dtype=float).reshape(-1, 2)
+    d, frame = _greedy_matches(peaks[:, 1:], peaks[:, 0], gts, threshold)
+    counts = np.empty((n_maps, 5))
+    tp = np.bincount(frame, minlength=n_maps)
+    counts[:, 0] = tp
+    counts[:, 1] = np.bincount(peaks[:, 0], minlength=n_maps) - tp
+    counts[:, 2] = len(gts) - tp
+    counts[:, 3] = len(gts)
+    # bincount adds each map's terms from 0.0 in the order given, left to right
+    counts[:, 4] = np.bincount(frame, 1.0 - d / threshold, n_maps)
+    return counts.reshape(heat.shape[:-2] + (5,))
 
 
 # ---------------------------------------------------------------------------

@@ -285,10 +285,9 @@ class MVDetector(TaskNet):
 
     def records(self, outputs: Array, instance, world) -> Array:
         """Frame counts [tp, fp, fn, gt, distance credit] of each heatmap of
-        (S, H, W) against the instance's occupants, as (S, 5)."""
-        thr = world.match_threshold_cells
-        return np.array([evaluation.frame_counts(heat, instance.positions, thr)
-                         for heat in outputs])
+        (S, H, W) against the instance's occupants, as (S, 5), scored as
+        one stack."""
+        return evaluation.frame_counts(outputs, instance.positions, world.match_threshold_cells)
 
     def score(self, records: Array) -> Array:
         """Frame MODA of each record; frames without ground truth score 0."""

@@ -430,32 +430,37 @@ def _subset_table(n_cams: int, T: int) -> Array:
 
 
 def _score_subsets(task_net, world, split: str, T: int):
-    """Per-instance score and tie value for every size-T view subset: the
-    network's score of its records (correctness, or frame MODA), with the
-    task loss (negative reward) as the tie value. Returns subsets (S, T)
-    and the (n, S) scores and ties.
+    """Per-instance records, score and tie value for every size-T view
+    subset: the network's records and its score of them (correctness, or
+    frame MODA), with the task loss (negative reward) as the tie value.
+    Returns subsets (S, T), the (n, S) scores and ties, and the (n, S, k)
+    records.
     """
     n = world.split_size(split)
     subsets = _subset_table(world.n_cameras, T)
     score = np.zeros((n, len(subsets)))
     tie = np.zeros((n, len(subsets)))
+    records = []
     for i in range(n):
         inst = world.instance(split, i)
         outputs = _predict_sets(task_net, task_net.features_cache(inst.observations)[0], subsets)
-        score[i] = task_net.score(task_net.records(outputs, inst, world))
+        records.append(task_net.records(outputs, inst, world))
+        score[i] = task_net.score(records[-1])
         tie[i] = -task_net.reward(outputs, task_net.truth(inst))
-    return subsets, score, tie
+    return subsets, score, tie, np.stack(records)
 
 
-def _oracle_table(world, task_net, T: int, split: str, budget: int, kind: str) -> PolicyTable:
+def _oracle_table(world, task_net, T: int, split: str, budget: int,
+                  kind: str) -> tuple[PolicyTable, Array]:
     """Best view set per initial view: highest score among the subsets that
     hold the view and otherwise only enabled cameras, then the lowest tie
     value, then the first subset in sorted order. A dataset table judges
     the mean score over the split with no tie value; an instance table
-    judges each instance on its own."""
+    judges each instance on its own. Returns the table and the (n, N, k)
+    records of every instance's chosen set per initial view."""
     check_t(world, T)
     check_enumeration_budget(world, T, split, budget)
-    subsets, score, tie = _score_subsets(task_net, world, split, T)
+    subsets, score, tie, records = _score_subsets(task_net, world, split, T)
     if kind == "dataset":
         score, tie = score.mean(axis=0, keepdims=True), np.zeros((1, len(subsets)))
     n_cams = world.n_cameras
@@ -471,21 +476,21 @@ def _oracle_table(world, task_net, T: int, split: str, budget: int, kind: str) -
             for (i, v0), b in np.ndenumerate(best)}
     if kind == "dataset":
         seqs = {v0: seq for (_, v0), seq in seqs.items()}
-    return PolicyTable(kind, T, seqs)
+    return PolicyTable(kind, T, seqs), records[np.arange(len(records))[:, None], best]
 
 
 def dataset_oracle_table(world, task_net, T: int, split: str,
                          budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
     """Best fixed view set per initial view, judged by the mean score over
     the designated split."""
-    return _oracle_table(world, task_net, T, split, budget, "dataset")
+    return _oracle_table(world, task_net, T, split, budget, "dataset")[0]
 
 
 def instance_oracle_table(world, task_net, T: int, split: str,
                           budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
     """Best view set per (instance, initial view): the highest network
     score (correctness, or frame MODA), the lower task loss breaking ties."""
-    return _oracle_table(world, task_net, T, split, budget, "instance")
+    return _oracle_table(world, task_net, T, split, budget, "instance")[0]
 
 
 def random_sequence(n_cams: int, initial_view: int, T: int, seed: int,
@@ -538,7 +543,9 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     Every camera serves as the initial view once per instance (including
     disabled ones: shut-off constrains selection, not the handed-out start).
     The full-views policy uses all cameras regardless of T. Each distinct
-    view set of an instance is decoded and scored once.
+    view set of an instance is decoded and scored once. An oracle policy
+    without a table builds one and keeps the records it scored its chosen
+    sets by, so no instance is featurized or decoded twice.
     """
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
@@ -548,10 +555,11 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     disabled = world.layout.disabled
     if policy == "mvselect" and q_net is None:
         raise ConfigError("mvselect evaluation needs a selector network")
-    if policy == "dataset-oracle" and table is None:
-        table = dataset_oracle_table(world, task_net, T, split, budget)
-    if policy == "instance-oracle" and table is None:
-        table = instance_oracle_table(world, task_net, T, split, budget)
+    if policy.endswith("-oracle") and table is None:
+        table, records = _oracle_table(world, task_net, T, split, budget,
+                                       policy.removesuffix("-oracle"))
+        chosen = np.stack([table.view_sets(i, n_cams) for i in range(n)])
+        return EvalRun(task_net, policy, split, T, n_cams, chosen, records)
     if table is not None and table.T != T:
         raise ConfigError(f"policy table was built for T={table.T}, not T={T}")
 

@@ -4,8 +4,8 @@ Each test prints its verdict to the real terminal (bypassing capture) before
 asserting, with each statistic it checks beside its bound, so a full run
 always shows eleven lines and their margins. The two expensive
 fixtures train the five-seed classification and detection suites once and
-share them across the ordering, joint-gain, and shut-off checks. Each suite
-trains its seeds in a pool of spawned processes, one BLAS thread each.
+share them across the ordering, joint-gain, and shut-off checks. Both suites
+train their seeds in one pool of spawned processes, one BLAS thread each.
 """
 
 import copy
@@ -30,11 +30,7 @@ from fewview.envs import (
     DetectionConfig,
     DetectionWorld,
 )
-from fewview.evaluation import (
-    cost_from_macs,
-    detection_metrics_arrays,
-    match_detections,
-)
+from fewview.evaluation import cost_from_macs, detection_metrics_arrays
 from fewview.mvselect import QNetwork
 from fewview.numcore import (
     ACTIVATIONS,
@@ -43,8 +39,8 @@ from fewview.numcore import (
     bev_mse,
     cross_entropy,
 )
-from testkit import (aggregate_max, exact_q_table, max_relative_error, numeric_gradient,
-                     optimal_actions)
+from testkit import (aggregate_max, exact_q_table, match_detections, max_relative_error,
+                     numeric_gradient, optimal_actions)
 
 N_SEEDS = 5
 VIEW_MIX = (1, 2, 3, 4, 6, 12)
@@ -62,25 +58,6 @@ def _report(capsys, num: int, name: str, ok: bool, stats: str) -> bool:
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
-
-
-def _per_seed(run_seed) -> list[dict]:
-    """``run_seed`` for every seed, in a spawn process pool of up to one
-    worker per CPU. Each worker starts with every BLAS and OpenMP pool
-    pinned to one thread, before it imports NumPy, so seeds running side by
-    side do not share cores."""
-    saved = {k: os.environ.get(k) for k in THREAD_VARS}
-    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
-    try:
-        with ProcessPoolExecutor(max_workers=min(N_SEEDS, os.cpu_count()),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return list(pool.map(run_seed, range(N_SEEDS)))
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
 
 
 def _cls_seed(seed: int) -> dict:
@@ -143,16 +120,48 @@ def _det_seed(seed: int) -> dict:
     return {"seed": seed, "moda": moda, "seconds": time.time() - t0}
 
 
+# each suite's seed runner, longest first: a detection seed trains for 30-40 s,
+# a classification seed for 2-3 s
+SUITES = {"det_suite": _det_seed, "cls_suite": _cls_seed}
+
+
 @pytest.fixture(scope="module")
-def cls_suite():
+def seed_pool(request):
+    """The seeds of every suite a selected test uses, submitted on first use
+    to one spawn pool of up to one worker per CPU, longest suite first, so
+    no worker idles while seeds wait. Each worker starts with every BLAS and
+    OpenMP pool pinned to one thread, before it imports NumPy, so seeds
+    running side by side do not share cores. Maps each suite to its
+    futures."""
+    used = [name for name in SUITES
+            if any(name in item.fixturenames for item in request.session.items)]
+    saved = {k: os.environ.get(k) for k in THREAD_VARS}
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
+    pool = ProcessPoolExecutor(max_workers=min(N_SEEDS, os.cpu_count()),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:  # a spawn pool starts its workers as work is submitted
+        futures = {name: [pool.submit(SUITES[name], seed) for seed in range(N_SEEDS)]
+                   for name in used}
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+    yield futures
+    pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="module")
+def cls_suite(seed_pool):
     """Five-seed classification runs: task net, fixed selector, joint pair."""
-    return _per_seed(_cls_seed)
+    return [future.result() for future in seed_pool["cls_suite"]]
 
 
 @pytest.fixture(scope="module")
-def det_suite():
+def det_suite(seed_pool):
     """Five-seed detection runs: full-view, fixed-selector, and joint MODA."""
-    return _per_seed(_det_seed)
+    return [future.result() for future in seed_pool["det_suite"]]
 
 
 # ---------------------------------------------------------------------------

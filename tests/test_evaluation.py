@@ -19,7 +19,8 @@ from hypothesis.extra import numpy as hnp
 from fewview import artifacts
 from fewview import evaluation as ev
 from fewview.errors import ConfigError, ShapeError
-from testkit import (extract_peaks_bfs, extract_peaks_loop, match_detections_loop,
+from testkit import (DetectionMatchResult, extract_peaks_bfs, extract_peaks_loop,
+                     frame_counts_loop, match_detections, match_detections_loop,
                      paired_t_pvalue)
 
 THR = 2.0  # matching radius in cells (0.5 m at 0.25 m per cell)
@@ -90,20 +91,20 @@ def test_extract_peaks_border_and_order():
 
 
 def test_match_exact_hit():
-    m = ev.match_detections(np.array([[3, 3]]), np.array([[3, 3]]), THR)
+    m = match_detections(np.array([[3, 3]]), np.array([[3, 3]]), THR)
     assert (m.tp, m.fp, m.fn, m.gt) == (1, 0, 0, 1)
     assert m.distances == (0.0,)
 
 
 def test_match_beyond_threshold_is_fp_and_fn():
-    m = ev.match_detections(np.array([[0, 0]]), np.array([[10, 10]]), THR)
+    m = match_detections(np.array([[0, 0]]), np.array([[10, 10]]), THR)
     assert (m.tp, m.fp, m.fn, m.gt) == (0, 1, 1, 1)
 
 
 def test_match_one_to_one_and_counts_invariant():
     peaks = np.array([[0, 0], [0, 1]])
     gts = np.array([[0, 0]])
-    m = ev.match_detections(peaks, gts, THR)
+    m = match_detections(peaks, gts, THR)
     assert m.tp == 1 and m.fp == 1 and m.fn == 0
     assert m.tp + m.fn == m.gt
 
@@ -111,7 +112,7 @@ def test_match_one_to_one_and_counts_invariant():
 def test_match_greedy_prefers_nearest_pair():
     peaks = np.array([[0.0, 1.0], [0.0, 4.0]])
     gts = np.array([[0.0, 0.0], [0.0, 3.0]])
-    m = ev.match_detections(peaks, gts, THR)
+    m = match_detections(peaks, gts, THR)
     # nearest pair first: peak0-gt0 at d=1, then peak1-gt1 at d=1
     assert m.tp == 2
     assert m.distances == (1.0, 1.0)
@@ -141,7 +142,7 @@ def test_greedy_matches_brute_force_on_small_scenes():
         n_peaks = int(rng.integers(0, 7))
         gts = rng.uniform(0, 16, size=(n_gt, 2))
         peaks = rng.uniform(0, 16, size=(n_peaks, 2))
-        greedy = ev.match_detections(peaks, gts, THR).tp
+        greedy = match_detections(peaks, gts, THR).tp
         optimal = optimal_match_count(peaks, gts, THR)
         assert greedy <= optimal
         if greedy == optimal:
@@ -157,7 +158,7 @@ def test_known_greedy_suboptimal_configuration():
     # the classic chain: the middle ground truth tempts both peaks
     gts = np.array([[0.0, 3.0], [0.0, 0.0]])
     peaks = np.array([[0.0, 2.0], [0.0, 4.0]])
-    greedy = ev.match_detections(peaks, gts, THR)
+    greedy = match_detections(peaks, gts, THR)
     assert greedy.tp == 2 or greedy.tp == 1  # documents greedy may trail optimal
     assert optimal_match_count(peaks, gts, THR) == 2
 
@@ -174,7 +175,7 @@ map_sides = st.integers(1, 12)
 @given(points, points, st.sampled_from([1.0, 2.0, float(np.sqrt(2.0)), float(np.sqrt(5.0))]))
 def test_match_equals_pairwise_loop(peaks, gts, thr):
     # integer points in a small box force exact distance ties and d == thr
-    fast, loop = ev.match_detections(peaks, gts, thr), match_detections_loop(peaks, gts, thr)
+    fast, loop = match_detections(peaks, gts, thr), match_detections_loop(peaks, gts, thr)
     assert fast == loop
     assert [type(v) for v in vars(fast).values()] == [type(v) for v in vars(loop).values()]
     assert all(type(d) is float for d in fast.distances)
@@ -195,6 +196,72 @@ def test_extract_peaks_equals_flood_fill_on_quantized_maps(heat):
 
 
 # ---------------------------------------------------------------------------
+# stacks of maps scored in one call, row by row against the per-map references
+
+LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]  # quantized: ties and plateaus everywhere
+THRESHOLDS = [1.0, 2.0, float(np.sqrt(2.0)), float(np.sqrt(5.0))]
+cells = hnp.arrays(np.int64, st.tuples(st.integers(0, 8), st.just(2)),
+                   elements=st.integers(0, 12))
+
+
+def stacks(elements):
+    return st.integers(1, 6).flatmap(lambda s: hnp.arrays(
+        np.float64, st.tuples(st.just(s), map_sides, map_sides), elements=elements))
+
+
+def assert_stack_rows_equal_per_map(stack, gts, thr, peaks_of):
+    peaks = ev.extract_peaks(stack)
+    counts = ev.frame_counts(stack, gts, thr)
+    assert peaks.shape[1] == 3 and counts.shape == (len(stack), 5)
+    assert (np.diff(peaks[:, 0]) >= 0).all()  # ordered by map first
+    for s, heat in enumerate(stack):
+        want = peaks_of(heat)
+        np.testing.assert_array_equal(peaks[peaks[:, 0] == s, 1:], want)
+        assert counts[s].tobytes() == frame_counts_loop(heat, gts, thr).tobytes()
+    # one (H, W) map is a stack of one without its map axis
+    np.testing.assert_array_equal(ev.extract_peaks(stack[0]), peaks_of(stack[0]))
+    assert ev.frame_counts(stack[0], gts, thr).tobytes() == counts[0].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks(st.sampled_from(LEVELS)), cells, st.sampled_from(THRESHOLDS),
+       st.sampled_from([None, 0.75, 1.0]), st.integers(-1, 5))
+def test_stack_scoring_equals_per_map_on_quantized_maps(stack, gts, thr, seam, blank):
+    if seam is not None:  # a high last row above a high first row: only padding parts them
+        stack[:-1, -1] = 1.0
+        stack[1:, 0] = seam
+    if 0 <= blank < len(stack):
+        stack[blank] = 0.0  # a map without peaks
+    assert_stack_rows_equal_per_map(stack, gts, thr, extract_peaks_bfs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), map_sides, map_sides, cells,
+       st.sampled_from(THRESHOLDS))
+def test_stack_scoring_equals_per_map_on_continuous_maps(seed, s, h, w, gts, thr):
+    stack = np.random.default_rng(seed).random((s, h, w))  # no two maxima touch
+    assert_stack_rows_equal_per_map(stack, gts, thr, extract_peaks_loop)
+
+
+def test_stack_scoring_keeps_every_leading_axis():
+    rng = np.random.default_rng(4)
+    stack = np.round(rng.random((2, 3, 9, 7)), 1)
+    gts = np.array([[1, 1], [4, 5], [8, 0]])
+    flat_peaks = ev.extract_peaks(stack.reshape(6, 9, 7))
+    peaks = ev.extract_peaks(stack)
+    np.testing.assert_array_equal(peaks[:, 2:], flat_peaks[:, 1:])
+    np.testing.assert_array_equal(peaks[:, 0] * 3 + peaks[:, 1], flat_peaks[:, 0])
+    counts = ev.frame_counts(stack, gts, THR)
+    assert counts.shape == (2, 3, 5)
+    np.testing.assert_array_equal(counts.reshape(6, 5),
+                                  ev.frame_counts(stack.reshape(6, 9, 7), gts, THR))
+    assert ev.extract_peaks(np.zeros((0, 4, 4))).shape == (0, 3)
+    assert ev.frame_counts(np.zeros((0, 4, 4)), gts, THR).shape == (0, 5)
+    with pytest.raises(ShapeError):
+        ev.frame_counts(np.zeros(5), gts, THR)
+
+
+# ---------------------------------------------------------------------------
 # detection metrics
 
 
@@ -207,11 +274,11 @@ def metrics_of(*results):
 
 
 def test_detection_metrics_trivial_substitutions():
-    m = ev.DetectionMatchResult(tp=8, fp=1, fn=1, gt=10, distances=(0.0,) * 8, threshold=THR)
+    m = DetectionMatchResult(tp=8, fp=1, fn=1, gt=10, distances=(0.0,) * 8, threshold=THR)
     out = metrics_of(m)
     assert out["moda"] == pytest.approx(0.8)
     assert out["modp"] == 1.0
-    m2 = ev.DetectionMatchResult(tp=8, fp=2, fn=2, gt=10, distances=(0.0,) * 8, threshold=THR)
+    m2 = DetectionMatchResult(tp=8, fp=2, fn=2, gt=10, distances=(0.0,) * 8, threshold=THR)
     out2 = metrics_of(m2)
     assert out2["precision"] == pytest.approx(0.8)
     assert out2["recall"] == pytest.approx(0.8)
@@ -226,7 +293,7 @@ def test_detection_metrics_match_direct_formula_on_randomized_results():
         gt = tp + fn if tp + fn > 0 else 1
         fn = gt - tp
         dists = tuple(float(d) for d in rng.uniform(0, THR, size=tp))
-        m = ev.DetectionMatchResult(tp, fp, fn, gt, dists, THR)
+        m = DetectionMatchResult(tp, fp, fn, gt, dists, THR)
         out = metrics_of(m)
         assert out["moda"] == 1 - (fp + fn) / gt
         assert out["precision"] == (tp / (tp + fp) if tp + fp else 0.0)
@@ -236,8 +303,8 @@ def test_detection_metrics_match_direct_formula_on_randomized_results():
 
 
 def test_detection_metrics_skip_empty_frames_with_warning():
-    good = ev.DetectionMatchResult(1, 0, 0, 1, (0.0,), THR)
-    empty = ev.DetectionMatchResult(0, 2, 0, 0, (), THR)
+    good = DetectionMatchResult(1, 0, 0, 1, (0.0,), THR)
+    empty = DetectionMatchResult(0, 2, 0, 0, (), THR)
     with pytest.warns(UserWarning, match="no ground truth"):
         out = metrics_of(good, empty)
     assert out["moda"] == 1.0  # empty frame's FPs skipped along with the frame
@@ -258,7 +325,7 @@ def test_detection_metrics_arrays_aggregate_counts():
 
 
 def test_moda_may_be_negative():
-    m = ev.DetectionMatchResult(0, 5, 2, 2, (), THR)
+    m = DetectionMatchResult(0, 5, 2, 2, (), THR)
     assert metrics_of(m)["moda"] == pytest.approx(1 - 7 / 2)
 
 

@@ -602,6 +602,40 @@ def test_oracle_and_policy_decodes_equal_the_gathered_reduce(det_tiny, monkeypat
     assert got == decode_all()
 
 
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_oracle_without_a_table_scores_each_instance_once(family, request, monkeypatch):
+    if family == "detection":
+        world, net, _ = request.getfixturevalue("det_tiny")
+    else:
+        world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+    T, n = 3, world.n_eval
+    calls = {"features": 0, "head": 0}
+    features_cache, head_cache = net.features_cache, net.head_cache
+
+    def counted_features(obs):
+        calls["features"] += 1
+        return features_cache(obs)
+
+    def counted_head(pooled):
+        calls["head"] += 1
+        return head_cache(pooled)
+
+    # set in the instance's dict, so undoing them leaves no instance attribute
+    monkeypatch.setitem(vars(net), "features_cache", counted_features)
+    monkeypatch.setitem(vars(net), "head_cache", counted_head)
+    for policy, build in (("dataset-oracle", tr.dataset_oracle_table),
+                          ("instance-oracle", tr.instance_oracle_table)):
+        calls.update(features=0, head=0)
+        run = tr.evaluate_policy(world, net, T=T, policy=policy)
+        assert calls["features"] == n
+        if family == "detection":  # one head call per decoded subset
+            assert calls["head"] == n * math.comb(world.n_cameras, T)
+        explicit = tr.evaluate_policy(world, net, T=T, policy=policy,
+                                      table=build(world, net, T, "eval"))
+        assert run.chosen.tobytes() == explicit.chosen.tobytes()
+        assert run.records.tobytes() == explicit.records.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # select-fixed training featurizes only the views its rollouts visit
 

@@ -4,18 +4,20 @@ form of subset decoding, the argmax form of the max-pool gradient router, the ch
 the selection rollout, the eager select-fixed loop that featurizes every
 view of a batch, the per-camera ray-cast form of detection
 visibility, an exhaustive action-value solver for tiny worlds, loop forms of
-detection peak extraction and matching, a paired significance test, and a
-reader of exported policy tables. Nothing in ``fewview`` calls them."""
+detection peak extraction, matching and per-map frame counts, the runtime's
+greedy matcher on one frame as a match record, a paired significance test,
+and a reader of exported policy tables. Nothing in ``fewview`` calls them."""
 
 import itertools
 import json
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy import ndimage, stats
 
 from fewview.errors import ShapeError, StateError
-from fewview.evaluation import PEAK_SCORE_THRESHOLD, DetectionMatchResult
+from fewview.evaluation import PEAK_SCORE_THRESHOLD, _greedy_matches
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
 from fewview.training import PolicyTable, TrainResult, _batch, _predict_sets, check_t
@@ -385,6 +387,29 @@ def extract_peaks_bfs(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -
     return np.array(peaks, dtype=int).reshape(-1, 2)
 
 
+@dataclass(frozen=True)
+class DetectionMatchResult:
+    tp: int
+    fp: int
+    fn: int
+    gt: int
+    distances: tuple  # matched-pair distances, in matching order, in cells
+    threshold: float  # matching radius, in cells
+
+
+def match_detections(peaks: Array, gt_positions: Array, threshold: float) -> DetectionMatchResult:
+    """One frame's greedy nearest-pair-first one-to-one matching within the
+    threshold by the runtime's matcher, the one ``evaluation.frame_counts``
+    runs over a stack of maps. Ties on distance break to the lower peak
+    index, then the lower ground-truth index."""
+    peaks = np.asarray(peaks, dtype=float).reshape(-1, 2)
+    gts = np.asarray(gt_positions, dtype=float).reshape(-1, 2)
+    d, _ = _greedy_matches(peaks, np.zeros(len(peaks), dtype=int), gts, threshold)
+    tp = len(d)
+    return DetectionMatchResult(tp, len(peaks) - tp, len(gts) - tp, len(gts),
+                                tuple(d.tolist()), threshold)
+
+
 def match_detections_loop(peaks: Array, gt_positions: Array,
                           threshold: float) -> DetectionMatchResult:
     """Greedy nearest-pair-first matching over every (peak, ground truth)
@@ -409,6 +434,16 @@ def match_detections_loop(peaks: Array, gt_positions: Array,
         dists.append(d)
     tp = len(dists)
     return DetectionMatchResult(tp, n_peaks - tp, n_gt - tp, n_gt, tuple(dists), threshold)
+
+
+def frame_counts_loop(heatmap: Array, gt_positions: Array, threshold: float) -> Array:
+    """[tp, fp, fn, gt, distance credit] of one map from its flood-fill
+    peaks and the pairwise-loop matching, the credit summed over the
+    matched pairs in matching order: the row ``frame_counts`` must give for
+    each map of a stack."""
+    m = match_detections_loop(extract_peaks_bfs(heatmap), gt_positions, threshold)
+    credit = float(sum(1.0 - d / threshold for d in m.distances))
+    return np.array([m.tp, m.fp, m.fn, m.gt, credit])
 
 
 def paired_t_pvalue(a, b) -> float:
