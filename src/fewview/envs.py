@@ -27,9 +27,10 @@ rows.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -42,60 +43,29 @@ _SPLIT_TAGS = {TRAIN: 0, VAL: 1, EVAL: 2}
 
 def _config_hash(cfg) -> str:
     payload = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    for key, value in payload.items():
-        if isinstance(value, tuple):
-            payload[key] = list(list(v) if isinstance(v, tuple) else v for v in value)
     return hashlib.sha256(
         json.dumps({"kind": type(cfg).__name__, **payload}, sort_keys=True).encode()
     ).hexdigest()
 
 
 # ---------------------------------------------------------------------------
-# camera layout and the shared world plumbing
-
-
-@dataclass(frozen=True)
-class Layout:
-    """The selection action space: N camera ids, some possibly disabled."""
-
-    n_cameras: int
-    disabled: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.n_cameras < 2:
-            raise ConfigError("a layout needs at least 2 cameras")
-        bad = [v for v in self.disabled if not 0 <= v < self.n_cameras]
-        if bad:
-            raise ConfigError(f"disabled ids {bad} outside camera range")
-
-    @property
-    def enabled(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_cameras) if v not in self.disabled)
-
-
-def shut_off_cameras(layout: Layout, disabled) -> Layout:
-    """Return a copy of ``layout`` with ``disabled`` removed from the action
-    space. Observations and instances are untouched; selection masks change.
-    """
-    disabled = frozenset(int(v) for v in disabled)
-    merged = layout.disabled | disabled
-    if layout.n_cameras - len(merged) < 2:
-        raise ConfigError("shut-off must leave at least 2 usable cameras")
-    return replace(layout, disabled=merged)
+# the shared world plumbing and camera shut-off
 
 
 class World:
     """What both worlds share: a config with a seed and the three split
-    sizes, a camera layout, and instances drawn from per-instance child
-    seeds. Subclasses define ``__init__`` and ``instance(split, index)``."""
+    sizes, N cameras of which ``disabled`` ones are out of the selection
+    action space, and instances drawn from per-instance child seeds.
+    Subclasses define ``__init__`` and ``instance(split, index)``."""
 
     def __init__(self, config, n_cameras: int):
         self.config = config
-        self.layout = Layout(n_cameras)
+        self.n_cameras = n_cameras
+        self.disabled: frozenset[int] = frozenset()
 
     @property
-    def n_cameras(self) -> int:
-        return self.layout.n_cameras
+    def enabled(self) -> tuple[int, ...]:
+        return tuple(v for v in range(self.n_cameras) if v not in self.disabled)
 
     @property
     def n_train(self) -> int:
@@ -123,6 +93,22 @@ class World:
         if not 0 <= index < self.split_size(split):
             raise IndexError(f"{split} instance {index} out of range")
         return np.random.default_rng([self.config.seed, _SPLIT_TAGS[split], index])
+
+
+def shut_off_cameras(world: World, cams) -> World:
+    """A shallow copy of ``world`` with ``cams`` also removed from the
+    selection action space. Instances and the world hash are shared;
+    selection masks change, observations do not."""
+    cams = frozenset(int(v) for v in cams)
+    bad = sorted(v for v in cams if not 0 <= v < world.n_cameras)
+    if bad:
+        raise ConfigError(f"disabled ids {bad} outside camera range")
+    merged = world.disabled | cams
+    if world.n_cameras - len(merged) < 2:
+        raise ConfigError("shut-off must leave at least 2 usable cameras")
+    clone = copy.copy(world)
+    clone.disabled = merged
+    return clone
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +178,9 @@ class ClassificationWorld(World):
     def __init__(self, config: ClassificationConfig):
         super().__init__(config, config.n_views)
         pairs = config.n_classes // 2
-        if config.discriminative_views is not None:
-            self._disc = tuple(tuple(sorted(v)) for v in config.discriminative_views)
-        else:
-            self._disc = tuple(tuple((2 * p + j) % config.n_views for j in range(2)) for p in range(pairs))
+        disc = config.discriminative_views
+        if disc is None:
+            disc = tuple(tuple((2 * p + j) % config.n_views for j in range(2)) for p in range(pairs))
         rng = np.random.default_rng([config.seed, 100])
         base = rng.standard_normal((pairs, config.n_views, config.feat_dim))
         offsets = rng.standard_normal((pairs, config.feat_dim))
@@ -206,15 +191,11 @@ class ClassificationWorld(World):
         for p in range(pairs):
             proto[2 * p] = base[p]
             proto[2 * p + 1] = base[p]
-            for v in self._disc[p]:
+            for v in disc[p]:
                 proto[2 * p + 1, v] += config.margin * offsets[p]
         self.prototypes = proto
         self.prototypes.setflags(write=False)
         self._instances: dict[tuple[str, int], ClassificationInstance] = {}
-
-    def discriminative_views(self, class_id: int) -> tuple[int, ...]:
-        """Views where the instance's class pair separates."""
-        return self._disc[class_id // 2]
 
     def instance(self, split: str, index: int) -> ClassificationInstance:
         """The instance at ``index`` of ``split``, generated on first access

@@ -59,9 +59,10 @@ def _plateau_firsts(marked: Array, width: int) -> Array:
         core[:] = spread
 
 
-def extract_peaks(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Array:
+def extract_peaks(heatmap: Array) -> Array:
     """Detection peaks of each map of a (..., H, W) stack: cells that are
-    maximal in their 3x3 neighbourhood and score at least the threshold.
+    maximal in their 3x3 neighbourhood and score at least
+    ``PEAK_SCORE_THRESHOLD``.
     Adjacent such cells bound each other, so each 8-connected group of them
     is a plateau of one value; a plateau gives one peak, its first cell in
     row-major order. Returns (K, ndim) ints, each row a peak's map index
@@ -81,11 +82,7 @@ def extract_peaks(heatmap: Array, threshold: float = PEAK_SCORE_THRESHOLD) -> Ar
     flat = pad.reshape(-1)
     core = flat[width + 1 : -width - 1]
     marked = core == _window3(flat, width, np.maximum)
-    marked &= core >= threshold
-    if not threshold > -np.inf:  # the -inf padding passes such a threshold
-        inside = np.zeros(pad.shape, dtype=bool)
-        inside[:, 1:-1, 1:-1] = True
-        marked &= inside.reshape(-1)[width + 1 : -width - 1]
+    marked &= core >= PEAK_SCORE_THRESHOLD
     at = np.flatnonzero(marked)
     # two marked cells touch when one is right of the other or among the three below it
     if len(at) > 1 and marked.take(at[:, None] + (1, width - 1, width, width + 1),

@@ -16,7 +16,6 @@ Four studies ship:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace
 
 import numpy as np
@@ -30,14 +29,6 @@ Array = np.ndarray
 SWEEP_POLICIES = ("random", "dataset-oracle", "instance-oracle", "mvselect")
 ABLATION_VARIANTS = ("full", "no-camera-branch", "no-feature-branch")
 STUDIES = ("sweep-T", "shutoff", "random-pose", "ablation")
-
-
-def world_with_layout(world, layout):
-    """Shallow world copy whose selection layout is replaced; instances and
-    the world hash are untouched (shut-off changes masks, not observations)."""
-    clone = copy.copy(world)
-    clone.layout = layout
-    return clone
 
 
 def _flatten_row(head: dict, metrics: dict) -> dict:
@@ -131,7 +122,7 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
     """Disable the k least-used cameras (ranked on ``rank_split``) and
     re-evaluate the selector on ``eval_split``; compare against ``n_random``
     random k-subsets of the currently enabled cameras. k = 0 is a no-op."""
-    enabled = list(world.layout.enabled)
+    enabled = list(world.enabled)
     if not 0 <= k <= len(enabled):
         raise ConfigError(f"cannot disable k={k} of {len(enabled)} enabled cameras")
     if len(enabled) - k < T:
@@ -145,7 +136,7 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
     def _metrics_with_disabled(cams):
         if not cams:
             return baseline.metrics()
-        shut_world = world_with_layout(world, shut_off_cameras(world.layout, cams))
+        shut_world = shut_off_cameras(world, cams)
         run = training.evaluate_policy(shut_world, task_net, T, "mvselect",
                                        split=eval_split, q_net=q_net)
         return run.metrics()

@@ -118,18 +118,29 @@ class ViewFeatures:
 
 class TaskNet(Persistable):
     """What both task networks share: a per-view extractor ``feature_net``
-    (f) and a decoder ``head_net`` (g) over the max-pooled features.
-    Subclasses supply their task family: ``features_cache`` and
-    ``head_cache`` for their shapes (any leading batch axes), the ground
-    truth of an instance, the batch loss, the per-instance terminal reward
-    of the view selection, and the evaluation side: per-output ``records``,
-    the oracle ``score`` of each record, the report ``metrics`` and the
-    ``mac_counts`` of f per view and of g for one observation of a world.
-    ``mode`` names the task family in reports; ``train_batch`` fixes the
-    instances per training step (None: the config's ``batch_size``)."""
+    (f) and a decoder ``head_net`` (g) over the max-pooled features, both
+    built from the network's ``DIMS``. Subclasses supply their task family:
+    ``layer_specs``, ``features_cache`` and ``head_cache`` for their shapes
+    (any leading batch axes), ``decode`` of many view subsets of one
+    instance, the ground truth of an instance, the batch loss, the
+    per-instance terminal reward of the view selection, and the evaluation
+    side: per-output ``records``, the oracle ``score`` of each record, the
+    report ``metrics`` and the ``mac_counts`` of f per view and of g for one
+    observation of a world. ``mode`` names the task family in reports;
+    ``train_batch`` fixes the instances per training step (None: the
+    config's ``batch_size``)."""
 
     mode = ""
     train_batch: int | None = None
+
+    def __init__(self, **dims):
+        if set(dims) != set(self.DIMS):
+            raise TypeError(f"{type(self).__name__} takes dims {list(self.DIMS)}, "
+                            f"got {sorted(dims)}")
+        vars(self).update(dims)
+        feature, head = self.layer_specs(**dims)
+        self.feature_net = DenseNet(feature, seed=[self.seed, 0])
+        self.head_net = DenseNet(head, seed=[self.seed, 1])
 
     @classmethod
     def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
@@ -147,16 +158,6 @@ class MVClassifier(TaskNet):
     kind = "classifier"
     mode = "classification"
     DIMS = ("obs_dim", "feat_dim", "n_classes", "hidden", "seed")
-
-    def __init__(self, obs_dim: int, feat_dim: int, n_classes: int, hidden: int, seed: int):
-        self.obs_dim = obs_dim
-        self.feat_dim = feat_dim
-        self.n_classes = n_classes
-        self.hidden = hidden
-        self.seed = seed
-        feature, head = self.layer_specs(obs_dim, feat_dim, n_classes, hidden)
-        self.feature_net = DenseNet(feature, seed=[seed, 0])
-        self.head_net = DenseNet(head, seed=[seed, 1])
 
     @staticmethod
     def layer_specs(obs_dim: int, feat_dim: int, n_classes: int, hidden: int, **_):
@@ -185,6 +186,11 @@ class MVClassifier(TaskNet):
     def head_backward(self, cache, d_logits: Array):
         grads, d_pooled = self.head_net.backward(cache, d_logits)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
+
+    def decode(self, feats: Array, view_sets: Array) -> Array:
+        """Logits (S, C) of the view subsets (S, k) of one instance's
+        features (N, D), from one gather and one head call."""
+        return self.head_cache(feats[view_sets].max(axis=1))[0]
 
     def truth(self, instance) -> int:
         return instance.class_id
@@ -224,15 +230,6 @@ class MVDetector(TaskNet):
     train_batch = 1
     DIMS = ("channels", "feat_dim", "hidden", "seed")
 
-    def __init__(self, channels: int, feat_dim: int, hidden: int, seed: int):
-        self.channels = channels
-        self.feat_dim = feat_dim
-        self.hidden = hidden
-        self.seed = seed
-        feature, head = self.layer_specs(channels, feat_dim, hidden)
-        self.feature_net = DenseNet(feature, seed=[seed, 0])
-        self.head_net = DenseNet(head, seed=[seed, 1])
-
     @staticmethod
     def layer_specs(channels: int, feat_dim: int, hidden: int, **_):
         """The layers of f and of g."""
@@ -266,6 +263,19 @@ class MVDetector(TaskNet):
         cache, shape = hcache
         grads, d_flat = self.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1))
         return {f"head.{k}": v for k, v in grads.items()}, d_flat.reshape(shape)
+
+    def decode(self, feats: Array, view_sets: Array) -> Array:
+        """Heatmaps (S, H, W) of the view subsets (S, k) of one instance's
+        features (N, H, W, D). Each row pools its views by a running
+        ``np.maximum``, in the listed order, over basic-index views
+        ``feats[v]`` into one reused (H, W, D) buffer, so no (S, k, H, W, D)
+        gather is copied just to be reduced; max is exact, so the bits are
+        the gathered reduce's."""
+        out = np.empty((len(view_sets),) + feats.shape[1:-1])
+        pooled = np.empty(feats.shape[1:])
+        for s, row in enumerate(view_sets.tolist()):
+            out[s] = self.head_cache(max_pool_into(pooled, feats, row))[0]
+        return out
 
     def truth(self, instance) -> Array:
         return instance.target

@@ -16,9 +16,8 @@ evaluation featurize every view: the joint backward over fewer rows would
 reorder float sums, and greedy evaluation from every initial view visits
 every camera anyway.
 
-Every decode (a policy's view sets, the oracles' subsets) goes through
-``_predict_sets``, which pools a detection subset by a running max into one
-reused buffer rather than reducing a gathered (S, k, H, W, D) copy.
+Every decode (a policy's view sets, the oracles' subsets) is the task
+network's ``decode``; nothing here branches on a task family.
 
 Reference policies: uniform-random completion, a dataset-level oracle that
 fixes the best view set per initial view on a designated split, and an
@@ -46,8 +45,7 @@ from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam
-from .tasknet import (MVClassifier, MVDetector, TaskNet, forward_features, max_pool_into,
-                      route_pooled_grad)
+from .tasknet import MVClassifier, MVDetector, TaskNet, forward_features, route_pooled_grad
 
 Array = np.ndarray
 
@@ -156,7 +154,7 @@ def check_t(world, T: int) -> None:
     and its enabled ones."""
     if not 1 <= T <= world.n_cameras:
         raise ConfigError(f"T={T} is outside the {world.n_cameras}-camera layout")
-    usable = len(world.layout.enabled)
+    usable = len(world.enabled)
     if usable < T:
         raise ConfigError(f"shut-off leaves {usable} usable cameras, fewer than T={T}")
 
@@ -164,29 +162,6 @@ def check_t(world, T: int) -> None:
 def _require_finite_loss(value: float, where: str) -> None:
     if not np.isfinite(value):
         raise TrainingDiverged(f"non-finite loss at {where}")
-
-
-# ---------------------------------------------------------------------------
-# per-instance features and predictions
-
-
-def _predict_sets(task_net, feats: Array, view_sets: Array):
-    """Predictions for many view subsets of one instance.
-
-    view_sets is (S, k) integer view ids. Classification returns logits
-    (S, C) from one gather and one head call. Detection returns heatmaps
-    (S, H, W): each row pools its views by a running ``np.maximum``, in the
-    listed order, over basic-index views ``feats[v]`` into one reused
-    (H, W, D) buffer, so no (S, k, H, W, D) gather is copied just to be
-    reduced; max is exact, so the bits are the gathered reduce's.
-    """
-    if feats.ndim == 2:
-        return task_net.head_cache(feats[view_sets].max(axis=1))[0]
-    out = np.empty((len(view_sets),) + feats.shape[1:-1])
-    pooled = np.empty(feats.shape[1:])
-    for s, row in enumerate(view_sets.tolist()):
-        out[s] = task_net.head_cache(max_pool_into(pooled, feats, row))[0]
-    return out
 
 
 def _distinct_sets(view_sets: Array) -> tuple[Array, Array]:
@@ -320,7 +295,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
         if update_task
         else None
     )
-    disabled = world.layout.disabled
+    disabled = world.disabled
     logs: list[dict] = []
     counters = {"task_terms": 0, "rl_terms": 0}
     step = 0
@@ -443,7 +418,7 @@ def _score_subsets(task_net, world, split: str, T: int):
     records = []
     for i in range(n):
         inst = world.instance(split, i)
-        outputs = _predict_sets(task_net, task_net.features_cache(inst.observations)[0], subsets)
+        outputs = task_net.decode(task_net.features_cache(inst.observations)[0], subsets)
         records.append(task_net.records(outputs, inst, world))
         score[i] = task_net.score(records[-1])
         tie[i] = -task_net.reward(outputs, task_net.truth(inst))
@@ -464,7 +439,7 @@ def _oracle_table(world, task_net, T: int, split: str, budget: int,
     if kind == "dataset":
         score, tie = score.mean(axis=0, keepdims=True), np.zeros((1, len(subsets)))
     n_cams = world.n_cameras
-    enabled = np.isin(subsets, world.layout.enabled)   # (S, T)
+    enabled = np.isin(subsets, world.enabled)   # (S, T)
     best = np.zeros((len(score), n_cams), dtype=int)
     for v0 in range(n_cams):
         at_v0 = subsets == v0
@@ -549,10 +524,12 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     """
     if policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
-    check_t(world, T if policy != "full-views" else world.n_cameras)
+    if policy == "full-views":
+        T = world.n_cameras
+    check_t(world, T)
     n = world.split_size(split)
     n_cams = world.n_cameras
-    disabled = world.layout.disabled
+    disabled = world.disabled
     if policy == "mvselect" and q_net is None:
         raise ConfigError("mvselect evaluation needs a selector network")
     if policy.endswith("-oracle") and table is None:
@@ -563,8 +540,7 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     if table is not None and table.T != T:
         raise ConfigError(f"policy table was built for T={table.T}, not T={T}")
 
-    eff_T = n_cams if policy == "full-views" else T
-    chosen = np.zeros((n, n_cams, eff_T), dtype=int)
+    chosen = np.zeros((n, n_cams, T), dtype=int)
     all_views = np.tile(np.arange(n_cams), (n_cams, 1))
     all_distinct = _distinct_sets(all_views)
     records = []
@@ -584,6 +560,6 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
             sets = table.view_sets(i, n_cams)
         chosen[i] = sets
         distinct, inverse = all_distinct if sets is all_views else _distinct_sets(sets)
-        outputs = _predict_sets(task_net, feats, distinct)
+        outputs = task_net.decode(feats, distinct)
         records.append(task_net.records(outputs, inst, world)[inverse])
-    return EvalRun(task_net, policy, split, eff_T, n_cams, chosen, np.stack(records))
+    return EvalRun(task_net, policy, split, T, n_cams, chosen, np.stack(records))

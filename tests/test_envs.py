@@ -15,12 +15,11 @@ from fewview.envs import (
     ClassificationWorld,
     DetectionConfig,
     DetectionWorld,
-    Layout,
     shut_off_cameras,
     smooth_occupancy,
 )
 from fewview.errors import ConfigError
-from testkit import ray_cast_visibility, ray_paths
+from testkit import discriminative_views, ray_cast_visibility, ray_paths
 
 
 def small_class_world(**over):
@@ -83,7 +82,7 @@ def test_pair_prototypes_share_ambiguous_views():
     w = small_class_world()
     cfg = w.config
     for p in range(cfg.n_classes // 2):
-        disc = set(w.discriminative_views(2 * p))
+        disc = set(discriminative_views(w, 2 * p))
         for v in range(cfg.n_views):
             d = np.linalg.norm(w.prototypes[2 * p + 1, v] - w.prototypes[2 * p, v])
             if v in disc:
@@ -99,7 +98,7 @@ def test_explicit_ambiguity_structure():
     np.testing.assert_array_equal(w.prototypes[0, 2], w.prototypes[1, 2])
     assert np.linalg.norm(w.prototypes[1, 1] - w.prototypes[0, 1]) > 1.0
     assert np.linalg.norm(w.prototypes[1, 3] - w.prototypes[0, 3]) > 1.0
-    assert w.discriminative_views(0) == (1, 3)
+    assert discriminative_views(w, 0) == (1, 3)
 
 
 def nearest_prototype(world, obs, views):
@@ -185,21 +184,39 @@ def test_unknown_split_is_a_config_error(make):
 
 
 def test_shut_off_identity_and_cardinality():
-    lay = Layout(12)
-    assert shut_off_cameras(lay, set()) == lay
-    off = shut_off_cameras(lay, {0, 2, 4, 6, 8, 10})
+    w = small_class_world(n_views=12)
+    same = shut_off_cameras(w, set())
+    assert (same.disabled, same.enabled) == (frozenset(), tuple(range(12)))
+    off = shut_off_cameras(w, {0, 2, 4, 6, 8, 10})
     assert len(off.enabled) == 6
     assert off.enabled == (1, 3, 5, 7, 9, 11)
+    assert off.n_cameras == 12
 
 
 def test_shut_off_guards():
-    lay = Layout(4)
-    with pytest.raises(ConfigError):
-        shut_off_cameras(lay, {0, 1, 2})
-    with pytest.raises(ConfigError):
-        shut_off_cameras(lay, {7})
-    merged = shut_off_cameras(shut_off_cameras(lay, {0}), {1})
+    w = small_class_world(n_views=4)
+    with pytest.raises(ConfigError, match="at least 2 usable"):
+        shut_off_cameras(w, {0, 1, 2})
+    with pytest.raises(ConfigError, match="outside camera range"):
+        shut_off_cameras(w, {7})
+    with pytest.raises(ConfigError, match="outside camera range"):
+        shut_off_cameras(w, {-1})
+    merged = shut_off_cameras(shut_off_cameras(w, {0}), {1})
     assert merged.enabled == (2, 3)
+    with pytest.raises(ConfigError, match="at least 2 usable"):
+        shut_off_cameras(merged, {2})
+
+
+@pytest.mark.parametrize("make", [small_class_world, small_det_world], ids=["classification", "detection"])
+def test_shut_off_preserves_hash_and_original(make):
+    w = make()
+    shut = shut_off_cameras(w, [5])
+    assert shut.world_hash() == w.world_hash()
+    assert (w.disabled, shut.disabled) == (frozenset(), frozenset({5}))
+    assert 5 in w.enabled and 5 not in shut.enabled
+    # instances are shared, not recomputed differently
+    np.testing.assert_array_equal(w.instance("eval", 0).observations,
+                                  shut.instance("eval", 0).observations)
 
 
 def test_grid_layout_positions_are_integers_outside_grid():

@@ -113,7 +113,7 @@ def test_shutoff_never_selected_cameras_leave_rollouts_bit_identical(world, task
     never = sorted(set(range(world.n_cameras))
                    - set(np.unique(base.chosen[:, :, 1:]).tolist()))
     assert 3 in never
-    shut = studies.world_with_layout(world, shut_off_cameras(world.layout, [never[0], never[-1]]))
+    shut = shut_off_cameras(world, [never[0], never[-1]])
     after = tr.evaluate_policy(shut, task_net, 2, "mvselect", q_net=q)
     np.testing.assert_array_equal(base.chosen, after.chosen)
     assert base.metrics() == after.metrics()
@@ -157,17 +157,6 @@ def test_shutoff_guards(world, task_net, selector):
         studies.camera_shutoff_study(world, task_net, selector, T=11, k=2)
     with pytest.raises(ConfigError, match="cannot disable"):
         studies.camera_shutoff_study(world, task_net, selector, T=2, k=13)
-
-
-def test_world_with_layout_preserves_hash_and_original(world):
-    shut = studies.world_with_layout(world, shut_off_cameras(world.layout, [5]))
-    assert shut.world_hash() == world.world_hash()
-    assert world.layout.disabled == frozenset()
-    assert shut.layout.disabled == frozenset({5})
-    # instances are shared, not recomputed differently
-    a = world.instance("eval", 0)
-    b = shut.instance("eval", 0)
-    np.testing.assert_array_equal(a.observations, b.observations)
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,23 @@ def test_detector_records_score_and_metrics():
 
 
 # ---------------------------------------------------------------------------
-# persistence
+# construction and persistence
+
+
+@pytest.mark.parametrize("cls", [MVClassifier, MVDetector])
+def test_task_net_is_built_from_exactly_its_dims(cls):
+    dims = {"obs_dim": 5, "channels": 3, "feat_dim": 4, "n_classes": 3, "hidden": 6, "seed": 0}
+    dims = {name: dims[name] for name in cls.DIMS}
+    net = cls(**dims)
+    assert {name: getattr(net, name) for name in cls.DIMS} == dims
+    assert dict(net.named_params()).keys() == cls.param_shapes(**dims).keys()
+    missing = {name: v for name, v in dims.items() if name != "hidden"}
+    with pytest.raises(TypeError, match="takes dims"):
+        cls(**missing)
+    with pytest.raises(TypeError, match="depth"):
+        cls(**dims, depth=2)
+    with pytest.raises(TypeError):
+        cls(*dims.values())
 
 
 def test_classifier_checkpoint_round_trip(tmp_path):

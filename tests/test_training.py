@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from fewview import evaluation, studies, training as tr
+from fewview import evaluation, training as tr
 from fewview.envs import (
     ClassificationConfig,
     ClassificationWorld,
@@ -32,8 +32,8 @@ from fewview.errors import (
 from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector
-from testkit import (exact_q_table, optimal_actions, paired_t_pvalue, predict_sets_gathered,
-                     read_policy_table, train_selector_fixed_eager)
+from testkit import (discriminative_views, exact_q_table, optimal_actions, paired_t_pvalue,
+                     predict_sets_gathered, read_policy_table, train_selector_fixed_eager)
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -190,7 +190,7 @@ def test_selector_picks_discriminative_views_from_ambiguous_starts(cls_world, cl
     hits = total = 0
     for i in range(len(run.chosen)):
         label = cls_world.instance("eval", i).class_id
-        disc = set(cls_world.discriminative_views(label))
+        disc = set(discriminative_views(cls_world, label))
         for v0 in range(run.n_cameras):
             if v0 in disc:
                 continue  # ambiguity already resolved by the initial view
@@ -452,7 +452,7 @@ def test_policy_table_entries_are_checked_against_the_world(cls_world, cls_net, 
 
 
 def test_oracles_select_only_enabled_cameras(cls_world, cls_net):
-    shut = studies.world_with_layout(cls_world, shut_off_cameras(cls_world.layout, range(6)))
+    shut = shut_off_cameras(cls_world, range(6))
     for policy in ("dataset-oracle", "instance-oracle"):
         run = tr.evaluate_policy(shut, cls_net, T=2, policy=policy)
         assert (run.chosen[..., 1:] >= 6).all(), policy
@@ -533,7 +533,8 @@ def test_full_views_decodes_each_instance_once(det_tiny, monkeypatch):
     world, net, _ = det_tiny
     calls = []
     head_cache = net.head_cache
-    monkeypatch.setattr(net, "head_cache", lambda pooled: calls.append(1) or head_cache(pooled))
+    monkeypatch.setitem(vars(net), "head_cache",
+                        lambda pooled: calls.append(1) or head_cache(pooled))
     run = tr.evaluate_policy(world, net, T=world.n_cameras, policy="full-views")
     assert len(calls) == world.n_eval
     assert run.records.shape == (world.n_eval, world.n_cameras, 5)
@@ -552,7 +553,7 @@ def test_distinct_set_records_equal_row_by_row(family, policy, request):
     for i in range(world.n_eval):
         inst = world.instance("eval", i)
         feats = net.features_cache(inst.observations)[0]
-        rows = net.records(tr._predict_sets(net, feats, run.chosen[i]), inst, world)
+        rows = net.records(net.decode(feats, run.chosen[i]), inst, world)
         # detection records are bit-equal (the head runs once per set);
         # classifier records are correctness flags, which last-bit
         # differences of its batched head leave unchanged here
@@ -567,7 +568,7 @@ def subset_rows(rng, n_views: int, k: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("family", ["classification", "detection"])
-def test_predict_sets_equals_the_gathered_reduce_bit_for_bit(family, request):
+def test_decode_equals_the_gathered_reduce_bit_for_bit(family, request):
     if family == "detection":
         world, net, _ = request.getfixturevalue("det_tiny")
     else:
@@ -582,7 +583,7 @@ def test_predict_sets_equals_the_gathered_reduce_bit_for_bit(family, request):
         feats[2] = feats[0]
         for k in range(1, n_cams + 1):
             rows = subset_rows(rng, n_cams, k)
-            got = tr._predict_sets(net, feats, rows)
+            got = net.decode(feats, rows)
             want = predict_sets_gathered(net, feats, rows)
             assert got.shape == want.shape
             assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
@@ -598,7 +599,8 @@ def test_oracle_and_policy_decodes_equal_the_gathered_reduce(det_tiny, monkeypat
         return table, [(run.chosen.tobytes(), run.records.tobytes()) for run in runs]
 
     got = decode_all()
-    monkeypatch.setattr(tr, "_predict_sets", predict_sets_gathered)
+    monkeypatch.setitem(vars(net), "decode",
+                        lambda feats, view_sets: predict_sets_gathered(net, feats, view_sets))
     assert got == decode_all()
 
 
@@ -646,7 +648,7 @@ def test_select_fixed_equals_the_eager_loop(family, request):
         world, net, _ = request.getfixturevalue("det_tiny")
     else:
         cls_world = request.getfixturevalue("cls_world")
-        world = studies.world_with_layout(cls_world, shut_off_cameras(cls_world.layout, [5]))
+        world = shut_off_cameras(cls_world, [5])
         net = request.getfixturevalue("cls_net")
     cfg = tr.TrainConfig(regime="select-fixed", epochs=2, T=3, epsilon_start=0.9,
                          epsilon_end=0.3, seed=8)

@@ -3,7 +3,7 @@ gradients, the per-array form of the Adam update, a loop-form max-pool and task-
 form of subset decoding, the argmax form of the max-pool gradient router, the channel-first form of the detector and of
 the selection rollout, the eager select-fixed loop that featurizes every
 view of a batch, the per-camera ray-cast form of detection
-visibility, an exhaustive action-value solver for tiny worlds, loop forms of
+visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds, loop forms of
 detection peak extraction, matching and per-map frame counts, the runtime's
 greedy matcher on one frame as a match record, a paired significance test,
 and a reader of exported policy tables. Nothing in ``fewview`` calls them."""
@@ -20,7 +20,7 @@ from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, _greedy_matches
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
-from fewview.training import PolicyTable, TrainResult, _batch, _predict_sets, check_t
+from fewview.training import PolicyTable, TrainResult, _batch, check_t
 
 Array = np.ndarray
 
@@ -225,7 +225,7 @@ def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
             batch_obs, truths = _batch(task_net, world, idx)
             feats = task_net.features_cache(np.stack(batch_obs))[0]
             chosen, cams, obs, masks, values, pooled = rollout(
-                q_net, feats, initial[:, None], cfg.T, world.layout.disabled, eps, rng)
+                q_net, feats, initial[:, None], cfg.T, world.disabled, eps, rng)
             rewards = task_net.reward(task_net.head_cache(pooled[:, 0])[0], truths)
             actions = chosen[..., 1:].reshape(-1)
             q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
@@ -287,6 +287,16 @@ def ray_cast_visibility(world, paths, occupancy: Array) -> Array:
     return vis
 
 
+def discriminative_views(world, class_id: int) -> tuple[int, ...]:
+    """Views where a classification instance's class pair separates: its
+    pair's configured set, sorted, or by default views 2p and 2p + 1 of
+    pair p."""
+    pair = class_id // 2
+    if world.config.discriminative_views is not None:
+        return tuple(sorted(world.config.discriminative_views[pair]))
+    return (2 * pair, 2 * pair + 1)
+
+
 def exact_q_table(world, task_net, T: int, split: str = "train",
                   gamma: float = 0.99) -> dict:
     """Exhaustive optimal action values for tiny worlds.
@@ -296,7 +306,7 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
     remaining step. Only meant for layouts small enough to enumerate."""
     n = world.split_size(split)
     n_cams = world.n_cameras
-    disabled = world.layout.disabled
+    disabled = world.disabled
     table: dict = {}
     for i in range(n):
         inst = world.instance(split, i)
@@ -304,7 +314,7 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
         truth = task_net.truth(inst)
 
         def reward_of(view_set: frozenset) -> float:
-            pred = _predict_sets(task_net, feats, np.array([sorted(view_set)]))[0]
+            pred = task_net.decode(feats, np.array([sorted(view_set)]))[0]
             return float(task_net.reward(pred, truth))
 
         def q_star(chosen: frozenset, action: int) -> float:
