@@ -210,8 +210,9 @@ def cmd_study(args) -> int:
         q_nets = {t: _load_net(QNetwork, world, path) for t, path in selector_paths.items()}
     elif study == "shutoff":
         q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
-    # the train section, for the selectors a study retrains
-    selector_cfg = cfg.train_config(regime="select-fixed", seed=seed) if retrain else None
+    # the train section, for the selectors a study retrains; each trains at a
+    # budget of the study, so train.T is not read (2 stands in for it)
+    selector_cfg = cfg.train_config(regime="select-fixed", seed=seed, T=2) if retrain else None
     run_dir, manifest = _start_run(args, cfg, f"study-{study}", seed)
     outputs = []
 

@@ -146,13 +146,16 @@ class ExperimentConfig:
     def world_config(self):
         return _world_config(self.raw["world"])
 
-    def train_config(self, regime: str | None = None, seed: int | None = None) -> TrainConfig:
+    def train_config(self, regime: str | None = None, seed: int | None = None,
+                     T: int | None = None) -> TrainConfig:
+        """The train section as a ``TrainConfig``; each given argument
+        replaces its key, so a caller that sets the budget T itself needs
+        no ``train.T``."""
         section = dict(self.raw.get("train") or {})
         section.pop("task_checkpoint", None)
-        if regime is not None:
-            section["regime"] = regime
-        if seed is not None:
-            section["seed"] = seed
+        for key, value in (("regime", regime), ("seed", seed), ("T", T)):
+            if value is not None:
+                section[key] = value
         if section.get("train_view_counts") is not None:
             section["train_view_counts"] = tuple(int(c) for c in section["train_view_counts"])
         missing = [k for k in ("regime", "epochs", "T") if k not in section]

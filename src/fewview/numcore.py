@@ -4,6 +4,22 @@ Float64 numpy throughout. Networks are fixed stacks of dense layers over a
 small activation vocabulary; a backward pass consumes the explicit cache
 returned by the matching forward call, so shared read-only evaluation is safe
 while a single training loop owns parameter mutation.
+
+Who owns which arrays:
+- A network owns its parameters and nothing else. It keeps no activations,
+  gradients or work memory between calls, so copying or saving it copies
+  only parameters.
+- A forward call returns fresh arrays: the output and a cache of each
+  layer's input and output. The caller owns them; ``backward`` only reads
+  the cache.
+- ``backward`` only reads ``grad_out``. It returns fresh parameter
+  gradients and a fresh input gradient. Its temporaries (each activation's
+  derivative, each layer's output gradient) go into a work dict (see
+  ``work_array``) that the caller may pass. A training call keeps one such
+  dict for all its steps and drops it when it returns, so each step writes
+  into the previous step's memory instead of allocating, and faulting in,
+  megabytes of fresh pages. Without one, backward uses a fresh dict.
+- ``Adam`` owns its moment and work vectors.
 """
 
 from __future__ import annotations
@@ -33,19 +49,28 @@ def _activate(tag: str, z: Array) -> Array:
     raise ValueError(f"unknown activation {tag!r}")
 
 
-def _activate_grad(tag: str, y: Array) -> Array | None:
-    # derivative w.r.t. the pre-activation, from the activation output y
-    # (None: the identity). ReLU's is a bool mask, y > 0 wherever z > 0 (NaN
-    # included): a float times a bool is bit-equal to times 1.0 or 0.0
-    if tag == "linear":
-        return None
+def _activate_grad(tag: str, y: Array, out: Array) -> Array:
+    # derivative w.r.t. the pre-activation, from the activation output y,
+    # written into out with the bits of the plain expressions. ReLU's is a
+    # bool mask, y > 0 wherever z > 0 (NaN included): a float times a bool
+    # is bit-equal to times 1.0 or 0.0
     if tag == "relu":
-        return y > 0.0
+        return np.greater(y, 0.0, out=out)
     if tag == "tanh":
-        return 1.0 - y * y
+        return np.subtract(1.0, np.multiply(y, y, out=out), out=out)     # 1 - y y
     if tag == "sigmoid":
-        return y * (1.0 - y)
+        return np.multiply(y, np.subtract(1.0, y, out=out), out=out)     # y (1 - y)
     raise ValueError(f"unknown activation {tag!r}")
+
+
+def work_array(work: dict, key, shape: tuple, dtype=np.float64) -> Array:
+    """The uninitialized array ``work`` keeps under ``key``, replaced by a
+    new one unless it has this shape and dtype. Whoever passes ``work`` owns
+    its arrays: they are overwritten by the next request for the key."""
+    arr = work.get(key)
+    if arr is None or arr.shape != shape or arr.dtype != dtype:
+        arr = work[key] = np.empty(shape, dtype)
+    return arr
 
 
 def _require_finite(arr: Array, what: str) -> None:
@@ -131,29 +156,42 @@ class DenseNet:
         _require_finite(x, "forward output")
         return x, cache
 
-    def backward(self, cache: list | None, grad_out: Array,
-                 input_grad: bool = True) -> tuple[dict[str, Array], Array | None]:
+    def backward(self, cache: list | None, grad_out: Array, input_grad: bool = True,
+                 work: dict | None = None) -> tuple[dict[str, Array], Array | None]:
         """Backpropagate ``grad_out`` through a cached forward pass.
 
         Returns (parameter gradients keyed like named_params, gradient w.r.t.
         the forward input, or None when ``input_grad`` is false and the
-        caller has no use for it).
+        caller has no use for it). ``grad_out`` and the cache are only read.
+        Each layer's activation derivative and output gradient are written
+        into ``work`` under keys of this network (a fresh dict by default).
         """
         if cache is None or len(cache) != len(self.specs):
             raise StateError("backward needs the cache from a matching forward_cache call")
-        grad = np.asarray(grad_out, dtype=np.float64)
+        grad = grad_out = np.asarray(grad_out, dtype=np.float64)
         if grad.shape != cache[-1][1].shape:
             raise ShapeError(
                 f"loss gradient shape {grad.shape} does not match output shape {cache[-1][1].shape}"
             )
+        work = {} if work is None else work
         grads: dict[str, Array] = {}
         for i in range(len(self.specs) - 1, -1, -1):
             x_in, y = cache[i]
-            mask = _activate_grad(self.specs[i].activation, y)
-            dz = grad if mask is None else grad * mask
-            grads[f"layer{i}.weight"] = dz.T @ x_in
-            grads[f"layer{i}.bias"] = dz.sum(axis=0)
-            grad = dz @ self.weights[i] if i or input_grad else None
+            tag = self.specs[i].activation
+            if tag != "linear":
+                mask = _activate_grad(tag, y, work_array(
+                    work, (self, i, tag), y.shape, bool if tag == "relu" else np.float64))
+                # the mask goes in place into an output gradient this call
+                # wrote, and beside the caller's, which is only read
+                dz = grad if grad is not grad_out else work_array(work, (self, i), y.shape)
+                grad = np.multiply(grad, mask, out=dz)
+            grads[f"layer{i}.weight"] = grad.T @ x_in
+            grads[f"layer{i}.bias"] = grad.sum(axis=0)
+            if i:
+                grad = np.matmul(grad, self.weights[i], out=work_array(work, (self, i - 1),
+                                                                      x_in.shape))
+            else:
+                grad = grad @ self.weights[0] if input_grad else None
         for name, g in grads.items():
             _require_finite(g, f"gradient of {name}")
         if input_grad:

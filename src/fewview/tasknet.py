@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation
 from .checkpoint import Persistable
 from .errors import ShapeError
-from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy, param_shapes
+from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy, param_shapes, work_array
 
 Array = np.ndarray
 
@@ -55,12 +55,15 @@ def max_pool_into(out: Array, feats: Array, views: list[int]) -> Array:
     return out
 
 
-def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Array) -> None:
+def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Array,
+                      work: dict | None = None) -> None:
     """Add the gradient of max-pooling each instance's listed views onto the
     per-view feature gradients, at the first listed view attaining the max.
 
     d_feats and feats are (G, V[, H, W], D); views is (G, k) view ids on
-    axis 1; d_pooled is (G[, H, W], D) or broadcasts to it.
+    axis 1; d_pooled is (G[, H, W], D) or broadcasts to it. The per-view
+    temporaries of a large view block go into ``work`` (``numcore.work_array``;
+    a fresh dict by default).
     """
     if feats[0, 0].size <= SCATTER_MAX_BLOCK:
         inst = np.arange(len(views))
@@ -69,17 +72,21 @@ def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Arra
         d_feats[(idx[0], views[idx[0], first]) + tuple(idx[1:])] += d_pooled
         return
     # each listed view is read by basic index, so no (G, k, ...) gather is made
-    d_pooled = np.broadcast_to(d_pooled, feats.shape[:1] + feats.shape[2:])
+    work = {} if work is None else work
+    block = feats.shape[2:]
+    top, part = (work_array(work, ("pool", name), block) for name in ("top", "part"))
+    free, hit = (work_array(work, ("pool", name), block, bool) for name in ("free", "hit"))
+    d_pooled = np.broadcast_to(d_pooled, feats.shape[:1] + block)
     for g, row in enumerate(views.tolist()):
-        top = max_pool_into(np.empty(feats.shape[2:]), feats[g], row)
-        free = np.ones(top.shape, dtype=bool)           # cells not yet routed
+        max_pool_into(top, feats[g], row)
+        free.fill(True)                                 # cells not yet routed
         for v in row:
-            hit = feats[g, v] == top
+            np.equal(feats[g, v], top, out=hit)
             hit &= free
             free ^= hit
             # a miss adds d_pooled * 0.0 = +-0.0, which changes no value except
             # a -0.0 entry; d_feats only ever sums from +0.0, so it holds none
-            d_feats[g, v] += d_pooled[g] * hit
+            d_feats[g, v] += np.multiply(d_pooled[g], hit, out=part)
 
 
 def forward_features(net: TaskNet, observations):
@@ -175,16 +182,16 @@ class MVClassifier(TaskNet):
         feats, cache = self.feature_net.forward_cache(flat)
         return feats.reshape(obs.shape[:-1] + (self.feat_dim,)), cache
 
-    def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:
+    def features_backward(self, cache, d_feats: Array, work: dict | None = None) -> dict[str, Array]:
         flat = np.asarray(d_feats).reshape(-1, self.feat_dim)
-        grads, _ = self.feature_net.backward(cache, flat, input_grad=False)
+        grads, _ = self.feature_net.backward(cache, flat, input_grad=False, work=work)
         return {f"feature.{k}": v for k, v in grads.items()}
 
     def head_cache(self, pooled: Array):
         return self.head_net.forward_cache(pooled)
 
-    def head_backward(self, cache, d_logits: Array):
-        grads, d_pooled = self.head_net.backward(cache, d_logits)
+    def head_backward(self, cache, d_logits: Array, work: dict | None = None):
+        grads, d_pooled = self.head_net.backward(cache, d_logits, work=work)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
 
     def decode(self, feats: Array, view_sets: Array) -> Array:
@@ -248,9 +255,9 @@ class MVDetector(TaskNet):
         feats, cache = self.feature_net.forward_cache(rows)
         return feats.reshape(*lead, h, w, self.feat_dim), cache
 
-    def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:
+    def features_backward(self, cache, d_feats: Array, work: dict | None = None) -> dict[str, Array]:
         flat = np.asarray(d_feats).reshape(-1, self.feat_dim)
-        grads, _ = self.feature_net.backward(cache, flat, input_grad=False)
+        grads, _ = self.feature_net.backward(cache, flat, input_grad=False, work=work)
         return {f"feature.{k}": g for k, g in grads.items()}
 
     def head_cache(self, pooled: Array):
@@ -259,9 +266,10 @@ class MVDetector(TaskNet):
         out, cache = self.head_net.forward_cache(pooled.reshape(-1, pooled.shape[-1]))
         return out.reshape(pooled.shape[:-1]), (cache, pooled.shape)
 
-    def head_backward(self, hcache, d_heatmap: Array):
+    def head_backward(self, hcache, d_heatmap: Array, work: dict | None = None):
         cache, shape = hcache
-        grads, d_flat = self.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1))
+        grads, d_flat = self.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1),
+                                               work=work)
         return {f"head.{k}": v for k, v in grads.items()}, d_flat.reshape(shape)
 
     def decode(self, feats: Array, view_sets: Array) -> Array:

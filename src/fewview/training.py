@@ -44,7 +44,7 @@ from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
                    DetectionConfig, DetectionWorld)
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
-from .numcore import Adam
+from .numcore import Adam, work_array
 from .tasknet import MVClassifier, MVDetector, TaskNet, forward_features, route_pooled_grad
 
 Array = np.ndarray
@@ -169,8 +169,13 @@ def _distinct_sets(view_sets: Array) -> tuple[Array, Array]:
     (S, k), and the index of each row's set among those rows. Pooling is an
     order-invariant max, so rows holding the same set share one output."""
     slots: dict = {}
-    inverse = [slots.setdefault(frozenset(row), len(slots)) for row in view_sets.tolist()]
-    return view_sets[[inverse.index(s) for s in range(len(slots))]], np.array(inverse)
+    firsts, inverse = [], []
+    for r, row in enumerate(view_sets.tolist()):
+        slot = slots.setdefault(frozenset(row), len(firsts))
+        if slot == len(firsts):     # a new set: this row is its first
+            firsts.append(r)
+        inverse.append(slot)
+    return view_sets[firsts], np.array(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +196,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
                           f"[1, {n_cams}], got {list(counts)}")
     batch = net.train_batch or cfg.batch_size
     opt = Adam(net.named_params(), lr=cfg.task_lr)
+    work: dict = {}  # the steps' backward work arrays (numcore.work_array)
     logs: list[dict] = []
     counters = {"task_terms": 0, "rl_terms": 0}
     steps = 0
@@ -205,7 +211,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
                 size = int(counts[rng.integers(len(counts))])
                 views = np.sort(rng.permutation(n_cams)[:size])
             obs, truths = _batch(net, world, idx)
-            loss, grads = _batch_loss(net, np.stack(obs)[:, views], truths)
+            loss, grads = _batch_loss(net, np.stack(obs)[:, views], truths, work)
             _require_finite_loss(loss, f"epoch {epoch}")
             opt.step(grads)
             counters["task_terms"] += 1
@@ -215,13 +221,13 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     return TrainResult(logs, counters, steps)
 
 
-def _batch_loss(net, obs, truths) -> tuple[float, dict]:
+def _batch_loss(net, obs, truths, work: dict | None = None) -> tuple[float, dict]:
     """Task loss and gradients of a batch whose observations (G, V, ...)
     hold the views to pool."""
     feats, fcache = net.features_cache(obs)                       # (G, V[, H, W], D)
     outputs, hcache = net.head_cache(feats.max(axis=1))
     views = np.broadcast_to(np.arange(obs.shape[1]), obs.shape[:2])
-    return _task_grads(net, feats, fcache, views, truths, outputs, hcache)
+    return _task_grads(net, feats, fcache, views, truths, outputs, hcache, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +241,8 @@ def _batch(task_net, world, indices):
     return [inst.observations for inst in insts], [task_net.truth(inst) for inst in insts]
 
 
-def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=None):
+def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=None,
+                work: dict | None = None):
     """Task loss of the outputs pooled over each instance's views (G, k),
     plus the gradients of both task-network parts.
 
@@ -243,18 +250,22 @@ def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=N
     gradient w.r.t. each state's observation vector (D,), rows in (instance,
     step) order. Spread evenly over any spatial cells, each routes step by
     step to the views chosen up to that state; the terminal pooled gradient
-    follows, so the feature extractor takes a single combined step."""
-    d_feats = np.zeros_like(feats)
+    follows, so the feature extractor takes a single combined step. The
+    feature gradients and every backward temporary go into ``work``
+    (``numcore.work_array``; a fresh dict by default)."""
+    work = {} if work is None else work
+    d_feats = work_array(work, "d_feats", feats.shape)
+    d_feats.fill(0.0)
     if d_obs is not None:
         n_inst, T = views.shape
         cells = feats.shape[2:-1]
         d_obs = d_obs.reshape((n_inst, T - 1) + (1,) * len(cells) + (-1,)) / math.prod(cells)
         for t in range(T - 1):
-            route_pooled_grad(d_feats, feats, views[:, : t + 1], d_obs[:, t])
+            route_pooled_grad(d_feats, feats, views[:, : t + 1], d_obs[:, t], work)
     loss, d_out = task_net.loss(outputs, truths)
-    grads, d_pooled = task_net.head_backward(hcache, d_out)
-    route_pooled_grad(d_feats, feats, views, d_pooled)
-    grads.update(task_net.features_backward(fcache, d_feats))
+    grads, d_pooled = task_net.head_backward(hcache, d_out, work)
+    route_pooled_grad(d_feats, feats, views, d_pooled, work)
+    grads.update(task_net.features_backward(fcache, d_feats, work))
     return loss, grads
 
 
@@ -296,6 +307,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
         else None
     )
     disabled = world.disabled
+    work: dict = {}  # the steps' backward work arrays (numcore.work_array)
     logs: list[dict] = []
     counters = {"task_terms": 0, "rl_terms": 0}
     step = 0
@@ -313,7 +325,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             else:
                 # nothing flows back into the frozen network, so the rollout
                 # may featurize only the views it reads
-                feats = forward_features(task_net, batch_obs)
+                feats, fcache = forward_features(task_net, batch_obs), None
             chosen, cams, obs, masks, values, pooled = rollout(
                 q_net, feats, initial[:, None], cfg.T, disabled, eps, rng)
             views = chosen[:, 0]                                 # (G, T)
@@ -336,7 +348,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             q_grads, d_obs = q_net.backward(q_cache, d_q)
             if update_task:
                 loss_task, task_grads = _task_grads(
-                    task_net, feats, fcache, views, truths, outputs, hcache, d_obs)
+                    task_net, feats, fcache, views, truths, outputs, hcache, d_obs, work)
                 _require_finite_loss(loss_task, f"epoch {epoch} task loss")
                 counters["task_terms"] += 1
                 opt_task.step(task_grads)
@@ -344,6 +356,9 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             opt_q.step(q_grads)
             rl_losses.append(loss_rl)
             step += 1
+            # drop this step's caches: kept through the next step's forward,
+            # they would sit beside its caches and the work arrays
+            del feats, fcache, hcache, q_cache
         entry = {"epoch": epoch, "loss": float(np.mean(rl_losses)), "epsilon": float(eps)}
         if update_task:
             entry["task_loss"] = float(np.mean(task_losses))

@@ -1,12 +1,14 @@
 """Checks on the committed benchmark results: every ``BENCH_*.json`` at the
 repository root reports only workloads and end-to-end metrics that
 ``BENCHMARK.json`` declares, each with the parent's and the change's runs,
-names its parent commit by a hex prefix, and claims a metric it reports."""
+names its parent commit by a hex prefix, claims a metric it reports, and
+states statistics that recompute from its runs."""
 
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -18,6 +20,12 @@ def declared() -> tuple[set[str], set[str]]:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     return ({w["name"] for w in spec["workloads"]},
             {m["name"] for m in spec["end_to_end"]})
+
+
+def decimals(value: float) -> int:
+    """Digits after the point in the shortest repr of a float."""
+    text = repr(float(value))
+    return 0 if "e" in text else len(text.split(".")[1].rstrip("0"))
 
 
 @pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
@@ -46,3 +54,30 @@ def test_bench_file_claims_a_reported_metric_against_a_commit(path):
     assert workload in bench["workloads"], f"{path.name}: claims unreported workload {workload!r}"
     assert metric in bench["workloads"][workload]["metrics"], \
         f"{path.name}: claims {metric!r}, which it does not report for {workload}"
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_statistics_recompute_from_its_runs(path):
+    # medians and quartiles are NumPy linear percentiles of the runs, and
+    # change_better_pairs counts the seeds where the change reads strictly
+    # better; runs and statistics are each rounded to the file's digits, so
+    # a statistic may sit up to one unit of the last digit off
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bench = json.loads(path.read_text(encoding="utf-8"))
+    results = bench["workloads"].values()
+    digits = max(decimals(run) for result in results for sides in result["metrics"].values()
+                 for side in ("parent", "change") for run in sides[side]["runs"])
+    tolerance = 10.0 ** -digits * (1 + 1e-9)
+    for name, result in bench["workloads"].items():
+        for metric, sides in result["metrics"].items():
+            runs = {side: np.array(sides[side]["runs"], dtype=float) for side in ("parent", "change")}
+            for side, values in runs.items():
+                for key, q in (("q1", 25), ("median", 50), ("q3", 75)):
+                    stated, got = sides[side][key], float(np.percentile(values, q))
+                    assert abs(stated - got) <= tolerance, \
+                        f"{path.name}: {name} {metric} {side} {key} {stated} != {got}"
+            wins = (runs["change"] < runs["parent"] if better[metric] == "lower"
+                    else runs["change"] > runs["parent"])
+            assert sides["change_better_pairs"] == int(wins.sum()), \
+                f"{path.name}: {name} {metric} change_better_pairs"

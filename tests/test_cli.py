@@ -503,6 +503,25 @@ def test_sweep_study_single_full_budget_row(workspace, tmp_path):
     assert csv_text.startswith("T,policy,")
 
 
+@pytest.mark.parametrize("study, ev, glob", [
+    ("sweep-T", {"T_values": [2, 3]}, "study-sweep-*.jsonl"),
+    ("ablation", {"T": 2}, "study-ablation-*.json"),
+])
+def test_study_retrains_selectors_without_train_T(workspace, tmp_path, study, ev, glob):
+    # each retrained selector trains at a budget of the study, so train.T is
+    # not required, and giving it changes no row
+    cfg = dict(workspace["cfg"])
+    cfg["eval"] = dict(cfg["eval"], **ev)
+    written = {}
+    for name, train in (("without", {"epochs": 1}), ("with", {"epochs": 1, "T": 2})):
+        cfg["train"] = train
+        cfg["output_dir"] = str(tmp_path / name)
+        r = cli("study", study, "--config", str(write_config(tmp_path, cfg, f"{name}.yaml")))
+        assert r.returncode == 0, r.stderr
+        written[name] = next(run_dir_of(r).glob(glob)).read_bytes()
+    assert written["without"] == written["with"]
+
+
 def test_shutoff_study_emits_ranked_and_random_rows(workspace, tmp_path):
     cfg = dict(workspace["cfg"])
     cfg["eval"] = dict(cfg["eval"], k=2, n_random=2)

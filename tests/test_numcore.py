@@ -15,6 +15,7 @@ from fewview.numcore import (
     bev_mse,
     cross_entropy,
     softmax,
+    work_array,
 )
 from testkit import LoopAdam, max_relative_error, numeric_gradient
 
@@ -162,6 +163,96 @@ def test_backward_without_input_gradient_keeps_parameter_gradients(seed, activat
     assert list(params) == list(full)
     for name, g in full.items():
         assert params[name].tobytes() == g.tobytes(), name
+
+
+def fresh_backward(net, cache, grad):
+    """Backward with a fresh array for every temporary: the reference that
+    backward into work arrays must equal bit for bit."""
+    grads = {}
+    for i in range(len(net.specs) - 1, -1, -1):
+        x_in, y = cache[i]
+        activation = net.specs[i].activation
+        if activation == "relu":
+            grad = grad * (y > 0.0)
+        elif activation == "tanh":
+            grad = grad * (1.0 - y * y)
+        elif activation == "sigmoid":
+            grad = grad * (y * (1.0 - y))
+        grads[f"layer{i}.weight"] = grad.T @ x_in
+        grads[f"layer{i}.bias"] = grad.sum(axis=0)
+        grad = grad @ net.weights[i]
+    return grads, grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=4))
+def test_backward_into_reused_work_arrays_equals_fresh_reference(seed, activations):
+    rng = np.random.default_rng(seed)
+    widths = [int(w) for w in rng.integers(1, 6, size=len(activations) + 1)]
+    net = DenseNet([LayerSpec(a, b, act) for a, b, act in zip(widths, widths[1:], activations)],
+                   seed=seed)
+    work = {}
+    kept = None
+    for _ in range(2):  # the second step writes into the first step's arrays
+        x = rng.normal(size=(int(rng.integers(1, 7)), widths[0]))
+        x[rng.random(x.shape) < 0.2] = 0.0
+        out, cache = net.forward_cache(x)
+        grad_out = rng.normal(size=out.shape)
+        before = grad_out.tobytes(), [(a.tobytes(), b.tobytes()) for a, b in cache]
+        ref_grads, ref_dx = fresh_backward(net, cache, grad_out)
+        grads, d_x = net.backward(cache, grad_out, work=work)
+        assert list(grads) == list(ref_grads)
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+        assert d_x.tobytes() == ref_dx.tobytes()
+        assert (grad_out.tobytes(), [(a.tobytes(), b.tobytes()) for a, b in cache]) == before
+        if kept is None:
+            kept = dict(work)
+    if len(activations) > 1 or activations[0] != "linear":
+        assert work  # some temporary went into the work dict
+    # shapes can change between steps only in the batch; kept arrays of an
+    # unchanged shape are the same objects
+    for key, arr in work.items():
+        if kept[key].shape == arr.shape:
+            assert arr is kept[key], key
+
+
+def test_backward_reuses_its_work_arrays_at_detector_shapes():
+    net = DenseNet([LayerSpec(16, 32, "relu"), LayerSpec(32, 16, "relu")], seed=0)
+    rng = np.random.default_rng(0)
+    work = {}
+    returned = []
+    for step in range(2):
+        out, cache = net.forward_cache(rng.normal(size=(6144, 16)))
+        grad_out = rng.normal(size=out.shape)
+        ref_grads, _ = fresh_backward(net, cache, grad_out)
+        grads, skipped = net.backward(cache, grad_out, input_grad=False, work=work)
+        assert skipped is None
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+        if step == 0:
+            first = dict(work)
+        returned.append(list(grads.values()))
+    # each layer's mask and output gradient: the top layer's gradient with
+    # its mask beside the caller's, and the inner one masked in place
+    assert {arr.shape for arr in work.values()} == {(6144, 16), (6144, 32)}
+    assert len(work) == 4
+    assert all(work[key] is arr for key, arr in first.items())
+    # the returned gradients are fresh on every step
+    ids = {id(g) for g in returned[0]} | {id(g) for g in returned[1]}
+    assert len(ids) == 8 and not ids & {id(a) for a in work.values()}
+
+
+def test_work_array_keeps_an_array_until_its_shape_or_dtype_changes():
+    work = {}
+    a = work_array(work, "k", (3, 2))
+    assert a.shape == (3, 2) and a.dtype == np.float64
+    assert work_array(work, "k", (3, 2)) is a
+    b = work_array(work, "k", (3, 2), bool)
+    assert b is not a and b.dtype == bool and work["k"] is b
+    c = work_array(work, "k", (4, 2), bool)
+    assert c is not b and c.shape == (4, 2)
+    assert work_array(work, "other", (4, 2), bool) is not c
 
 
 def test_backward_without_cache_raises():

@@ -329,6 +329,64 @@ def test_joint_gradient_with_selector_term_matches_finite_differences(kind):
         assert max_relative_error(grads[name], num) < GRAD_TOL, name
 
 
+def test_route_reuses_its_work_arrays_across_calls():
+    # one kept work dict serves every call of a shape, each call routing as
+    # the argmax scatter does, bit for bit, and reading feats and d_pooled only
+    rng = np.random.default_rng(6)
+    work = {}
+    for step in range(3):
+        feats = np.maximum(np.round(rng.normal(size=(2, 6, 8, 8, 4)), 1), 0.0)
+        views = np.array([rng.permutation(6)[:3] for _ in range(2)])
+        d_pooled = rng.normal(size=(2, 8, 8, 4))
+        before = feats.tobytes(), d_pooled.tobytes()
+        got, want = np.zeros(feats.shape), np.zeros(feats.shape)
+        route_pooled_grad(got, feats, views, d_pooled, work)
+        route_pooled_grad_argmax(want, feats, views, d_pooled)
+        assert got.tobytes() == want.tobytes()
+        assert (feats.tobytes(), d_pooled.tobytes()) == before
+        if step == 0:
+            first = dict(work)
+    assert len(work) == 4 and all(work[key] is arr for key, arr in first.items())
+
+
+@pytest.mark.parametrize("kind", ["classifier", "detector"])
+def test_task_grads_with_kept_work_equal_fresh_ones_bit_for_bit(kind):
+    # two training steps, one with the selector's term, through one work
+    # dict: the same gradient bytes as steps with fresh arrays, the caller's
+    # arrays untouched, and the second step writing into the first's arrays
+    rng = np.random.default_rng(20)
+    net = tiny_classifier(seed=21) if kind == "classifier" else tiny_detector(seed=21)
+    views = np.array([[2, 0, 3], [1, 3, 0]])
+    work = {}
+    for step in range(2):
+        if kind == "classifier":
+            obs, truths = rng.normal(size=(2, 4, 5)), [1, 2]
+        else:
+            obs, truths = rng.normal(size=(2, 4, 3, 16, 16)), list(rng.uniform(size=(2, 16, 16)))
+        loss, grads = tr._batch_loss(net, obs, truths, work)
+        ref_loss, ref_grads = tr._batch_loss(net, obs, truths)
+        assert loss == ref_loss and list(grads) == list(ref_grads)
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+
+        feats, fcache = net.features_cache(obs)
+        outputs, hcache = net.head_cache(feats[[[0], [1]], views].max(axis=1))
+        d_obs = rng.normal(size=(4, net.feat_dim))
+        kept = feats.tobytes(), d_obs.tobytes(), [(a.tobytes(), b.tobytes()) for a, b in fcache]
+        _, grads = tr._task_grads(net, feats, fcache, views, truths, outputs, hcache, d_obs,
+                                  work)
+        _, ref_grads = tr._task_grads(net, feats, fcache, views, truths, outputs, hcache, d_obs)
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
+        assert (feats.tobytes(), d_obs.tobytes(),
+                [(a.tobytes(), b.tobytes()) for a, b in fcache]) == kept
+        if step == 0:
+            first = dict(work)
+    assert first and all(work[key] is arr for key, arr in first.items())
+    # the gradients handed back are fresh, never a work array
+    assert not {id(g) for g in grads.values()} & {id(a) for a in work.values()}
+
+
 def test_detector_batch_axis_matches_stacked_instances():
     # outputs and pooled gradients equal the per-instance calls stacked;
     # parameter gradients equal one unbatched call over the same rows (the

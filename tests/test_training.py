@@ -10,6 +10,7 @@ budget guards, and bit-reproducibility.
 import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -527,6 +528,48 @@ def det_tiny():
     tr.train_task_network(world, net, tr.TrainConfig(
         regime="task", epochs=2, T=1, batch_size=1, task_lr=1e-3, seed=3))
     return world, net, tr.build_selector(world, net, hidden=16, seed=3)
+
+
+def held_arrays(obj, seen=None) -> set[int]:
+    """The ids of every array reachable from obj through object attributes,
+    lists, tuples and dict values."""
+    seen = set() if seen is None else seen
+    if isinstance(obj, np.ndarray):
+        return {id(obj)}
+    if id(obj) in seen:
+        return set()
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    else:
+        items = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    return set().union(*(held_arrays(item, seen) for item in items))
+
+
+@pytest.mark.parametrize("regime", ["task", "joint"])
+def test_training_leaves_no_work_array_on_any_network(det_tiny, tmp_path, regime):
+    # the backward work arrays live and die with the training call: after
+    # it, each network holds its parameters only, a deep copy encodes to the
+    # same checkpoint, and a network rebuilt from that checkpoint pickles to
+    # the same bytes
+    world, trained, _ = det_tiny
+    net = copy.deepcopy(trained)
+    q_net = tr.build_selector(world, net, hidden=16, seed=3)
+    if regime == "task":
+        tr.train_task_network(world, net, tr.TrainConfig(
+            regime="task", epochs=1, T=1, batch_size=1, task_lr=1e-3, seed=3))
+    else:
+        tr.train_joint(world, net, q_net, tr.TrainConfig(regime="joint", epochs=1, T=3, seed=3))
+    for model in (net, q_net):
+        assert held_arrays(model) == {id(p) for _, p in model.named_params()}
+        ckpt = model.encode("world")
+        assert copy.deepcopy(model).encode("world") == ckpt
+        path = tmp_path / f"{model.kind}.ckpt"
+        path.write_bytes(ckpt)
+        rebuilt, _ = type(model).load(path)
+        assert pickle.dumps(rebuilt) == pickle.dumps(model)
 
 
 def test_full_views_decodes_each_instance_once(det_tiny, monkeypatch):

@@ -150,9 +150,9 @@ class ChannelFirstDetector:
         feats, cache = self.net.feature_net.forward_cache(np.moveaxis(obs, -3, -1).reshape(-1, c))
         return np.moveaxis(feats.reshape(*lead, h, w, self.net.feat_dim), -1, -3), cache
 
-    def features_backward(self, cache, d_feats: Array) -> dict[str, Array]:
+    def features_backward(self, cache, d_feats: Array, work=None) -> dict[str, Array]:
         flat = np.moveaxis(np.asarray(d_feats), -3, -1).reshape(-1, self.net.feat_dim)
-        grads, _ = self.net.feature_net.backward(cache, flat)
+        grads, _ = self.net.feature_net.backward(cache, flat, work=work)
         return {f"feature.{k}": g for k, g in grads.items()}
 
     def head_cache(self, pooled: Array):
@@ -160,9 +160,10 @@ class ChannelFirstDetector:
         out, cache = self.net.head_net.forward_cache(np.moveaxis(pooled, -3, -1).reshape(-1, d))
         return out.reshape(*lead, h, w), (cache, pooled.shape)
 
-    def head_backward(self, hcache, d_heatmap: Array):
+    def head_backward(self, hcache, d_heatmap: Array, work=None):
         cache, (*lead, d, h, w) = hcache
-        grads, d_flat = self.net.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1))
+        grads, d_flat = self.net.head_net.backward(cache, np.asarray(d_heatmap).reshape(-1, 1),
+                                                   work=work)
         d_pooled = np.moveaxis(d_flat.reshape(*lead, h, w, d), -1, -3)
         return {f"head.{k}": v for k, v in grads.items()}, d_pooled
 
