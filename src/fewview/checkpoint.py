@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CompatibilityError, CorruptCheckpoint
+from .numcore import DenseNet, param_shapes
 
 MAGIC = b"FVCKPT01"
 VERSION = 1
@@ -86,19 +87,42 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 class Persistable:
-    """Checkpoint encode/load for networks. ``kind`` names the network type and
-    ``DIMS`` the constructor arguments, stored as meta ``dims``, that rebuild
-    it before its tensors load; ``param_shapes`` states the parameters those
-    dims give."""
+    """Construction and checkpoint encode/load for networks. ``kind`` names
+    the network type and ``DIMS`` the constructor arguments, stored as meta
+    ``dims``, that rebuild it before its tensors load; ``DEFAULTS`` holds
+    the dims that may be left out, and a dim is a flag when its default is
+    a bool, an int otherwise. ``PARTS`` lists the dense parts (attribute,
+    parameter prefix, seed index) in ``layer_specs`` order."""
 
     kind = ""
     DIMS: tuple[str, ...] = ()
+    DEFAULTS: dict = {}
+    PARTS: tuple[tuple[str, str, int], ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        """Take exactly the ``DIMS`` (keywords, or positionals in ``DIMS``
+        order), store them in ``DIMS`` order, build each part seeded
+        ``[seed, index]``."""
+        named = self.DIMS[:len(args)]
+        dims = {**self.DEFAULTS, **dict(zip(named, args)), **kwargs}
+        if len(args) > len(named) or set(named) & set(kwargs) or set(dims) != set(self.DIMS):
+            raise TypeError(f"{type(self).__name__} takes dims {list(self.DIMS)}, "
+                            f"got {len(args)} positional and {sorted(kwargs)}")
+        for name in self.DIMS:
+            setattr(self, name, dims[name])
+        for (attr, _, index), specs in zip(self.PARTS, self.layer_specs(**dims)):
+            setattr(self, attr, DenseNet(specs, seed=[self.seed, index]))
 
     @classmethod
     def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
         """Name and shape of each parameter of the network that ``dims``
         build, without building it."""
-        raise NotImplementedError
+        return dict(item for (_, prefix, _), specs in zip(cls.PARTS, cls.layer_specs(**dims))
+                    for item in param_shapes(specs, prefix))
+
+    def named_params(self):
+        return [item for attr, prefix, _ in self.PARTS
+                for item in getattr(self, attr).named_params(prefix)]
 
     def encode(self, world_hash: str, extra_meta: dict | None = None) -> bytes:
         """The checkpoint bytes of this network's parameters."""
@@ -121,8 +145,9 @@ class Persistable:
         if meta.get("kind") != cls.kind:
             raise CompatibilityError(f"{path}: checkpoint holds a {meta.get('kind')}, not a {cls.kind}")
         dims = meta.get("dims")
-        if not isinstance(dims, dict) or set(dims) != set(cls.DIMS):
-            raise CompatibilityError(f"{path}: checkpoint dims {dims} do not match {list(cls.DIMS)}")
+        types = {name: type(cls.DEFAULTS.get(name, 0)).__name__ for name in cls.DIMS}
+        if not isinstance(dims, dict) or {k: type(v).__name__ for k, v in dims.items()} != types:
+            raise CompatibilityError(f"{path}: checkpoint dims {dims} do not match {types}")
         try:
             shapes = cls.param_shapes(**dims)
         except (ArithmeticError, TypeError, ValueError) as exc:

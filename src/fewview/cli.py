@@ -48,19 +48,14 @@ def _build_task_net(cfg: ExperimentConfig, world, seed: int):
         cfg, {"task_hidden": "hidden", "task_feat_dim": "feat_dim"}))
 
 
-def _build_selector(cfg: ExperimentConfig, world, task_net, seed: int):
+def _selector_args(cfg: ExperimentConfig, seed: int) -> dict:
+    """``training.build_selector`` arguments for every selector a run builds;
+    ``network.selector_seed`` beats the run seed."""
     args = _network_args(cfg, {"selector_seed": "seed", "selector_hidden": "hidden",
                                "use_camera_branch": "use_camera_branch",
                                "use_feature_branch": "use_feature_branch"})
     args.setdefault("seed", seed)
-    return training.build_selector(world, task_net, **args)
-
-
-def _check_world_hash(meta: dict, world, path) -> None:
-    got, want = meta.get("world_hash"), world.world_hash()
-    if got != want:
-        raise CompatibilityError(
-            f"world hash mismatch for {path}: checkpoint has {got}, config has {want}")
+    return args
 
 
 def _load_net(net_cls, world, path):
@@ -68,7 +63,10 @@ def _load_net(net_cls, world, path):
     if not Path(path).exists():
         raise ConfigError(f"{net_cls.kind} checkpoint not found: {path}")
     net, meta = net_cls.load(path)
-    _check_world_hash(meta, world, path)
+    got, want = meta.get("world_hash"), world.world_hash()
+    if got != want:
+        raise CompatibilityError(
+            f"world hash mismatch for {path}: checkpoint has {got}, config has {want}")
     return net
 
 
@@ -125,7 +123,7 @@ def cmd_train(args) -> int:
         outputs.append(artifacts.write_content_addressed(
             run_dir, "task", ".ckpt", task_net.encode(world_hash, extra)))
     else:
-        q_net = _build_selector(cfg, world, task_net, seed)
+        q_net = training.build_selector(world, task_net, **_selector_args(cfg, seed))
         if regime == "select-fixed":
             result = training.train_selector_fixed(world, task_net, q_net, train_cfg)
         else:
@@ -154,12 +152,9 @@ def cmd_eval(args) -> int:
     policy = args.policy or cfg.require("eval.policy")
     started = time.perf_counter()
     world = _build_world(cfg)
-    if args.T is not None:
-        T = args.T
-    elif policy == "full-views":
-        T = ev_sec.get("T") or world.n_cameras
-    else:
-        T = cfg.require("eval.T")
+    # full-views takes every camera whatever T says
+    T = (world.n_cameras if policy == "full-views"
+         else args.T if args.T is not None else cfg.require("eval.T"))
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     q_net = None
     if policy == "mvselect":
@@ -213,13 +208,14 @@ def cmd_study(args) -> int:
     # the train section, for the selectors a study retrains; each trains at a
     # budget of the study, so train.T is not read (2 stands in for it)
     selector_cfg = cfg.train_config(regime="select-fixed", seed=seed, T=2) if retrain else None
+    selector_args = _selector_args(cfg, seed)
     run_dir, manifest = _start_run(args, cfg, f"study-{study}", seed)
     outputs = []
 
     if study == "sweep-T":
         rows = studies.sweep_view_budget(
             world, task_net, t_values, policies=policies, q_nets=q_nets, selector_cfg=selector_cfg,
-            split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])
+            selector_args=selector_args, split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-sweep", ".jsonl", artifacts.jsonl(rows).encode("utf-8")))
         outputs.append(artifacts.write_content_addressed(
@@ -233,8 +229,8 @@ def cmd_study(args) -> int:
             run_dir, "study-shutoff", ".json", artifacts.json_bytes(out)))
     elif study == "random-pose":
         out = studies.random_pose_study(
-            world, task_net, T=T, selector_cfg=selector_cfg, split=ev_sec["split"], seed=seed,
-            budget=ev_sec["budget"])
+            world, task_net, T=T, selector_cfg=selector_cfg, selector_args=selector_args,
+            split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-random-pose", ".json", artifacts.json_bytes(out)))
         outputs.append(artifacts.write_content_addressed(
@@ -242,7 +238,8 @@ def cmd_study(args) -> int:
             evaluation.table_csv(out["rows"], ("policy",)).encode("utf-8")))
     else:  # ablation
         rows = studies.selector_ablation_study(
-            world, task_net, T=T, selector_cfg=selector_cfg, split=ev_sec["split"])
+            world, task_net, T=T, selector_cfg=selector_cfg, selector_args=selector_args,
+            split=ev_sec["split"])
         outputs.append(artifacts.write_content_addressed(
             run_dir, "study-ablation", ".json", artifacts.json_bytes(rows)))
         outputs.append(artifacts.write_content_addressed(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .checkpoint import Persistable
 from .errors import ConfigError, ShapeError, StateError
-from .numcore import DenseNet, LayerSpec, param_shapes
+from .numcore import LayerSpec
 
 Array = np.ndarray
 
@@ -35,31 +35,17 @@ class QNetwork(Persistable):
 
     kind = "selector"
     DIMS = ("n_cameras", "feat_dim", "hidden", "seed", "use_camera_branch", "use_feature_branch")
+    DEFAULTS = {"use_camera_branch": True, "use_feature_branch": True}
+    PARTS = (("camera_branch", "camera.", 1), ("feature_branch", "feature.", 2),
+             ("combiner", "combiner.", 3))
 
-    def __init__(
-        self,
-        n_cameras: int,
-        feat_dim: int,
-        hidden: int,
-        seed: int,
-        use_camera_branch: bool = True,
-        use_feature_branch: bool = True,
-    ):
-        if not (use_camera_branch or use_feature_branch):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if not (self.use_camera_branch or self.use_feature_branch):
             raise ShapeError("at least one branch must stay enabled")
-        self.n_cameras = n_cameras
-        self.feat_dim = feat_dim
-        self.hidden = hidden
-        self.seed = seed
-        self.use_camera_branch = use_camera_branch
-        self.use_feature_branch = use_feature_branch
-        rng = np.random.default_rng([seed, 0])
-        limit = np.sqrt(1.0 / n_cameras)
-        self.embeddings = rng.uniform(-limit, limit, size=(n_cameras, feat_dim))
-        camera, feature, combiner = self.layer_specs(n_cameras, feat_dim, hidden)
-        self.camera_branch = DenseNet(camera, seed=[seed, 1])
-        self.feature_branch = DenseNet(feature, seed=[seed, 2])
-        self.combiner = DenseNet(combiner, seed=[seed, 3])
+        rng = np.random.default_rng([self.seed, 0])
+        limit = np.sqrt(1.0 / self.n_cameras)
+        self.embeddings = rng.uniform(-limit, limit, size=(self.n_cameras, self.feat_dim))
 
     @staticmethod
     def layer_specs(n_cameras: int, feat_dim: int, hidden: int, **_):
@@ -71,18 +57,10 @@ class QNetwork(Persistable):
 
     @classmethod
     def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
-        camera, feature, combiner = cls.layer_specs(**dims)
-        return {"embeddings": (dims["n_cameras"], dims["feat_dim"]),
-                **dict(param_shapes(camera, "camera.") + param_shapes(feature, "feature.")
-                       + param_shapes(combiner, "combiner."))}
+        return {"embeddings": (dims["n_cameras"], dims["feat_dim"]), **super().param_shapes(**dims)}
 
     def named_params(self):
-        return (
-            [("embeddings", self.embeddings)]
-            + self.camera_branch.named_params("camera.")
-            + self.feature_branch.named_params("feature.")
-            + self.combiner.named_params("combiner.")
-        )
+        return [("embeddings", self.embeddings)] + super().named_params()
 
     def mac_count(self) -> int:
         """Cost of valuing one state: embedding sum plus both branches plus

@@ -38,10 +38,12 @@ def _flatten_row(head: dict, metrics: dict) -> dict:
 
 
 def _trained_selector(world, task_net, T: int, selector_cfg: training.TrainConfig,
-                      **flags):
-    """A fresh selector trained select-fixed at budget T on the frozen task
-    network, seeded and scheduled by ``selector_cfg``."""
-    q_net = training.build_selector(world, task_net, seed=selector_cfg.seed, **flags)
+                      selector_args: dict | None, **flags):
+    """A fresh selector built from ``selector_args`` (``build_selector``'s
+    keywords; ``selector_cfg`` seeds it unless they name a seed) and
+    ``flags``, trained select-fixed at budget T on the frozen task network."""
+    args = {"seed": selector_cfg.seed, **(selector_args or {}), **flags}
+    q_net = training.build_selector(world, task_net, **args)
     training.train_selector_fixed(
         world, task_net, q_net, replace(selector_cfg, regime="select-fixed", T=T))
     return q_net
@@ -54,6 +56,7 @@ def _trained_selector(world, task_net, T: int, selector_cfg: training.TrainConfi
 def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
                       q_nets: dict | None = None,
                       selector_cfg: training.TrainConfig | None = None,
+                      selector_args: dict | None = None,
                       split: str = "eval", seed: int = 0,
                       budget: int = training.DEFAULT_ENUM_BUDGET) -> list[dict]:
     """Metric rows for every (T, policy) pair.
@@ -63,8 +66,10 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     here. At T = 1 no selection step happens and at T = N masking forces the
     complete view set whatever the Q values, so an untrained selector is
     substituted at those budgets when neither is given; a trained one needs
-    T >= 2. Every T, its selector and its oracle enumeration (against
-    ``budget``) are checked before the first evaluation.
+    T >= 2. A selector built here takes ``selector_args``
+    (``training.build_selector``'s keywords). Every T, its selector and its
+    oracle enumeration (against ``budget``) are checked before the first
+    evaluation.
     """
     for policy in policies:
         if policy not in training.POLICIES:
@@ -88,9 +93,11 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
             if policy == "mvselect":
                 q_net = q_nets.get(t)
                 if q_net is None and selector_cfg is not None:
-                    q_net = q_nets[t] = _trained_selector(world, task_net, t, selector_cfg)
+                    q_net = q_nets[t] = _trained_selector(world, task_net, t, selector_cfg,
+                                                          selector_args)
                 elif q_net is None:
-                    q_net = training.build_selector(world, task_net, seed=seed)
+                    q_net = training.build_selector(
+                        world, task_net, **{"seed": seed, **(selector_args or {})})
             run = training.evaluate_policy(world, task_net, t, policy, split=split,
                                            q_net=q_net, seed=seed, budget=budget)
             cost = evaluation.cost_account(
@@ -166,6 +173,7 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
 
 def random_pose_study(world, task_net, T: int, *,
                       selector_cfg: training.TrainConfig,
+                      selector_args: dict | None = None,
                       split: str = "eval", seed: int = 0,
                       budget: int = training.DEFAULT_ENUM_BUDGET) -> dict:
     """Retrain the selector on a pose-randomized world and compare the three
@@ -177,7 +185,7 @@ def random_pose_study(world, task_net, T: int, *,
         raise ConfigError("random-pose study needs a world built with world.random_pose: true")
     training.check_t(world, T)
     training.check_enumeration_budget(world, T, split, budget)
-    q_net = _trained_selector(world, task_net, T, selector_cfg)
+    q_net = _trained_selector(world, task_net, T, selector_cfg, selector_args)
     rows = []
     for policy in ("random", "dataset-oracle", "mvselect"):
         run = training.evaluate_policy(world, task_net, T, policy, split=split,
@@ -193,18 +201,20 @@ def random_pose_study(world, task_net, T: int, *,
 
 def selector_ablation_study(world, task_net, T: int, *,
                             selector_cfg: training.TrainConfig,
+                            selector_args: dict | None = None,
                             split: str = "eval") -> list[dict]:
-    """Train matched selectors with each state branch removed in turn and
-    evaluate them identically. Emits one row per variant: full,
-    no-camera-branch, no-feature-branch."""
+    """Train matched selectors from ``selector_args`` with each state branch
+    removed in turn and evaluate them identically; each variant sets both
+    branch flags. Emits one row per variant: full, no-camera-branch,
+    no-feature-branch."""
     flags = {
-        "full": {},
-        "no-camera-branch": {"use_camera_branch": False},
-        "no-feature-branch": {"use_feature_branch": False},
+        "full": {"use_camera_branch": True, "use_feature_branch": True},
+        "no-camera-branch": {"use_camera_branch": False, "use_feature_branch": True},
+        "no-feature-branch": {"use_camera_branch": True, "use_feature_branch": False},
     }
     rows = []
     for variant in ABLATION_VARIANTS:
-        q_net = _trained_selector(world, task_net, T, selector_cfg, **flags[variant])
+        q_net = _trained_selector(world, task_net, T, selector_cfg, selector_args, **flags[variant])
         run = training.evaluate_policy(world, task_net, T, "mvselect", split=split,
                                        q_net=q_net)
         rows.append(_flatten_row({"variant": variant}, run.metrics()))

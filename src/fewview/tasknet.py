@@ -21,7 +21,7 @@ import numpy as np
 from . import evaluation
 from .checkpoint import Persistable
 from .errors import ShapeError
-from .numcore import DenseNet, LayerSpec, bev_mse, cross_entropy, param_shapes, work_array
+from .numcore import LayerSpec, bev_mse, cross_entropy, work_array
 
 Array = np.ndarray
 
@@ -125,37 +125,21 @@ class ViewFeatures:
 
 class TaskNet(Persistable):
     """What both task networks share: a per-view extractor ``feature_net``
-    (f) and a decoder ``head_net`` (g) over the max-pooled features, both
-    built from the network's ``DIMS``. Subclasses supply their task family:
-    ``layer_specs``, ``features_cache`` and ``head_cache`` for their shapes
-    (any leading batch axes), ``decode`` of many view subsets of one
-    instance, the ground truth of an instance, the batch loss, the
-    per-instance terminal reward of the view selection, and the evaluation
-    side: per-output ``records``, the oracle ``score`` of each record, the
-    report ``metrics`` and the ``mac_counts`` of f per view and of g for one
-    observation of a world. ``mode`` names the task family in reports;
-    ``train_batch`` fixes the instances per training step (None: the
-    config's ``batch_size``)."""
+    (f) and a decoder ``head_net`` (g) over the max-pooled features, the two
+    ``PARTS`` that ``Persistable`` builds from the network's ``DIMS``.
+    Subclasses supply their task family: ``layer_specs``, ``features_cache``
+    and ``head_cache`` for their shapes (any leading batch axes), ``decode``
+    of many view subsets of one instance, the ground truth of an instance,
+    the batch loss, the per-instance terminal reward of the view selection,
+    and the evaluation side: per-output ``records``, the oracle ``score`` of
+    each record, the report ``metrics`` and the ``mac_counts`` of f per view
+    and of g for one observation of a world. ``mode`` names the task family
+    in reports; ``train_batch`` fixes the instances per training step (None:
+    the config's ``batch_size``)."""
 
     mode = ""
     train_batch: int | None = None
-
-    def __init__(self, **dims):
-        if set(dims) != set(self.DIMS):
-            raise TypeError(f"{type(self).__name__} takes dims {list(self.DIMS)}, "
-                            f"got {sorted(dims)}")
-        vars(self).update(dims)
-        feature, head = self.layer_specs(**dims)
-        self.feature_net = DenseNet(feature, seed=[self.seed, 0])
-        self.head_net = DenseNet(head, seed=[self.seed, 1])
-
-    @classmethod
-    def param_shapes(cls, **dims) -> dict[str, tuple[int, ...]]:
-        feature, head = cls.layer_specs(**dims)
-        return dict(param_shapes(feature, "feature.") + param_shapes(head, "head."))
-
-    def named_params(self):
-        return self.feature_net.named_params("feature.") + self.head_net.named_params("head.")
+    PARTS = (("feature_net", "feature.", 0), ("head_net", "head.", 1))
 
 
 class MVClassifier(TaskNet):

@@ -107,13 +107,8 @@ def params_hash(net) -> str:
 
 
 def build_classifier(world, hidden: int = 64, feat_dim: int = 32, seed: int = 0) -> MVClassifier:
-    return MVClassifier(
-        obs_dim=world.config.feat_dim,
-        feat_dim=feat_dim,
-        n_classes=world.config.n_classes,
-        hidden=hidden,
-        seed=seed,
-    )
+    return MVClassifier(obs_dim=world.config.feat_dim, feat_dim=feat_dim,
+                        n_classes=world.config.n_classes, hidden=hidden, seed=seed)
 
 
 def build_detector(world, hidden: int = 32, feat_dim: int = 16, seed: int = 0) -> MVDetector:
@@ -140,13 +135,8 @@ TASK_FAMILIES = {
 
 
 def build_selector(world, task_net, hidden: int = 64, seed: int = 0, **flags) -> QNetwork:
-    return QNetwork(
-        n_cameras=world.n_cameras,
-        feat_dim=task_net.feat_dim,
-        hidden=hidden,
-        seed=seed,
-        **flags,
-    )
+    return QNetwork(n_cameras=world.n_cameras, feat_dim=task_net.feat_dim, hidden=hidden,
+                    seed=seed, **flags)
 
 
 def check_t(world, T: int) -> None:

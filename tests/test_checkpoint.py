@@ -12,6 +12,7 @@ from fewview.artifacts import atomic_write_bytes
 from fewview.checkpoint import MAGIC, encode_checkpoint, load_checkpoint
 from fewview.errors import CompatibilityError, ShapeError
 from fewview.mvselect import QNetwork
+from fewview.tasknet import MVDetector
 
 
 def sample_tensors():
@@ -112,11 +113,14 @@ def _framed(header: bytes, length: int | None = None) -> bytes:
     return MAGIC + struct.pack("<Q", len(header) if length is None else length) + header
 
 
-def _selector_bytes(**extra_dims) -> bytes:
-    net = QNetwork(n_cameras=3, feat_dim=2, hidden=4, seed=0)
-    dims = {name: getattr(net, name) for name in QNetwork.DIMS}
+def _checkpoint_bytes(net, **extra_dims) -> bytes:
+    dims = {name: getattr(net, name) for name in net.DIMS}
     return encode_checkpoint(dict(net.named_params()),
-                             {"kind": "selector", "world_hash": "w", "dims": {**dims, **extra_dims}})
+                             {"kind": net.kind, "world_hash": "w", "dims": {**dims, **extra_dims}})
+
+
+def _selector_bytes(**extra_dims) -> bytes:
+    return _checkpoint_bytes(QNetwork(n_cameras=3, feat_dim=2, hidden=4, seed=0), **extra_dims)
 
 
 MALFORMED = {
@@ -135,7 +139,15 @@ MALFORMED = {
     "zero cameras": lambda tmp: _selector_bytes(n_cameras=0),
     "truncated payload": lambda tmp: _selector_bytes()[:-8],
     "trailing bytes": lambda tmp: _selector_bytes() + b"\x00",
+    # each dim must be an int, or a bool where it is a flag: "false" is truthy
+    "string branch flag": lambda tmp: _selector_bytes(use_feature_branch="false"),
+    "int branch flag": lambda tmp: _selector_bytes(use_camera_branch=1),
+    "float hidden": lambda tmp: _selector_bytes(hidden=4.0),
+    "bool seed on a detector": lambda tmp: _checkpoint_bytes(
+        MVDetector(channels=2, feat_dim=2, hidden=3, seed=0), seed=True),
 }
+# the class each case is loaded as: a selector unless named here
+LOADERS = {"bool seed on a detector": MVDetector}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -143,7 +155,7 @@ def test_malformed_checkpoint_raises_compatibility_error(tmp_path, case):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(MALFORMED[case](tmp_path))
     with pytest.raises(CompatibilityError):
-        QNetwork.load(path)
+        LOADERS.get(case, QNetwork).load(path)
 
 
 # the child imports, then caps its own address space at what it holds plus

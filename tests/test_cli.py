@@ -251,16 +251,20 @@ def test_output_root_precedence_flag_env_config(tmp_path):
 # evaluation
 
 
-def test_full_views_report_flags_T_equals_N_and_unit_cost(workspace):
-    tmp = workspace["tmp"]
-    cpath = write_config(tmp, dict(workspace["cfg"]), "fv.yaml")
-    r = cli("eval", "--config", str(cpath), "--policy", "full-views",
-            "--out", str(tmp / "fv-run"))
-    assert r.returncode == 0, r.stderr
-    report = json.loads(next(run_dir_of(r).glob("report-*.json")).read_text())
-    assert report["T"] == 6
-    assert report["cost"]["ratio"] == 1.0
-    assert report["frequency"] is None
+def test_full_views_report_flags_T_equals_N_and_unit_cost(workspace, tmp_path):
+    # full-views runs every camera, so it needs no eval.T and ignores any T
+    cfg = dict(workspace["cfg"])
+    without_T = dict(cfg, eval={k: v for k, v in cfg["eval"].items() if k != "T"})
+    for name, config, flags in (("eval-T", cfg, []), ("no-eval-T", without_T, []),
+                                ("flag-T", cfg, ["--T", "2"])):
+        cpath = write_config(tmp_path, config, f"{name}.yaml")
+        r = cli("eval", "--config", str(cpath), "--policy", "full-views", *flags,
+                "--out", str(tmp_path / name))
+        assert r.returncode == 0, r.stderr
+        report = json.loads(next(run_dir_of(r).glob("report-*.json")).read_text())
+        assert report["T"] == 6
+        assert report["cost"]["ratio"] == 1.0
+        assert report["frequency"] is None
 
 
 def test_world_hash_mismatch_exits_3_and_prints_both(workspace, tmp_path):
@@ -520,6 +524,29 @@ def test_study_retrains_selectors_without_train_T(workspace, tmp_path, study, ev
         assert r.returncode == 0, r.stderr
         written[name] = next(run_dir_of(r).glob(glob)).read_bytes()
     assert written["without"] == written["with"]
+
+
+@pytest.mark.parametrize("study, train, ev, same, glob", [
+    ("sweep-T", {"epochs": 1}, {"T_values": [2, 3]},
+     {"selector_seed": 0, "use_camera_branch": True}, "study-sweep-*.jsonl"),
+    ("ablation", {"epochs": 1}, {"T": 2},
+     {"use_camera_branch": False, "use_feature_branch": True}, "study-ablation-*.json"),
+], ids=["sweep-T", "ablation"])
+def test_study_selectors_take_the_network_section(workspace, tmp_path, study, train, ev, same,
+                                                   glob):
+    # every selector a study trains takes network.selector_hidden; the
+    # builder's defaults named in the config change no byte, and neither do
+    # branch flags in the ablation, whose variants set both flags themselves
+    cfg = dict(workspace["cfg"], train=train)
+    cfg["eval"] = dict(cfg["eval"], **ev)
+    written = {}
+    for name, network in (("default", {}), ("same", same), ("small", {"selector_hidden": 8})):
+        cfg["network"] = network
+        cfg["output_dir"] = str(tmp_path / name)
+        r = cli("study", study, "--config", str(write_config(tmp_path, cfg, f"{name}.yaml")))
+        assert r.returncode == 0, r.stderr
+        written[name] = next(run_dir_of(r).glob(glob)).read_bytes()
+    assert written["same"] == written["default"] != written["small"]
 
 
 def test_shutoff_study_emits_ranked_and_random_rows(workspace, tmp_path):

@@ -203,7 +203,7 @@ def test_null_network_values_take_the_builder_defaults():
     world = ClassificationWorld(cfg.world_config())
     task_net = cli._build_task_net(cfg, world, seed=0)
     assert task_net.hidden == training.build_classifier(world).hidden
-    q = cli._build_selector(cfg, world, task_net, seed=0)
+    q = training.build_selector(world, task_net, **cli._selector_args(cfg, seed=0))
     assert q.use_camera_branch is True and q.use_feature_branch is True
 
 

@@ -4,6 +4,7 @@ gradients against finite differences, and checkpoint round trips."""
 from types import SimpleNamespace
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -561,20 +562,30 @@ def test_detector_records_score_and_metrics():
 # construction and persistence
 
 
-@pytest.mark.parametrize("cls", [MVClassifier, MVDetector])
-def test_task_net_is_built_from_exactly_its_dims(cls):
-    dims = {"obs_dim": 5, "channels": 3, "feat_dim": 4, "n_classes": 3, "hidden": 6, "seed": 0}
-    dims = {name: dims[name] for name in cls.DIMS}
-    net = cls(**dims)
+@pytest.mark.parametrize("cls, flags", [
+    pytest.param(MVClassifier, {}, id="MVClassifier"),
+    pytest.param(MVDetector, {}, id="MVDetector"),
+    pytest.param(QNetwork, {}, id="QNetwork-default-flags"),
+    pytest.param(QNetwork, {"use_camera_branch": False, "use_feature_branch": True},
+                 id="QNetwork-no-camera-branch"),
+])
+def test_task_net_is_built_from_exactly_its_dims(cls, flags):
+    # every network is built from exactly its DIMS, left-out flags taking their
+    # defaults, by keyword or by position, and stores them in DIMS order
+    given = {"obs_dim": 5, "channels": 3, "n_cameras": 4, "feat_dim": 4, "n_classes": 3,
+             "hidden": 6, "seed": 0, **flags}
+    given = {name: given[name] for name in cls.DIMS if name in given}
+    dims = {name: {**cls.DEFAULTS, **given}[name] for name in cls.DIMS}
+    net = cls(**dict(reversed(given.items())))
+    assert list(vars(net))[:len(cls.DIMS)] == list(cls.DIMS)
     assert {name: getattr(net, name) for name in cls.DIMS} == dims
-    assert dict(net.named_params()).keys() == cls.param_shapes(**dims).keys()
-    missing = {name: v for name, v in dims.items() if name != "hidden"}
+    assert list(cls.param_shapes(**dims).items()) == [(n, p.shape) for n, p in net.named_params()]
+    missing = {name: v for name, v in given.items() if name != "hidden"}
     with pytest.raises(TypeError, match="takes dims"):
         cls(**missing)
     with pytest.raises(TypeError, match="depth"):
-        cls(**dims, depth=2)
-    with pytest.raises(TypeError):
-        cls(*dims.values())
+        cls(**given, depth=2)
+    assert pickle.dumps(cls(*dims.values())) == pickle.dumps(net)
 
 
 def test_classifier_checkpoint_round_trip(tmp_path):
