@@ -1,9 +1,9 @@
-"""Run artifacts: atomic writes, content-addressed names, run manifests.
+"""Run artifacts: atomic writes, content-addressed names, the run writer.
 
-Every file is written to a temporary sibling and renamed into place, and the
-manifest — which lists every produced file with its hash — is always written
-last. An interrupted run therefore never leaves a manifest pointing at files
-that do not exist.
+``write_run`` is the one writer of a run directory. It writes every file of a
+finished run to a temporary sibling and renames it into place, then writes the
+manifest, which lists each file with its hash, last. An interrupted run
+therefore never leaves a manifest pointing at files that do not exist.
 """
 
 from __future__ import annotations
@@ -11,11 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import ConfigError, StateError
+from .errors import ConfigError
 
 MANIFEST_NAME = "manifest.json"
 OUTPUT_ROOT_ENV = "FEWVIEW_OUTPUT_ROOT"
@@ -45,16 +44,10 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> Path:
     return path
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    return atomic_write_bytes(path, text.encode("utf-8"))
-
-
-def write_content_addressed(directory: str | Path, stem: str, suffix: str,
-                            payload: bytes) -> Path:
-    """Write ``payload`` as ``<stem>-<sha12><suffix>``; the name carries the
-    content hash so equal bytes land on equal names."""
-    digest = sha256_bytes(payload)[:12]
-    return atomic_write_bytes(Path(directory) / f"{stem}-{digest}{suffix}", payload)
+def content_name(stem: str, suffix: str, payload: bytes) -> str:
+    """``<stem>-<sha12><suffix>``: the name carries the content hash, so
+    equal bytes land on equal names."""
+    return f"{stem}-{sha256_bytes(payload)[:12]}{suffix}"
 
 
 def json_bytes(body) -> bytes:
@@ -79,41 +72,18 @@ def output_root(flag_value: str | None, config_value: str) -> Path:
     return Path(config_value)
 
 
-@dataclass
-class RunManifest:
-    """What a run produced: config snapshot, tool version, artifact hashes,
-    and wall-clock timing (informational; everything else is deterministic)."""
-
-    command: str
-    config: dict
-    config_hash: str
-    seed: int
-    outputs: list = field(default_factory=list)  # [{"path", "sha256"}, ...]
-    timing_seconds: float | None = None
-
-    def add(self, run_dir: str | Path, path: str | Path) -> None:
-        path = Path(path)
-        if not path.exists():
-            raise StateError(f"manifest cannot list a missing file: {path}")
-        self.outputs.append({
-            "path": str(path.relative_to(run_dir)),
-            "sha256": sha256_file(path),
-        })
-
-    def write(self, run_dir: str | Path) -> Path:
-        """Write the manifest last, after all listed files exist."""
-        for entry in self.outputs:
-            if not (Path(run_dir) / entry["path"]).exists():
-                raise StateError(f"manifest lists a missing file: {entry['path']}")
-        return atomic_write_bytes(Path(run_dir) / MANIFEST_NAME, json_bytes({
-            "command": self.command,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "tool_version": __version__,
-            "outputs": sorted(self.outputs, key=lambda o: o["path"]),
-            "timing_seconds": self.timing_seconds,
-        }))
+def write_run(run_dir: str | Path, files: dict[str, bytes], head: dict) -> list[dict]:
+    """Write a finished run: each of ``files`` (name -> payload), then the
+    manifest, last. The manifest holds ``head`` (command, config snapshot,
+    config hash, seed and the informational wall-clock timing), the tool
+    version and the outputs, each file with its hash as read back from disk,
+    sorted by path; the outputs are returned."""
+    run_dir = Path(run_dir)
+    outputs = [{"path": name, "sha256": sha256_file(atomic_write_bytes(run_dir / name, payload))}
+               for name, payload in sorted(files.items())]
+    atomic_write_bytes(run_dir / MANIFEST_NAME, json_bytes(
+        {**head, "tool_version": __version__, "outputs": outputs}))
+    return outputs
 
 
 def run_directory(root: str | Path, command: str, config_hash: str, seed: int,

@@ -2,9 +2,10 @@
 
 Subcommands: ``train`` (task / select-fixed / joint regimes), ``eval`` (one
 policy on one split), ``study`` (sweep-T, shutoff, random-pose, ablation),
-and ``oracle`` (export a policy table). Every run writes into a deterministic
-content-addressed directory under the output root and finishes by writing a
-manifest that lists each produced file with its hash.
+and ``oracle`` (export a policy table). Every command computes first and then
+hands its files to ``artifacts.write_run``, which writes them into a
+deterministic directory under the output root and, last, a manifest that
+lists each file with its hash.
 
 Exit codes: 0 success, 2 configuration error, 3 compatibility error
 (world/model mismatch), 4 enumeration-budget error, 1 anything else.
@@ -77,24 +78,25 @@ def _load(args) -> tuple[ExperimentConfig, int]:
 
 
 def _start_run(args, cfg: ExperimentConfig, command: str, seed: int):
-    """The run directory's path and manifest; the directory appears with the
-    first file written into it, so a run that fails before then leaves none."""
+    """The run directory's path, checked for a finished run before any
+    computation, and the manifest head; the directory appears when
+    ``_finish_run`` writes, so a run that fails before then leaves none."""
     root = artifacts.output_root(args.out, cfg.output_dir)
-    run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed,
-                                      getattr(args, "force", False))
-    manifest = artifacts.RunManifest(command=command, config=cfg.raw,
-                                     config_hash=cfg.config_hash(), seed=seed)
-    return run_dir, manifest
+    run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed, args.force)
+    return run_dir, {"command": command, "config": cfg.raw,
+                     "config_hash": cfg.config_hash(), "seed": seed}
 
 
-def _finish_run(run_dir: Path, manifest: artifacts.RunManifest, started: float,
-                paths) -> None:
-    for path in paths:
-        manifest.add(run_dir, path)
-    manifest.timing_seconds = time.perf_counter() - started
-    manifest.write(run_dir)
+def _finish_run(run_dir: Path, head: dict, started: float, addressed, named=None) -> None:
+    """Hand the finished files to ``artifacts.write_run``: ``addressed``
+    (stem, suffix, payload) entries under content-addressed names, then the
+    ``named`` name -> payload ones."""
+    files = {artifacts.content_name(stem, suffix, payload): payload
+             for stem, suffix, payload in addressed} | (named or {})
+    outputs = artifacts.write_run(run_dir, files,
+                                  {**head, "timing_seconds": time.perf_counter() - started})
     print(f"run directory: {run_dir}")
-    for entry in sorted(manifest.outputs, key=lambda o: o["path"]):
+    for entry in outputs:
         print(f"  {entry['path']}  sha256:{entry['sha256'][:12]}")
 
 
@@ -112,33 +114,28 @@ def cmd_train(args) -> int:
         task_net = _build_task_net(cfg, world, seed)
     else:
         task_net = _load_net(cfg.family.net, world, cfg.require("train.task_checkpoint"))
-    run_dir, manifest = _start_run(args, cfg, f"train-{regime}", seed)
-    world_hash = world.world_hash()
+    run_dir, head = _start_run(args, cfg, f"train-{regime}", seed)
     extra = {"regime": regime, "train_config": asdict(train_cfg),
              "config_hash": cfg.config_hash()}
-    outputs = []
 
     if regime == "task":
         result = training.train_task_network(world, task_net, train_cfg)
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "task", ".ckpt", task_net.encode(world_hash, extra)))
+        nets = {"task": task_net}
     else:
         q_net = training.build_selector(world, task_net, **_selector_args(cfg, seed))
         if regime == "select-fixed":
             result = training.train_selector_fixed(world, task_net, q_net, train_cfg)
+            nets = {"selector": q_net}
         else:
             result = training.train_joint(world, task_net, q_net, train_cfg)
-            outputs.append(artifacts.write_content_addressed(
-                run_dir, "task-joint", ".ckpt", task_net.encode(world_hash, extra)))
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "selector", ".ckpt", q_net.encode(world_hash, extra)))
+            nets = {"task-joint": task_net, "selector": q_net}
 
-    outputs.append(artifacts.atomic_write_text(
-        run_dir / "metrics.jsonl", artifacts.jsonl(result.epoch_logs)))
-    outputs.append(artifacts.atomic_write_text(
-        run_dir / "counters.json", artifacts.jsonl([{
-            "counters": result.counters, "total_steps": result.total_steps}])))
-    _finish_run(run_dir, manifest, started, outputs)
+    counters = [{"counters": result.counters, "total_steps": result.total_steps}]
+    _finish_run(run_dir, head, started,
+                [(stem, ".ckpt", net.encode(world.world_hash(), extra))
+                 for stem, net in nets.items()],
+                {"metrics.jsonl": artifacts.jsonl(result.epoch_logs).encode("utf-8"),
+                 "counters.json": artifacts.jsonl(counters).encode("utf-8")})
     return 0
 
 
@@ -159,20 +156,18 @@ def cmd_eval(args) -> int:
     q_net = None
     if policy == "mvselect":
         q_net = _load_net(QNetwork, world, cfg.require("eval.selector_checkpoint"))
-    run_dir, manifest = _start_run(args, cfg, f"eval-{policy}", seed)
+    run_dir, head = _start_run(args, cfg, f"eval-{policy}", seed)
 
     run = training.evaluate_policy(world, task_net, T, policy,
                                    split=ev_sec["split"], q_net=q_net, seed=seed,
                                    budget=ev_sec["budget"])
     cost = evaluation.cost_account(world, task_net, q_net, run.T)
     report = evaluation.build_report(run, cost, cfg.config_hash(), [seed])
-    outputs = [artifacts.write_content_addressed(
-        run_dir, f"report-{policy}", ".json", artifacts.json_bytes(report))]
+    files = [(f"report-{policy}", ".json", artifacts.json_bytes(report))]
     if report["frequency"] is not None:
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, f"frequency-{policy}", ".csv",
-            evaluation.frequency_csv(report["frequency"]).encode("utf-8")))
-    _finish_run(run_dir, manifest, started, outputs)
+        files.append((f"frequency-{policy}", ".csv",
+                      evaluation.frequency_csv(report["frequency"]).encode("utf-8")))
+    _finish_run(run_dir, head, started, files)
     print(f"{policy} T={run.T} {run.split}: " + ", ".join(
         f"{k}={v:.4f}" for k, v in sorted(report["metrics"].items())))
     return 0
@@ -209,44 +204,36 @@ def cmd_study(args) -> int:
     # budget of the study, so train.T is not read (2 stands in for it)
     selector_cfg = cfg.train_config(regime="select-fixed", seed=seed, T=2) if retrain else None
     selector_args = _selector_args(cfg, seed)
-    run_dir, manifest = _start_run(args, cfg, f"study-{study}", seed)
-    outputs = []
+    run_dir, head = _start_run(args, cfg, f"study-{study}", seed)
 
     if study == "sweep-T":
         rows = studies.sweep_view_budget(
             world, task_net, t_values, policies=policies, q_nets=q_nets, selector_cfg=selector_cfg,
             selector_args=selector_args, split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-sweep", ".jsonl", artifacts.jsonl(rows).encode("utf-8")))
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-sweep", ".csv",
-            evaluation.table_csv(rows, ("T", "policy")).encode("utf-8")))
+        files = [("study-sweep", ".jsonl", artifacts.jsonl(rows).encode("utf-8")),
+                 ("study-sweep", ".csv",
+                  evaluation.table_csv(rows, ("T", "policy")).encode("utf-8"))]
     elif study == "shutoff":
         out = studies.camera_shutoff_study(
             world, task_net, q_net, T=T, k=ev_sec["k"], rank_split=ev_sec["rank_split"],
             eval_split=ev_sec["split"], n_random=ev_sec["n_random"], seed=seed)
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-shutoff", ".json", artifacts.json_bytes(out)))
+        files = [("study-shutoff", ".json", artifacts.json_bytes(out))]
     elif study == "random-pose":
         out = studies.random_pose_study(
             world, task_net, T=T, selector_cfg=selector_cfg, selector_args=selector_args,
             split=ev_sec["split"], seed=seed, budget=ev_sec["budget"])
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-random-pose", ".json", artifacts.json_bytes(out)))
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-random-pose", ".csv",
-            evaluation.table_csv(out["rows"], ("policy",)).encode("utf-8")))
+        files = [("study-random-pose", ".json", artifacts.json_bytes(out)),
+                 ("study-random-pose", ".csv",
+                  evaluation.table_csv(out["rows"], ("policy",)).encode("utf-8"))]
     else:  # ablation
         rows = studies.selector_ablation_study(
             world, task_net, T=T, selector_cfg=selector_cfg, selector_args=selector_args,
             split=ev_sec["split"])
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-ablation", ".json", artifacts.json_bytes(rows)))
-        outputs.append(artifacts.write_content_addressed(
-            run_dir, "study-ablation", ".csv",
-            evaluation.table_csv(rows, ("variant",)).encode("utf-8")))
+        files = [("study-ablation", ".json", artifacts.json_bytes(rows)),
+                 ("study-ablation", ".csv",
+                  evaluation.table_csv(rows, ("variant",)).encode("utf-8"))]
 
-    _finish_run(run_dir, manifest, started, outputs)
+    _finish_run(run_dir, head, started, files)
     return 0
 
 
@@ -264,13 +251,12 @@ def cmd_oracle(args) -> int:
     ev_sec = cfg.eval_section()
     T = args.T if args.T is not None else cfg.require("eval.T")
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
-    run_dir, manifest = _start_run(args, cfg, f"oracle-{policy}", seed)
+    run_dir, head = _start_run(args, cfg, f"oracle-{policy}", seed)
     build = (training.dataset_oracle_table if policy == "dataset-oracle"
              else training.instance_oracle_table)
     table = build(world, task_net, T, ev_sec["split"], ev_sec["budget"])
-    outputs = [artifacts.write_content_addressed(
-        run_dir, f"table-{table.kind}-T{T}", ".json", table.to_json().encode("utf-8"))]
-    _finish_run(run_dir, manifest, started, outputs)
+    _finish_run(run_dir, head, started,
+                [(f"table-{table.kind}-T{T}", ".json", table.to_json().encode("utf-8"))])
     return 0
 
 

@@ -211,7 +211,11 @@ def _validate_train(raw) -> dict | None:
 
 
 def _validate_network(raw) -> dict:
-    return _validate_section("network", {} if raw is None else raw, _NETWORK_KEYS)
+    out = _validate_section("network", {} if raw is None else raw, _NETWORK_KEYS)
+    if out["use_camera_branch"] is False and out["use_feature_branch"] is False:
+        raise ConfigError("network.use_camera_branch and network.use_feature_branch "
+                          "are both false: a selector needs at least one branch")
+    return out
 
 
 def _validate_eval(raw) -> dict:

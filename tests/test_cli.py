@@ -185,19 +185,30 @@ def test_rerun_same_config_and_seed_reproduces_checkpoint_hash(tmp_path):
     assert sha256_file(c1) == sha256_file(c2)
 
 
-def test_manifest_lists_every_output_with_matching_hash(workspace):
-    tmp, cfg = workspace["tmp"], dict(workspace["cfg"])
-    cpath = write_config(tmp, cfg, "manifest.yaml")
-    r = cli("eval", "--config", str(cpath), "--policy", "mvselect",
-            "--out", str(tmp / "manifest-run"))
+# every command's run directory holds exactly the files its manifest lists
+@pytest.mark.parametrize("command, updates", [
+    (["train", "--regime", "task"], {"train": {"epochs": 2}}),
+    (["train", "--regime", "select-fixed"], {"train": {"epochs": 1}}),
+    (["train", "--regime", "joint"], {"train": {"epochs": 1}}),
+    (["eval", "--policy", "mvselect"], {}),
+    (["oracle", "--policy", "instance-oracle"], {}),
+    (["study", "sweep-T"], {"train": {"epochs": 1}, "eval": {"T_values": [2, 3]}}),
+], ids=["train-task", "train-select-fixed", "train-joint", "eval", "oracle", "sweep-T"])
+def test_manifest_lists_every_output_with_matching_hash(workspace, tmp_path, command, updates):
+    cfg = dict(workspace["cfg"])
+    for section, keys in updates.items():
+        cfg[section] = dict(cfg[section], **keys)
+    r = cli(*command, "--config", str(write_config(tmp_path, cfg, "manifest.yaml")),
+            "--out", str(tmp_path / "manifest-run"))
     assert r.returncode == 0, r.stderr
     run_dir = run_dir_of(r)
     manifest = json.loads((run_dir / "manifest.json").read_text())
     files = sorted(p.name for p in run_dir.iterdir() if p.name != "manifest.json")
-    listed = sorted(o["path"] for o in manifest["outputs"])
+    listed = [o["path"] for o in manifest["outputs"]]
     assert listed == files
     for entry in manifest["outputs"]:
         assert sha256_file(run_dir / entry["path"]) == entry["sha256"]
+    assert manifest["command"] == "-".join(a for a in command if not a.startswith("--"))
     assert manifest["config_hash"]
     assert manifest["seed"] == 0
     assert manifest["timing_seconds"] > 0

@@ -5,10 +5,11 @@ import os
 
 import pytest
 
+import fewview
 from fewview import artifacts, cli, training
 from fewview.config import load_config, validate_config
 from fewview.envs import ClassificationWorld
-from fewview.errors import ConfigError, StateError
+from fewview.errors import ConfigError
 
 
 def minimal_raw():
@@ -145,6 +146,9 @@ def test_world_config_builds_both_kinds():
     (b"world: {kind: classification}\neval: {T: abc}\n", "eval.T"),
     (b"world: {kind: classification}\nnetwork: {task_hidden: wide}\n", "network.task_hidden"),
     (b"world: {kind: classification}\nnetwork: {use_camera_branch: 1}\n", "network.use_camera_branch"),
+    (b"world: {kind: classification}\n"
+     b"network: {use_camera_branch: false, use_feature_branch: false}\n",
+     "network.use_camera_branch and network.use_feature_branch are both false"),
     (b"world: {kind: classification}\neval: {T_values: [2, three]}\n", r"eval.T_values\[1\]"),
     (b"world: {kind: classification}\neval: {policies: random}\n", "eval.policies"),
     (b"world: {kind: classification}\nnetwork: {task_hidden: 0}\n", "network.task_hidden"),
@@ -172,7 +176,8 @@ def test_world_config_builds_both_kinds():
                            ("n_random: -1", "eval.n_random"),
                            ("T_values: [2, 0]", r"eval.T_values\[1\]"))],
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
-        "T abc", "task_hidden wide", "use_camera_branch 1", "T_values item", "policies scalar",
+        "T abc", "task_hidden wide", "use_camera_branch 1", "both branches off",
+        "T_values item", "policies scalar",
         "task_hidden 0", "selector_hidden -3", "noise nan", "margin nan", "smooth_sigma nan",
         "meters_per_cell inf", "noise 10**400", "task_lr inf", "deeply nested", "impossible date",
         "output_dir date", "selector_checkpoints mixed keys", "selector_checkpoints int path",
@@ -225,33 +230,42 @@ def test_load_config_errors(tmp_path):
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
-    path = artifacts.atomic_write_text(tmp_path / "deep" / "a.txt", "hello")
-    assert path.read_text() == "hello"
+    path = artifacts.atomic_write_bytes(tmp_path / "deep" / "a.txt", b"hello")
+    assert path.read_bytes() == b"hello"
     assert list(path.parent.glob("*.tmp")) == []
 
 
-def test_content_addressed_names_equal_bytes(tmp_path):
-    p1 = artifacts.write_content_addressed(tmp_path, "report", ".json", b"{}")
-    p2 = artifacts.write_content_addressed(tmp_path, "report", ".json", b"{}")
-    p3 = artifacts.write_content_addressed(tmp_path, "report", ".json", b"{1}")
-    assert p1 == p2
-    assert p1 != p3
-    assert p1.name.startswith("report-") and p1.suffix == ".json"
+def test_content_addressed_names_equal_bytes():
+    n1 = artifacts.content_name("report", ".json", b"{}")
+    n2 = artifacts.content_name("report", ".json", b"{}")
+    n3 = artifacts.content_name("report", ".json", b"{1}")
+    assert n1 == n2
+    assert n1 != n3
+    assert n1 == f"report-{artifacts.sha256_bytes(b'{}')[:12]}.json"
 
 
-def test_manifest_refuses_missing_files(tmp_path):
-    m = artifacts.RunManifest(command="train", config={}, config_hash="x", seed=0)
-    with pytest.raises(StateError, match="missing"):
-        m.add(tmp_path, tmp_path / "ghost.bin")
-    real = artifacts.atomic_write_text(tmp_path / "real.txt", "data")
-    m.add(tmp_path, real)
-    m.write(tmp_path)
-    loaded = json.loads((tmp_path / artifacts.MANIFEST_NAME).read_text())
-    assert loaded["outputs"][0]["path"] == "real.txt"
-    # deleting a listed file invalidates a rewrite
-    real.unlink()
-    with pytest.raises(StateError, match="missing"):
-        m.write(tmp_path)
+def test_write_run_lists_exactly_its_files_and_writes_the_manifest_last(tmp_path, monkeypatch):
+    written, write = [], artifacts.atomic_write_bytes
+
+    def recording_write(path, payload):
+        written.append(path.name)
+        return write(path, payload)
+
+    monkeypatch.setattr(artifacts, "atomic_write_bytes", recording_write)
+    run_dir = tmp_path / "run"
+    head = {"command": "train", "config": {}, "config_hash": "x", "seed": 0,
+            "timing_seconds": 1.5}
+    outputs = artifacts.write_run(run_dir, {"b.txt": b"data", "a.ckpt": b"\x00\x01"}, head)
+    assert written[-1] == artifacts.MANIFEST_NAME
+    assert sorted(written[:-1]) == ["a.ckpt", "b.txt"]
+    loaded = json.loads((run_dir / artifacts.MANIFEST_NAME).read_text())
+    assert loaded == {**head, "tool_version": fewview.__version__, "outputs": outputs}
+    assert [o["path"] for o in outputs] == ["a.ckpt", "b.txt"]
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "a.ckpt", "b.txt", artifacts.MANIFEST_NAME]
+    for entry in outputs:  # hashed as read back from disk
+        assert entry["sha256"] == artifacts.sha256_file(run_dir / entry["path"])
+    assert outputs[1]["sha256"] == artifacts.sha256_bytes(b"data")
 
 
 def test_run_directory_collision_semantics(tmp_path):
@@ -260,12 +274,12 @@ def test_run_directory_collision_semantics(tmp_path):
     # only the path: no file, no directory
     assert d1 == root / "train-abcdef123456-s0"
     assert not root.exists()
-    artifacts.atomic_write_text(d1 / "metrics.jsonl", "")
+    artifacts.atomic_write_bytes(d1 / "metrics.jsonl", b"")
     assert d1.is_dir()
     # no manifest yet: re-entry is fine (an interrupted run is resumable)
     d2 = artifacts.run_directory(root, "train", "abcdef123456", 0, force=False)
     assert d1 == d2
-    artifacts.atomic_write_text(d1 / artifacts.MANIFEST_NAME, "{}")
+    artifacts.write_run(d1, {"metrics.jsonl": b""}, {})
     with pytest.raises(ConfigError, match="--force"):
         artifacts.run_directory(root, "train", "abcdef123456", 0, force=False)
     d3 = artifacts.run_directory(root, "train", "abcdef123456", 0, force=True)
