@@ -9,7 +9,10 @@ them to one action value per camera. Selection is epsilon-greedy over
 unmasked cameras; repeats are forbidden by masking. Temporal-difference
 targets are computed inline with the current network: no replay buffer, no
 target copy. One array rollout serves training (epsilon-greedy) and greedy
-evaluation (epsilon 0), and values every state with a single Q forward.
+evaluation (epsilon 0), and values each step's states, every row of every
+instance, with a single Q forward on the stack of instances. Each instance's
+block of that stack keeps the bits of a forward on the instance alone (see
+``numcore.DenseNet``); flattening the instances into one batch would not.
 """
 
 from __future__ import annotations
@@ -73,14 +76,16 @@ class QNetwork(Persistable):
         )
 
     def _check(self, cams: Array, obs: Array) -> None:
-        if cams.shape[1:] != (self.n_cameras,) or obs.shape[1:] != (self.feat_dim,):
-            raise ShapeError("state dimensions do not match this network")
+        if (cams.shape[-1:] != (self.n_cameras,) or obs.shape[-1:] != (self.feat_dim,)
+                or cams.shape[:-1] != obs.shape[:-1]):
+            raise ShapeError("states do not match this network or each other in shape")
 
     def forward_cache(self, cams: Array, obs: Array):
-        """Action values (B, N) of B states given as camera counts (B, N) and
-        observation vectors (B, D), with the cache ``backward`` needs."""
+        """Action values (..., B, N) of states given as camera counts (...,
+        B, N) and observation vectors (..., B, D), with the cache
+        ``backward`` needs (which takes a batch, no leading axes)."""
         self._check(cams, obs)
-        hidden = np.zeros((len(cams), self.hidden))
+        hidden = np.zeros(cams.shape[:-1] + (self.hidden,))
         cam_cache = feat_cache = None
         if self.use_camera_branch:
             hc, cam_cache = self.camera_branch.forward_cache(cams @ self.embeddings)
@@ -95,21 +100,20 @@ class QNetwork(Persistable):
         """Gradients for all parameters plus the gradient w.r.t. the states'
         observation vectors (zero when the feature branch is off)."""
         cams, cam_cache, feat_cache, comb_cache = cache
-        grads = {name: np.zeros_like(p) for name, p in self.named_params()}
         comb_grads, d_hidden = self.combiner.backward(comb_cache, d_q)
-        for k, g in comb_grads.items():
-            grads[f"combiner.{k}"] = g
-        d_obs = np.zeros((cams.shape[0], self.feat_dim))
+        grads = {f"combiner.{k}": g for k, g in comb_grads.items()}
         if self.use_camera_branch:
             cam_grads, d_cam_in = self.camera_branch.backward(cam_cache, d_hidden)
-            for k, g in cam_grads.items():
-                grads[f"camera.{k}"] = g
+            grads.update((f"camera.{k}", g) for k, g in cam_grads.items())
             grads["embeddings"] = cams.T @ d_cam_in
         if self.use_feature_branch:
             feat_grads, d_obs = self.feature_branch.backward(feat_cache, d_hidden)
-            for k, g in feat_grads.items():
-                grads[f"feature.{k}"] = g
-        return grads, d_obs
+            grads.update((f"feature.{k}", g) for k, g in feat_grads.items())
+        else:
+            d_obs = np.zeros((len(cams), self.feat_dim))
+        # zeros only for a switched-off branch, keys in named_params order
+        return {name: grads[name] if name in grads else np.zeros_like(p)
+                for name, p in self.named_params()}, d_obs
 
 
 def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
@@ -120,8 +124,9 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
     instance, read only through ``feats.shape`` and ``feats[inst, views]``
     (so a ``tasknet.ViewFeatures`` table, which featurizes a view when it is
     first read, serves as well); initial is (G, R) start views in [0, N),
-    checked before the first step. Every step values each state with one Q
-    forward per instance over its R rows, then picks the masked argmax
+    checked before the first step. Every step values its (G, R) states with
+    one Q forward on the stack of instances (each instance's values have the
+    bits of a forward on its R rows alone), then picks the masked argmax
     (ties go to the lowest index). With epsilon > 0, which needs an rng,
     each row instead takes a uniform unmasked camera with probability
     epsilon: per step and per (instance, row), the rng draws the coin first
@@ -167,9 +172,7 @@ def rollout(q_net, feats: Array, initial: Array, T: int, disabled=frozenset(),
         mask = (taken > 0) | blocked
         if mask.all(axis=-1).any():
             raise StateError("every camera is masked")
-        # one forward per instance: stacking instances into one BLAS call
-        # would change the last bits of the values
-        q = np.stack([q_net.forward_cache(taken[g], obs_t[g])[0] for g in range(n_inst)])
+        q = q_net.forward_cache(taken, obs_t)[0]
         action = np.where(mask, -np.inf, q).argmax(axis=-1)
         if epsilon > 0:
             for g in range(n_inst):

@@ -107,7 +107,12 @@ class DenseNet:
     """A stack of dense layers with deterministic seeded initialization.
 
     Parameters are initialized uniformly in [-sqrt(1/fan_in), +sqrt(1/fan_in)].
-    Inputs are batches ``(B, in_dim)``.
+    A forward takes a batch ``(B, in_dim)`` or a stack of them ``(..., B,
+    in_dim)``; backward takes batches only. NumPy's stacked matmul makes one
+    BLAS call per ``(B, in_dim)`` block, and bias and activation are
+    elementwise, so each block of a stack gets the bits of a forward on it
+    alone. Flattening the stack into one batch would be one larger BLAS
+    call, whose kernel may sum in another order and change the last bits.
     """
 
     def __init__(self, specs: Sequence[LayerSpec], seed: int):
@@ -141,10 +146,10 @@ class DenseNet:
         return [(name, p) for (name, _), p in zip(param_shapes(self.specs, prefix), params)]
 
     def forward_cache(self, x: Array) -> tuple[Array, list]:
-        """Forward pass of a batch: the output plus the per-layer cache
-        backward() needs."""
+        """Forward pass of a batch or a stack of batches: the output plus the
+        per-layer cache backward() needs (of a batch)."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+        if x.ndim < 2 or x.shape[-1] != self.in_dim:
             raise ShapeError(f"input shape {x.shape} is not a batch of width {self.in_dim}")
         cache = []
         for w, b, spec in zip(self.weights, self.biases, self.specs):
@@ -158,7 +163,8 @@ class DenseNet:
 
     def backward(self, cache: list | None, grad_out: Array, input_grad: bool = True,
                  work: dict | None = None) -> tuple[dict[str, Array], Array | None]:
-        """Backpropagate ``grad_out`` through a cached forward pass.
+        """Backpropagate ``grad_out`` through a cached forward pass of a batch
+        (a stack raises ShapeError: ``grad.T`` would reverse all its axes).
 
         Returns (parameter gradients keyed like named_params, gradient w.r.t.
         the forward input, or None when ``input_grad`` is false and the
@@ -169,10 +175,9 @@ class DenseNet:
         if cache is None or len(cache) != len(self.specs):
             raise StateError("backward needs the cache from a matching forward_cache call")
         grad = grad_out = np.asarray(grad_out, dtype=np.float64)
-        if grad.shape != cache[-1][1].shape:
-            raise ShapeError(
-                f"loss gradient shape {grad.shape} does not match output shape {cache[-1][1].shape}"
-            )
+        if grad.ndim != 2 or grad.shape != cache[-1][1].shape:
+            raise ShapeError(f"loss gradient shape {grad.shape} is not the output shape "
+                             f"{cache[-1][1].shape} of a batch")
         work = {} if work is None else work
         grads: dict[str, Array] = {}
         for i in range(len(self.specs) - 1, -1, -1):

@@ -16,20 +16,20 @@ from fewview.mvselect import (
     td_targets,
 )
 from fewview.tasknet import MVClassifier, MVDetector, ViewFeatures
-from testkit import max_relative_error, numeric_gradient
+from testkit import PerInstanceQ, max_relative_error, numeric_gradient
 
 GRAD_TOL = 1e-4
 
 
 class StubNet:
-    """Fixed action values for every state."""
+    """Fixed action values for every state, with the states' leading axes."""
 
     def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
         self.n_cameras = len(self.values)
 
     def forward_cache(self, cams, obs):
-        return np.tile(self.values, (len(cams), 1)), None
+        return np.tile(self.values, cams.shape[:-1] + (1,)), None
 
 
 def scripted(order, features):
@@ -125,6 +125,38 @@ def test_rollout_records_each_state_once():
             np.testing.assert_array_equal(pooled[g, r], feats[g, chosen[g, r]].max(axis=0))
 
 
+def features_and_table(family, n_inst, n_cams):
+    """Features (G, N[, H, W], D) of n_inst random instances, and a function
+    that makes a fresh view table of the same instances."""
+    rng = np.random.default_rng(8)
+    if family == "classifier":
+        net = MVClassifier(obs_dim=5, feat_dim=6, n_classes=2, hidden=7, seed=1)
+        obs = rng.normal(size=(n_inst, n_cams, 5))
+    else:
+        net = MVDetector(channels=2, feat_dim=6, hidden=7, seed=1)
+        obs = rng.normal(size=(n_inst, n_cams, 2, 3, 4))
+    return net.features_cache(obs)[0], lambda: ViewFeatures(net, list(obs))
+
+
+@pytest.mark.parametrize("form", ["array", "table"])
+@pytest.mark.parametrize("family", ["classifier", "detector"])
+@pytest.mark.parametrize("n_inst, epsilon", [(8, 0.5), (1, 0.0)])
+def test_rollout_values_each_step_as_one_forward_per_instance_would(form, family, n_inst, epsilon):
+    # one stacked Q forward per step has, bit for bit, the values of one
+    # forward per instance: G instances of one epsilon-greedy row as in
+    # training, and one instance from every initial view as in evaluation
+    n_cams = 5
+    net = QNetwork(n_cameras=n_cams, feat_dim=6, hidden=16, seed=2)
+    feats, table = features_and_table(family, n_inst, n_cams)
+    initial = (np.random.default_rng(9).integers(n_cams, size=(n_inst, 1)) if epsilon
+               else np.arange(n_cams)[None])
+    runs = [rollout(q, feats if form == "array" else table(), initial, 4, {3}, epsilon,
+                    np.random.default_rng(10)) for q in (net, PerInstanceQ(net))]
+    for stacked, per_instance in zip(*runs):
+        assert stacked.shape == per_instance.shape
+        assert stacked.tobytes() == per_instance.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # value network
 
@@ -186,6 +218,45 @@ def test_batched_values_match_singletons():
                               np.concatenate([o for _, o in states]))[0]
     for i, s in enumerate(states):
         np.testing.assert_allclose(batch[i], net.forward_cache(*s)[0][0], rtol=1e-12, atol=1e-14)
+
+
+def test_stacked_values_keep_leading_axes_and_per_instance_bits():
+    net = QNetwork(n_cameras=5, feat_dim=3, hidden=6, seed=3)
+    rng = np.random.default_rng(5)
+    cams = rng.integers(0, 2, size=(2, 4, 3, 5)).astype(float)
+    obs = rng.normal(size=(2, 4, 3, 3))
+    q = net.forward_cache(cams, obs)[0]
+    assert q.shape == (2, 4, 3, 5)
+    for index in np.ndindex(2, 4):
+        assert q[index].tobytes() == net.forward_cache(cams[index], obs[index])[0].tobytes()
+
+
+@pytest.mark.parametrize("cams_shape, obs_shape", [
+    ((4, 5), (1, 3)),        # one observation row would broadcast to every state
+    ((4, 5), (2, 3)),
+    ((2, 4, 5), (4, 3)),
+    ((2, 4, 5), (2, 1, 3)),
+])
+def test_states_whose_batch_axes_disagree_are_rejected(cams_shape, obs_shape):
+    net = QNetwork(n_cameras=5, feat_dim=3, hidden=6, seed=3)
+    with pytest.raises(ShapeError):
+        net.forward_cache(np.zeros(cams_shape), np.ones(obs_shape))
+
+
+@pytest.mark.parametrize("branch", ["camera", "feature"])
+def test_backward_keys_follow_named_params_with_zeros_for_a_branch_that_is_off(branch):
+    net = QNetwork(n_cameras=4, feat_dim=3, hidden=5, seed=4, **{f"use_{branch}_branch": False})
+    rng = np.random.default_rng(6)
+    q, cache = net.forward_cache(rng.integers(0, 2, size=(3, 4)).astype(float),
+                                 rng.normal(size=(3, 3)))
+    grads, d_obs = net.backward(cache, rng.normal(size=q.shape))
+    assert list(grads) == [name for name, _ in net.named_params()]
+    off = {"camera": ["embeddings", "camera.layer0.weight", "camera.layer0.bias"],
+           "feature": ["feature.layer0.weight", "feature.layer0.bias"]}[branch]
+    for name, p in net.named_params():
+        assert grads[name].shape == p.shape
+        assert (grads[name] == 0).all() == (name in off)
+    assert d_obs.shape == (3, 3) and (d_obs == 0).all() == (branch == "feature")
 
 
 def test_qnetwork_checkpoint_round_trip(tmp_path):

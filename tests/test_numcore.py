@@ -71,6 +71,43 @@ def test_forward_batch_matches_single():
                                    rtol=1e-12, atol=1e-14)
 
 
+# The selection rollout values a step's states, one block of rows per
+# instance, with one forward on the stack of blocks. NumPy's stacked matmul
+# makes one BLAS call per block, so each block keeps the bits of a forward
+# on it alone; a flattened (G * B, in_dim) batch is one larger BLAS call,
+# whose bits depend on the BLAS build, so it is not asserted either way.
+@pytest.mark.parametrize("stack, widths", [
+    pytest.param((8, 1), (32, 64, 64, 12), id="cls-train"),   # 8 instances, one row each
+    pytest.param((1, 12), (32, 64, 64, 12), id="cls-eval"),   # every initial view
+    pytest.param((1, 6), (16, 64, 64, 6), id="det-eval"),
+    pytest.param((1, 1), (16, 64, 64, 6), id="det-train"),
+    pytest.param((2, 3, 4), (16, 64, 64, 6), id="two-leading-axes"),
+])
+def test_stacked_forward_equals_per_block_calls_bit_for_bit(stack, widths):
+    specs = [LayerSpec(i, o, "relu") for i, o in zip(widths[:-2], widths[1:-1])]
+    net = DenseNet(specs + [LayerSpec(widths[-2], widths[-1], "linear")], seed=3)
+    x = np.random.default_rng(5).normal(size=stack + (widths[0],))
+    y, cache = net.forward_cache(x)
+    assert y.shape == stack + (widths[-1],)
+    for index in np.ndindex(stack[:-1]):
+        y_block, cache_block = net.forward_cache(x[index])
+        assert y[index].tobytes() == y_block.tobytes()
+        for (x_in, out), (x_block, out_block) in zip(cache, cache_block):
+            assert x_in[index].tobytes() == x_block.tobytes()
+            assert out[index].tobytes() == out_block.tobytes()
+
+
+def test_backward_rejects_a_stacked_cache_or_gradient():
+    net = small_net()
+    x = np.random.default_rng(6).normal(size=(3, 2, 4))
+    y, cache = net.forward_cache(x)
+    batch_cache = net.forward_cache(x[0])[1]
+    for c, grad in ((cache, np.ones_like(y)), (cache, np.ones((2, 2))),
+                    (batch_cache, np.ones((1, 2, 2)))):
+        with pytest.raises(ShapeError):
+            net.backward(c, grad)
+
+
 def test_seeded_init_is_deterministic():
     a = small_net(seed=42)
     b = small_net(seed=42)
@@ -270,6 +307,10 @@ def test_wrong_input_width_rejected():
     net = small_net()
     with pytest.raises(ShapeError):
         net.forward_cache(np.zeros((1, 9)))
+    with pytest.raises(ShapeError):
+        net.forward_cache(np.zeros((2, 1, 9)))
+    with pytest.raises(ShapeError):
+        net.forward_cache(np.zeros(4))
 
 
 def test_nonfinite_forward_raises():

@@ -1,7 +1,7 @@
 """Reference oracles the tests check the package against: finite-difference
 gradients, the per-array form of the Adam update, a loop-form max-pool and task-network forward, the gather-and-reduce
 form of subset decoding, the argmax form of the max-pool gradient router, the channel-first form of the detector and of
-the selection rollout, the eager select-fixed loop that featurizes every
+the selection rollout, a Q-network valuing one instance per forward, the eager select-fixed loop that featurizes every
 view of a batch, the per-camera ray-cast form of detection
 visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds, loop forms of
 detection peak extraction, matching and per-map frame counts, the runtime's
@@ -171,6 +171,17 @@ class ChannelFirstDetector:
         return self.net.loss(outputs, truths)
 
 
+class PerInstanceQ:
+    """``q_net`` valuing a (G, R) stack of states with one forward per
+    instance: the reference for the rollout's one forward on the stack."""
+
+    def __init__(self, q_net):
+        self.q_net = q_net
+
+    def forward_cache(self, cams: Array, obs: Array):
+        return np.stack([self.q_net.forward_cache(cams[g], obs[g])[0] for g in range(len(cams))]), None
+
+
 def rollout_channel_first(q_net, feats: Array, initial, T: int, disabled=frozenset(),
                           epsilon: float = 0.0, rng=None):
     """The selection rollout on channel-first features (G, N, D, H, W): a C
@@ -189,7 +200,7 @@ def rollout_channel_first(q_net, feats: Array, initial, T: int, disabled=frozens
     for _ in range(T - 1):
         obs_t = pooled.mean(axis=(3, 4))
         mask = (taken > 0) | np.isin(np.arange(n_cams), list(disabled))
-        q = np.stack([q_net.forward_cache(taken[g], obs_t[g])[0] for g in range(n_inst)])
+        q = PerInstanceQ(q_net).forward_cache(taken, obs_t)[0]
         action = np.where(mask, -np.inf, q).argmax(axis=-1)
         if epsilon > 0:
             for g in range(n_inst):
