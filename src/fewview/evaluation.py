@@ -250,12 +250,16 @@ def policy_frequency(chosen: Array, n_cameras: int) -> Array:
 def camera_usage(chosen: Array, n_cameras: int) -> Array:
     """Fraction of rollouts in which each camera was used at all (initial
     view included); the ranking signal for the shut-off study."""
-    chosen = np.asarray(chosen).reshape(-1, chosen.shape[-1])
+    chosen = np.asarray(chosen)
+    if chosen.ndim != 3 or chosen.size == 0:
+        raise ShapeError(f"chosen must be a non-empty (instances, initial views, T) array, "
+                         f"got {chosen.shape}")
+    rows = chosen.reshape(-1, chosen.shape[-1])
     usage = np.zeros(n_cameras)
-    for row in chosen:
+    for row in rows:
         for cam in set(int(c) for c in row):
             usage[cam] += 1.0
-    return usage / len(chosen)
+    return usage / len(rows)
 
 
 # ---------------------------------------------------------------------------

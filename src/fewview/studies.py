@@ -3,7 +3,9 @@
 Four studies ship:
 
 - ``sweep_view_budget``: metrics for each policy across a range of view
-  budgets T, as plot-ready rows.
+  budgets T, as plot-ready rows, from one evaluation pass over the split
+  that featurizes each instance once and shares the oracles' subset
+  scores, the random orders and the full-views run between rows.
 - ``camera_shutoff_study``: rank cameras by how often the selector uses them
   on validation, disable the bottom k, and compare against disabling random
   k-subsets.
@@ -59,7 +61,8 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
                       selector_args: dict | None = None,
                       split: str = "eval", seed: int = 0,
                       budget: int = training.DEFAULT_ENUM_BUDGET) -> list[dict]:
-    """Metric rows for every (T, policy) pair.
+    """Metric rows for every (T, policy) pair, in T order, then policy
+    order, from one evaluation pass.
 
     The selector policy needs a trained network per T: pass them in
     ``q_nets`` keyed by T, or pass ``selector_cfg`` to have each one trained
@@ -69,7 +72,11 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     T >= 2. A selector built here takes ``selector_args``
     (``training.build_selector``'s keywords). Every T, its selector and its
     oracle enumeration (against ``budget``) are checked before the first
-    evaluation.
+    selector trains. The selectors train in T order; then one
+    ``training.evaluate_policies`` call evaluates every row, so each
+    instance is featurized once, each T's subsets are scored once for both
+    oracles, each random order is drawn once, and full-views runs once.
+    Every row still costs its policy at its own T, full-views included.
     """
     for policy in policies:
         if policy not in training.POLICIES:
@@ -86,25 +93,20 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     if any(policy.endswith("-oracle") for policy in policies):
         for t in T_values:
             training.check_enumeration_budget(world, t, split, budget)
+    for t in T_values if "mvselect" in policies else ():
+        if t not in q_nets and selector_cfg is not None:
+            q_nets[t] = _trained_selector(world, task_net, t, selector_cfg, selector_args)
+        elif t not in q_nets:
+            q_nets[t] = training.build_selector(
+                world, task_net, **{"seed": seed, **(selector_args or {})})
+    runs = [training.PolicyRun(policy, t, q_nets[t] if policy == "mvselect" else None)
+            for t in T_values for policy in policies]
     rows = []
-    for t in T_values:
-        for policy in policies:
-            q_net = None
-            if policy == "mvselect":
-                q_net = q_nets.get(t)
-                if q_net is None and selector_cfg is not None:
-                    q_net = q_nets[t] = _trained_selector(world, task_net, t, selector_cfg,
-                                                          selector_args)
-                elif q_net is None:
-                    q_net = training.build_selector(
-                        world, task_net, **{"seed": seed, **(selector_args or {})})
-            run = training.evaluate_policy(world, task_net, t, policy, split=split,
-                                           q_net=q_net, seed=seed, budget=budget)
-            cost = evaluation.cost_account(
-                world, task_net, q_net if policy == "mvselect" else None, t)
-            row = _flatten_row({"T": t, "policy": policy}, run.metrics())
-            row["cost_ratio"] = cost.ratio
-            rows.append(row)
+    for run, result in zip(runs, training.evaluate_policies(world, task_net, runs, split=split,
+                                                            seed=seed, budget=budget)):
+        row = _flatten_row({"T": run.T, "policy": run.policy}, result.metrics())
+        row["cost_ratio"] = evaluation.cost_account(world, task_net, run.q_net, run.T).ratio
+        rows.append(row)
     return rows
 
 

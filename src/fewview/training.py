@@ -25,6 +25,13 @@ instance-level oracle that picks the best set per instance. Both oracles
 enumerate view sets rather than sequences; pooling is order-invariant, so the
 sequence space collapses to the binomial one.
 
+Policy evaluation is one pass over a split (``evaluate_policies``) that
+serves every (T, policy) run of a call, such as a view-budget sweep's: each
+instance is generated and featurized once, both oracles at one T share one
+scoring of its size-T subsets, each (instance, initial view) random order is
+drawn once and cut to each T, and equal runs (full-views at any T) run once.
+``evaluate_policy`` and the oracle tables are its one-run calls.
+
 ``TASK_FAMILIES`` is the one place a world kind is decided: it names the
 config class, world class, task network and builder of each kind.
 """
@@ -35,7 +42,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -409,41 +416,18 @@ def _subset_table(n_cams: int, T: int) -> Array:
     return np.array(list(itertools.combinations(range(n_cams), T)), dtype=int)
 
 
-def _score_subsets(task_net, world, split: str, T: int):
-    """Per-instance records, score and tie value for every size-T view
-    subset: the network's records and its score of them (correctness, or
-    frame MODA), with the task loss (negative reward) as the tie value.
-    Returns subsets (S, T), the (n, S) scores and ties, and the (n, S, k)
-    records.
-    """
-    n = world.split_size(split)
-    subsets = _subset_table(world.n_cameras, T)
-    score = np.zeros((n, len(subsets)))
-    tie = np.zeros((n, len(subsets)))
-    records = []
-    for i in range(n):
-        inst = world.instance(split, i)
-        outputs = task_net.decode(task_net.features_cache(inst.observations)[0], subsets)
-        records.append(task_net.records(outputs, inst, world))
-        score[i] = task_net.score(records[-1])
-        tie[i] = -task_net.reward(outputs, task_net.truth(inst))
-    return subsets, score, tie, np.stack(records)
-
-
-def _oracle_table(world, task_net, T: int, split: str, budget: int,
-                  kind: str) -> tuple[PolicyTable, Array]:
-    """Best view set per initial view: highest score among the subsets that
-    hold the view and otherwise only enabled cameras, then the lowest tie
-    value, then the first subset in sorted order. A dataset table judges
-    the mean score over the split with no tie value; an instance table
-    judges each instance on its own. Returns the table and the (n, N, k)
-    records of every instance's chosen set per initial view."""
-    check_t(world, T)
-    check_enumeration_budget(world, T, split, budget)
-    subsets, score, tie, records = _score_subsets(task_net, world, split, T)
+def _oracle_choice(world, kind: str, T: int, subsets: Array, score: Array, tie: Array,
+                   records: Array) -> tuple[PolicyTable, Array, Array]:
+    """Best view set per initial view from the (n, S) scores, ties and
+    (n, S, k) records of every size-T subset: highest score among the
+    subsets that hold the view and otherwise only enabled cameras, then the
+    lowest tie value, then the first subset in sorted order. A dataset
+    table judges the mean score over the split with no tie value; an
+    instance table judges each instance on its own. Returns the table, the
+    (n, N, T) chosen sets (initial view first) and their (n, N, k) records."""
+    n, n_cams = len(records), world.n_cameras
     if kind == "dataset":
         score, tie = score.mean(axis=0, keepdims=True), np.zeros((1, len(subsets)))
-    n_cams = world.n_cameras
     enabled = np.isin(subsets, world.enabled)   # (S, T)
     best = np.zeros((len(score), n_cams), dtype=int)
     for v0 in range(n_cams):
@@ -452,31 +436,37 @@ def _oracle_table(world, task_net, T: int, split: str, budget: int,
         primary = np.where(allowed, score, -np.inf)
         top = primary == primary.max(axis=1, keepdims=True)
         best[:, v0] = np.where(top, tie, np.inf).argmin(axis=1)
-    seqs = {(i, v0): tuple(int(a) for a in subsets[b] if a != v0)
-            for (i, v0), b in np.ndenumerate(best)}
+    best = np.broadcast_to(best, (n, n_cams))
+    sets = subsets[best]                        # (n, N, T), each holding its initial view
+    v0_first = np.argsort(sets != np.arange(n_cams)[:, None], axis=-1, kind="stable")
+    chosen = np.take_along_axis(sets, v0_first, axis=-1)
+    seqs = {(i, v0): tuple(row[1:]) for i, rows in enumerate(chosen[: len(score)].tolist())
+            for v0, row in enumerate(rows)}
     if kind == "dataset":
         seqs = {v0: seq for (_, v0), seq in seqs.items()}
-    return PolicyTable(kind, T, seqs), records[np.arange(len(records))[:, None], best]
+    return PolicyTable(kind, T, seqs), chosen, records[np.arange(n)[:, None], best]
 
 
 def dataset_oracle_table(world, task_net, T: int, split: str,
                          budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
     """Best fixed view set per initial view, judged by the mean score over
     the designated split."""
-    return _oracle_table(world, task_net, T, split, budget, "dataset")[0]
+    return evaluate_policy(world, task_net, T, "dataset-oracle", split, budget=budget).table
 
 
 def instance_oracle_table(world, task_net, T: int, split: str,
                           budget: int = DEFAULT_ENUM_BUDGET) -> PolicyTable:
     """Best view set per (instance, initial view): the highest network
     score (correctness, or frame MODA), the lower task loss breaking ties."""
-    return _oracle_table(world, task_net, T, split, budget, "instance")[0]
+    return evaluate_policy(world, task_net, T, "instance-oracle", split, budget=budget).table
 
 
 def random_sequence(n_cams: int, initial_view: int, T: int, seed: int,
                     instance_index: int, disabled=frozenset()) -> tuple[int, ...]:
     """Uniform distinct completion of an initial view, avoiding disabled
-    cameras; deterministic per (seed, instance, initial view)."""
+    cameras; deterministic per (seed, instance, initial view). The T - 1
+    cameras are the first of one permutation that does not depend on T, so
+    a completion at T is the first T - 1 entries of any longer one."""
     rng = np.random.default_rng([seed, 17, instance_index, initial_view])
     open_cams = [c for c in range(n_cams) if c != initial_view and c not in disabled]
     picks = rng.permutation(len(open_cams))[: T - 1]
@@ -497,7 +487,8 @@ def greedy_sequences(q_net, feats: Array, n_cams: int, T: int,
 @dataclass
 class EvalRun:
     """Raw per-(instance, initial view) evaluation records for one policy,
-    with the task network that wrote and scores them."""
+    with the task network that wrote and scores them, and the table an
+    oracle run built or followed."""
 
     task_net: TaskNet
     policy: str
@@ -506,6 +497,7 @@ class EvalRun:
     n_cameras: int
     chosen: Array    # (n, N, T) selected view ids, column 0 = initial
     records: Array   # (n, N, k) the task network's record of each rollout
+    table: PolicyTable | None = None
 
     @property
     def mode(self) -> str:
@@ -515,10 +507,105 @@ class EvalRun:
         return self.task_net.metrics(self.records)
 
 
+@dataclass(frozen=True)
+class PolicyRun:
+    """One run of an evaluation pass: a policy at view budget T, with the
+    selector an mvselect run needs and the table an oracle run may follow
+    (without one, the oracle builds its own)."""
+
+    policy: str
+    T: int
+    q_net: QNetwork | None = None
+    table: PolicyTable | None = None
+
+
+def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
+    """The run at the budget it evaluates (full-views takes every camera
+    whatever T says); raises unless it can run on the world, and, for an
+    oracle that builds its table, within the enumeration budget."""
+    if run.policy not in POLICIES:
+        raise ConfigError(f"policy must be one of {POLICIES}, got {run.policy!r}")
+    T = world.n_cameras if run.policy == "full-views" else run.T
+    check_t(world, T)
+    if run.policy == "mvselect" and run.q_net is None:
+        raise ConfigError("mvselect evaluation needs a selector network")
+    if run.policy.endswith("-oracle") and run.table is None:
+        check_enumeration_budget(world, T, split, budget)
+    elif run.table is not None and run.table.T != T:
+        raise ConfigError(f"policy table was built for T={run.table.T}, not T={T}")
+    return replace(run, T=T)
+
+
+def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
+                      budget: int = DEFAULT_ENUM_BUDGET) -> list[EvalRun]:
+    """Evaluate several ``PolicyRun``s over a split in one pass; returns
+    their ``EvalRun``s in order, each equal to what ``evaluate_policy``
+    gives for that run alone.
+
+    Every run is checked before any work. Each instance is generated and
+    featurized once for all runs. The oracle runs without a table at one T
+    share one decode and scoring of every size-T subset, and their tables
+    and records are chosen from it. Each (instance, initial view) draws one
+    random order, which each random run cuts to its T - 1 cameras. Equal
+    runs, such as full-views at several T, are evaluated once.
+    """
+    runs = [_checked_run(world, run, split, budget) for run in runs]
+    keys = [(run.policy, run.T, id(run.q_net), id(run.table)) for run in runs]
+    distinct = dict(zip(keys, runs))
+    builds = [k for k, run in distinct.items()
+              if run.policy.endswith("-oracle") and run.table is None]
+    n, n_cams, disabled = world.split_size(split), world.n_cameras, world.disabled
+    subsets = {t: _subset_table(n_cams, t) for t in sorted({distinct[k].T for k in builds})}
+    # per T: each instance's subset records, and the (n, S) scores and ties
+    scored = {t: ([], np.zeros((n, len(s))), np.zeros((n, len(s)))) for t, s in subsets.items()}
+    # per other run: the (n, N, T) view sets, and each instance's records
+    picked = {k: (np.zeros((n, n_cams, run.T), dtype=int), [])
+              for k, run in distinct.items() if k not in builds}
+    random_len = max((distinct[k].T for k in picked if distinct[k].policy == "random"), default=0)
+    all_views = np.tile(np.arange(n_cams), (n_cams, 1))
+    all_distinct = _distinct_sets(all_views)
+    for i in range(n):
+        inst = world.instance(split, i)
+        feats = task_net.features_cache(inst.observations)[0]
+        for t, (records, scores, ties) in scored.items():
+            outputs = task_net.decode(feats, subsets[t])
+            records.append(task_net.records(outputs, inst, world))
+            scores[i] = task_net.score(records[-1])
+            ties[i] = -task_net.reward(outputs, task_net.truth(inst))
+        orders = [random_sequence(n_cams, v0, random_len, seed, i, disabled)
+                  for v0 in range(n_cams)] if random_len else []
+        for k, (chosen, records) in picked.items():
+            run = distinct[k]
+            if run.policy == "full-views":
+                sets = all_views
+            elif run.policy == "mvselect":
+                sets = greedy_sequences(run.q_net, feats, n_cams, run.T, disabled)
+            elif run.policy == "random":
+                sets = np.array([(v0,) + order[: run.T - 1] for v0, order in enumerate(orders)])
+            else:
+                sets = run.table.view_sets(i, n_cams)
+            chosen[i] = sets
+            distinct_sets, inverse = all_distinct if sets is all_views else _distinct_sets(sets)
+            outputs = task_net.decode(feats, distinct_sets)
+            records.append(task_net.records(outputs, inst, world)[inverse])
+    done = {}
+    for k, run in distinct.items():
+        if k in picked:
+            chosen, records, table = picked[k][0], np.stack(picked[k][1]), run.table
+        else:
+            records, scores, ties = scored[run.T]
+            table, chosen, records = _oracle_choice(world, run.policy.removesuffix("-oracle"),
+                                                    run.T, subsets[run.T], scores, ties,
+                                                    np.stack(records))
+        done[k] = EvalRun(task_net, run.policy, split, run.T, n_cams, chosen, records, table)
+    return [done[k] for k in keys]
+
+
 def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
                     q_net=None, table: PolicyTable | None = None, seed: int = 0,
                     budget: int = DEFAULT_ENUM_BUDGET) -> EvalRun:
-    """Evaluate one policy over a split, averaging over every initial view.
+    """Evaluate one policy over a split, averaging over every initial view:
+    the one-run call of ``evaluate_policies``.
 
     Every camera serves as the initial view once per instance (including
     disabled ones: shut-off constrains selection, not the handed-out start).
@@ -527,44 +614,5 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     without a table builds one and keeps the records it scored its chosen
     sets by, so no instance is featurized or decoded twice.
     """
-    if policy not in POLICIES:
-        raise ConfigError(f"policy must be one of {POLICIES}, got {policy!r}")
-    if policy == "full-views":
-        T = world.n_cameras
-    check_t(world, T)
-    n = world.split_size(split)
-    n_cams = world.n_cameras
-    disabled = world.disabled
-    if policy == "mvselect" and q_net is None:
-        raise ConfigError("mvselect evaluation needs a selector network")
-    if policy.endswith("-oracle") and table is None:
-        table, records = _oracle_table(world, task_net, T, split, budget,
-                                       policy.removesuffix("-oracle"))
-        chosen = np.stack([table.view_sets(i, n_cams) for i in range(n)])
-        return EvalRun(task_net, policy, split, T, n_cams, chosen, records)
-    if table is not None and table.T != T:
-        raise ConfigError(f"policy table was built for T={table.T}, not T={T}")
-
-    chosen = np.zeros((n, n_cams, T), dtype=int)
-    all_views = np.tile(np.arange(n_cams), (n_cams, 1))
-    all_distinct = _distinct_sets(all_views)
-    records = []
-    for i in range(n):
-        inst = world.instance(split, i)
-        feats = task_net.features_cache(inst.observations)[0]
-        if policy == "full-views":
-            sets = all_views
-        elif policy == "mvselect":
-            sets = greedy_sequences(q_net, feats, n_cams, T, disabled)
-        elif policy == "random":
-            sets = np.array([
-                (v0,) + random_sequence(n_cams, v0, T, seed, i, disabled)
-                for v0 in range(n_cams)
-            ])
-        else:
-            sets = table.view_sets(i, n_cams)
-        chosen[i] = sets
-        distinct, inverse = all_distinct if sets is all_views else _distinct_sets(sets)
-        outputs = task_net.decode(feats, distinct)
-        records.append(task_net.records(outputs, inst, world)[inverse])
-    return EvalRun(task_net, policy, split, T, n_cams, chosen, np.stack(records))
+    return evaluate_policies(world, task_net, [PolicyRun(policy, T, q_net, table)],
+                             split, seed, budget)[0]

@@ -461,6 +461,16 @@ def test_frequency_guards():
         ev.policy_frequency(np.zeros((3, 4)), 4)
     with pytest.raises(ShapeError):
         ev.policy_frequency(np.zeros((0, 4, 2), dtype=int), 4)
+    # usage takes what converts to a 3-D array, nested lists included, and
+    # rejects a 2-D or empty input before it could divide by zero rollouts
+    nested = [[[0, 1], [1, 2]], [[0, 1], [1, 3]]]
+    np.testing.assert_array_equal(ev.camera_usage(nested, 4), ev.camera_usage(np.array(nested), 4))
+    for bad in (np.zeros((0, 4, 2), dtype=int), np.zeros((4, 0, 2), dtype=int),
+                np.zeros((3, 4), dtype=int), [[0, 1], [1, 2]]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError):
+                ev.camera_usage(bad, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 """Study-level contracts: sweeps, shut-off ranking, pose randomization,
 selector ablation."""
 
+import json
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from fewview import evaluation, studies, training as tr
-from fewview.envs import ClassificationConfig, ClassificationWorld, shut_off_cameras
+from fewview.envs import (ClassificationConfig, ClassificationWorld, DetectionConfig,
+                          DetectionWorld, shut_off_cameras)
 from fewview.errors import BudgetError, ConfigError
 
 
@@ -99,6 +104,77 @@ def test_sweep_csv_layout(world, task_net):
     lines = text.strip().split("\n")
     assert lines[0] == "T,policy,accuracy,cost_ratio,primary"
     assert len(lines) == 2
+
+
+@pytest.fixture(scope="module")
+def det_case():
+    world = DetectionWorld(DetectionConfig(
+        grid_h=16, grid_w=16, ring_radius=12.0, view_range=22.0, channels=4,
+        min_targets=3, max_targets=6, n_train=6, n_val=4, n_eval=5, seed=3))
+    net = tr.build_detector(world, hidden=8, feat_dim=6, seed=3)
+    tr.train_task_network(world, net, tr.TrainConfig(
+        regime="task", epochs=2, T=1, batch_size=1, task_lr=1e-3, seed=3))
+    return world, net, [1, 2, 3, world.n_cameras]
+
+
+@pytest.mark.parametrize("case", ["classification", "detection", "shut-off"])
+def test_sweep_rows_equal_one_evaluate_policy_call_per_row(case, world, task_net, selector,
+                                                           request):
+    policies = tr.POLICIES
+    if case == "detection":
+        world, task_net, T_values = request.getfixturevalue("det_case")
+    elif case == "shut-off":
+        # random orders must skip the disabled cameras; full-views cannot
+        # run once a camera is off (it would need all N)
+        world = shut_off_cameras(world, [1, 4, 7])
+        T_values, policies = [1, 2, 3], policies[:-1]
+    else:
+        T_values = [1, 2, 3, world.n_cameras]
+    q_nets = {t: tr.build_selector(world, task_net, seed=t) for t in T_values}
+    if case == "classification":
+        q_nets[2] = selector
+    for seed, split in ((0, "eval"), (5, "val")):
+        rows = studies.sweep_view_budget(world, task_net, T_values, policies=policies,
+                                         q_nets=q_nets, split=split, seed=seed)
+        reference = []
+        for t in T_values:
+            for policy in policies:
+                q_net = q_nets[t] if policy == "mvselect" else None
+                run = tr.evaluate_policy(world, task_net, t, policy, split=split,
+                                         q_net=q_net, seed=seed)
+                row = {"T": t, "policy": policy,
+                       **{k: float(v) for k, v in sorted(run.metrics().items())},
+                       "cost_ratio": evaluation.cost_account(world, task_net, q_net, t).ratio}
+                reference.append(row)
+        # json writes every float by its shortest repr, so equal text is equal bits
+        assert json.dumps(rows) == json.dumps(reference)
+
+
+def test_sweep_featurizes_each_instance_once_and_scores_each_budget_once(
+        world, task_net, selector, monkeypatch):
+    T_values, N = [2, 3], world.n_cameras
+    features = []
+    decoded = Counter()   # (rows, columns) of every decoded view-set table
+    features_cache, decode = task_net.features_cache, task_net.decode
+
+    def counted_features(obs):
+        features.append(len(obs))
+        return features_cache(obs)
+
+    def counted_decode(feats, view_sets):
+        decoded[view_sets.shape] += 1
+        return decode(feats, view_sets)
+
+    # set in the instance's dict, so undoing them leaves no instance attribute
+    monkeypatch.setitem(vars(task_net), "features_cache", counted_features)
+    monkeypatch.setitem(vars(task_net), "decode", counted_decode)
+    studies.sweep_view_budget(world, task_net, T_values, policies=tr.POLICIES,
+                              q_nets={2: selector, 3: selector})
+    assert features == [N] * world.n_eval
+    # policies decode at most N distinct sets, so a table of C(N, T) rows
+    # of T views is an oracle scoring every size-T subset
+    for t in T_values:
+        assert decoded[(math.comb(N, t), t)] == world.n_eval
 
 
 # ---------------------------------------------------------------------------

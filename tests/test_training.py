@@ -681,6 +681,45 @@ def test_oracle_without_a_table_scores_each_instance_once(family, request, monke
         assert run.records.tobytes() == explicit.records.tobytes()
 
 
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_one_pass_equals_one_evaluate_policy_call_per_run(family, request):
+    if family == "detection":
+        world, net, q_net = request.getfixturevalue("det_tiny")
+    else:
+        world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+        q_net = request.getfixturevalue("cls_selector")
+    table = tr.dataset_oracle_table(world, net, 2, "eval")
+    runs = [tr.PolicyRun(p, 3, q_net if p == "mvselect" else None) for p in tr.POLICIES]
+    # full-views at another T, one budget scored for a single oracle, a
+    # table-driven oracle, a repeated run and random orders cut to 1 and 2
+    runs += [tr.PolicyRun("full-views", 2), tr.PolicyRun("instance-oracle", 2),
+             tr.PolicyRun("dataset-oracle", 2, table=table), runs[1],
+             tr.PolicyRun("random", 1), tr.PolicyRun("random", 2)]
+    for result, run in zip(tr.evaluate_policies(world, net, runs, seed=4), runs, strict=True):
+        want = tr.evaluate_policy(world, net, run.T, run.policy, q_net=run.q_net,
+                                  table=run.table, seed=4)
+        assert (result.policy, result.split, result.T) == (want.policy, want.split, want.T)
+        assert result.chosen.tobytes() == want.chosen.tobytes()
+        assert result.records.tobytes() == want.records.tobytes()
+        assert result.records.shape == want.records.shape
+        if run.policy.endswith("-oracle"):
+            assert result.table.to_json() == want.table.to_json()
+
+
+def test_one_pass_checks_every_run_before_any_work(cls_world, cls_net, monkeypatch):
+    calls = []
+    features_cache = cls_net.features_cache
+    monkeypatch.setitem(vars(cls_net), "features_cache",
+                        lambda obs: calls.append(1) or features_cache(obs))
+    good = tr.PolicyRun("random", 2)
+    for bad, error in ((tr.PolicyRun("mvselect", 2), ConfigError),
+                       (tr.PolicyRun("random", 13), ConfigError),
+                       (tr.PolicyRun("instance-oracle", 6), BudgetError)):
+        with pytest.raises(error):
+            tr.evaluate_policies(cls_world, cls_net, [good, bad], budget=10_000)
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # select-fixed training featurizes only the views its rollouts visit
 
