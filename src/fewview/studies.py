@@ -26,8 +26,6 @@ from . import evaluation, training
 from .envs import shut_off_cameras
 from .errors import ConfigError
 
-Array = np.ndarray
-
 SWEEP_POLICIES = ("random", "dataset-oracle", "instance-oracle", "mvselect")
 ABLATION_VARIANTS = ("full", "no-camera-branch", "no-feature-branch")
 STUDIES = ("sweep-T", "shutoff", "random-pose", "ablation")
@@ -114,17 +112,6 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
 # camera shut-off
 
 
-def rank_cameras_by_usage(world, task_net, q_net, T: int,
-                          split: str = "val") -> tuple[Array, Array]:
-    """(ranking, usage): cameras ordered least-used first by selector rollouts
-    over a split, ties broken by lower camera id."""
-    run = training.evaluate_policy(world, task_net, T, "mvselect", split=split,
-                                   q_net=q_net)
-    usage = evaluation.camera_usage(run.chosen, world.n_cameras)
-    ranking = np.argsort(usage, kind="stable")
-    return ranking, usage
-
-
 def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
                          rank_split: str = "val", eval_split: str = "eval",
                          n_random: int = 5, seed: int = 0) -> dict:
@@ -139,8 +126,10 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
 
     baseline = training.evaluate_policy(world, task_net, T, "mvselect",
                                         split=eval_split, q_net=q_net)
-    ranking, usage = rank_cameras_by_usage(world, task_net, q_net, T, rank_split)
-    ranked_off = [int(c) for c in ranking if int(c) in set(enabled)][:k]
+    # the selector's least-used cameras on rank_split, ties to the lower id
+    ranked = training.evaluate_policy(world, task_net, T, "mvselect", split=rank_split, q_net=q_net)
+    usage = evaluation.camera_usage(ranked.chosen, world.n_cameras)
+    ranked_off = [int(c) for c in np.argsort(usage, kind="stable") if int(c) in set(enabled)][:k]
 
     def _metrics_with_disabled(cams):
         if not cams:
@@ -182,19 +171,18 @@ def random_pose_study(world, task_net, T: int, *,
     deployable policies. Randomized object pose breaks any fixed mapping from
     initial view to informative views, which is exactly the regime where
     per-instance selection must outperform fixed sets. The whole input is
-    checked before the selector trains."""
+    checked before the selector trains; one evaluation pass then serves all
+    three policies."""
     if not getattr(world.config, "random_pose", False):
         raise ConfigError("random-pose study needs a world built with world.random_pose: true")
     training.check_t(world, T)
     training.check_enumeration_budget(world, T, split, budget)
     q_net = _trained_selector(world, task_net, T, selector_cfg, selector_args)
-    rows = []
-    for policy in ("random", "dataset-oracle", "mvselect"):
-        run = training.evaluate_policy(world, task_net, T, policy, split=split,
-                                       q_net=q_net if policy == "mvselect" else None,
-                                       seed=seed, budget=budget)
-        rows.append(_flatten_row({"policy": policy}, run.metrics()))
-    return {"T": T, "rows": rows}
+    runs = [training.PolicyRun("random", T), training.PolicyRun("dataset-oracle", T),
+            training.PolicyRun("mvselect", T, q_net)]
+    results = training.evaluate_policies(world, task_net, runs, split=split, seed=seed,
+                                         budget=budget)
+    return {"T": T, "rows": [_flatten_row({"policy": r.policy}, r.metrics()) for r in results]}
 
 
 # ---------------------------------------------------------------------------
@@ -206,18 +194,16 @@ def selector_ablation_study(world, task_net, T: int, *,
                             selector_args: dict | None = None,
                             split: str = "eval") -> list[dict]:
     """Train matched selectors from ``selector_args`` with each state branch
-    removed in turn and evaluate them identically; each variant sets both
-    branch flags. Emits one row per variant: full, no-camera-branch,
+    removed in turn, then evaluate all of them in one pass; each variant sets
+    both branch flags. Emits one row per variant: full, no-camera-branch,
     no-feature-branch."""
     flags = {
         "full": {"use_camera_branch": True, "use_feature_branch": True},
         "no-camera-branch": {"use_camera_branch": False, "use_feature_branch": True},
         "no-feature-branch": {"use_camera_branch": True, "use_feature_branch": False},
     }
-    rows = []
-    for variant in ABLATION_VARIANTS:
-        q_net = _trained_selector(world, task_net, T, selector_cfg, selector_args, **flags[variant])
-        run = training.evaluate_policy(world, task_net, T, "mvselect", split=split,
-                                       q_net=q_net)
-        rows.append(_flatten_row({"variant": variant}, run.metrics()))
-    return rows
+    runs = [training.PolicyRun("mvselect", T, _trained_selector(
+                world, task_net, T, selector_cfg, selector_args, **flags[variant]))
+            for variant in ABLATION_VARIANTS]
+    results = training.evaluate_policies(world, task_net, runs, split=split)
+    return [_flatten_row({"variant": v}, r.metrics()) for v, r in zip(ABLATION_VARIANTS, results)]

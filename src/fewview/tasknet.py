@@ -135,11 +135,18 @@ class TaskNet(Persistable):
     each record, the report ``metrics`` and the ``mac_counts`` of f per view
     and of g for one observation of a world. ``mode`` names the task family
     in reports; ``train_batch`` fixes the instances per training step (None:
-    the config's ``batch_size``)."""
+    the config's ``batch_size``), and ``eval_block`` the instances that
+    evaluation featurizes and decodes as one stack (None: the whole split)."""
 
     mode = ""
     train_batch: int | None = None
+    eval_block: int | None = None
     PARTS = (("feature_net", "feature.", 0), ("head_net", "head.", 1))
+
+    def features(self, obs: Array) -> Array:
+        """f applied to every view of a block of instances, (G, N, ...) ->
+        (G, N[, H, W], D), for a pass that needs no backward."""
+        return self.features_cache(obs)[0]
 
 
 class MVClassifier(TaskNet):
@@ -165,6 +172,12 @@ class MVClassifier(TaskNet):
         flat = obs.reshape(-1, obs.shape[-1])
         feats, cache = self.feature_net.forward_cache(flat)
         return feats.reshape(obs.shape[:-1] + (self.feat_dim,)), cache
+
+    def features(self, obs: Array) -> Array:
+        """f on a stack of instances' views, (G, N, obs_dim) -> (G, N,
+        feat_dim), in one stacked forward: each instance gets the bits of
+        ``features_cache`` on it alone, which a flattened batch would not."""
+        return self.feature_net.forward_cache(obs)[0]
 
     def features_backward(self, cache, d_feats: Array, work: dict | None = None) -> dict[str, Array]:
         flat = np.asarray(d_feats).reshape(-1, self.feat_dim)
@@ -219,6 +232,7 @@ class MVDetector(TaskNet):
     kind = "detector"
     mode = "detection"
     train_batch = 1
+    eval_block = 1  # an instance's per-cell features are 0.8 MB on the acceptance world
     DIMS = ("channels", "feat_dim", "hidden", "seed")
 
     @staticmethod

@@ -26,11 +26,13 @@ enumerate view sets rather than sequences; pooling is order-invariant, so the
 sequence space collapses to the binomial one.
 
 Policy evaluation is one pass over a split (``evaluate_policies``) that
-serves every (T, policy) run of a call, such as a view-budget sweep's: each
-instance is generated and featurized once, both oracles at one T share one
-scoring of its size-T subsets, each (instance, initial view) random order is
-drawn once and cut to each T, and equal runs (full-views at any T) run once.
-``evaluate_policy`` and the oracle tables are its one-run calls.
+serves every (T, policy) run of a call, such as a view-budget sweep's: it
+takes the split in stacked blocks of ``eval_block`` instances (all of a
+classification split, one detection frame), each featurized once, both
+oracles at one T share one scoring of its size-T subsets, each (instance,
+initial view) random order is drawn once and cut to each T, and equal runs
+(full-views at any T) run once. ``evaluate_policy`` and the oracle tables
+are its one-run calls.
 
 ``TASK_FAMILIES`` is the one place a world kind is decided: it names the
 config class, world class, task network and builder of each kind.
@@ -479,9 +481,9 @@ def random_sequence(n_cams: int, initial_view: int, T: int, seed: int,
 
 def greedy_sequences(q_net, feats: Array, n_cams: int, T: int,
                      disabled=frozenset()) -> Array:
-    """Greedy selections for every initial view of one instance: (N, T) ids,
-    column 0 the initial view. All initial views share one Q forward per step."""
-    return rollout(q_net, feats[None], np.arange(n_cams)[None], T, disabled)[0][0]
+    """Greedy selections (G, N, T) from every initial view of G instances'
+    features (G, N, ...), column 0 the initial view; one Q forward per step."""
+    return rollout(q_net, feats, np.tile(np.arange(n_cams), (len(feats), 1)), T, disabled)[0]
 
 
 @dataclass
@@ -526,7 +528,8 @@ def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
     if run.policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {run.policy!r}")
     T = world.n_cameras if run.policy == "full-views" else run.T
-    check_t(world, T)
+    if run.policy != "full-views":  # shut-off cameras constrain selection only
+        check_t(world, T)
     if run.policy == "mvselect" and run.q_net is None:
         raise ConfigError("mvselect evaluation needs a selector network")
     if run.policy.endswith("-oracle") and run.table is None:
@@ -542,10 +545,13 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     their ``EvalRun``s in order, each equal to what ``evaluate_policy``
     gives for that run alone.
 
-    Every run is checked before any work. Each instance is generated and
-    featurized once for all runs. The oracle runs without a table at one T
-    share one decode and scoring of every size-T subset, and their tables
-    and records are chosen from it. Each (instance, initial view) draws one
+    Every run is checked before any work. The split goes in blocks of
+    ``task_net.eval_block`` instances (None: all of them), each generated
+    and featurized once for all runs; a block's greedy rollouts and its
+    full-views decode are one stacked call each, bit-equal per instance to
+    calls on one instance. The oracle runs without a table at one T share
+    one decode and scoring of every size-T subset, and their tables and
+    records are chosen from it. Each (instance, initial view) draws one
     random order, which each random run cuts to its T - 1 cameras. Equal
     runs, such as full-views at several T, are evaluated once.
     """
@@ -562,32 +568,41 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     picked = {k: (np.zeros((n, n_cams, run.T), dtype=int), [])
               for k, run in distinct.items() if k not in builds}
     random_len = max((distinct[k].T for k in picked if distinct[k].policy == "random"), default=0)
-    all_views = np.tile(np.arange(n_cams), (n_cams, 1))
-    all_distinct = _distinct_sets(all_views)
-    for i in range(n):
-        inst = world.instance(split, i)
-        feats = task_net.features_cache(inst.observations)[0]
-        for t, (records, scores, ties) in scored.items():
-            outputs = task_net.decode(feats, subsets[t])
-            records.append(task_net.records(outputs, inst, world))
-            scores[i] = task_net.score(records[-1])
-            ties[i] = -task_net.reward(outputs, task_net.truth(inst))
-        orders = [random_sequence(n_cams, v0, random_len, seed, i, disabled)
-                  for v0 in range(n_cams)] if random_len else []
+    block = task_net.eval_block or n
+    for start in range(0, n, block):
+        index = range(start, min(start + block, n))
+        insts = [world.instance(split, i) for i in index]
+        obs = [inst.observations for inst in insts]
+        # a lone frame stays a view: stacking copies a detection frame's broadcast
+        feats = task_net.features(obs[0][None] if len(obs) == 1 else np.stack(obs))
+        for i, inst in zip(index, insts):
+            for t, (records, scores, ties) in scored.items():
+                outputs = task_net.decode(feats[i - start], subsets[t])
+                records.append(task_net.records(outputs, inst, world))
+                scores[i] = task_net.score(records[-1])
+                ties[i] = -task_net.reward(outputs, task_net.truth(inst))
+        orders = [[random_sequence(n_cams, v0, random_len, seed, i, disabled)
+                   for v0 in range(n_cams)] for i in index] if random_len else []
         for k, (chosen, records) in picked.items():
             run = distinct[k]
             if run.policy == "full-views":
-                sets = all_views
-            elif run.policy == "mvselect":
-                sets = greedy_sequences(run.q_net, feats, n_cams, run.T, disabled)
-            elif run.policy == "random":
-                sets = np.array([(v0,) + order[: run.T - 1] for v0, order in enumerate(orders)])
-            else:
-                sets = run.table.view_sets(i, n_cams)
-            chosen[i] = sets
-            distinct_sets, inverse = all_distinct if sets is all_views else _distinct_sets(sets)
-            outputs = task_net.decode(feats, distinct_sets)
-            records.append(task_net.records(outputs, inst, world)[inverse])
+                # one set per instance: one (G, 1, D) head call, bit-equal per row
+                chosen[index] = np.arange(n_cams)
+                outputs = task_net.head_cache(feats.max(axis=1)[:, None])[0]
+                records += [task_net.records(out, inst, world)[[0] * n_cams]
+                            for out, inst in zip(outputs, insts)]
+                continue
+            if run.policy == "mvselect":
+                chosen[index] = greedy_sequences(run.q_net, feats, n_cams, run.T, disabled)
+            for i, inst in zip(index, insts):
+                if run.policy == "random":
+                    chosen[i] = [(v0,) + order[: run.T - 1]
+                                 for v0, order in enumerate(orders[i - start])]
+                elif run.policy.endswith("-oracle"):
+                    chosen[i] = run.table.view_sets(i, n_cams)
+                distinct_sets, inverse = _distinct_sets(chosen[i])
+                outputs = task_net.decode(feats[i - start], distinct_sets)
+                records.append(task_net.records(outputs, inst, world)[inverse])
     done = {}
     for k, run in distinct.items():
         if k in picked:

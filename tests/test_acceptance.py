@@ -278,7 +278,7 @@ def test_selector_reproduces_exact_mdp_solution(capsys):
     total = 0
     for i in range(toy.n_train):
         feats = task.features_cache(toy.instance("train", i).observations)[0]
-        seqs = tr.greedy_sequences(q_net, feats, 3, T=2)
+        seqs = tr.greedy_sequences(q_net, feats[None], 3, T=2)[0]
         for v0 in range(3):
             total += 1
             action = int(seqs[v0][1])

@@ -466,10 +466,47 @@ def test_oracles_select_only_enabled_cameras(cls_world, cls_net):
 def test_greedy_sequences_agree_with_single_rollouts(cls_world, cls_net, cls_selector):
     inst = cls_world.instance("eval", 0)
     feats = cls_net.features_cache(inst.observations)[0]
-    sets = tr.greedy_sequences(cls_selector, feats, 12, T=3)
+    sets = tr.greedy_sequences(cls_selector, feats[None], 12, T=3)[0]
     for v0 in range(12):
         chosen = rollout(cls_selector, feats[None], [[v0]], 3)[0]
         assert list(sets[v0]) == list(chosen[0, 0])
+
+
+def test_block_pass_equals_per_instance_calls_bit_for_bit(monkeypatch):
+    # the default classification world is one block of 200 instances
+    world = ClassificationWorld(ClassificationConfig(seed=1))
+    net = tr.build_classifier(world, seed=1)
+    tr.train_task_network(world, net, tr.TrainConfig(regime="task", epochs=2, T=12, seed=1))
+    q_net = tr.build_selector(world, net, seed=1)
+    tr.train_selector_fixed(world, net, q_net, tr.TrainConfig(
+        regime="select-fixed", epochs=1, T=3, seed=1))
+    N, blocks, logits = world.n_cameras, [], []
+    features, records = net.features, net.records
+    monkeypatch.setitem(vars(net), "features",
+                        lambda obs: blocks.append(features(obs)) or blocks[-1])
+    monkeypatch.setitem(vars(net), "records",
+                        lambda out, inst, w: logits.append(out) or records(out, inst, w))
+    full = tr.evaluate_policy(world, net, N, "full-views")     # logits: one row per instance
+    greedy = tr.evaluate_policy(world, net, 3, "mvselect", q_net=q_net)
+    assert [len(block) for block in blocks] == [world.n_eval] * 2
+    for i in range(world.n_eval):
+        alone = net.features_cache(world.instance("eval", i).observations)[0]
+        assert blocks[0][i].tobytes() == alone.tobytes()
+        assert logits[i].tobytes() == net.decode(alone, np.arange(N)[None]).tobytes()
+        chosen = rollout(q_net, alone[None], np.arange(N)[None], 3)[0][0]
+        assert greedy.chosen[i].tobytes() == chosen.tobytes()
+    assert (full.chosen == np.arange(N)).all()
+
+
+def test_full_views_runs_every_camera_of_a_shut_off_world(cls_world, cls_net):
+    # shut-off cameras constrain selection only
+    N, shut = cls_world.n_cameras, shut_off_cameras(cls_world, [1, 4, 7])
+    run = tr.evaluate_policy(shut, cls_net, N, "full-views")
+    want = tr.evaluate_policy(cls_world, cls_net, N, "full-views")
+    assert run.chosen.tobytes() == want.chosen.tobytes()
+    assert run.records.tobytes() == want.records.tobytes()
+    with pytest.raises(ConfigError, match="shut-off leaves 9"):
+        tr.evaluate_policy(shut, cls_net, 10, "random")
 
 
 def test_exact_q_table_is_td_fixed_point():
@@ -654,19 +691,19 @@ def test_oracle_without_a_table_scores_each_instance_once(family, request, monke
     else:
         world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
     T, n = 3, world.n_eval
-    calls = {"features": 0, "head": 0}
-    features_cache, head_cache = net.features_cache, net.head_cache
+    calls = {"features": 0, "head": 0}   # featurized instances, head calls
+    features, head_cache = net.features, net.head_cache
 
     def counted_features(obs):
-        calls["features"] += 1
-        return features_cache(obs)
+        calls["features"] += len(obs)
+        return features(obs)
 
     def counted_head(pooled):
         calls["head"] += 1
         return head_cache(pooled)
 
     # set in the instance's dict, so undoing them leaves no instance attribute
-    monkeypatch.setitem(vars(net), "features_cache", counted_features)
+    monkeypatch.setitem(vars(net), "features", counted_features)
     monkeypatch.setitem(vars(net), "head_cache", counted_head)
     for policy, build in (("dataset-oracle", tr.dataset_oracle_table),
                           ("instance-oracle", tr.instance_oracle_table)):
@@ -708,9 +745,8 @@ def test_one_pass_equals_one_evaluate_policy_call_per_run(family, request):
 
 def test_one_pass_checks_every_run_before_any_work(cls_world, cls_net, monkeypatch):
     calls = []
-    features_cache = cls_net.features_cache
-    monkeypatch.setitem(vars(cls_net), "features_cache",
-                        lambda obs: calls.append(1) or features_cache(obs))
+    features = cls_net.features
+    monkeypatch.setitem(vars(cls_net), "features", lambda obs: calls.append(1) or features(obs))
     good = tr.PolicyRun("random", 2)
     for bad, error in ((tr.PolicyRun("mvselect", 2), ConfigError),
                        (tr.PolicyRun("random", 13), ConfigError),
