@@ -6,10 +6,10 @@ and ``seed``. Each section has one key table that gives every key its type,
 its default and its least value, and one validator reads them all: before
 any computation it rejects unknown keys, wrongly typed values and numbers
 below their least value by their dotted path, and fills in the defaults.
-Ranges that depend on the world (``T`` against the cameras, ``k`` against
-the enabled ones) are checked by the function that uses them before it
-computes. A run directory appears with its first file (no file, no
-directory), so a failed check leaves none behind.
+Ranges that depend on the world (``T`` and ``k`` against the cameras) are
+checked by the function that uses them before it computes. A run
+directory appears with its first file (no file, no directory), so a failed
+check leaves none behind.
 A key may be null only when its type is ``X | None`` (every ``network`` key,
 the eval keys without a default, and ``train.train_view_counts`` and
 ``train.task_checkpoint``); null then leaves it unset. Hyperparameter defaults: discount 0.99, exploration linearly

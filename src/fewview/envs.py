@@ -27,7 +27,6 @@ rows.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, fields
@@ -49,23 +48,17 @@ def _config_hash(cfg) -> str:
 
 
 # ---------------------------------------------------------------------------
-# the shared world plumbing and camera shut-off
+# the shared world plumbing
 
 
 class World:
     """What both worlds share: a config with a seed and the three split
-    sizes, N cameras of which ``disabled`` ones are out of the selection
-    action space, and instances drawn from per-instance child seeds.
+    sizes, N cameras, and instances drawn from per-instance child seeds.
     Subclasses define ``__init__`` and ``instance(split, index)``."""
 
     def __init__(self, config, n_cameras: int):
         self.config = config
         self.n_cameras = n_cameras
-        self.disabled: frozenset[int] = frozenset()
-
-    @property
-    def enabled(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n_cameras) if v not in self.disabled)
 
     @property
     def n_train(self) -> int:
@@ -93,22 +86,6 @@ class World:
         if not 0 <= index < self.split_size(split):
             raise IndexError(f"{split} instance {index} out of range")
         return np.random.default_rng([self.config.seed, _SPLIT_TAGS[split], index])
-
-
-def shut_off_cameras(world: World, cams) -> World:
-    """A shallow copy of ``world`` with ``cams`` also removed from the
-    selection action space. Instances and the world hash are shared;
-    selection masks change, observations do not."""
-    cams = frozenset(int(v) for v in cams)
-    bad = sorted(v for v in cams if not 0 <= v < world.n_cameras)
-    if bad:
-        raise ConfigError(f"disabled ids {bad} outside camera range")
-    merged = world.disabled | cams
-    if world.n_cameras - len(merged) < 2:
-        raise ConfigError("shut-off must leave at least 2 usable cameras")
-    clone = copy.copy(world)
-    clone.disabled = merged
-    return clone
 
 
 # ---------------------------------------------------------------------------

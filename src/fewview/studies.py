@@ -8,7 +8,7 @@ Four studies ship:
   scores, the random orders and the full-views run between rows.
 - ``camera_shutoff_study``: rank cameras by how often the selector uses them
   on validation, disable the bottom k, and compare against disabling random
-  k-subsets.
+  k-subsets, all in one evaluation pass over the eval split.
 - ``random_pose_study``: retrain the selector on a pose-randomized world and
   compare random / dataset-oracle / selector policies, where fixed view sets
   lose their edge.
@@ -23,7 +23,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation, training
-from .envs import shut_off_cameras
 from .errors import ConfigError
 
 SWEEP_POLICIES = ("random", "dataset-oracle", "instance-oracle", "mvselect")
@@ -117,42 +116,34 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
                          n_random: int = 5, seed: int = 0) -> dict:
     """Disable the k least-used cameras (ranked on ``rank_split``) and
     re-evaluate the selector on ``eval_split``; compare against ``n_random``
-    random k-subsets of the currently enabled cameras. k = 0 is a no-op."""
-    enabled = list(world.enabled)
-    if not 0 <= k <= len(enabled):
-        raise ConfigError(f"cannot disable k={k} of {len(enabled)} enabled cameras")
-    if len(enabled) - k < T:
+    random k-subsets of the cameras. k = 0 is a no-op. One pass over
+    ``eval_split`` serves the baseline, the ranked set and every random set,
+    each an mvselect ``PolicyRun`` with its own ``disabled`` cameras."""
+    n_cams = world.n_cameras
+    if not 0 <= k <= n_cams:
+        raise ConfigError(f"cannot disable k={k} of {n_cams} cameras")
+    if n_cams - k < T:
         raise ConfigError(f"disabling {k} cameras leaves fewer usable cameras than T={T}")
 
-    baseline = training.evaluate_policy(world, task_net, T, "mvselect",
-                                        split=eval_split, q_net=q_net)
     # the selector's least-used cameras on rank_split, ties to the lower id
     ranked = training.evaluate_policy(world, task_net, T, "mvselect", split=rank_split, q_net=q_net)
-    usage = evaluation.camera_usage(ranked.chosen, world.n_cameras)
-    ranked_off = [int(c) for c in np.argsort(usage, kind="stable") if int(c) in set(enabled)][:k]
-
-    def _metrics_with_disabled(cams):
-        if not cams:
-            return baseline.metrics()
-        shut_world = shut_off_cameras(world, cams)
-        run = training.evaluate_policy(shut_world, task_net, T, "mvselect",
-                                       split=eval_split, q_net=q_net)
-        return run.metrics()
-
-    ranked_metrics = _metrics_with_disabled(ranked_off)
-    random_rows = []
-    for r in range(n_random):
-        rng = np.random.default_rng([seed, 29, r])
-        subset = sorted(int(c) for c in rng.choice(enabled, size=k, replace=False))
-        random_rows.append({"disabled": subset,
-                            "metrics": _metrics_with_disabled(subset)})
+    usage = evaluation.camera_usage(ranked.chosen, n_cams)
+    ranked_off = np.argsort(usage, kind="stable")[:k].tolist()
+    random_off = [sorted(np.random.default_rng([seed, 29, r]).choice(n_cams, size=k, replace=False)
+                         .tolist()) for r in range(n_random)]
+    runs = [training.PolicyRun("mvselect", T, q_net, disabled=frozenset(cams))
+            for cams in [[], ranked_off, *random_off]]
+    baseline, ranked_run, *random_runs = training.evaluate_policies(
+        world, task_net, runs, split=eval_split)
+    random_rows = [{"disabled": cams, "metrics": run.metrics()}
+                   for cams, run in zip(random_off, random_runs)]
     random_primaries = [row["metrics"]["primary"] for row in random_rows]
     return {
         "T": T,
         "k": k,
         "usage": [float(u) for u in usage],
         "baseline": baseline.metrics(),
-        "ranked": {"disabled": ranked_off, "metrics": ranked_metrics},
+        "ranked": {"disabled": ranked_off, "metrics": ranked_run.metrics()},
         "random": random_rows,
         "random_mean_primary": float(np.mean(random_primaries)) if random_rows else None,
     }

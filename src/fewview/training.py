@@ -30,9 +30,10 @@ serves every (T, policy) run of a call, such as a view-budget sweep's: it
 takes the split in stacked blocks of ``eval_block`` instances (all of a
 classification split, one detection frame), each featurized once, both
 oracles at one T share one scoring of its size-T subsets, each (instance,
-initial view) random order is drawn once and cut to each T, and equal runs
-(full-views at any T) run once. ``evaluate_policy`` and the oracle tables
-are its one-run calls.
+initial view) random order is drawn once per disabled set and cut to each
+T, and equal runs (full-views at any T) run once. ``evaluate_policy`` and
+the oracle tables are its one-run calls. Camera shut-off is decided here
+only: a run's ``PolicyRun.disabled`` cameras are out of its selection.
 
 ``TASK_FAMILIES`` is the one place a world kind is decided: it names the
 config class, world class, task network and builder of each kind.
@@ -149,13 +150,9 @@ def build_selector(world, task_net, hidden: int = 64, seed: int = 0, **flags) ->
 
 
 def check_t(world, T: int) -> None:
-    """Raise ConfigError unless the view budget T fits the world's cameras
-    and its enabled ones."""
+    """Raise ConfigError unless the view budget T fits the world's cameras."""
     if not 1 <= T <= world.n_cameras:
         raise ConfigError(f"T={T} is outside the {world.n_cameras}-camera layout")
-    usable = len(world.enabled)
-    if usable < T:
-        raise ConfigError(f"shut-off leaves {usable} usable cameras, fewer than T={T}")
 
 
 def _require_finite_loss(value: float, where: str) -> None:
@@ -305,7 +302,6 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
         if update_task
         else None
     )
-    disabled = world.disabled
     work: dict = {}  # the steps' backward work arrays (numcore.work_array)
     logs: list[dict] = []
     counters = {"task_terms": 0, "rl_terms": 0}
@@ -326,7 +322,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
                 # may featurize only the views it reads
                 feats, fcache = forward_features(task_net, batch_obs), None
             chosen, cams, obs, masks, values, pooled = rollout(
-                q_net, feats, initial[:, None], cfg.T, disabled, eps, rng)
+                q_net, feats, initial[:, None], cfg.T, epsilon=eps, rng=rng)
             views = chosen[:, 0]                                 # (G, T)
             outputs, hcache = task_net.head_cache(pooled[:, 0])
             rewards = task_net.reward(outputs, truths)
@@ -378,10 +374,11 @@ class PolicyTable:
     T: int
     entries: dict
 
-    def view_sets(self, instance_index: int, n_cams: int) -> Array:
+    def view_sets(self, instance_index: int, n_cams: int, disabled=frozenset()) -> Array:
         """(N, T) view sets of one instance, column 0 the initial view. An
-        entry that is missing, or that does not complete its initial view
-        with T-1 distinct other cameras of the layout, raises ConfigError."""
+        entry that is missing, that does not complete its initial view with
+        T-1 distinct other cameras of the layout, or that selects a
+        ``disabled`` camera raises ConfigError."""
         rows = []
         for v0 in range(n_cams):
             key = v0 if self.kind == "dataset" else (instance_index, v0)
@@ -391,6 +388,9 @@ class PolicyTable:
             if len(row) != self.T or len(set(row)) < self.T or not all(0 <= a < n_cams for a in row):
                 raise ConfigError(f"policy table entry {key} {self.entries[key]} does not add "
                                   f"{self.T - 1} distinct other cameras of {n_cams} to view {v0}")
+            if disabled.intersection(row[1:]):
+                raise ConfigError(f"policy table entry {key} {self.entries[key]} selects "
+                                  f"shut-off cameras {sorted(disabled.intersection(row[1:]))}")
             rows.append(row)
         return np.array(rows)
 
@@ -418,19 +418,19 @@ def _subset_table(n_cams: int, T: int) -> Array:
     return np.array(list(itertools.combinations(range(n_cams), T)), dtype=int)
 
 
-def _oracle_choice(world, kind: str, T: int, subsets: Array, score: Array, tie: Array,
+def _oracle_choice(n_cams: int, run: PolicyRun, subsets: Array, score: Array, tie: Array,
                    records: Array) -> tuple[PolicyTable, Array, Array]:
     """Best view set per initial view from the (n, S) scores, ties and
     (n, S, k) records of every size-T subset: highest score among the
-    subsets that hold the view and otherwise only enabled cameras, then the
-    lowest tie value, then the first subset in sorted order. A dataset
+    subsets that hold the view and no other camera the run shuts off, then
+    the lowest tie value, then the first subset in sorted order. A dataset
     table judges the mean score over the split with no tie value; an
     instance table judges each instance on its own. Returns the table, the
     (n, N, T) chosen sets (initial view first) and their (n, N, k) records."""
-    n, n_cams = len(records), world.n_cameras
+    n, kind = len(records), run.policy.removesuffix("-oracle")
     if kind == "dataset":
         score, tie = score.mean(axis=0, keepdims=True), np.zeros((1, len(subsets)))
-    enabled = np.isin(subsets, world.enabled)   # (S, T)
+    enabled = ~np.isin(subsets, list(run.disabled))   # (S, T)
     best = np.zeros((len(score), n_cams), dtype=int)
     for v0 in range(n_cams):
         at_v0 = subsets == v0
@@ -446,7 +446,7 @@ def _oracle_choice(world, kind: str, T: int, subsets: Array, score: Array, tie: 
             for v0, row in enumerate(rows)}
     if kind == "dataset":
         seqs = {v0: seq for (_, v0), seq in seqs.items()}
-    return PolicyTable(kind, T, seqs), chosen, records[np.arange(n)[:, None], best]
+    return PolicyTable(kind, run.T, seqs), chosen, records[np.arange(n)[:, None], best]
 
 
 def dataset_oracle_table(world, task_net, T: int, split: str,
@@ -512,31 +512,41 @@ class EvalRun:
 @dataclass(frozen=True)
 class PolicyRun:
     """One run of an evaluation pass: a policy at view budget T, with the
-    selector an mvselect run needs and the table an oracle run may follow
-    (without one, the oracle builds its own)."""
+    selector an mvselect run needs, the table an oracle run may follow
+    (without one, the oracle builds its own) and the cameras shut off from
+    its selection (they still serve as initial views)."""
 
     policy: str
     T: int
     q_net: QNetwork | None = None
     table: PolicyTable | None = None
+    disabled: frozenset = frozenset()
 
 
 def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
-    """The run at the budget it evaluates (full-views takes every camera
-    whatever T says); raises unless it can run on the world, and, for an
-    oracle that builds its table, within the enumeration budget."""
+    """The run at the budget it evaluates, its disabled ids a frozenset
+    (full-views takes every camera whatever T and disabled say); raises
+    unless it can select T cameras on the world and, for an oracle that
+    builds its table, stay within the enumeration budget."""
     if run.policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {run.policy!r}")
-    T = world.n_cameras if run.policy == "full-views" else run.T
-    if run.policy != "full-views":  # shut-off cameras constrain selection only
-        check_t(world, T)
+    disabled = frozenset(int(v) for v in run.disabled)
+    bad = sorted(v for v in disabled if not 0 <= v < world.n_cameras)
+    if bad:
+        raise ConfigError(f"disabled ids {bad} outside camera range")
+    if run.policy == "full-views":
+        return replace(run, T=world.n_cameras, disabled=frozenset())
+    T, usable = run.T, world.n_cameras - len(disabled)
+    check_t(world, T)
+    if usable < T:
+        raise ConfigError(f"shut-off leaves {usable} usable cameras, fewer than T={T}")
     if run.policy == "mvselect" and run.q_net is None:
         raise ConfigError("mvselect evaluation needs a selector network")
     if run.policy.endswith("-oracle") and run.table is None:
         check_enumeration_budget(world, T, split, budget)
     elif run.table is not None and run.table.T != T:
         raise ConfigError(f"policy table was built for T={run.table.T}, not T={T}")
-    return replace(run, T=T)
+    return replace(run, disabled=disabled)
 
 
 def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
@@ -551,23 +561,27 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     full-views decode are one stacked call each, bit-equal per instance to
     calls on one instance. The oracle runs without a table at one T share
     one decode and scoring of every size-T subset, and their tables and
-    records are chosen from it. Each (instance, initial view) draws one
-    random order, which each random run cuts to its T - 1 cameras. Equal
-    runs, such as full-views at several T, are evaluated once.
+    records are chosen from it, each avoiding its own run's shut-off
+    cameras. Each (instance, initial view) draws one random order per
+    distinct disabled set, which each random run with that set cuts to its
+    T - 1 cameras. Equal runs, such as full-views at several T, are
+    evaluated once.
     """
     runs = [_checked_run(world, run, split, budget) for run in runs]
-    keys = [(run.policy, run.T, id(run.q_net), id(run.table)) for run in runs]
+    keys = [(run.policy, run.T, id(run.q_net), id(run.table), run.disabled) for run in runs]
     distinct = dict(zip(keys, runs))
     builds = [k for k, run in distinct.items()
               if run.policy.endswith("-oracle") and run.table is None]
-    n, n_cams, disabled = world.split_size(split), world.n_cameras, world.disabled
+    n, n_cams = world.split_size(split), world.n_cameras
     subsets = {t: _subset_table(n_cams, t) for t in sorted({distinct[k].T for k in builds})}
     # per T: each instance's subset records, and the (n, S) scores and ties
     scored = {t: ([], np.zeros((n, len(s))), np.zeros((n, len(s)))) for t, s in subsets.items()}
     # per other run: the (n, N, T) view sets, and each instance's records
     picked = {k: (np.zeros((n, n_cams, run.T), dtype=int), [])
               for k, run in distinct.items() if k not in builds}
-    random_len = max((distinct[k].T for k in picked if distinct[k].policy == "random"), default=0)
+    random_len: dict = {}  # per disabled set: its longest random run
+    for run in (distinct[k] for k in picked if distinct[k].policy == "random"):
+        random_len[run.disabled] = max(random_len.get(run.disabled, 0), run.T)
     block = task_net.eval_block or n
     for start in range(0, n, block):
         index = range(start, min(start + block, n))
@@ -581,8 +595,8 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
                 records.append(task_net.records(outputs, inst, world))
                 scores[i] = task_net.score(records[-1])
                 ties[i] = -task_net.reward(outputs, task_net.truth(inst))
-        orders = [[random_sequence(n_cams, v0, random_len, seed, i, disabled)
-                   for v0 in range(n_cams)] for i in index] if random_len else []
+        orders = {off: [[random_sequence(n_cams, v0, t, seed, i, off) for v0 in range(n_cams)]
+                        for i in index] for off, t in random_len.items()}
         for k, (chosen, records) in picked.items():
             run = distinct[k]
             if run.policy == "full-views":
@@ -593,13 +607,13 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
                             for out, inst in zip(outputs, insts)]
                 continue
             if run.policy == "mvselect":
-                chosen[index] = greedy_sequences(run.q_net, feats, n_cams, run.T, disabled)
+                chosen[index] = greedy_sequences(run.q_net, feats, n_cams, run.T, run.disabled)
             for i, inst in zip(index, insts):
                 if run.policy == "random":
                     chosen[i] = [(v0,) + order[: run.T - 1]
-                                 for v0, order in enumerate(orders[i - start])]
+                                 for v0, order in enumerate(orders[run.disabled][i - start])]
                 elif run.policy.endswith("-oracle"):
-                    chosen[i] = run.table.view_sets(i, n_cams)
+                    chosen[i] = run.table.view_sets(i, n_cams, run.disabled)
                 distinct_sets, inverse = _distinct_sets(chosen[i])
                 outputs = task_net.decode(feats[i - start], distinct_sets)
                 records.append(task_net.records(outputs, inst, world)[inverse])
@@ -609,8 +623,7 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
             chosen, records, table = picked[k][0], np.stack(picked[k][1]), run.table
         else:
             records, scores, ties = scored[run.T]
-            table, chosen, records = _oracle_choice(world, run.policy.removesuffix("-oracle"),
-                                                    run.T, subsets[run.T], scores, ties,
+            table, chosen, records = _oracle_choice(n_cams, run, subsets[run.T], scores, ties,
                                                     np.stack(records))
         done[k] = EvalRun(task_net, run.policy, split, run.T, n_cams, chosen, records, table)
     return [done[k] for k in keys]
@@ -622,12 +635,13 @@ def evaluate_policy(world, task_net, T: int, policy: str, split: str = "eval",
     """Evaluate one policy over a split, averaging over every initial view:
     the one-run call of ``evaluate_policies``.
 
-    Every camera serves as the initial view once per instance (including
-    disabled ones: shut-off constrains selection, not the handed-out start).
-    The full-views policy uses all cameras regardless of T. Each distinct
-    view set of an instance is decoded and scored once. An oracle policy
-    without a table builds one and keeps the records it scored its chosen
-    sets by, so no instance is featurized or decoded twice.
+    Every camera serves as the initial view once per instance, and the
+    selection may use every camera (a run with cameras shut off is a
+    ``PolicyRun`` with ``disabled`` set). The full-views policy uses all
+    cameras regardless of T. Each distinct view set of an instance is
+    decoded and scored once. An oracle policy without a table builds one
+    and keeps the records it scored its chosen sets by, so no instance is
+    featurized or decoded twice.
     """
     return evaluate_policies(world, task_net, [PolicyRun(policy, T, q_net, table)],
                              split, seed, budget)[0]

@@ -1,5 +1,5 @@
 """World checks: determinism, designed ambiguity/separability, pose rotation,
-FoV and occlusion against an exact-rational ray-casting oracle, shut-off."""
+FoV and occlusion against an exact-rational ray-casting oracle, layouts."""
 
 import functools
 import math
@@ -15,7 +15,6 @@ from fewview.envs import (
     ClassificationWorld,
     DetectionConfig,
     DetectionWorld,
-    shut_off_cameras,
     smooth_occupancy,
 )
 from fewview.errors import ConfigError
@@ -180,43 +179,7 @@ def test_unknown_split_is_a_config_error(make):
 
 
 # ---------------------------------------------------------------------------
-# layouts and shut-off
-
-
-def test_shut_off_identity_and_cardinality():
-    w = small_class_world(n_views=12)
-    same = shut_off_cameras(w, set())
-    assert (same.disabled, same.enabled) == (frozenset(), tuple(range(12)))
-    off = shut_off_cameras(w, {0, 2, 4, 6, 8, 10})
-    assert len(off.enabled) == 6
-    assert off.enabled == (1, 3, 5, 7, 9, 11)
-    assert off.n_cameras == 12
-
-
-def test_shut_off_guards():
-    w = small_class_world(n_views=4)
-    with pytest.raises(ConfigError, match="at least 2 usable"):
-        shut_off_cameras(w, {0, 1, 2})
-    with pytest.raises(ConfigError, match="outside camera range"):
-        shut_off_cameras(w, {7})
-    with pytest.raises(ConfigError, match="outside camera range"):
-        shut_off_cameras(w, {-1})
-    merged = shut_off_cameras(shut_off_cameras(w, {0}), {1})
-    assert merged.enabled == (2, 3)
-    with pytest.raises(ConfigError, match="at least 2 usable"):
-        shut_off_cameras(merged, {2})
-
-
-@pytest.mark.parametrize("make", [small_class_world, small_det_world], ids=["classification", "detection"])
-def test_shut_off_preserves_hash_and_original(make):
-    w = make()
-    shut = shut_off_cameras(w, [5])
-    assert shut.world_hash() == w.world_hash()
-    assert (w.disabled, shut.disabled) == (frozenset(), frozenset({5}))
-    assert 5 in w.enabled and 5 not in shut.enabled
-    # instances are shared, not recomputed differently
-    np.testing.assert_array_equal(w.instance("eval", 0).observations,
-                                  shut.instance("eval", 0).observations)
+# layouts
 
 
 def test_grid_layout_positions_are_integers_outside_grid():

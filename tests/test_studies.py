@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from fewview import evaluation, studies, training as tr
-from fewview.envs import (ClassificationConfig, ClassificationWorld, DetectionConfig,
-                          DetectionWorld, shut_off_cameras)
+from fewview.envs import ClassificationConfig, ClassificationWorld, DetectionConfig, DetectionWorld
 from fewview.errors import BudgetError, ConfigError
 
 
@@ -124,10 +123,16 @@ def test_sweep_rows_equal_one_evaluate_policy_call_per_row(case, world, task_net
     if case == "detection":
         world, task_net, T_values = request.getfixturevalue("det_case")
     elif case == "shut-off":
-        # random orders must skip the disabled cameras; full-views still
-        # runs every camera
-        world = shut_off_cameras(world, [1, 4, 7])
+        # shut-off belongs to a run: a pass that disables cameras first
+        # leaves nothing on the world or the network for the sweep to see
         T_values = [1, 2, 3]
+        disabled = frozenset([1, 4, 7])
+        shut = tr.evaluate_policies(world, task_net, [
+            tr.PolicyRun(policy, t, selector if policy == "mvselect" else None,
+                         disabled=disabled)
+            for t in T_values for policy in policies if policy != "full-views"])
+        for run in shut:
+            assert not disabled & set(np.unique(run.chosen[:, :, 1:]).tolist())
     else:
         T_values = [1, 2, 3, world.n_cameras]
     q_nets = {t: tr.build_selector(world, task_net, seed=t) for t in T_values}
@@ -189,8 +194,8 @@ def test_shutoff_never_selected_cameras_leave_rollouts_bit_identical(world, task
     never = sorted(set(range(world.n_cameras))
                    - set(np.unique(base.chosen[:, :, 1:]).tolist()))
     assert 3 in never
-    shut = shut_off_cameras(world, [never[0], never[-1]])
-    after = tr.evaluate_policy(shut, task_net, 2, "mvselect", q_net=q)
+    shut = tr.PolicyRun("mvselect", 2, q, disabled=frozenset([never[0], never[-1]]))
+    [after] = tr.evaluate_policies(world, task_net, [shut])
     np.testing.assert_array_equal(base.chosen, after.chosen)
     assert base.metrics() == after.metrics()
 
@@ -204,17 +209,39 @@ def test_shutoff_k_zero_is_a_no_op(world, task_net, selector):
         assert row["metrics"] == out["baseline"]
 
 
+def count_shutoff_work(world, task_net, selector, monkeypatch, **study_args):
+    """The instances a shut-off study featurizes, and its greedy rollouts of
+    a block: one per distinct (split, disabled set) it evaluates."""
+    featurized, rollouts = [], []
+    features, greedy = task_net.features, tr.greedy_sequences
+
+    def counted_greedy(q_net, feats, n_cams, T, disabled=frozenset()):
+        rollouts.append(disabled)
+        return greedy(q_net, feats, n_cams, T, disabled)
+
+    # set in the instance's dict, so undoing it leaves no instance attribute
+    monkeypatch.setitem(vars(task_net), "features",
+                        lambda obs: featurized.append(len(obs)) or features(obs))
+    monkeypatch.setattr(tr, "greedy_sequences", counted_greedy)
+    out = studies.camera_shutoff_study(world, task_net, selector, T=2, **study_args)
+    return out, sum(featurized), rollouts
+
+
 def test_shutoff_k_zero_evaluates_only_baseline_and_ranking(world, task_net, selector, monkeypatch):
-    calls = []
-    evaluate = tr.evaluate_policy
+    _, featurized, rollouts = count_shutoff_work(world, task_net, selector, monkeypatch,
+                                                 k=0, n_random=3)
+    assert featurized == world.n_val + world.n_eval
+    # the classification splits are one block each: the ranking, then the
+    # baseline that every empty disabled set collapses into
+    assert rollouts == [frozenset(), frozenset()]
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("split"))
-        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(tr, "evaluate_policy", counted)
-    studies.camera_shutoff_study(world, task_net, selector, T=2, k=0, n_random=3)
-    assert sorted(calls) == ["eval", "val"]
+def test_shutoff_study_featurizes_each_split_once(world, task_net, selector, monkeypatch):
+    out, featurized, rollouts = count_shutoff_work(world, task_net, selector, monkeypatch,
+                                                   k=3, n_random=2)
+    assert featurized == world.n_val + world.n_eval
+    sets = [out["ranked"]["disabled"]] + [row["disabled"] for row in out["random"]]
+    assert rollouts == [frozenset(), frozenset()] + [frozenset(cams) for cams in sets]
 
 
 def test_shutoff_ranked_beats_or_ties_random_subsets(world, task_net):

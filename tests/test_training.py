@@ -14,6 +14,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fewview import evaluation, training as tr
 from fewview.envs import (
@@ -21,7 +23,6 @@ from fewview.envs import (
     ClassificationWorld,
     DetectionConfig,
     DetectionWorld,
-    shut_off_cameras,
 )
 from fewview.errors import (
     BudgetError,
@@ -453,10 +454,60 @@ def test_policy_table_entries_are_checked_against_the_world(cls_world, cls_net, 
 
 
 def test_oracles_select_only_enabled_cameras(cls_world, cls_net):
-    shut = shut_off_cameras(cls_world, range(6))
-    for policy in ("dataset-oracle", "instance-oracle"):
-        run = tr.evaluate_policy(shut, cls_net, T=2, policy=policy)
-        assert (run.chosen[..., 1:] >= 6).all(), policy
+    runs = [tr.PolicyRun(policy, 2, disabled=frozenset(range(6)))
+            for policy in ("dataset-oracle", "instance-oracle")]
+    for run in tr.evaluate_policies(cls_world, cls_net, runs):
+        assert (run.chosen[..., 1:] >= 6).all(), run.policy
+
+
+@pytest.fixture(scope="module")
+def six_views():
+    """A 6-camera world with an untrained classifier and selector."""
+    world = ClassificationWorld(ClassificationConfig(
+        n_views=6, n_classes=4, feat_dim=8, n_train=4, n_val=2, n_eval=3, seed=2))
+    net = tr.build_classifier(world, seed=2)
+    return world, net, tr.build_selector(world, net, seed=2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(off=st.frozensets(st.integers(0, 5), max_size=5), data=st.data())
+def test_no_selecting_policy_picks_a_shut_off_camera(six_views, off, data):
+    world, net, q_net = six_views
+    T = data.draw(st.integers(1, 6 - len(off)), label="T")
+    runs = [tr.PolicyRun(p, T, q_net, disabled=off) for p in tr.POLICIES]
+    for run in tr.evaluate_policies(world, net, runs, seed=data.draw(st.integers(0, 9))):
+        if run.policy == "full-views":
+            assert (run.chosen == np.arange(6)).all()
+        else:
+            assert not np.isin(run.chosen[..., 1:], list(off)).any(), run.policy
+
+
+def test_table_oracle_rejects_an_entry_that_selects_a_shut_off_camera(six_views):
+    world, net, _ = six_views
+    table = tr.PolicyTable("dataset", 2, {v: (0,) if v else (1,) for v in range(6)})
+    run = tr.PolicyRun("dataset-oracle", 2, table=table, disabled=frozenset({1}))
+    with pytest.raises(ConfigError, match=r"entry 0 \(1,\) selects shut-off cameras \[1\]"):
+        tr.evaluate_policies(world, net, [run])
+    # a shut-off camera still serves as an initial view
+    run = tr.PolicyRun("dataset-oracle", 2, table=table, disabled=frozenset({5}))
+    assert tr.evaluate_policies(world, net, [run])[0].chosen[0, 5].tolist() == [5, 0]
+
+
+def test_policy_run_disabled_guards(cls_world, cls_net):
+    for ids in ({12}, {-1}, {0, 13}):
+        with pytest.raises(ConfigError, match="outside camera range"):
+            tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun("random", 2, disabled=ids)])
+    for policy in ("random", "mvselect", "dataset-oracle", "instance-oracle"):
+        run = tr.PolicyRun(policy, 3, tr.build_selector(cls_world, cls_net),
+                           disabled=frozenset(range(10)))
+        with pytest.raises(ConfigError, match="shut-off leaves 2 usable cameras, fewer than T=3"):
+            tr.evaluate_policies(cls_world, cls_net, [run])
+    # a plain set is taken as a frozenset, and full-views ignores the field
+    done = tr.evaluate_policies(cls_world, cls_net, [
+        tr.PolicyRun("random", 2, disabled={0, 1}), tr.PolicyRun("random", 2, disabled=(1, 0)),
+        tr.PolicyRun("full-views", 2, disabled=frozenset(range(11)))])
+    assert done[0] is done[1]
+    assert (done[2].chosen == np.arange(cls_world.n_cameras)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +551,13 @@ def test_block_pass_equals_per_instance_calls_bit_for_bit(monkeypatch):
 
 def test_full_views_runs_every_camera_of_a_shut_off_world(cls_world, cls_net):
     # shut-off cameras constrain selection only
-    N, shut = cls_world.n_cameras, shut_off_cameras(cls_world, [1, 4, 7])
-    run = tr.evaluate_policy(shut, cls_net, N, "full-views")
+    N, off = cls_world.n_cameras, frozenset([1, 4, 7])
+    [run] = tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun("full-views", N, disabled=off)])
     want = tr.evaluate_policy(cls_world, cls_net, N, "full-views")
     assert run.chosen.tobytes() == want.chosen.tobytes()
     assert run.records.tobytes() == want.records.tobytes()
     with pytest.raises(ConfigError, match="shut-off leaves 9"):
-        tr.evaluate_policy(shut, cls_net, 10, "random")
+        tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun("random", 10, disabled=off)])
 
 
 def test_exact_q_table_is_td_fixed_point():
@@ -732,9 +783,19 @@ def test_one_pass_equals_one_evaluate_policy_call_per_run(family, request):
     runs += [tr.PolicyRun("full-views", 2), tr.PolicyRun("instance-oracle", 2),
              tr.PolicyRun("dataset-oracle", 2, table=table), runs[1],
              tr.PolicyRun("random", 1), tr.PolicyRun("random", 2)]
+    # two shut-off sets: every policy at T=2 under each, random orders at
+    # T 1-3 that share a set (and must skip it), and full-views, which
+    # ignores it; the selecting runs are checked against one-run passes
+    for off in (frozenset({1, 4}), frozenset({0, 2, 3})):
+        runs += [tr.PolicyRun(p, 2, q_net if p == "mvselect" else None, disabled=off)
+                 for p in tr.POLICIES]
+        runs += [tr.PolicyRun("random", t, disabled=off) for t in (1, 3)]
     for result, run in zip(tr.evaluate_policies(world, net, runs, seed=4), runs, strict=True):
-        want = tr.evaluate_policy(world, net, run.T, run.policy, q_net=run.q_net,
-                                  table=run.table, seed=4)
+        want = (tr.evaluate_policies(world, net, [run], seed=4)[0] if run.disabled else
+                tr.evaluate_policy(world, net, run.T, run.policy, q_net=run.q_net,
+                                   table=run.table, seed=4))
+        if run.disabled and run.policy != "full-views":
+            assert not np.isin(result.chosen[..., 1:], list(run.disabled)).any()
         assert (result.policy, result.split, result.T) == (want.policy, want.split, want.T)
         assert result.chosen.tobytes() == want.chosen.tobytes()
         assert result.records.tobytes() == want.records.tobytes()
@@ -765,9 +826,7 @@ def test_select_fixed_equals_the_eager_loop(family, request):
     if family == "detection":
         world, net, _ = request.getfixturevalue("det_tiny")
     else:
-        cls_world = request.getfixturevalue("cls_world")
-        world = shut_off_cameras(cls_world, [5])
-        net = request.getfixturevalue("cls_net")
+        world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
     cfg = tr.TrainConfig(regime="select-fixed", epochs=2, T=3, epsilon_start=0.9,
                          epsilon_end=0.3, seed=8)
     q_net = tr.build_selector(world, net, seed=8)

@@ -237,7 +237,7 @@ def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
             batch_obs, truths = _batch(task_net, world, idx)
             feats = task_net.features_cache(np.stack(batch_obs))[0]
             chosen, cams, obs, masks, values, pooled = rollout(
-                q_net, feats, initial[:, None], cfg.T, world.disabled, eps, rng)
+                q_net, feats, initial[:, None], cfg.T, epsilon=eps, rng=rng)
             rewards = task_net.reward(task_net.head_cache(pooled[:, 0])[0], truths)
             actions = chosen[..., 1:].reshape(-1)
             q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
@@ -318,7 +318,6 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
     remaining step. Only meant for layouts small enough to enumerate."""
     n = world.split_size(split)
     n_cams = world.n_cameras
-    disabled = world.disabled
     table: dict = {}
     for i in range(n):
         inst = world.instance(split, i)
@@ -337,7 +336,7 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
             if len(nxt) == T:
                 value = reward_of(nxt)
             else:
-                options = [a for a in range(n_cams) if a not in nxt and a not in disabled]
+                options = [a for a in range(n_cams) if a not in nxt]
                 value = gamma * max(q_star(nxt, a) for a in options)
             table[key] = value
             return value
@@ -346,7 +345,7 @@ def exact_q_table(world, task_net, T: int, split: str = "train",
             for combo in itertools.combinations(range(n_cams), size):
                 chosen_set = frozenset(combo)
                 for a in range(n_cams):
-                    if a not in chosen_set and a not in disabled:
+                    if a not in chosen_set:
                         q_star(chosen_set, a)
     return table
 
