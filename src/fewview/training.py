@@ -6,15 +6,16 @@ epsilon-greedy selections, regresses the taken action values onto inline TD
 targets, adds the terminal task loss, and updates both networks (the task
 network at a fifth of its usual learning rate).
 
-Selector training against the frozen network featurizes only what its
-rollouts read: ``tasknet.forward_features`` hands them a table that runs f
-on a detection view (1,024 cells on the acceptance world) the first time
-the rollout visits it, T of N views per instance, but featurizes a
+Selection training, select-fixed and joint alike, featurizes only what
+its rollouts read: ``tasknet.forward_features`` hands them a table that
+runs f on a detection view (1,024 cells on the acceptance world) the first
+time the rollout visits it, T of N views per instance, but featurizes a
 classification batch in one call, because one-row views featurized in a
-smaller call change in the last bits. Joint training and policy
-evaluation featurize every view: the joint backward over fewer rows would
-reorder float sums, and greedy evaluation from every initial view visits
-every camera anyway.
+smaller call change in the last bits. For joint training the table keeps
+every layer's rows of the whole frame, so the backward still sums over all
+of them: the rows of unvisited views carry a zero gradient, and the sums
+keep their row count and bits. Policy evaluation featurizes every view:
+greedy evaluation from every initial view visits every camera anyway.
 
 Every decode (a policy's view sets, the oracles' subsets) is the task
 network's ``decode``; nothing here branches on a task family.
@@ -207,7 +208,7 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
                 size = int(counts[rng.integers(len(counts))])
                 views = np.sort(rng.permutation(n_cams)[:size])
             obs, truths = _batch(net, world, idx)
-            loss, grads = _batch_loss(net, np.stack(obs)[:, views], truths, work)
+            loss, grads = _batch_loss(net, _stacked(obs)[:, views], truths, work)
             _require_finite_loss(loss, f"epoch {epoch}")
             opt.step(grads)
             counters["task_terms"] += 1
@@ -237,18 +238,25 @@ def _batch(task_net, world, indices):
     return [inst.observations for inst in insts], [task_net.truth(inst) for inst in insts]
 
 
+def _stacked(obs) -> Array:
+    """Instances' observations as one (G, N, ...) array. A lone frame stays
+    a view: stacking would copy a detection frame's channel broadcast."""
+    return obs[0][None] if len(obs) == 1 else np.stack(obs)
+
+
 def _task_grads(task_net, feats, fcache, views, truths, outputs, hcache, d_obs=None,
                 work: dict | None = None):
     """Task loss of the outputs pooled over each instance's views (G, k),
     plus the gradients of both task-network parts.
 
-    feats are (G, V[, H, W], D). d_obs, when given, holds the selector's
-    gradient w.r.t. each state's observation vector (D,), rows in (instance,
-    step) order. Spread evenly over any spatial cells, each routes step by
-    step to the views chosen up to that state; the terminal pooled gradient
-    follows, so the feature extractor takes a single combined step. The
-    feature gradients and every backward temporary go into ``work``
-    (``numcore.work_array``; a fresh dict by default)."""
+    feats are (G, V[, H, W], D), read only at the listed views. d_obs, when
+    given, holds the selector's gradient w.r.t. each state's observation
+    vector (D,), rows in (instance, step) order. Spread evenly over any
+    spatial cells, each routes step by step to the views chosen up to that
+    state; the terminal pooled gradient follows, so the feature extractor
+    takes a single combined step. The feature gradients and every backward
+    temporary go into ``work`` (``numcore.work_array``; a fresh dict by
+    default)."""
     work = {} if work is None else work
     d_feats = work_array(work, "d_feats", feats.shape)
     d_feats.fill(0.0)
@@ -315,14 +323,9 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
             initial = rng.integers(world.n_cameras, size=len(idx))
             batch_obs, truths = _batch(task_net, world, idx)
-            if update_task:
-                feats, fcache = task_net.features_cache(np.stack(batch_obs))
-            else:
-                # nothing flows back into the frozen network, so the rollout
-                # may featurize only the views it reads
-                feats, fcache = forward_features(task_net, batch_obs), None
+            table, feats, fcache = forward_features(task_net, batch_obs, work, update_task)
             chosen, cams, obs, masks, values, pooled = rollout(
-                q_net, feats, initial[:, None], cfg.T, epsilon=eps, rng=rng)
+                q_net, table, initial[:, None], cfg.T, epsilon=eps, rng=rng)
             views = chosen[:, 0]                                 # (G, T)
             outputs, hcache = task_net.head_cache(pooled[:, 0])
             rewards = task_net.reward(outputs, truths)
@@ -353,7 +356,7 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
             step += 1
             # drop this step's caches: kept through the next step's forward,
             # they would sit beside its caches and the work arrays
-            del feats, fcache, hcache, q_cache
+            del table, feats, fcache, hcache, q_cache
         entry = {"epoch": epoch, "loss": float(np.mean(rl_losses)), "epsilon": float(eps)}
         if update_task:
             entry["task_loss"] = float(np.mean(task_losses))
@@ -587,8 +590,7 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
         index = range(start, min(start + block, n))
         insts = [world.instance(split, i) for i in index]
         obs = [inst.observations for inst in insts]
-        # a lone frame stays a view: stacking copies a detection frame's broadcast
-        feats = task_net.features(obs[0][None] if len(obs) == 1 else np.stack(obs))
+        feats = task_net.features(_stacked(obs))
         for i, inst in zip(index, insts):
             for t, (records, scores, ties) in scored.items():
                 outputs = task_net.decode(feats[i - start], subsets[t])

@@ -89,7 +89,7 @@ def features_of(form):
     """Features (1, 3, 2) of one instance, as an array or as a view table."""
     net = MVClassifier(obs_dim=4, feat_dim=2, n_classes=2, hidden=3, seed=0)
     obs = np.random.default_rng(0).normal(size=(3, 4))
-    return net.features_cache(obs[None])[0] if form == "array" else ViewFeatures(net, [obs])
+    return net.features_cache(obs[None])[0] if form == "array" else ViewFeatures(net, [obs], {}, False)
 
 
 @pytest.mark.parametrize("form", ["array", "table"])
@@ -135,7 +135,7 @@ def features_and_table(family, n_inst, n_cams):
     else:
         net = MVDetector(channels=2, feat_dim=6, hidden=7, seed=1)
         obs = rng.normal(size=(n_inst, n_cams, 2, 3, 4))
-    return net.features_cache(obs)[0], lambda: ViewFeatures(net, list(obs))
+    return net.features_cache(obs)[0], lambda: ViewFeatures(net, list(obs), {}, False)
 
 
 @pytest.mark.parametrize("form", ["array", "table"])

@@ -292,6 +292,62 @@ def test_work_array_keeps_an_array_until_its_shape_or_dtype_changes():
     assert work_array(work, "other", (4, 2), bool) is not c
 
 
+def test_zeroed_work_array_is_zeroed_only_when_allocated():
+    work = {}
+    a = work_array(work, "k", (3, 2), zeroed=True)
+    assert not a.any()
+    a += 1.0
+    assert work_array(work, "k", (3, 2), zeroed=True) is a and (a == 1.0).all()
+    assert not work_array(work, "k", (4, 2), zeroed=True).any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(ACTIVATIONS), min_size=1, max_size=3))
+def test_forward_into_caller_arrays_equals_the_fresh_forward(seed, activations):
+    # each layer writes into its block of a larger caller buffer, with the
+    # bits of a fresh forward, and the cache holds the caller's arrays
+    rng = np.random.default_rng(seed)
+    widths = [int(w) for w in rng.integers(1, 9, size=len(activations) + 1)]
+    net = DenseNet([LayerSpec(a, b, act) for a, b, act in zip(widths, widths[1:], activations)],
+                   seed=seed)
+    m = int(rng.integers(1, 300))
+    x = rng.normal(size=(m, widths[0])) * 10.0 ** rng.integers(-2, 3)
+    buffers = [np.zeros((3 * m, w)) for w in widths[1:]]
+    out = [buf[m : 2 * m] for buf in buffers]
+    y, cache = net.forward_cache(x, out)
+    ref_y, ref_cache = net.forward_cache(x)
+    assert y is out[-1] and y.tobytes() == ref_y.tobytes()
+    for (x_in, y_i), (ref_x, ref_yi), o in zip(cache, ref_cache, out):
+        assert y_i is o
+        assert x_in.tobytes() == ref_x.tobytes() and y_i.tobytes() == ref_yi.tobytes()
+    assert not any(buf[:m].any() or buf[2 * m :].any() for buf in buffers)
+
+
+def gradient_layouts(g):
+    """The gradient g (M, K) in every layout backward can be handed: C and
+    Fortran order, strided rows or columns, and reversed axes."""
+    wide = np.repeat(g, 2, axis=1)
+    return {"C": g, "F": np.asfortranarray(g), "rows": np.repeat(g, 2, axis=0)[::2],
+            "columns": wide[:, ::2], "reversed rows": g[::-1].copy()[::-1],
+            "reversed columns": g[:, ::-1].copy()[:, ::-1]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7000), st.integers(1, 64))
+def test_bias_gradient_equals_the_row_sum_bit_for_bit(seed, m, k):
+    # the bias gradient of every layout equals grad.sum(axis=0), the row sum
+    # a C-contiguous array of two or more columns takes by einsum
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(m, k)) * np.exp(rng.normal(size=(m, k)) * 8.0)
+    g[rng.random((m, k)) < 0.2] = rng.choice([0.0, -0.0])
+    g[:, rng.random(k) < 0.2] = -0.0
+    net = DenseNet([LayerSpec(2, k, "linear")], seed=seed)
+    _, cache = net.forward_cache(rng.normal(size=(m, 2)))
+    for name, grad in gradient_layouts(g).items():
+        bias = net.backward(cache, grad, input_grad=False)[0]["layer0.bias"]
+        assert bias.tobytes() == grad.sum(axis=0).tobytes(), name
+
+
 def test_backward_without_cache_raises():
     net = small_net()
     with pytest.raises(StateError):

@@ -428,8 +428,10 @@ def test_detector_view_alone_equals_its_slice_on_the_acceptance_geometry():
     for i in range(4):
         obs = world.instance("train", i).observations
         every = net.features_cache(obs[None])[0][0]
+        table = ViewFeatures(net, [obs], {}, False)
         for v in range(world.n_cameras):
             assert net.features_cache(obs[v])[0].tobytes() == every[v].tobytes()
+            assert table[[0], [v]][0].tobytes() == every[v].tobytes()
 
 
 def test_broadcast_observations_featurize_like_materialized_ones(monkeypatch):
@@ -461,16 +463,57 @@ def test_broadcast_observations_featurize_like_materialized_ones(monkeypatch):
                          ids=["classifier", "detector-20-cells", "detector-256-cells"])
 def test_forward_features_read_equal_the_batched_features(net, cells):
     # one-row and 20-cell views come featurized in one call, 256-cell views
-    # as a table that featurizes each view alone when first read
+    # as a table that featurizes each view alone when first read; once every
+    # view is read, the feature array and, for a backward, each layer's
+    # cached rows are the batched call's
     channels = net.obs_dim if isinstance(net, MVClassifier) else net.channels
     obs = np.random.default_rng(4).normal(size=(3, 5, channels, *cells))   # (G, N, C[, H, W])
-    every = net.features_cache(obs)[0]
-    feats = forward_features(net, list(obs))
-    assert isinstance(feats, ViewFeatures) == (math.prod(cells) >= VIEW_ALONE_MIN_ROWS)
-    assert feats.shape == every.shape
+    every, every_cache = net.features_cache(obs)
     inst = np.arange(3)[:, None]
-    for views in ([[0], [4], [2]], [[0, 3], [1, 1], [2, 4]], np.tile(np.arange(5), (3, 1))):
-        assert feats[inst, np.array(views)].tobytes() == every[inst, np.array(views)].tobytes()
+    for backward in (True, False):
+        table, feats, cache = forward_features(net, list(obs), {}, backward)
+        assert isinstance(table, ViewFeatures) == (math.prod(cells) >= VIEW_ALONE_MIN_ROWS)
+        assert table.shape == feats.shape == every.shape
+        for views in ([[0], [4], [2]], [[0, 3], [1, 1], [2, 4]], np.tile(np.arange(5), (3, 1))):
+            assert table[inst, np.array(views)].tobytes() == every[inst, np.array(views)].tobytes()
+        assert feats.tobytes() == every.tobytes()
+        if isinstance(table, ViewFeatures) and not backward:
+            assert cache is None
+            continue
+        assert len(cache) == len(every_cache)
+        for pair, every_pair in zip(cache, every_cache):
+            for a, b in zip(pair, every_pair):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_backward_through_a_partly_read_table_equals_the_batched_backward(seed):
+    # the feature gradient is zero on the views a rollout never read, whose
+    # rows in the table's buffers hold zeros or an earlier step's values;
+    # the backward over those buffers gives the batched call's gradients
+    rng = np.random.default_rng(seed)
+    g, v = (int(x) for x in rng.integers(1, [3, 7]))
+    net = MVDetector(channels=3, feat_dim=int(rng.integers(2, 9)),
+                     hidden=int(rng.integers(2, 17)), seed=seed)
+    obs, stale = rng.normal(size=(2, g, v + 1, 3, 16, 16))
+    work: dict = {}
+    if rng.random() < 0.5:                          # buffers an earlier step wrote
+        earlier = ViewFeatures(net, list(stale), work, True)
+        earlier[np.arange(g)[:, None], np.arange(v + 1)]
+    table = ViewFeatures(net, list(obs), work, True)
+    read = rng.random((g, v + 1)) < 0.5
+    read[:, 0] = True
+    inst, views = np.nonzero(read)
+    table[inst, views]
+    every, every_cache = net.features_cache(obs)
+    assert table.feats[inst, views].tobytes() == every[inst, views].tobytes()
+    d_feats = np.where(read[:, :, None, None, None], rng.normal(size=every.shape), 0.0)
+    grads = net.features_backward(table.cache, d_feats, work)
+    ref = net.features_backward(every_cache, d_feats)
+    assert list(grads) == list(ref)
+    for name, grad in grads.items():
+        assert grad.tobytes() == ref[name].tobytes(), name
 
 
 @settings(max_examples=40, deadline=None)

@@ -35,7 +35,8 @@ from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector
 from testkit import (discriminative_views, exact_q_table, optimal_actions, paired_t_pvalue,
-                     predict_sets_gathered, read_policy_table, train_selector_fixed_eager)
+                     predict_sets_gathered, read_policy_table, train_joint_eager,
+                     train_selector_fixed_eager)
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -838,23 +839,72 @@ def test_select_fixed_equals_the_eager_loop(family, request):
     assert (result.counters, result.total_steps) == (eager.counters, eager.total_steps)
 
 
-def test_select_fixed_featurizes_only_the_visited_views(det_tiny, monkeypatch):
-    world, net, _ = det_tiny
-    views_per_step = []
-    instance, features_cache = world.instance, MVDetector.features_cache
+def f_rows_per_step(world, net, monkeypatch, train) -> list[int]:
+    """The rows f runs on in each detection step (one instance per step)
+    of the training call ``train()``."""
+    rows_per_step = []
+    instance, forward = world.instance, net.feature_net.forward_cache
 
     def counted_instance(split, index):
-        views_per_step.append(0)       # one instance per detection step
+        rows_per_step.append(0)
         return instance(split, index)
 
-    def counted_features(self, obs):
-        views_per_step[-1] += math.prod(np.shape(obs)[:-3])
-        return features_cache(self, obs)
+    def counted_forward(x, *args, **kwargs):
+        rows_per_step[-1] += math.prod(np.shape(x)[:-1])
+        return forward(x, *args, **kwargs)
 
     monkeypatch.setattr(world, "instance", counted_instance)
-    monkeypatch.setattr(MVDetector, "features_cache", counted_features)
-    T = 3
-    tr.train_selector_fixed(world, net, tr.build_selector(world, net, seed=2),
-                            tr.TrainConfig(regime="select-fixed", epochs=1, T=T, seed=2))
+    monkeypatch.setattr(net.feature_net, "forward_cache", counted_forward)
+    train()
+    return rows_per_step
+
+
+def test_select_fixed_featurizes_only_the_visited_views(det_tiny, monkeypatch):
+    world, net, _ = det_tiny
+    T, cells = 3, world.config.grid_h * world.config.grid_w
+    rows = f_rows_per_step(world, net, monkeypatch, lambda: tr.train_selector_fixed(
+        world, net, tr.build_selector(world, net, seed=2),
+        tr.TrainConfig(regime="select-fixed", epochs=1, T=T, seed=2)))
     assert T < world.n_cameras
-    assert views_per_step == [T] * world.n_train
+    assert rows == [T * cells] * world.n_train
+
+
+# ---------------------------------------------------------------------------
+# joint training featurizes only the views its rollouts visit
+
+
+@pytest.mark.parametrize("seed, eps", [(8, (0.9, 0.3)), (5, (1.0, 0.8))],
+                         ids=["seed8-decaying", "seed5-mostly-random"])
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_joint_equals_the_eager_loop(family, seed, eps, request):
+    # a detection step backpropagates through the table's full-frame
+    # buffers, whose rows of unvisited views hold zeros or an earlier
+    # step's values; both networks still equal the loop that featurizes
+    # every view of the batch first, bit for bit
+    if family == "detection":
+        world, trained, _ = request.getfixturevalue("det_tiny")
+    else:
+        world, trained = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+    cfg = tr.TrainConfig(regime="joint", epochs=2, T=3, epsilon_start=eps[0],
+                         epsilon_end=eps[1], seed=seed)
+    net, net_eager = copy.deepcopy(trained), copy.deepcopy(trained)
+    q_net = tr.build_selector(world, net, seed=seed)
+    q_eager = copy.deepcopy(q_net)
+    result = tr.train_joint(world, net, q_net, cfg)
+    eager = train_joint_eager(world, net_eager, q_eager, cfg)
+    assert tr.params_hash(net) != tr.params_hash(trained)
+    assert tr.params_hash(net) == tr.params_hash(net_eager)
+    assert tr.params_hash(q_net) == tr.params_hash(q_eager)
+    assert result.epoch_logs == eager.epoch_logs
+    assert (result.counters, result.total_steps) == (eager.counters, eager.total_steps)
+
+
+def test_joint_featurizes_only_the_visited_views(det_tiny, monkeypatch):
+    world, trained, _ = det_tiny
+    net = copy.deepcopy(trained)
+    T, cells = 3, world.config.grid_h * world.config.grid_w
+    rows = f_rows_per_step(world, net, monkeypatch, lambda: tr.train_joint(
+        world, net, tr.build_selector(world, net, seed=2),
+        tr.TrainConfig(regime="joint", epochs=1, T=T, seed=2)))
+    assert T < world.n_cameras
+    assert rows == [T * cells] * world.n_train

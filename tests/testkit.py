@@ -1,8 +1,8 @@
 """Reference oracles the tests check the package against: finite-difference
 gradients, the per-array form of the Adam update, a loop-form max-pool and task-network forward, the gather-and-reduce
 form of subset decoding, the argmax form of the max-pool gradient router, the channel-first form of the detector and of
-the selection rollout, a Q-network valuing one instance per forward, the eager select-fixed loop that featurizes every
-view of a batch, the per-camera ray-cast form of detection
+the selection rollout, a Q-network valuing one instance per forward, the eager select-fixed and joint loops that
+featurize every view of a batch, the per-camera ray-cast form of detection
 visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds, loop forms of
 detection peak extraction, matching and per-map frame counts, the runtime's
 greedy matcher on one frame as a match record, a paired significance test,
@@ -20,7 +20,7 @@ from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, _greedy_matches
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
-from fewview.training import PolicyTable, TrainResult, _batch, check_t
+from fewview.training import PolicyTable, TrainResult, _batch, _task_grads, check_t
 
 Array = np.ndarray
 
@@ -220,25 +220,39 @@ def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
     """Select-fixed training that featurizes all N views of every batch in
     one call before the rollout reads T of them: the loop
     ``training.train_selector_fixed`` must match bit for bit."""
+    return _train_selection_eager(world, task_net, q_net, cfg, update_task=False)
+
+
+def train_joint_eager(world, task_net, q_net, cfg) -> TrainResult:
+    """Joint training that stacks each batch and featurizes all N views in
+    one ``features_cache`` call before the rollout reads T of them, and
+    backpropagates through that call's cache: the loop
+    ``training.train_joint`` must match bit for bit."""
+    return _train_selection_eager(world, task_net, q_net, cfg, update_task=True)
+
+
+def _train_selection_eager(world, task_net, q_net, cfg, update_task: bool) -> TrainResult:
     check_t(world, cfg.T)
     batch = task_net.train_batch or cfg.batch_size
     rng = np.random.default_rng([cfg.seed, 13])
     n = world.n_train
     total_steps = cfg.epochs * ((n + batch - 1) // batch)
     opt_q = Adam(q_net.named_params(), lr=cfg.selector_lr)
+    opt_task = Adam(task_net.named_params(), lr=cfg.task_lr * cfg.joint_task_lr_factor)
     logs, counters, step = [], {"task_terms": 0, "rl_terms": 0}, 0
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        rl_losses = []
+        rl_losses, task_losses = [], []
         for start in range(0, n, batch):
             idx = order[start : start + batch]
             eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
             initial = rng.integers(world.n_cameras, size=len(idx))
             batch_obs, truths = _batch(task_net, world, idx)
-            feats = task_net.features_cache(np.stack(batch_obs))[0]
+            feats, fcache = task_net.features_cache(np.stack(batch_obs))
             chosen, cams, obs, masks, values, pooled = rollout(
                 q_net, feats, initial[:, None], cfg.T, epsilon=eps, rng=rng)
-            rewards = task_net.reward(task_net.head_cache(pooled[:, 0])[0], truths)
+            outputs, hcache = task_net.head_cache(pooled[:, 0])
+            rewards = task_net.reward(outputs, truths)
             actions = chosen[..., 1:].reshape(-1)
             q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
             targets = td_targets(values, masks, np.reshape(rewards, (-1, 1)), cfg.gamma).reshape(-1)
@@ -248,10 +262,19 @@ def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
                                                  obs.reshape(len(actions), -1))
             d_q = np.zeros_like(q_all)
             d_q[np.arange(len(actions)), actions] = d_terms / len(idx)
-            opt_q.step(q_net.backward(q_cache, d_q)[0])
+            q_grads, d_obs = q_net.backward(q_cache, d_q)
+            if update_task:
+                loss_task, task_grads = _task_grads(task_net, feats, fcache, chosen[:, 0], truths,
+                                                    outputs, hcache, d_obs)
+                counters["task_terms"] += 1
+                opt_task.step(task_grads)
+                task_losses.append(loss_task)
+            opt_q.step(q_grads)
             rl_losses.append(loss_rl / len(idx))
             step += 1
         logs.append({"epoch": epoch, "loss": float(np.mean(rl_losses)), "epsilon": float(eps)})
+        if update_task:
+            logs[-1]["task_loss"] = float(np.mean(task_losses))
     return TrainResult(logs, counters, step)
 
 
