@@ -47,6 +47,14 @@ def _config_hash(cfg) -> str:
     ).hexdigest()
 
 
+def _check_least(cfg, least: dict) -> None:
+    """Raise ConfigError naming the first of the config's counts that lies
+    below its ``least`` value; every split must hold an instance."""
+    for name, value in {**least, "n_train": 1, "n_val": 1, "n_eval": 1}.items():
+        if getattr(cfg, name) < value:
+            raise ConfigError(f"{name} must be at least {value}, got {getattr(cfg, name)!r}")
+
+
 # ---------------------------------------------------------------------------
 # the shared world plumbing
 
@@ -113,10 +121,7 @@ class ClassificationConfig:
                 tuple(int(v) for v in views) for views in self.discriminative_views))
         if self.n_classes < 2 or self.n_classes % 2 != 0:
             raise ConfigError("n_classes must be even and at least 2")
-        if self.n_views < 2:
-            raise ConfigError("n_views must be at least 2")
-        if self.feat_dim < 1:
-            raise ConfigError("feat_dim must be positive")
+        _check_least(self, {"n_views": 2, "feat_dim": 1})
         if not self.noise >= 0:
             raise ConfigError("noise must be nonnegative")
         if not self.margin > 6.0 * self.noise:
@@ -221,8 +226,7 @@ class DetectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_cameras < 2:
-            raise ConfigError("n_cameras must be at least 2")
+        _check_least(self, {"n_cameras": 2, "channels": 1})
         if self.grid_h < 4 or self.grid_w < 4:
             raise ConfigError("grid too small to place occupants")
         if not 0 < self.min_targets <= self.max_targets:

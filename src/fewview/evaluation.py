@@ -18,7 +18,7 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -198,16 +198,8 @@ class CostLedger:
         return self.cost_selected / self.cost_full
 
     def to_dict(self) -> dict:
-        return {
-            "f_per_view": self.f_per_view,
-            "g": self.g,
-            "selector_step": self.selector_step,
-            "T": self.T,
-            "n_cameras": self.n_cameras,
-            "cost_selected": self.cost_selected,
-            "cost_full": self.cost_full,
-            "ratio": self.ratio,
-        }
+        return {**asdict(self), "cost_selected": self.cost_selected,
+                "cost_full": self.cost_full, "ratio": self.ratio}
 
 
 def cost_from_macs(f_per_view: int, g: int, selector_step: int, T: int,

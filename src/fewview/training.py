@@ -370,38 +370,21 @@ def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> Train
 
 @dataclass(frozen=True)
 class PolicyTable:
-    """Fixed selections: dataset tables map an initial view to one sequence;
-    instance tables map (instance index, initial view) to one sequence."""
+    """Fixed selections: the (m, N, T) view sets an oracle chose, column 0
+    the initial view; a dataset table has one row (m = 1) for every
+    instance, an instance table one per instance of its split. Its JSON
+    form keys each initial view's T - 1 other cameras "v0" or "i:v0"."""
 
     kind: str  # "dataset" | "instance"
-    T: int
-    entries: dict
+    sets: Array
 
-    def view_sets(self, instance_index: int, n_cams: int, disabled=frozenset()) -> Array:
-        """(N, T) view sets of one instance, column 0 the initial view. An
-        entry that is missing, that does not complete its initial view with
-        T-1 distinct other cameras of the layout, or that selects a
-        ``disabled`` camera raises ConfigError."""
-        rows = []
-        for v0 in range(n_cams):
-            key = v0 if self.kind == "dataset" else (instance_index, v0)
-            if key not in self.entries:
-                raise ConfigError(f"policy table has no entry for {key}")
-            row = (v0,) + tuple(self.entries[key])
-            if len(row) != self.T or len(set(row)) < self.T or not all(0 <= a < n_cams for a in row):
-                raise ConfigError(f"policy table entry {key} {self.entries[key]} does not add "
-                                  f"{self.T - 1} distinct other cameras of {n_cams} to view {v0}")
-            if disabled.intersection(row[1:]):
-                raise ConfigError(f"policy table entry {key} {self.entries[key]} selects "
-                                  f"shut-off cameras {sorted(disabled.intersection(row[1:]))}")
-            rows.append(row)
-        return np.array(rows)
+    @property
+    def T(self) -> int:
+        return self.sets.shape[-1]
 
     def to_json(self) -> str:
-        if self.kind == "dataset":
-            body = {str(v): list(seq) for v, seq in sorted(self.entries.items())}
-        else:
-            body = {f"{i}:{v}": list(self.entries[(i, v)]) for (i, v) in sorted(self.entries)}
+        body = {(str(v0) if self.kind == "dataset" else f"{i}:{v0}"): row[1:]
+                for i, rows in enumerate(self.sets.tolist()) for v0, row in enumerate(rows)}
         return json.dumps({"kind": self.kind, "T": self.T, "entries": body},
                           sort_keys=True, separators=(",", ":"))
 
@@ -445,11 +428,7 @@ def _oracle_choice(n_cams: int, run: PolicyRun, subsets: Array, score: Array, ti
     sets = subsets[best]                        # (n, N, T), each holding its initial view
     v0_first = np.argsort(sets != np.arange(n_cams)[:, None], axis=-1, kind="stable")
     chosen = np.take_along_axis(sets, v0_first, axis=-1)
-    seqs = {(i, v0): tuple(row[1:]) for i, rows in enumerate(chosen[: len(score)].tolist())
-            for v0, row in enumerate(rows)}
-    if kind == "dataset":
-        seqs = {v0: seq for (_, v0), seq in seqs.items()}
-    return PolicyTable(kind, run.T, seqs), chosen, records[np.arange(n)[:, None], best]
+    return PolicyTable(kind, chosen[: len(score)]), chosen, records[np.arange(n)[:, None], best]
 
 
 def dataset_oracle_table(world, task_net, T: int, split: str,
@@ -526,11 +505,30 @@ class PolicyRun:
     disabled: frozenset = frozenset()
 
 
+def _checked_table(table: PolicyTable, n: int, n_cams: int, T: int, disabled: frozenset) -> None:
+    """Raise ConfigError unless the table's rows (one, or one per instance
+    of an n-instance split) complete every initial view of the n_cams
+    cameras with T - 1 distinct other cameras, none of them ``disabled``."""
+    sets, shape = np.asarray(table.sets), ({"dataset": 1, "instance": n}.get(table.kind), n_cams, T)
+    if sets.shape != shape or sets.dtype.kind != "i":
+        raise ConfigError(f"policy table of kind {table.kind!r} holds {sets.dtype} {sets.shape}, "
+                          f"not int (rows, cameras, T) = {shape} for {n} instances")
+    ordered = np.sort(sets, axis=-1)
+    bad = ((sets[..., 0] != np.arange(n_cams)) | (ordered[..., 0] < 0)
+           | (ordered[..., -1] >= n_cams) | (np.diff(ordered, axis=-1) == 0).any(axis=-1)
+           | np.isin(sets[..., 1:], list(disabled)).any(axis=-1))
+    if bad.any():
+        i, v0 = np.argwhere(bad)[0].tolist()
+        raise ConfigError(f"policy table entry {(i, v0)} {sets[i, v0].tolist()} is not view {v0} "
+                          f"and {T - 1} distinct other cameras of {n_cams}, none of them "
+                          f"shut off {sorted(disabled)}")
+
+
 def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
     """The run at the budget it evaluates, its disabled ids a frozenset
     (full-views takes every camera whatever T and disabled say); raises
-    unless it can select T cameras on the world and, for an oracle that
-    builds its table, stay within the enumeration budget."""
+    unless it can select T cameras on the world and, for an oracle, stay
+    within the enumeration budget or follow a table that fits the run."""
     if run.policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {run.policy!r}")
     disabled = frozenset(int(v) for v in run.disabled)
@@ -547,8 +545,8 @@ def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
         raise ConfigError("mvselect evaluation needs a selector network")
     if run.policy.endswith("-oracle") and run.table is None:
         check_enumeration_budget(world, T, split, budget)
-    elif run.table is not None and run.table.T != T:
-        raise ConfigError(f"policy table was built for T={run.table.T}, not T={T}")
+    elif run.table is not None:
+        _checked_table(run.table, world.split_size(split), world.n_cameras, T, disabled)
     return replace(run, disabled=disabled)
 
 
@@ -565,10 +563,11 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     calls on one instance. The oracle runs without a table at one T share
     one decode and scoring of every size-T subset, and their tables and
     records are chosen from it, each avoiding its own run's shut-off
-    cameras. Each (instance, initial view) draws one random order per
-    distinct disabled set, which each random run with that set cuts to its
-    T - 1 cameras. Equal runs, such as full-views at several T, are
-    evaluated once.
+    cameras; an oracle run that follows a table takes its view sets from
+    the table, checked whole before the first block. Each (instance,
+    initial view) draws one whole random order per distinct disabled set,
+    which each random run with that set cuts to its T - 1 cameras. Equal
+    runs, such as full-views at several T, are evaluated once.
     """
     runs = [_checked_run(world, run, split, budget) for run in runs]
     keys = [(run.policy, run.T, id(run.q_net), id(run.table), run.disabled) for run in runs]
@@ -579,12 +578,12 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     subsets = {t: _subset_table(n_cams, t) for t in sorted({distinct[k].T for k in builds})}
     # per T: each instance's subset records, and the (n, S) scores and ties
     scored = {t: ([], np.zeros((n, len(s))), np.zeros((n, len(s)))) for t, s in subsets.items()}
-    # per other run: the (n, N, T) view sets, and each instance's records
-    picked = {k: (np.zeros((n, n_cams, run.T), dtype=int), [])
+    # per other run: the (n, N, T) view sets (an oracle's from its checked
+    # table), and each instance's records
+    picked = {k: (np.zeros((n, n_cams, run.T), dtype=int)
+                  + (run.table.sets if run.policy.endswith("-oracle") else 0), [])
               for k, run in distinct.items() if k not in builds}
-    random_len: dict = {}  # per disabled set: its longest random run
-    for run in (distinct[k] for k in picked if distinct[k].policy == "random"):
-        random_len[run.disabled] = max(random_len.get(run.disabled, 0), run.T)
+    random_off = {distinct[k].disabled for k in picked if distinct[k].policy == "random"}
     block = task_net.eval_block or n
     for start in range(0, n, block):
         index = range(start, min(start + block, n))
@@ -597,8 +596,8 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
                 records.append(task_net.records(outputs, inst, world))
                 scores[i] = task_net.score(records[-1])
                 ties[i] = -task_net.reward(outputs, task_net.truth(inst))
-        orders = {off: [[random_sequence(n_cams, v0, t, seed, i, off) for v0 in range(n_cams)]
-                        for i in index] for off, t in random_len.items()}
+        orders = {off: [[random_sequence(n_cams, v0, n_cams, seed, i, off)
+                         for v0 in range(n_cams)] for i in index] for off in random_off}
         for k, (chosen, records) in picked.items():
             run = distinct[k]
             if run.policy == "full-views":
@@ -614,8 +613,6 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
                 if run.policy == "random":
                     chosen[i] = [(v0,) + order[: run.T - 1]
                                  for v0, order in enumerate(orders[run.disabled][i - start])]
-                elif run.policy.endswith("-oracle"):
-                    chosen[i] = run.table.view_sets(i, n_cams, run.disabled)
                 distinct_sets, inverse = _distinct_sets(chosen[i])
                 outputs = task_net.decode(feats[i - start], distinct_sets)
                 records.append(task_net.records(outputs, inst, world)[inverse])

@@ -19,7 +19,7 @@ from fewview.artifacts import OUTPUT_ROOT_ENV, sha256_file
 from fewview.checkpoint import MAGIC
 from fewview.envs import DetectionConfig, DetectionWorld
 from fewview.tasknet import MVDetector
-from testkit import read_policy_table
+from testkit import read_policy_table, table_entries
 
 
 def base_config(tmp: Path) -> dict:
@@ -425,14 +425,23 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     (["study", "shutoff"], "eval", {"k": 5}, "disabling 5 cameras leaves fewer"),
     (["study", "sweep-T"], "eval", {"T_values": [2, 7]}, "T=7 is outside"),
     (["train", "--regime", "select-fixed"], "train", {"T": 7}, "T=7 is outside"),
+    # world sizes: every split holds an instance, a detection view a channel
+    (["train", "--regime", "task"], "world", {"n_train": 0}, "n_train must be at least 1"),
+    (["eval", "--policy", "random"], "world", {"n_val": 0}, "n_val must be at least 1"),
+    (["eval", "--policy", "random"], "world", {"n_eval": 0}, "n_eval must be at least 1"),
+    (["eval", "--policy", "random"], "world", {"n_eval": -1}, "n_eval must be at least 1"),
+    (["train", "--regime", "task"], "world", {"kind": "detection", "channels": 0},
+     "channels must be at least 1"),
 ], ids=["sweep-policy", "eval-split", "eval-split-null", "eval-missing-task-checkpoint",
         "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int", "eval-T-0",
         "eval-T-99", "eval-cli-T-0", "oracle-budget-negative", "oracle-T-7", "shutoff-k-negative",
-        "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7"])
+        "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7", "world-n-train-0",
+        "world-n-val-0", "world-n-eval-0", "world-n-eval-negative", "detection-channels-0"])
 def test_bad_eval_names_exit_2_before_any_run_directory(workspace, tmp_path, command,
                                                        section, keys, named):
     cfg = dict(workspace["cfg"])
-    cfg[section] = dict(cfg[section], **keys)
+    # keys that name a world kind replace the world section; others amend it
+    cfg[section] = keys if "kind" in keys else dict(cfg[section], **keys)
     cfg["output_dir"] = str(tmp_path / "runs")
     r = cli(*command, "--config", str(write_config(tmp_path, cfg, "names.yaml")))
     assert r.returncode == 2, r.stderr
@@ -498,7 +507,8 @@ def test_oracle_table_round_trips(workspace, tmp_path):
     table_path = next(run_dir_of(r).glob("table-dataset-T2-*.json"))
     table = read_policy_table(table_path.read_text())
     assert table.kind == "dataset" and table.T == 2
-    assert set(table.entries) == set(range(6))
+    assert table.sets.shape == (1, 6, 2)
+    assert set(table_entries(table)) == {str(v0) for v0 in range(6)}
 
 
 def test_sweep_study_single_full_budget_row(workspace, tmp_path):

@@ -440,13 +440,13 @@ def test_frequency_uniform_random_within_3_sigma():
 
 def test_frequency_of_dataset_oracle_equals_its_table():
     from fewview import training as tr
-    table = tr.PolicyTable("dataset", 2, {0: (3,), 1: (0,), 2: (0,), 3: (1,)})
+    table = tr.PolicyTable("dataset", np.array([[[0, 3], [1, 0], [2, 0], [3, 1]]]))
     n = 7
-    chosen = np.array([[(v0, *table.entries[v0]) for v0 in range(4)]] * n)
+    chosen = np.broadcast_to(table.sets, (n, 4, 2))
     freq = ev.policy_frequency(chosen, 4)
-    for v0, seq in table.entries.items():
+    for v0, (_, pick) in enumerate(table.sets[0].tolist()):
         expected = np.zeros(4)
-        expected[seq[0]] = 1.0
+        expected[pick] = 1.0
         np.testing.assert_array_equal(freq[0, v0], expected)
 
 

@@ -1,7 +1,7 @@
 """Fuzz tests for the two input loaders: checkpoints and experiment
 configs. No command reads a policy table back, so there is no policy-table
-loader to fuzz; ``PolicyTable.view_sets`` checks every table that
-evaluation is handed.
+loader to fuzz; evaluation checks every table it is handed, whole, before
+it featurizes an instance.
 
 Each loader meets random bytes and mutations of a valid file: truncation,
 bit flips, key deletion and type swaps. Every input must load cleanly or

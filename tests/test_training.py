@@ -35,8 +35,8 @@ from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector
 from testkit import (discriminative_views, exact_q_table, optimal_actions, paired_t_pvalue,
-                     predict_sets_gathered, read_policy_table, train_joint_eager,
-                     train_selector_fixed_eager)
+                     policy_table, predict_sets_gathered, read_policy_table, table_entries,
+                     train_joint_eager, train_selector_fixed_eager)
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -366,6 +366,7 @@ def test_toy_oracles_match_independent_brute_force():
 
     ds_table = tr.dataset_oracle_table(world, net, T=2, split="eval")
     inst_table = tr.instance_oracle_table(world, net, T=2, split="eval")
+    assert ds_table.sets.shape == (1, 4, 2) and inst_table.sets.shape == (n, 4, 2)
     for v0 in range(4):
         pairs = [p for p in mean_score if v0 in p]
         best = max(pairs, key=lambda p: (mean_score[p], -pairs.index(p)))
@@ -373,13 +374,13 @@ def test_toy_oracles_match_independent_brute_force():
         best_val = mean_score[best]
         best = min(p for p in pairs if mean_score[p] == best_val)
         expected = tuple(a for a in best if a != v0)
-        assert ds_table.entries[v0] == expected
+        assert ds_table.sets[0, v0].tolist() == [v0, *expected]
     for i in range(n):
         for v0 in range(4):
             vals = {p: best_per_instance[i][p] for p in best_per_instance[i] if v0 in p}
             best_val = max(vals.values())
             best = min(p for p, v in vals.items() if v == best_val)
-            assert inst_table.entries[(i, v0)] == tuple(a for a in best if a != v0)
+            assert inst_table.sets[i, v0].tolist() == [v0, *(a for a in best if a != v0)]
 
     ds_run = tr.evaluate_policy(world, net, T=2, policy="dataset-oracle", table=ds_table)
     inst_run = tr.evaluate_policy(world, net, T=2, policy="instance-oracle", table=inst_table)
@@ -394,10 +395,26 @@ def test_enumeration_budget_guard(cls_world, cls_net):
 
 
 def test_policy_table_json_round_trip():
-    ds = tr.PolicyTable("dataset", 3, {0: (1, 2), 1: (0, 3)})
-    assert read_policy_table(ds.to_json()) == ds
-    inst = tr.PolicyTable("instance", 2, {(0, 0): (3,), (0, 1): (2,)})
-    assert read_policy_table(inst.to_json()) == inst
+    for kind, entries in (("dataset", {"0": [1, 2], "1": [0, 3]}),
+                          ("instance", {"0:0": [3], "0:1": [2], "1:0": [1], "1:1": [0]})):
+        table = policy_table(kind, entries)
+        back = read_policy_table(table.to_json())
+        assert back.kind == kind and back.T == table.T
+        np.testing.assert_array_equal(back.sets, table.sets)
+        assert table_entries(back) == entries
+
+
+def test_policy_table_json_bytes_are_pinned():
+    # keys sort as strings ("10" before "2"), and T is the sets' last axis
+    ds = tr.PolicyTable("dataset", np.array([[(v, (v + 1) % 11) for v in range(11)]]))
+    assert ds.to_json() == (
+        '{"T":2,"entries":{"0":[1],"1":[2],"10":[0],"2":[3],"3":[4],"4":[5],"5":[6],'
+        '"6":[7],"7":[8],"8":[9],"9":[10]},"kind":"dataset"}')
+    inst = tr.PolicyTable("instance", np.array([[[0, 2, 1], [1, 0, 2], [2, 1, 0]],
+                                                [[0, 1, 2], [1, 2, 0], [2, 0, 1]]]))
+    assert inst.to_json() == (
+        '{"T":3,"entries":{"0:0":[2,1],"0:1":[0,2],"0:2":[1,0],"1:0":[1,2],"1:1":[2,0],'
+        '"1:2":[0,1]},"kind":"instance"}')
 
 
 def test_random_sequences_deterministic_and_distinct():
@@ -427,29 +444,36 @@ def test_evaluate_policy_guards(cls_world, cls_net):
         tr.evaluate_policy(cls_world, cls_net, T=2, policy="nonsense")
     with pytest.raises(ConfigError):
         tr.evaluate_policy(cls_world, cls_net, T=2, policy="mvselect")  # no q_net
-    table = tr.PolicyTable("dataset", 3, {v: (0, 1) for v in range(12)})
-    with pytest.raises(ConfigError):
+    table = policy_table("dataset", {str(v): [(v + 1) % 12, (v + 2) % 12] for v in range(12)})
+    with pytest.raises(ConfigError, match=r"policy table .* \(1, 12, 3\), not .* \(1, 12, 2\)"):
         tr.evaluate_policy(cls_world, cls_net, T=2, policy="dataset-oracle", table=table)
 
 
-def _bad_entries(case):
-    entries = {v: ((v + 1) % 12,) for v in range(12)}
-    if case == "missing entry":
-        del entries[3]
+def _bad_entries(case, instances):
+    """JSON-shaped entries for each of ``instances`` (None: a dataset table)
+    on the 12-camera world at T=2, broken as ``case`` says: a missing entry
+    is a table for 11 cameras or, for an instance table, one instance short
+    of the split; a wrong length is a table for T=3."""
+    entries = {v: [(v + 1) % 12] for v in range(12)}
+    if case == "missing entry" and instances is None:
+        del entries[11]
+    elif case == "missing entry":
+        instances = instances[:-1]
+    elif case == "wrong length":
+        entries = {v: [(v + 1) % 12, (v + 2) % 12] for v in range(12)}
     else:
-        entries[3] = {"camera 99": (99,), "wrong length": (4, 5), "camera -1": (-1,),
-                      "repeats initial": (3,)}[case]
-    return entries
+        entries[3] = {"camera 99": [99], "camera -1": [-1], "repeats initial": [3]}[case]
+    if instances is None:
+        return {str(v): seq for v, seq in entries.items()}
+    return {f"{i}:{v}": seq for i in instances for v, seq in entries.items()}
 
 
 @pytest.mark.parametrize("case", ["missing entry", "camera 99", "wrong length", "camera -1",
                                   "repeats initial"])
 @pytest.mark.parametrize("kind", ["dataset", "instance"])
 def test_policy_table_entries_are_checked_against_the_world(cls_world, cls_net, kind, case):
-    entries = _bad_entries(case)
-    if kind == "instance":
-        entries = {(i, v): seq for i in range(cls_world.n_eval) for v, seq in entries.items()}
-    table = tr.PolicyTable(kind, 2, entries)
+    instances = None if kind == "dataset" else list(range(cls_world.n_eval))
+    table = policy_table(kind, _bad_entries(case, instances))
     with pytest.raises(ConfigError, match="policy table"):
         tr.evaluate_policy(cls_world, cls_net, T=2, policy=f"{kind}-oracle", table=table)
 
@@ -485,13 +509,40 @@ def test_no_selecting_policy_picks_a_shut_off_camera(six_views, off, data):
 
 def test_table_oracle_rejects_an_entry_that_selects_a_shut_off_camera(six_views):
     world, net, _ = six_views
-    table = tr.PolicyTable("dataset", 2, {v: (0,) if v else (1,) for v in range(6)})
+    table = policy_table("dataset", {str(v): [0] if v else [1] for v in range(6)})
     run = tr.PolicyRun("dataset-oracle", 2, table=table, disabled=frozenset({1}))
-    with pytest.raises(ConfigError, match=r"entry 0 \(1,\) selects shut-off cameras \[1\]"):
+    with pytest.raises(ConfigError, match=r"policy table entry \(0, 0\) \[0, 1\] .* none of "
+                                          r"them shut off \[1\]"):
         tr.evaluate_policies(world, net, [run])
     # a shut-off camera still serves as an initial view
     run = tr.PolicyRun("dataset-oracle", 2, table=table, disabled=frozenset({5}))
     assert tr.evaluate_policies(world, net, [run])[0].chosen[0, 5].tolist() == [5, 0]
+
+
+def test_a_malformed_followed_table_fails_before_any_featurization(monkeypatch):
+    world = DetectionWorld(DetectionConfig(
+        grid_h=16, grid_w=16, ring_radius=12.0, view_range=22.0, channels=4,
+        min_targets=3, max_targets=6, n_train=2, n_val=2, n_eval=8, seed=3))
+    net = tr.build_detector(world, hidden=8, feat_dim=6, seed=3)
+    sets = np.array([[[v, (v + 1) % 6] for v in range(6)]] * 8)
+    sets[7, 3, 1] = 3    # the last frame's row repeats its initial view
+    calls = []
+    features = net.features
+    monkeypatch.setitem(vars(net), "features", lambda obs: calls.append(len(obs)) or features(obs))
+    with pytest.raises(ConfigError, match=r"policy table entry \(7, 3\) \[3, 3\]"):
+        tr.evaluate_policy(world, net, T=2, policy="instance-oracle",
+                           table=tr.PolicyTable("instance", sets))
+    assert calls == []
+
+
+def test_an_instance_table_follows_only_a_split_of_its_size(cls_world, cls_net):
+    table = tr.instance_oracle_table(cls_world, cls_net, 2, "eval")
+    run = tr.evaluate_policy(cls_world, cls_net, 2, "instance-oracle", "eval", table=table)
+    assert table.sets.shape == (cls_world.n_eval, 12, 2) and len(run.records) == cls_world.n_eval
+    for split in ("val", "train"):   # fewer and more instances than the table's rows
+        with pytest.raises(ConfigError, match=f"policy table .* for {cls_world.split_size(split)} "
+                                              f"instances"):
+            tr.evaluate_policy(cls_world, cls_net, 2, "instance-oracle", split, table=table)
 
 
 def test_policy_run_disabled_guards(cls_world, cls_net):

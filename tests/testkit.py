@@ -6,7 +6,8 @@ featurize every view of a batch, the per-camera ray-cast form of detection
 visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds, loop forms of
 detection peak extraction, matching and per-map frame counts, the runtime's
 greedy matcher on one frame as a match record, a paired significance test,
-and a reader of exported policy tables. Nothing in ``fewview`` calls them."""
+and a builder and reader of policy tables in their exported JSON form.
+Nothing in ``fewview`` calls them."""
 
 import itertools
 import json
@@ -25,15 +26,33 @@ from fewview.training import PolicyTable, TrainResult, _batch, _task_grads, chec
 Array = np.ndarray
 
 
+def policy_table(kind: str, entries: dict) -> PolicyTable:
+    """The table whose JSON-shaped ``entries`` give each initial view's
+    T - 1 other cameras, keyed "v0" (dataset) or "i:v0" (instance): one row,
+    or one per instance up to the largest i, over the cameras up to the
+    largest v0, T one more than the first entry's length. A view set no
+    entry gives holds -1; nothing is validated."""
+    keys = [tuple(int(part) for part in key.split(":")) for key in entries]
+    keys = [(0,) + key if kind == "dataset" else key for key in keys]
+    T = 1 + len(next(iter(entries.values())))
+    sets = np.full((1 + max(i for i, _ in keys), 1 + max(v for _, v in keys), T), -1)
+    for (i, v0), seq in zip(keys, entries.values()):
+        sets[i, v0] = (v0, *seq)
+    return PolicyTable(kind, sets)
+
+
+def table_entries(table: PolicyTable) -> dict:
+    """The JSON-shaped entries of ``table``, read from its view sets: each
+    initial view's other cameras, keyed as ``policy_table`` takes them."""
+    return {(str(v0) if table.kind == "dataset" else f"{i}:{v0}"): row[1:]
+            for i, rows in enumerate(table.sets.tolist()) for v0, row in enumerate(rows)}
+
+
 def read_policy_table(text: str) -> PolicyTable:
     """The table whose ``PolicyTable.to_json`` form is ``text``; it reads
     that form back and validates nothing."""
     raw = json.loads(text)
-    entries = {}
-    for key, seq in raw["entries"].items():
-        index = tuple(int(part) for part in key.split(":"))
-        entries[index[0] if raw["kind"] == "dataset" else index] = tuple(seq)
-    return PolicyTable(raw["kind"], raw["T"], entries)
+    return policy_table(raw["kind"], raw["entries"])
 
 
 def numeric_gradient(loss_fn: Callable[[], float], param: Array, step: float = 1e-5) -> Array:
