@@ -33,10 +33,6 @@ ORACLE_POLICIES = ("dataset-oracle", "instance-oracle")
 # shared plumbing
 
 
-def _build_world(cfg: ExperimentConfig):
-    return cfg.family.world(cfg.world_config())
-
-
 def _network_args(cfg: ExperimentConfig, names: dict) -> dict:
     """Builder arguments from the network keys that are set (null leaves a
     key unset); the ``training.build_*`` builders hold the defaults."""
@@ -61,7 +57,7 @@ def _selector_args(cfg: ExperimentConfig, seed: int) -> dict:
 
 def _load_net(net_cls, world, path):
     """A task network or selector checkpoint of ``net_cls`` for ``world``."""
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise ConfigError(f"{net_cls.kind} checkpoint not found: {path}")
     net, meta = net_cls.load(path)
     got, want = meta.get("world_hash"), world.world_hash()
@@ -71,10 +67,14 @@ def _load_net(net_cls, world, path):
     return net
 
 
-def _load(args) -> tuple[ExperimentConfig, int]:
-    """The experiment config and the run seed (``--seed`` beats the config)."""
+def _load(args):
+    """The preamble of every command: the validated config, the run seed
+    (``--seed`` beats the config), the run's start time and the world."""
     cfg = load_config(args.config)
-    return cfg, cfg.seed if args.seed is None else args.seed
+    seed = cfg.seed if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be at least 0, got {seed}")
+    return cfg, seed, time.perf_counter(), cfg.family.world(cfg.world_config())
 
 
 def _start_run(args, cfg: ExperimentConfig, command: str, seed: int):
@@ -105,10 +105,8 @@ def _finish_run(run_dir: Path, head: dict, started: float, addressed, named=None
 
 
 def cmd_train(args) -> int:
-    cfg, seed = _load(args)
+    cfg, seed, started, world = _load(args)
     regime = args.regime or cfg.require("train.regime")
-    started = time.perf_counter()
-    world = _build_world(cfg)
     train_cfg = cfg.train_config(regime=regime, seed=seed)
     if regime == "task":
         task_net = _build_task_net(cfg, world, seed)
@@ -144,11 +142,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg, seed = _load(args)
+    cfg, seed, started, world = _load(args)
     ev_sec = cfg.eval_section()
     policy = args.policy or cfg.require("eval.policy")
-    started = time.perf_counter()
-    world = _build_world(cfg)
     # full-views takes every camera whatever T says
     T = (world.n_cameras if policy == "full-views"
          else args.T if args.T is not None else cfg.require("eval.T"))
@@ -165,8 +161,9 @@ def cmd_eval(args) -> int:
     report = evaluation.build_report(run, cost, cfg.config_hash(), [seed])
     files = [(f"report-{policy}", ".json", artifacts.json_bytes(report))]
     if report["frequency"] is not None:
-        files.append((f"frequency-{policy}", ".csv",
-                      evaluation.frequency_csv(report["frequency"]).encode("utf-8")))
+        rows = evaluation.frequency_rows(report["frequency"])
+        files.append((f"frequency-{policy}", ".csv", evaluation.table_csv(
+            rows, ("step", "initial_view", "selected_view")).encode("utf-8")))
     _finish_run(run_dir, head, started, files)
     print(f"{policy} T={run.T} {run.split}: " + ", ".join(
         f"{k}={v:.4f}" for k, v in sorted(report["metrics"].items())))
@@ -178,10 +175,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_study(args) -> int:
-    cfg, seed = _load(args)
+    cfg, seed, started, world = _load(args)
     study = args.study
-    started = time.perf_counter()
-    world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     if study == "sweep-T":
         t_values = cfg.require("eval.T_values")
@@ -242,12 +237,10 @@ def cmd_study(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg, seed = _load(args)
+    cfg, seed, started, world = _load(args)
     policy = args.policy or cfg.require("eval.policy")
     if policy not in ORACLE_POLICIES:
         raise ConfigError(f"oracle policy must be one of {ORACLE_POLICIES}, got {policy!r}")
-    started = time.perf_counter()
-    world = _build_world(cfg)
     ev_sec = cfg.eval_section()
     T = args.T if args.T is not None else cfg.require("eval.T")
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))

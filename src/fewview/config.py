@@ -52,7 +52,7 @@ _NETWORK_KEYS = {
     "task_hidden": (int | None, MISSING, 1),
     "task_feat_dim": (int | None, MISSING, 1),
     "selector_hidden": (int | None, MISSING, 1),
-    "selector_seed": (int | None, None, None),  # None -> run seed
+    "selector_seed": (int | None, None, 0),  # None -> run seed
     "use_camera_branch": (bool | None, True, None),
     "use_feature_branch": (bool | None, True, None),
 }
@@ -250,14 +250,14 @@ def validate_config(raw) -> ExperimentConfig:
         "output_dir": raw.get("output_dir", "runs"),
         "seed": raw.get("seed", 0),
     }
-    _check_type("seed", normalized["seed"], int)
+    _check_type("seed", normalized["seed"], int, 0)
     _check_type("output_dir", normalized["output_dir"], str)
     return ExperimentConfig(normalized)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))

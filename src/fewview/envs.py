@@ -49,8 +49,9 @@ def _config_hash(cfg) -> str:
 
 def _check_least(cfg, least: dict) -> None:
     """Raise ConfigError naming the first of the config's counts that lies
-    below its ``least`` value; every split must hold an instance."""
-    for name, value in {**least, "n_train": 1, "n_val": 1, "n_eval": 1}.items():
+    below its ``least`` value; every split must hold an instance, and the
+    seed is at least 0, as NumPy requires."""
+    for name, value in {**least, "n_train": 1, "n_val": 1, "n_eval": 1, "seed": 0}.items():
         if getattr(cfg, name) < value:
             raise ConfigError(f"{name} must be at least {value}, got {getattr(cfg, name)!r}")
 

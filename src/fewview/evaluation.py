@@ -279,23 +279,18 @@ def build_report(run, cost: CostLedger, config_hash: str, seeds) -> dict:
     }
 
 
-def frequency_csv(freq: Array) -> str:
-    """step,initial_view,selected_view,frequency rows for plotting."""
-    freq = np.asarray(freq, dtype=float)
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", "initial_view", "selected_view", "frequency"])
-    for t, v0, a in np.ndindex(freq.shape):
-        writer.writerow([t + 1, v0, a, repr(float(freq[t, v0, a]))])
-    return out.getvalue()
+def frequency_rows(freq) -> list[dict]:
+    """(T-1, N, N) frequencies as step (from 1), initial_view, selected_view, frequency rows."""
+    return [{"step": t + 1, "initial_view": v0, "selected_view": a, "frequency": f}
+            for t, by_v0 in enumerate(freq) for v0, row in enumerate(by_v0)
+            for a, f in enumerate(row)]
 
 
 def table_csv(rows: list[dict], head) -> str:
-    """Plot-ready CSV of study rows: the ``head`` columns first, then the
-    other keys of the first row in sorted order; floats written via repr
-    for determinism."""
+    """Plot-ready CSV of rows, the one CSV writer: the ``head`` columns, then
+    the first row's other keys sorted; ints via str, floats via repr."""
     if not rows:
-        raise ConfigError("study produced no rows")
+        raise ConfigError("table has no rows")
     fieldnames = list(head) + sorted(k for k in rows[0] if k not in head)
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=fieldnames, lineterminator="\n")

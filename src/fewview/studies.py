@@ -26,7 +26,11 @@ from . import evaluation, training
 from .errors import ConfigError
 
 SWEEP_POLICIES = ("random", "dataset-oracle", "instance-oracle", "mvselect")
-ABLATION_VARIANTS = ("full", "no-camera-branch", "no-feature-branch")
+ABLATION_VARIANTS = {  # each variant's two branch flags, in row order
+    "full": {"use_camera_branch": True, "use_feature_branch": True},
+    "no-camera-branch": {"use_camera_branch": False, "use_feature_branch": True},
+    "no-feature-branch": {"use_camera_branch": True, "use_feature_branch": False},
+}
 STUDIES = ("sweep-T", "shutoff", "random-pose", "ablation")
 
 
@@ -185,16 +189,10 @@ def selector_ablation_study(world, task_net, T: int, *,
                             selector_args: dict | None = None,
                             split: str = "eval") -> list[dict]:
     """Train matched selectors from ``selector_args`` with each state branch
-    removed in turn, then evaluate all of them in one pass; each variant sets
-    both branch flags. Emits one row per variant: full, no-camera-branch,
-    no-feature-branch."""
-    flags = {
-        "full": {"use_camera_branch": True, "use_feature_branch": True},
-        "no-camera-branch": {"use_camera_branch": False, "use_feature_branch": True},
-        "no-feature-branch": {"use_camera_branch": True, "use_feature_branch": False},
-    }
+    removed in turn, then evaluate all of them in one pass. Emits one row
+    per variant of ``ABLATION_VARIANTS``, which sets both branch flags."""
     runs = [training.PolicyRun("mvselect", T, _trained_selector(
-                world, task_net, T, selector_cfg, selector_args, **flags[variant]))
-            for variant in ABLATION_VARIANTS]
+                world, task_net, T, selector_cfg, selector_args, **flags))
+            for flags in ABLATION_VARIANTS.values()]
     results = training.evaluate_policies(world, task_net, runs, split=split)
     return [_flatten_row({"variant": v}, r.metrics()) for v, r in zip(ABLATION_VARIANTS, results)]

@@ -100,6 +100,8 @@ def check_train_ranges(values: dict) -> None:
     for name in ("gamma", "epsilon_start", "epsilon_end"):
         if name in values and not 0.0 <= values[name] <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1], got {values[name]!r}")
+    if "seed" in values and values["seed"] < 0:
+        raise ConfigError(f"seed must be at least 0, got {values['seed']!r}")
 
 
 @dataclass

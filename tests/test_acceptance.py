@@ -2,7 +2,9 @@
 
 Each test prints its verdict to the real terminal (bypassing capture) before
 asserting, with each statistic it checks beside its bound, so a full run
-always shows eleven lines and their margins. The two expensive
+always shows eleven lines and their margins. One more test, not a numbered
+criterion, prints each detection seed's MODA under greedy and under optimal
+matching. The two expensive
 fixtures train the five-seed classification and detection suites once and
 share them across the ordering, joint-gain, and shut-off checks. Both suites
 train their seeds in one pool of spawned processes, one BLAS thread each.
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from scipy.optimize import linear_sum_assignment
 
 from fewview import studies
 from fewview import training as tr
@@ -30,7 +33,8 @@ from fewview.envs import (
     DetectionConfig,
     DetectionWorld,
 )
-from fewview.evaluation import cost_from_macs, detection_metrics_arrays
+from fewview.evaluation import (cost_from_macs, detection_metrics_arrays, extract_peaks,
+                                frame_counts)
 from fewview.mvselect import QNetwork
 from fewview.numcore import (
     ACTIVATIONS,
@@ -105,6 +109,13 @@ def _det_seed(seed: int) -> dict:
     moda = {}
     moda["full"] = tr.evaluate_policy(
         world, task, 6, "full-views").metrics()["moda"]
+    # each eval frame's full-view heatmap, decoded as full-views evaluation
+    # decodes it, with its occupants
+    frames = []
+    for i in range(world.split_size("eval")):
+        inst = world.instance("eval", i)
+        feats = task.features(inst.observations[None])
+        frames.append((task.head_cache(feats.max(axis=1)[:, None])[0][0, 0], inst.positions))
     q_fixed = tr.build_selector(world, task, seed=seed)
     tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
         regime="select-fixed", epochs=10, T=3, selector_lr=1e-3, seed=seed))
@@ -117,7 +128,8 @@ def _det_seed(seed: int) -> dict:
         joint_task_lr_factor=0.5, seed=seed))
     moda["joint"] = tr.evaluate_policy(
         world, task_joint, 3, "mvselect", q_net=q_joint).metrics()["moda"]
-    return {"seed": seed, "moda": moda, "seconds": time.time() - t0}
+    return {"seed": seed, "moda": moda, "seconds": time.time() - t0, "full_frames": frames,
+            "threshold": world.match_threshold_cells}
 
 
 # each suite's seed runner, longest first: a detection seed trains for 30-40 s,
@@ -449,6 +461,44 @@ def test_detection_metric_formulas_and_matching(capsys):
             f"{fraction:.1%} ≥ 95%")
     assert formula_ok, "metric bundle deviates from direct formula substitution"
     assert fraction >= 0.95, f"greedy matching optimal on only {fraction:.1%}"
+
+
+# ---------------------------------------------------------------------------
+# greedy against optimal matching on the detection suite (a report, not a
+# numbered criterion)
+
+
+def _optimal_counts(heatmap, gts, threshold) -> np.ndarray:
+    """[tp, fp, fn, gt] of one heatmap's peaks under a maximum one-to-one
+    assignment to the occupants within the threshold."""
+    peaks = extract_peaks(heatmap).astype(float)
+    gts = np.asarray(gts, dtype=float).reshape(-1, 2)
+    far = np.hypot(peaks[:, None, 0] - gts[:, 0], peaks[:, None, 1] - gts[:, 1]) > threshold
+    rows, cols = linear_sum_assignment(far.astype(float))  # fewest pairs past the threshold
+    tp = int((~far[rows, cols]).sum())
+    return np.array([tp, len(peaks) - tp, len(gts) - tp, len(gts)], dtype=float)
+
+
+def test_optimal_matching_scores_at_least_greedy_on_detection_worlds(capsys, det_suite):
+    lines, worse = [], []
+    for run in det_suite:
+        frames, threshold = run["full_frames"], run["threshold"]
+        greedy = np.array([frame_counts(heat, gts, threshold) for heat, gts in frames])
+        optimal = np.array([_optimal_counts(heat, gts, threshold) for heat, gts in frames])
+        moda_greedy = detection_metrics_arrays(greedy[:, :4], greedy[:, 4])["moda"]
+        moda_optimal = detection_metrics_arrays(optimal, np.zeros(len(frames)))["moda"]
+        # the runtime's full-views MODA is the greedy one over the same peaks
+        assert moda_greedy == run["moda"]["full"], (moda_greedy, run["moda"]["full"])
+        more = int((optimal[:, 0] > greedy[:, 0]).sum())
+        lines.append(f"seed {run['seed']}: greedy {moda_greedy:.4f}, optimal "
+                     f"{moda_optimal:.4f} ({moda_optimal - moda_greedy:+.4f}; optimal matched "
+                     f"more on {more}/{len(frames)} frames)")
+        if moda_optimal < moda_greedy:
+            worse.append(run["seed"])
+    with capsys.disabled():
+        for line in lines:
+            print(f"[matching] full-view MODA, {line}")
+    assert not worse, f"optimal matching scored below greedy on seeds {worse}"
 
 
 # ---------------------------------------------------------------------------

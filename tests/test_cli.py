@@ -112,6 +112,13 @@ def test_missing_config_file(tmp_path):
     assert "not found" in r.stderr
 
 
+def test_config_path_that_is_a_directory_exits_2_before_any_run_directory(tmp_path):
+    r = cli("train", "--config", str(tmp_path), "--out", str(tmp_path / "runs"))
+    assert r.returncode == 2, r.stderr
+    assert not (tmp_path / "runs").exists()
+    assert f"config file not found: {tmp_path}" in r.stderr
+
+
 def test_malformed_value_exits_2_naming_the_path(tmp_path):
     cfg = base_config(tmp_path)
     cfg["world"]["n_views"] = "abc"
@@ -382,6 +389,22 @@ def test_eval_reports_are_byte_identical_across_reruns(workspace, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_eval_frequency_csv_lists_the_report_frequencies(workspace, tmp_path):
+    cfg = dict(workspace["cfg"], output_dir=str(tmp_path / "runs"))
+    r = cli("eval", "--config", str(write_config(tmp_path, cfg, "freq.yaml")),
+            "--policy", "mvselect")
+    assert r.returncode == 0, r.stderr
+    freq = json.loads(next(run_dir_of(r).glob("report-*.json")).read_text())["frequency"]
+    lines = next(run_dir_of(r).glob("frequency-*.csv")).read_text().split("\n")
+    assert lines[0] == "step,initial_view,selected_view,frequency"
+    assert lines[-1] == ""  # every line ends with a newline
+    # T = 2 on the 6-view world: one step of 6 initial views by 6 cameras
+    assert lines[1:-1] == [f"{t + 1},{v0},{a},{value!r}"
+                           for t, by_v0 in enumerate(freq) for v0, row in enumerate(by_v0)
+                           for a, value in enumerate(row)]
+    assert len(lines) - 2 == 6 * 6
+
+
 def test_missing_eval_T_is_named(workspace, tmp_path):
     cfg = dict(workspace["cfg"])
     cfg["eval"] = {k: v for k, v in cfg["eval"].items() if k != "T"}
@@ -432,16 +455,32 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     (["eval", "--policy", "random"], "world", {"n_eval": -1}, "n_eval must be at least 1"),
     (["train", "--regime", "task"], "world", {"kind": "detection", "channels": 0},
      "channels must be at least 1"),
+    # seeds: NumPy seeds from no negative number
+    (["train", "--regime", "task"], None, {"seed": -1}, "seed must be at least 0, got -1"),
+    (["train", "--regime", "task", "--seed", "-2"], "train", {}, "--seed must be at least 0"),
+    (["eval", "--policy", "random", "--seed", "-5"], "eval", {}, "--seed must be at least 0"),
+    (["train", "--regime", "task"], "world", {"seed": -3}, "seed must be at least 0, got -3"),
+    (["train", "--regime", "select-fixed"], "network", {"selector_seed": -4},
+     "network.selector_seed must be at least 0"),
+    # a checkpoint path must name a file
+    (["eval", "--policy", "random"], "eval", {"task_checkpoint": "tests"},
+     "checkpoint not found: tests"),
 ], ids=["sweep-policy", "eval-split", "eval-split-null", "eval-missing-task-checkpoint",
         "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int", "eval-T-0",
         "eval-T-99", "eval-cli-T-0", "oracle-budget-negative", "oracle-T-7", "shutoff-k-negative",
         "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7", "world-n-train-0",
-        "world-n-val-0", "world-n-eval-0", "world-n-eval-negative", "detection-channels-0"])
+        "world-n-val-0", "world-n-eval-0", "world-n-eval-negative", "detection-channels-0",
+        "seed-negative", "train-cli-seed-negative", "eval-cli-seed-negative",
+        "world-seed-negative", "selector-seed-negative", "eval-task-checkpoint-directory"])
 def test_bad_eval_names_exit_2_before_any_run_directory(workspace, tmp_path, command,
                                                        section, keys, named):
     cfg = dict(workspace["cfg"])
     # keys that name a world kind replace the world section; others amend it
-    cfg[section] = keys if "kind" in keys else dict(cfg[section], **keys)
+    # (a section of None: the top level)
+    if section is None:
+        cfg.update(keys)
+    else:
+        cfg[section] = keys if "kind" in keys else dict(cfg.get(section) or {}, **keys)
     cfg["output_dir"] = str(tmp_path / "runs")
     r = cli(*command, "--config", str(write_config(tmp_path, cfg, "names.yaml")))
     assert r.returncode == 2, r.stderr

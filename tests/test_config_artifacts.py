@@ -175,6 +175,9 @@ def test_world_config_builds_both_kinds():
                            ("budget: -5", "eval.budget"), ("k: -1", "eval.k"),
                            ("n_random: -1", "eval.n_random"),
                            ("T_values: [2, 0]", r"eval.T_values\[1\]"))],
+    (b"world: {kind: classification}\nseed: -1\n", "seed must be at least 0"),
+    (b"world: {kind: detection, seed: -3}\n", "seed must be at least 0"),
+    (b"world: {kind: classification}\nnetwork: {selector_seed: -4}\n", "network.selector_seed"),
 ], ids=["n_views abc", "grid_h null", "discriminative_views 3", "seed x", "epochs a", "not UTF-8",
         "T abc", "task_hidden wide", "use_camera_branch 1", "both branches off",
         "T_values item", "policies scalar",
@@ -183,7 +186,7 @@ def test_world_config_builds_both_kinds():
         "output_dir date", "selector_checkpoints mixed keys", "selector_checkpoints int path",
         "split null", "rank_split null", "budget null", "k null", "n_random null",
         "task_checkpoint 5", "T 0", "T -3", "budget 0", "budget -5", "k -1", "n_random -1",
-        "T_values item 0"])
+        "T_values item 0", "seed -1", "world seed -3", "selector_seed -4"])
 def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path = tmp_path / "exp.yaml"
     path.write_bytes(payload)

@@ -160,6 +160,8 @@ def test_classification_config_validation():
         ClassificationConfig(n_views=4, n_classes=2, discriminative_views=((4,),))
     with pytest.raises(ConfigError):
         ClassificationConfig(n_views=4, n_classes=2, discriminative_views=())
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+        ClassificationConfig(seed=-1)
 
 
 def test_world_hash_tracks_config():
@@ -406,6 +408,8 @@ def test_detection_config_guards():
         DetectionConfig(min_targets=0)
     with pytest.raises(ConfigError):
         DetectionConfig(min_targets=9, max_targets=5)
+    with pytest.raises(ConfigError, match="seed must be at least 0, got -1"):
+        DetectionConfig(seed=-1)
 
 
 def test_match_threshold_in_cells():

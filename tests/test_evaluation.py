@@ -540,16 +540,36 @@ def test_build_report_attaches_frequency_and_metrics():
     assert report_full["cost"]["ratio"] == 1.0
 
 
+# the key columns ``cli.cmd_eval`` heads a frequency table with
+FREQUENCY_HEAD = ("step", "initial_view", "selected_view")
+
+
 def test_frequency_csv_layout():
     freq = np.zeros((1, 2, 2))
     freq[0, 0, 1] = 1.0
     freq[0, 1, 0] = 1.0
-    text = ev.frequency_csv(freq)
+    text = ev.table_csv(ev.frequency_rows(freq.tolist()), FREQUENCY_HEAD)
     lines = text.strip().split("\n")
     assert lines[0] == "step,initial_view,selected_view,frequency"
     assert lines[1] == "1,0,0,0.0"
     assert lines[2] == "1,0,1,1.0"
     assert len(lines) == 5
+
+
+def test_frequency_csv_bytes_at_T_3():
+    # three instances of a 3-camera world at T = 3: thirds, whose repr is long
+    chosen = np.array([[[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+                       [[0, 2, 1], [1, 2, 0], [2, 1, 0]],
+                       [[0, 1, 2], [1, 0, 2], [2, 0, 1]]])
+    freq = ev.policy_frequency(chosen, 3).tolist()
+    third, two_thirds = "0.3333333333333333", "0.6666666666666666"
+    values = ["0.0", two_thirds, third, third, "0.0", two_thirds, two_thirds, third, "0.0",
+              "0.0", third, two_thirds, two_thirds, "0.0", third, third, two_thirds, "0.0"]
+    expected = "step,initial_view,selected_view,frequency\n" + "".join(
+        f"{t},{v0},{a},{value}\n"
+        for (t, v0, a), value in zip(itertools.product((1, 2), range(3), range(3)), values))
+    assert ev.table_csv(ev.frequency_rows(freq), FREQUENCY_HEAD).encode("utf-8") == (
+        expected.encode("utf-8"))
 
 
 @pytest.mark.parametrize("head, rows, lines", [

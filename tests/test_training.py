@@ -84,6 +84,7 @@ def test_train_config_rejects_bad_values():
 @pytest.mark.parametrize("field, value", [
     ("task_lr", 0.0), ("selector_lr", -1e-3), ("task_lr", float("nan")),
     ("epsilon_start", 3.0), ("epsilon_end", -1.0), ("epsilon_start", float("nan")),
+    ("seed", -1),
 ])
 def test_train_config_rejects_bad_rates_naming_the_field(field, value):
     with pytest.raises(ConfigError, match=field):
