@@ -92,11 +92,15 @@ def run_directory(root: str | Path, command: str, config_hash: str, seed: int,
 
     Only the path: the directory appears with its first file (no file, no
     directory), so a run that fails before it writes leaves nothing behind.
-    A directory that already holds a manifest is a finished run: rerunning
-    into it needs --force (reruns are deterministic, so forcing overwrites
-    with identical bytes).
+    A path with an existing component that is not a directory could never
+    be written, and a directory that already holds a manifest is a finished
+    run: rerunning into it needs --force (reruns are deterministic, so
+    forcing overwrites with identical bytes). Both raise ConfigError.
     """
     run_dir = Path(root) / f"{command}-{config_hash[:12]}-s{seed}"
+    existing = next(p for p in (run_dir, *run_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"output path {existing} exists and is not a directory")
     if (run_dir / MANIFEST_NAME).exists() and not force:
         raise ConfigError(
             f"run directory {run_dir} already holds a finished run; "

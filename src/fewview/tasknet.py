@@ -153,14 +153,15 @@ class TaskNet(Persistable):
     (f) and a decoder ``head_net`` (g) over the max-pooled features, the two
     ``PARTS`` that ``Persistable`` builds from the network's ``DIMS``.
     Subclasses supply their task family: ``layer_specs``, ``features_cache``
-    and ``head_cache`` for their shapes (any leading batch axes), ``decode``
-    of many view subsets of one instance, the ground truth of an instance,
-    the batch loss, the per-instance terminal reward of the view selection,
-    and the evaluation side: per-output ``records``, the oracle ``score`` of
-    each record, the report ``metrics`` and the ``mac_counts`` of f per view
-    and of g for one observation of a world. ``mode`` names the task family
-    in reports; ``train_batch`` fixes the instances per training step (None:
-    the config's ``batch_size``), and ``eval_block`` the instances that
+    and ``head_cache`` for their shapes (any leading batch axes), the
+    ``features`` of an evaluation block, ``decode`` of many view subsets of
+    one instance, the ground truth of an instance, the batch loss, the
+    per-instance terminal reward of the view selection, and the evaluation
+    side: per-output ``records``, the oracle ``score`` of each record, the
+    report ``metrics`` and the ``mac_counts`` of f per view and of g for
+    one observation of a world. ``mode`` names the task family in reports;
+    ``train_batch`` fixes the instances per training step (None: the
+    config's ``batch_size``), and ``eval_block`` the instances that
     evaluation featurizes and decodes as one stack (None: the whole split)."""
 
     mode = ""
@@ -168,10 +169,12 @@ class TaskNet(Persistable):
     eval_block: int | None = None
     PARTS = (("feature_net", "feature.", 0), ("head_net", "head.", 1))
 
-    def features(self, obs: Array) -> Array:
-        """f applied to every view of a block of instances, (G, N, ...) ->
-        (G, N[, H, W], D), for a pass that needs no backward."""
-        return self.features_cache(obs)[0]
+    def _forward_into(self, x: Array, work: dict) -> Array:
+        """f on the rows x, each layer writing its output into an array of
+        ``work``; the last is the features."""
+        return self.feature_net.forward_cache(x, [
+            work_array(work, ("f", i), x.shape[:-1] + (spec.out_dim,))
+            for i, spec in enumerate(self.feature_net.specs)])[0]
 
 
 class MVClassifier(TaskNet):
@@ -198,11 +201,13 @@ class MVClassifier(TaskNet):
         feats, cache = self.feature_net.forward_cache(flat)
         return feats.reshape(obs.shape[:-1] + (self.feat_dim,)), cache
 
-    def features(self, obs: Array) -> Array:
+    def features(self, obs: Array, work: dict | None = None) -> Array:
         """f on a stack of instances' views, (G, N, obs_dim) -> (G, N,
         feat_dim), in one stacked forward: each instance gets the bits of
-        ``features_cache`` on it alone, which a flattened batch would not."""
-        return self.feature_net.forward_cache(obs)[0]
+        ``features_cache`` on it alone, which a flattened batch would not.
+        Each layer writes into ``work`` as in ``MVDetector.features``; f's
+        input rows are the observations themselves."""
+        return self._forward_into(np.asarray(obs, dtype=np.float64), {} if work is None else work)
 
     def features_backward(self, cache, d_feats: Array, work: dict | None = None) -> dict[str, Array]:
         flat = np.asarray(d_feats).reshape(-1, self.feat_dim)
@@ -277,6 +282,18 @@ class MVDetector(TaskNet):
         rows = np.ascontiguousarray(np.moveaxis(obs, -3, -1)).reshape(-1, c)
         feats, cache = self.feature_net.forward_cache(rows)
         return feats.reshape(*lead, h, w, self.feat_dim), cache
+
+    def features(self, obs: Array, work: dict | None = None) -> Array:
+        """f per cell of every view of a block of instances, (G, V, C, H, W)
+        -> (G, V, H, W, D), with the bits of ``features_cache`` and no
+        cache. f's input rows, each layer's output and so the features are
+        arrays of ``work`` (``numcore.work_array``; a fresh dict by default),
+        so a caller that passes one owns every full-frame array of the call."""
+        work = {} if work is None else work
+        *lead, c, h, w = obs.shape
+        rows = work_array(work, "rows", (*lead, h, w, c))
+        np.copyto(rows, np.moveaxis(obs, -3, -1))
+        return self._forward_into(rows.reshape(-1, c), work).reshape(*lead, h, w, self.feat_dim)
 
     def features_backward(self, cache, d_feats: Array, work: dict | None = None) -> dict[str, Array]:
         flat = np.asarray(d_feats).reshape(-1, self.feat_dim)

@@ -28,7 +28,6 @@ UNRESOLVED = {
     "mvselect.select_action": "deleted: the array rollout picks its actions inline",
     "numcore.DenseNet.forward": "deleted: DenseNet takes batches through forward_cache",
     "tasknet.MVClassifier.head": "deleted: heads run through head_cache",
-    "tasknet.MVDetector.features": "inherited: its span is tasknet.TaskNet.features",
     "tasknet.MVDetector.head": "deleted: heads run through head_cache",
     "tasknet.aggregate_max": "deleted: pooling is a max over the view axis",
     "tasknet.pool_with_argmax": "deleted: route_pooled_grad routes the pooled gradient",

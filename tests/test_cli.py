@@ -265,6 +265,26 @@ def test_output_root_precedence_flag_env_config(tmp_path):
     assert run_dir_of(r).parent == flag_root
 
 
+# an output root under an existing file is refused before any training
+@pytest.mark.parametrize("source", ["output_dir", "--out", OUTPUT_ROOT_ENV])
+def test_output_root_under_a_file_exits_2_and_leaves_nothing(tmp_path, source):
+    cfg = base_config(tmp_path)
+    cfg["train"]["epochs"] = 1
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    root = blocker if source == "--out" else blocker / "runs"
+    if source == "output_dir":
+        cfg["output_dir"] = str(root)
+    cpath = write_config(tmp_path, cfg)
+    before = sorted(tmp_path.rglob("*"))
+    r = cli("train", "--config", str(cpath), *(["--out", str(root)] if source == "--out" else []),
+            env={OUTPUT_ROOT_ENV: str(root)} if source == OUTPUT_ROOT_ENV else None)
+    assert r.returncode == 2, r.stderr
+    assert f"output path {blocker} exists and is not a directory" in r.stderr
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "not a directory\n"
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 

@@ -162,9 +162,9 @@ def test_sweep_featurizes_each_instance_once_and_scores_each_budget_once(
     decoded = Counter()   # (rows, columns) of every decoded view-set table
     features, decode = task_net.features, task_net.decode
 
-    def counted_features(obs):
+    def counted_features(obs, work=None):
         featurized.append(len(obs))
-        return features(obs)
+        return features(obs, work)
 
     def counted_decode(feats, view_sets):
         decoded[view_sets.shape] += 1
@@ -221,7 +221,8 @@ def count_shutoff_work(world, task_net, selector, monkeypatch, **study_args):
 
     # set in the instance's dict, so undoing it leaves no instance attribute
     monkeypatch.setitem(vars(task_net), "features",
-                        lambda obs: featurized.append(len(obs)) or features(obs))
+                        lambda obs, work=None: featurized.append(len(obs))
+                        or features(obs, work))
     monkeypatch.setattr(tr, "greedy_sequences", counted_greedy)
     out = studies.camera_shutoff_study(world, task_net, selector, T=2, **study_args)
     return out, sum(featurized), rollouts

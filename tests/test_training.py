@@ -7,10 +7,13 @@ oracle enumeration against independent brute force, policy-table formats,
 budget guards, and bit-reproducibility.
 """
 
+import concurrent.futures
 import copy
 import itertools
 import math
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,15 +31,16 @@ from fewview.errors import (
     BudgetError,
     ConfigError,
     NonFiniteError,
+    ShapeError,
     StateError,
     TrainingDiverged,
 )
 from fewview.mvselect import rollout
 from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector
-from testkit import (discriminative_views, exact_q_table, optimal_actions, paired_t_pvalue,
-                     policy_table, predict_sets_gathered, read_policy_table, table_entries,
-                     train_joint_eager, train_selector_fixed_eager)
+from testkit import (discriminative_views, evaluate_reference, exact_q_table, optimal_actions,
+                     paired_t_pvalue, policy_table, predict_sets_gathered, read_policy_table,
+                     table_entries, train_joint_eager, train_selector_fixed_eager)
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -529,7 +533,8 @@ def test_a_malformed_followed_table_fails_before_any_featurization(monkeypatch):
     sets[7, 3, 1] = 3    # the last frame's row repeats its initial view
     calls = []
     features = net.features
-    monkeypatch.setitem(vars(net), "features", lambda obs: calls.append(len(obs)) or features(obs))
+    monkeypatch.setitem(vars(net), "features", lambda obs, work=None: calls.append(len(obs))
+                        or features(obs, work))
     with pytest.raises(ConfigError, match=r"policy table entry \(7, 3\) \[3, 3\]"):
         tr.evaluate_policy(world, net, T=2, policy="instance-oracle",
                            table=tr.PolicyTable("instance", sets))
@@ -587,7 +592,7 @@ def test_block_pass_equals_per_instance_calls_bit_for_bit(monkeypatch):
     N, blocks, logits = world.n_cameras, [], []
     features, records = net.features, net.records
     monkeypatch.setitem(vars(net), "features",
-                        lambda obs: blocks.append(features(obs)) or blocks[-1])
+                        lambda obs, work=None: blocks.append(features(obs, work)) or blocks[-1])
     monkeypatch.setitem(vars(net), "records",
                         lambda out, inst, w: logits.append(out) or records(out, inst, w))
     full = tr.evaluate_policy(world, net, N, "full-views")     # logits: one row per instance
@@ -798,9 +803,9 @@ def test_oracle_without_a_table_scores_each_instance_once(family, request, monke
     calls = {"features": 0, "head": 0}   # featurized instances, head calls
     features, head_cache = net.features, net.head_cache
 
-    def counted_features(obs):
+    def counted_features(obs, work=None):
         calls["features"] += len(obs)
-        return features(obs)
+        return features(obs, work)
 
     def counted_head(pooled):
         calls["head"] += 1
@@ -857,10 +862,104 @@ def test_one_pass_equals_one_evaluate_policy_call_per_run(family, request):
             assert result.table.to_json() == want.table.to_json()
 
 
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_one_pass_equals_the_reference_evaluator(family, request):
+    # a detection split is five frames, so the pass prepares four of them
+    # on its worker thread; a classification split is one block
+    if family == "detection":
+        world, net, q_net = request.getfixturevalue("det_tiny")
+    else:
+        world, net = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+        q_net = request.getfixturevalue("cls_selector")
+    off = frozenset({1, 4})
+    runs = [tr.PolicyRun(p, 3, q_net if p == "mvselect" else None) for p in tr.POLICIES]
+    runs += [tr.PolicyRun("random", 2), tr.PolicyRun("dataset-oracle", 2), runs[0],
+             tr.PolicyRun("dataset-oracle", 3, table=tr.dataset_oracle_table(world, net, 3, "eval")),
+             tr.PolicyRun("instance-oracle", 2, table=tr.instance_oracle_table(world, net, 2, "eval"))]
+    runs += [tr.PolicyRun(p, 2, q_net if p == "mvselect" else None, disabled=off)
+             for p in tr.POLICIES]
+    for run, got in zip(runs, tr.evaluate_policies(world, net, runs, seed=4), strict=True):
+        chosen, records = evaluate_reference(world, net, run, "eval", 4)
+        assert got.chosen.tobytes() == chosen.tobytes(), run
+        assert got.records.tobytes() == records.tobytes(), run
+        if run.policy.endswith("-oracle") and run.table is None:
+            rows = 1 if run.policy == "dataset-oracle" else world.n_eval
+            assert got.table.sets.tobytes() == chosen[:rows].tobytes(), run
+
+
+# the worker thread of a detection pass
+
+
+def test_a_detection_pass_prepares_every_later_frame_on_one_worker(det_tiny, monkeypatch):
+    world, net, q_net = det_tiny
+    threads, features, callers = threading.active_count(), net.features, []
+    monkeypatch.setitem(vars(net), "features", lambda obs, work=None: callers.append(
+        threading.current_thread()) or features(obs, work))
+    tr.evaluate_policy(world, net, 3, "mvselect", q_net=q_net)
+    assert callers[0] is threading.current_thread()
+    assert len(set(callers[1:])) == 1 and callers[1] is not callers[0]
+    assert len(callers) == world.n_eval
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_an_error_mid_pass_surfaces_with_its_class_and_joins_the_worker(det_tiny, monkeypatch,
+                                                                         where):
+    # the third frame fails: featurized by the worker, or decoded by the caller
+    world, net, q_net = det_tiny
+    threads, calls = threading.active_count(), []
+    name, error = ("features", NonFiniteError) if where == "worker" else ("decode", ShapeError)
+    method = getattr(net, name)
+
+    def third_fails(*args):
+        calls.append(threading.current_thread())
+        if len(calls) == 3:
+            raise error(f"frame 2 fails on the {where}")
+        return method(*args)
+
+    monkeypatch.setitem(vars(net), name, third_fails)
+    with pytest.raises(error, match=f"frame 2 fails on the {where}"):
+        tr.evaluate_policy(world, net, 3, "mvselect", q_net=q_net)
+    assert (calls[2] is threading.current_thread()) == (where == "caller")
+    assert threading.active_count() == threads
+
+
+def test_a_pass_under_frequent_thread_switches_equals_the_reference(det_tiny):
+    # a block handed over early, or a buffer refilled while the caller still
+    # reads it, changes bytes; a switch every microsecond gives it chances
+    world, net, q_net = det_tiny
+    runs = [tr.PolicyRun("mvselect", 3, q_net), tr.PolicyRun("instance-oracle", 2),
+            tr.PolicyRun("full-views", 2)]
+    want = [evaluate_reference(world, net, run, "eval", 0) for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        passes = [tr.evaluate_policies(world, net, runs) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    for done in passes:
+        for got, (chosen, records) in zip(done, want, strict=True):
+            assert got.chosen.tobytes() == chosen.tobytes()
+            assert got.records.tobytes() == records.tobytes()
+
+
+def test_a_one_block_pass_starts_no_thread(cls_world, cls_net, det_tiny, monkeypatch):
+    def no_executor(*args, **kwargs):
+        raise AssertionError("the pass opened a worker")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_executor)
+    threads = threading.active_count()
+    tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun(p, 2) for p in ("random", "full-views")])
+    assert threading.active_count() == threads
+    with pytest.raises(AssertionError, match="opened a worker"):   # a split of five frames
+        tr.evaluate_policy(det_tiny[0], det_tiny[1], 2, "random")
+
+
 def test_one_pass_checks_every_run_before_any_work(cls_world, cls_net, monkeypatch):
     calls = []
     features = cls_net.features
-    monkeypatch.setitem(vars(cls_net), "features", lambda obs: calls.append(1) or features(obs))
+    monkeypatch.setitem(vars(cls_net), "features",
+                        lambda obs, work=None: calls.append(1) or features(obs, work))
     good = tr.PolicyRun("random", 2)
     for bad, error in ((tr.PolicyRun("mvselect", 2), ConfigError),
                        (tr.PolicyRun("random", 13), ConfigError),

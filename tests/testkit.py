@@ -3,7 +3,8 @@ gradients, the per-array form of the Adam update, a loop-form max-pool and task-
 form of subset decoding, the argmax form of the max-pool gradient router, the channel-first form of the detector and of
 the selection rollout, a Q-network valuing one instance per forward, the eager select-fixed and joint loops that
 featurize every view of a batch, the per-camera ray-cast form of detection
-visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds, loop forms of
+visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds,
+a policy evaluator that takes one run and one instance at a time, loop forms of
 detection peak extraction, matching and per-map frame counts, the runtime's
 greedy matcher on one frame as a match record, a paired significance test,
 and a builder and reader of policy tables in their exported JSON form.
@@ -21,7 +22,8 @@ from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, _greedy_matches
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
-from fewview.training import PolicyTable, TrainResult, _batch, _task_grads, check_t
+from fewview.training import (PolicyTable, TrainResult, _batch, _task_grads, check_t,
+                              random_sequence)
 
 Array = np.ndarray
 
@@ -349,6 +351,64 @@ def discriminative_views(world, class_id: int) -> tuple[int, ...]:
     if world.config.discriminative_views is not None:
         return tuple(sorted(world.config.discriminative_views[pair]))
     return (2 * pair, 2 * pair + 1)
+
+
+def evaluate_reference(world, task_net, run, split: str, seed: int) -> tuple[Array, Array]:
+    """The (n, N, T) view sets, initial view first, and (n, N, k) records of
+    one ``PolicyRun`` over a split, one instance at a time, each featurized
+    alone by ``features_cache``.
+
+    Full-views takes every camera, random the ``random_sequence``
+    completion, mvselect a greedy rollout from every initial view of the
+    instance alone, and an oracle with a table the table's row. An oracle
+    without one scores every ``itertools.combinations`` subset and takes,
+    per initial view, the best subset that holds the view and no other
+    shut-off camera: the highest split-mean score (dataset), or the highest
+    score and then the lower task loss (instance), then the first subset.
+    Decoding keeps the pass's call shapes, on which the last bits of a
+    batched head depend: an instance's distinct view sets go in one
+    ``decode`` call, in first-occurrence order, and an oracle's subsets in
+    another."""
+    N, n, off = world.n_cameras, world.split_size(split), frozenset(run.disabled)
+    T = N if run.policy == "full-views" else run.T
+    subsets = list(itertools.combinations(range(N), T))
+    chosen, records, scores, losses = np.zeros((n, N, T), dtype=int), [], [], []
+    for i in range(n):
+        inst = world.instance(split, i)
+        feats = task_net.features_cache(inst.observations)[0]
+        if run.policy.endswith("-oracle") and run.table is None:
+            outputs = task_net.decode(feats, np.array(subsets))
+            records.append(task_net.records(outputs, inst, world))
+            scores.append(task_net.score(records[-1]))
+            losses.append(-task_net.reward(outputs, task_net.truth(inst)))
+            continue
+        if run.policy == "full-views":
+            chosen[i] = range(N)
+        elif run.policy == "random":
+            chosen[i] = [(v0,) + random_sequence(N, v0, T, seed, i, off) for v0 in range(N)]
+        elif run.policy == "mvselect":   # every initial view in one rollout, as evaluated
+            chosen[i] = rollout(run.q_net, feats[None], np.arange(N)[None], T, off)[0][0]
+        else:
+            chosen[i] = run.table.sets[i if run.table.kind == "instance" else 0]
+        firsts = {}
+        for v0, row in enumerate(chosen[i].tolist()):
+            firsts.setdefault(frozenset(row), v0)
+        rows = task_net.records(task_net.decode(feats, chosen[i, list(firsts.values())]),
+                                inst, world)
+        slot = list(firsts)
+        records.append(rows[[slot.index(frozenset(row)) for row in chosen[i].tolist()]])
+    if not scores:
+        return chosen, np.stack(records)
+    scores, records = np.stack(scores), np.stack(records)
+    if run.policy == "dataset-oracle":
+        scores, losses = scores.mean(axis=0, keepdims=True).repeat(n, axis=0), np.zeros_like(scores)
+    out = np.zeros((n, N) + records.shape[2:], records.dtype)
+    for i, v0 in itertools.product(range(n), range(N)):
+        allowed = [s for s, sub in enumerate(subsets) if v0 in sub and not (set(sub) - {v0}) & off]
+        best = min(allowed, key=lambda s: (-scores[i][s], losses[i][s], s))
+        chosen[i, v0] = (v0,) + tuple(c for c in subsets[best] if c != v0)
+        out[i, v0] = records[i][best]
+    return chosen, out
 
 
 def exact_q_table(world, task_net, T: int, split: str = "train",
