@@ -35,13 +35,13 @@ Array = np.ndarray
 # frame's 16,384: 0.92 against 0.22 ms with 3 of 6 views listed).
 SCATTER_MAX_BLOCK = 64
 
-# Fewest rows of f in one view (one per cell) for ``forward_features`` to
-# featurize that view alone. A row keeps its bits in a smaller call only
-# while both calls run the same BLAS kernel. With OpenBLAS 0.3.31 and f
-# layers 2 to 64 wide, some views of up to 75 rows took other bits alone
-# than in a call of 2 to 12 views, and no view of 76 rows or more did; 256
-# (a 16 x 16 grid) leaves a margin. A classification view is one row, a
-# detection view 1,024 on the acceptance world.
+# Fewest rows of f in one view (one per cell) for ``ViewFeatures`` to
+# featurize it alone, not all views at once. A row keeps its bits in a
+# smaller call only while both calls run the same BLAS kernel. With OpenBLAS
+# 0.3.31 and f layers 2 to 64 wide, some views of up to 75 rows took other
+# bits alone than in a call of 2 to 12 views, and no view of 76 rows or more
+# did; 256 (a 16 x 16 grid) leaves a margin. A classification view is one
+# row, a detection view 1,024 on the acceptance world.
 VIEW_ALONE_MIN_ROWS = 256
 
 
@@ -89,63 +89,57 @@ def route_pooled_grad(d_feats: Array, feats: Array, views: Array, d_pooled: Arra
             d_feats[g, v] += np.multiply(d_pooled[g], hit, out=part)
 
 
-def forward_features(net: TaskNet, observations, work: dict, backward: bool):
-    """f on G instances' observations, each (N, C[, H, W]), for a training
-    step: the features a rollout reads (G, N[, H, W], D), the feature array
-    and, for a ``backward``, the cache ``features_backward`` takes. Views of
-    at least ``VIEW_ALONE_MIN_ROWS`` cells come as a ``ViewFeatures`` table
-    that featurizes each view when first read, its buffers kept in
-    ``work``; smaller views are featurized at once, in one call."""
-    if math.prod(observations[0].shape[2:]) < VIEW_ALONE_MIN_ROWS:
-        feats, cache = net.features_cache(np.stack(observations))
-        return feats, feats, cache
-    table = ViewFeatures(net, observations, work, backward)
-    return table, table.feats, table.cache
-
-
 class ViewFeatures:
-    """Per-view features (G, N, H, W, D), each view featurized alone the
-    first time it is read. It is read like the array ``features_cache``
-    returns, through ``shape`` and ``table[inst, views]``, with the same
-    bits for views of at least ``VIEW_ALONE_MIN_ROWS`` cells.
-
-    For a ``backward`` it is also the cache: f's input and each layer's
+    """Per-view features (G, N[, H, W], D) of a training step's G instances
+    (observations each (N, C[, H, W])), read like the array
+    ``features_cache`` returns, through ``shape`` and ``table[inst, views]``,
+    with its bits; ``feats`` is the feature array, ``cache`` what
+    ``features_backward`` takes. Views of fewer than ``VIEW_ALONE_MIN_ROWS``
+    cells are all featurized at construction, in one ``features_cache``
+    call; larger ones each alone, when first read. For a ``backward``, a
+    table of larger views is also the cache: f's input and each layer's
     output are one full-frame buffer each, kept in ``work`` and zeroed when
     allocated, and a view's forward writes its own rows of every buffer.
     Unread views' rows hold zeros or an earlier step's values; with a zero
     gradient there, the backward has the bits of the all-views call: those
     rows stay +0 through every layer and add only +-0 terms to sums of the
-    same row count. Without one, only the features are full-frame: f's
-    input and hidden rows take one view-sized block that each view reuses,
-    which stays in cache (full-frame, a detection frame's 3 MB do not)."""
+    same row count. Without one, ``cache`` is None and only the features
+    are full-frame: f's input and hidden rows take one view-sized block
+    that each view reuses, which stays in cache (full-frame, a detection
+    frame's 3 MB do not)."""
 
     def __init__(self, net: TaskNet, observations, work: dict, backward: bool):
         n_views, channels, *cells = observations[0].shape
-        frame = (len(observations), n_views, *cells)
-        widths = [channels] + [spec.out_dim for spec in net.feature_net.specs]
-        split = 0 if backward else len(widths) - 1       # the first full-frame buffer
-        buffers = [work_array(work, ("features", i), (frame if i >= split else tuple(cells))
-                              + (width,), zeroed=True) for i, width in enumerate(widths)]
         self.net = net
         self.observations = observations
-        self.view_blocks, self.frames = buffers[:split], buffers[split:]
-        self.feats = buffers[-1]
+        self.at_once = math.prod(cells) < VIEW_ALONE_MIN_ROWS
+        if self.at_once:
+            self.feats, self.cache = net.features_cache(np.stack(observations))
+        else:
+            frame = (len(observations), n_views, *cells)
+            widths = [channels] + [spec.out_dim for spec in net.feature_net.specs]
+            split = 0 if backward else len(widths) - 1       # the first full-frame buffer
+            buffers = [work_array(work, ("features", i), (frame if i >= split else tuple(cells))
+                                  + (width,), zeroed=True) for i, width in enumerate(widths)]
+            self.view_blocks, self.frames = buffers[:split], buffers[split:]
+            self.feats = buffers[-1]
+            rows = [buf.reshape(-1, buf.shape[-1]) for buf in buffers]
+            self.cache = list(zip(rows, rows[1:])) if backward else None
+            self.done = np.zeros(frame[:2], dtype=bool)
         self.shape = self.feats.shape
-        rows = [buf.reshape(-1, buf.shape[-1]) for buf in buffers]
-        self.cache = list(zip(rows, rows[1:])) if backward else None
-        self.done = np.zeros(self.shape[:2], dtype=bool)
 
     def __getitem__(self, key):
-        inst, views = np.broadcast_arrays(*key)
-        todo = ~self.done[inst, views]
-        for g, v in dict.fromkeys(zip(inst[todo].tolist(), views[todo].tolist())):
-            obs = np.moveaxis(self.observations[g][v], 0, -1)
-            x, *out = [buf.reshape(-1, buf.shape[-1]) for buf in self.view_blocks] + [
-                buf[g, v].reshape(-1, buf.shape[-1]) for buf in self.frames]
-            np.copyto(x.reshape(obs.shape), obs)
-            self.net.feature_net.forward_cache(x, out)
-        self.done[inst, views] = True
-        return self.feats[inst, views]
+        if not self.at_once:
+            inst, views = np.broadcast_arrays(*key)
+            todo = ~self.done[inst, views]
+            for g, v in dict.fromkeys(zip(inst[todo].tolist(), views[todo].tolist())):
+                obs = np.moveaxis(self.observations[g][v], 0, -1)
+                x, *out = [buf.reshape(-1, buf.shape[-1]) for buf in self.view_blocks] + [
+                    buf[g, v].reshape(-1, buf.shape[-1]) for buf in self.frames]
+                np.copyto(x.reshape(obs.shape), obs)
+                self.net.feature_net.forward_cache(x, out)
+            self.done[inst, views] = True
+        return self.feats[key]
 
 
 class TaskNet(Persistable):

@@ -1,21 +1,16 @@
 """Training regimes and reference policies.
 
-Three regimes: task-network training on all views, selector training against
-a frozen task network, and joint training where every iteration rolls out
-epsilon-greedy selections, regresses the taken action values onto inline TD
-targets, adds the terminal task loss, and updates both networks (the task
-network at a fifth of its usual learning rate).
-
-Selection training, select-fixed and joint alike, featurizes only what
-its rollouts read: ``tasknet.forward_features`` hands them a table that
-runs f on a detection view (1,024 cells on the acceptance world) the first
-time the rollout visits it, T of N views per instance, but featurizes a
-classification batch in one call, because one-row views featurized in a
-smaller call change in the last bits. For joint training the table keeps
-every layer's rows of the whole frame, so the backward still sums over all
-of them: the rows of unvisited views carry a zero gradient, and the sums
-keep their row count and bits. Policy evaluation featurizes every view:
-greedy evaluation from every initial view visits every camera anyway.
+Three regimes, each a step that one minibatch loop runs (``_minibatch_loop``,
+which owns the generator, epoch order, batches, backward work arrays,
+counters and epoch log): task-network training on all views, selector
+training against a frozen task network, and joint training where every
+iteration rolls out epsilon-greedy selections, regresses the taken action
+values onto inline TD targets, adds the terminal task loss, and updates both
+networks (the task network at a fifth of its usual learning rate). Selection
+steps read features through a ``tasknet.ViewFeatures`` table, which decides
+how each view is featurized, so a detection step runs f on only the T of N
+views its rollout visits. Policy evaluation featurizes every view: greedy
+evaluation from every initial view visits every camera anyway.
 
 Every decode (a policy's view sets, the oracles' subsets) is the task
 network's ``decode``; nothing here branches on a task family.
@@ -41,7 +36,7 @@ pipelined on one worker thread, opened and joined inside the pass: while
 the calling thread rolls out, decodes, draws random orders and scores block
 b, the worker generates and featurizes block b + 1, and the caller merges
 results in block order, so each record keeps its bytes. The caller owns the
-buffers: two ``work`` dicts of ``TaskNet.features``, block b's features in
+buffers: two ``work`` dicts of ``MVDetector.features``, block b's features in
 dict b % 2, that it allocates when it featurizes block 0 itself; they share
 f's input and hidden rows, since one block at a time is featurized. The
 worker refills a dict only after the caller is done with the block that
@@ -72,7 +67,7 @@ from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
 from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam, work_array
-from .tasknet import MVClassifier, MVDetector, TaskNet, forward_features, route_pooled_grad
+from .tasknet import MVClassifier, MVDetector, TaskNet, ViewFeatures, route_pooled_grad
 
 Array = np.ndarray
 
@@ -118,6 +113,8 @@ def check_train_ranges(values: dict) -> None:
             raise ConfigError(f"{name} must lie in [0, 1], got {values[name]!r}")
     if "seed" in values and values["seed"] < 0:
         raise ConfigError(f"seed must be at least 0, got {values['seed']!r}")
+    if values.get("train_view_counts") is not None and len(values["train_view_counts"]) == 0:
+        raise ConfigError("train_view_counts must name at least one view count, got []")
 
 
 @dataclass
@@ -194,7 +191,34 @@ def _distinct_sets(view_sets: Array) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
-# task-network training
+# the minibatch loop of every regime, and task-network training
+
+
+def _minibatch_loop(world, cfg: TrainConfig, batch: int, stream: int, step) -> TrainResult:
+    """Run ``step(idx, rng, work, epoch, i)`` on each minibatch ``idx`` of
+    ``batch`` training instances, ``cfg.epochs`` times over permutations from
+    the regime's generator ``rng`` (``[cfg.seed, stream]``), with the call's
+    backward ``work`` arrays and the step's index ``i``. A step returns the
+    counter terms it adds and the values it logs (an epoch's log: each loss's
+    mean, the last step's ``epsilon``); its arrays go when it returns."""
+    rng = np.random.default_rng([cfg.seed, stream])
+    work: dict = {}
+    logs: list[dict] = []
+    counters = {"task_terms": 0, "rl_terms": 0}
+    steps = 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(world.n_train)
+        logged: dict[str, list] = {}
+        for start in range(0, world.n_train, batch):
+            terms, values = step(order[start : start + batch], rng, work, epoch, steps)
+            for key, term in terms.items():
+                counters[key] += term
+            for key, value in values.items():
+                logged.setdefault(key, []).append(value)
+            steps += 1
+        entry = {key: float(v[-1] if key == "epsilon" else np.mean(v)) for key, v in logged.items()}
+        logs.append({"epoch": epoch, **entry})
+    return TrainResult(logs, counters, steps)
 
 
 def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
@@ -202,38 +226,25 @@ def train_task_network(world, net, cfg: TrainConfig) -> TrainResult:
     config asks for a mix of view counts."""
     if cfg.regime != "task":
         raise ConfigError("train_task_network expects the task regime")
-    rng = np.random.default_rng([cfg.seed, 11])
-    n = world.n_train
     n_cams = world.n_cameras
     counts = cfg.train_view_counts
     if counts is not None and any(not 1 <= c <= n_cams for c in counts):
         raise ConfigError(f"train.train_view_counts entries must lie in "
                           f"[1, {n_cams}], got {list(counts)}")
-    batch = net.train_batch or cfg.batch_size
     opt = Adam(net.named_params(), lr=cfg.task_lr)
-    work: dict = {}  # the steps' backward work arrays (numcore.work_array)
-    logs: list[dict] = []
-    counters = {"task_terms": 0, "rl_terms": 0}
-    steps = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            if counts is None:
-                views = slice(None)
-            else:
-                size = int(counts[rng.integers(len(counts))])
-                views = np.sort(rng.permutation(n_cams)[:size])
-            obs, truths = _batch(net, world, idx)
-            loss, grads = _batch_loss(net, _stacked(obs)[:, views], truths, work)
-            _require_finite_loss(loss, f"epoch {epoch}")
-            opt.step(grads)
-            counters["task_terms"] += 1
-            losses.append(loss)
-            steps += 1
-        logs.append({"epoch": epoch, "loss": float(np.mean(losses))})
-    return TrainResult(logs, counters, steps)
+
+    def step(idx, rng, work, epoch, _):
+        views = slice(None)
+        if counts is not None:
+            size = int(counts[rng.integers(len(counts))])
+            views = np.sort(rng.permutation(n_cams)[:size])
+        obs, truths = _batch(net, world, idx)
+        loss, grads = _batch_loss(net, _stacked(obs)[:, views], truths, work)
+        _require_finite_loss(loss, f"epoch {epoch}")
+        opt.step(grads)
+        return {"task_terms": 1}, {"loss": loss}
+
+    return _minibatch_loop(world, cfg, net.train_batch or cfg.batch_size, 11, step)
 
 
 def _batch_loss(net, obs, truths, work: dict | None = None) -> tuple[float, dict]:
@@ -318,68 +329,48 @@ def train_joint(world, task_net, q_net, cfg: TrainConfig) -> TrainResult:
 def _selection_training(world, task_net, q_net, cfg, update_task: bool) -> TrainResult:
     check_t(world, cfg.T)
     batch = task_net.train_batch or cfg.batch_size
-    rng = np.random.default_rng([cfg.seed, 13])
-    n = world.n_train
-    iters_per_epoch = (n + batch - 1) // batch
-    total_steps = cfg.epochs * iters_per_epoch
+    total_steps = cfg.epochs * ((world.n_train + batch - 1) // batch)
     opt_q = Adam(q_net.named_params(), lr=cfg.selector_lr)
     opt_task = (
         Adam(task_net.named_params(), lr=cfg.task_lr * cfg.joint_task_lr_factor)
         if update_task
         else None
     )
-    work: dict = {}  # the steps' backward work arrays (numcore.work_array)
-    logs: list[dict] = []
-    counters = {"task_terms": 0, "rl_terms": 0}
-    step = 0
-    eps = cfg.epsilon_start
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        rl_losses, task_losses = [], []
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            eps = epsilon_schedule(step, total_steps, cfg.epsilon_start, cfg.epsilon_end)
-            initial = rng.integers(world.n_cameras, size=len(idx))
-            batch_obs, truths = _batch(task_net, world, idx)
-            table, feats, fcache = forward_features(task_net, batch_obs, work, update_task)
-            chosen, cams, obs, masks, values, pooled = rollout(
-                q_net, table, initial[:, None], cfg.T, epsilon=eps, rng=rng)
-            views = chosen[:, 0]                                 # (G, T)
-            outputs, hcache = task_net.head_cache(pooled[:, 0])
-            rewards = task_net.reward(outputs, truths)
-            # TD targets from the values recorded in the rollout, then one
-            # regression step over every state, rows in (instance, step) order
-            actions = chosen[..., 1:].reshape(-1)
-            q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
-            targets = td_targets(values, masks, np.reshape(rewards, (-1, 1)), cfg.gamma).reshape(-1)
-            loss_rl, d_terms = rl_loss(q_taken, targets)
-            loss_rl /= len(idx)
-            d_terms = d_terms / len(idx)
-            counters["rl_terms"] += len(actions)
-            _require_finite_loss(loss_rl, f"epoch {epoch} selection loss")
-            q_all, q_cache = q_net.forward_cache(cams.reshape(len(actions), -1),
-                                                 obs.reshape(len(actions), -1))
-            d_q = np.zeros_like(q_all)
-            d_q[np.arange(len(actions)), actions] = d_terms
-            q_grads, d_obs = q_net.backward(q_cache, d_q)
-            if update_task:
-                loss_task, task_grads = _task_grads(
-                    task_net, feats, fcache, views, truths, outputs, hcache, d_obs, work)
-                _require_finite_loss(loss_task, f"epoch {epoch} task loss")
-                counters["task_terms"] += 1
-                opt_task.step(task_grads)
-                task_losses.append(loss_task)
-            opt_q.step(q_grads)
-            rl_losses.append(loss_rl)
-            step += 1
-            # drop this step's caches: kept through the next step's forward,
-            # they would sit beside its caches and the work arrays
-            del table, feats, fcache, hcache, q_cache
-        entry = {"epoch": epoch, "loss": float(np.mean(rl_losses)), "epsilon": float(eps)}
+
+    def step(idx, rng, work, epoch, i):
+        eps = epsilon_schedule(i, total_steps, cfg.epsilon_start, cfg.epsilon_end)
+        initial = rng.integers(world.n_cameras, size=len(idx))
+        batch_obs, truths = _batch(task_net, world, idx)
+        table = ViewFeatures(task_net, batch_obs, work, update_task)
+        chosen, cams, obs, masks, values, pooled = rollout(
+            q_net, table, initial[:, None], cfg.T, epsilon=eps, rng=rng)
+        outputs, hcache = task_net.head_cache(pooled[:, 0])
+        rewards = task_net.reward(outputs, truths)
+        # TD targets from the values recorded in the rollout, then one
+        # regression step over every state, rows in (instance, step) order
+        actions = chosen[..., 1:].reshape(-1)
+        q_taken = np.take_along_axis(values, chosen[..., 1:, None], axis=-1).reshape(-1)
+        targets = td_targets(values, masks, np.reshape(rewards, (-1, 1)), cfg.gamma).reshape(-1)
+        loss_rl, d_terms = rl_loss(q_taken, targets)
+        loss_rl /= len(idx)
+        d_terms = d_terms / len(idx)
+        _require_finite_loss(loss_rl, f"epoch {epoch} selection loss")
+        q_all, q_cache = q_net.forward_cache(cams.reshape(len(actions), -1),
+                                             obs.reshape(len(actions), -1))
+        d_q = np.zeros_like(q_all)
+        d_q[np.arange(len(actions)), actions] = d_terms
+        q_grads, d_obs = q_net.backward(q_cache, d_q)
+        terms, logged = {"rl_terms": len(actions)}, {"loss": loss_rl, "epsilon": eps}
         if update_task:
-            entry["task_loss"] = float(np.mean(task_losses))
-        logs.append(entry)
-    return TrainResult(logs, counters, step)
+            loss_task, task_grads = _task_grads(task_net, table.feats, table.cache, chosen[:, 0],
+                                                truths, outputs, hcache, d_obs, work)
+            _require_finite_loss(loss_task, f"epoch {epoch} task loss")
+            opt_task.step(task_grads)
+            terms["task_terms"], logged["task_loss"] = 1, loss_task
+        opt_q.step(q_grads)
+        return terms, logged
+
+    return _minibatch_loop(world, cfg, batch, 13, step)
 
 
 # ---------------------------------------------------------------------------

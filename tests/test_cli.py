@@ -469,6 +469,8 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     (["study", "sweep-T"], "eval", {"T_values": [2, 7]}, "T=7 is outside"),
     (["train", "--regime", "select-fixed"], "train", {"T": 7}, "T=7 is outside"),
     # world sizes: every split holds an instance, a detection view a channel
+    (["train", "--regime", "task"], "train", {"train_view_counts": []},
+     "train_view_counts must name at least one view count"),
     (["train", "--regime", "task"], "world", {"n_train": 0}, "n_train must be at least 1"),
     (["eval", "--policy", "random"], "world", {"n_val": 0}, "n_val must be at least 1"),
     (["eval", "--policy", "random"], "world", {"n_eval": 0}, "n_eval must be at least 1"),
@@ -488,7 +490,8 @@ def test_unknown_split_exits_2(workspace, tmp_path):
 ], ids=["sweep-policy", "eval-split", "eval-split-null", "eval-missing-task-checkpoint",
         "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int", "eval-T-0",
         "eval-T-99", "eval-cli-T-0", "oracle-budget-negative", "oracle-T-7", "shutoff-k-negative",
-        "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7", "world-n-train-0",
+        "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7", "train-view-counts-empty",
+        "world-n-train-0",
         "world-n-val-0", "world-n-eval-0", "world-n-eval-negative", "detection-channels-0",
         "seed-negative", "train-cli-seed-negative", "eval-cli-seed-negative",
         "world-seed-negative", "selector-seed-negative", "eval-task-checkpoint-directory"])

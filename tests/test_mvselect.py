@@ -127,14 +127,16 @@ def test_rollout_records_each_state_once():
 
 def features_and_table(family, n_inst, n_cams):
     """Features (G, N[, H, W], D) of n_inst random instances, and a function
-    that makes a fresh view table of the same instances."""
+    that makes a fresh view table of the same instances: a classifier's
+    one-row views are featurized at construction, a detector's 256-cell
+    views each when first read."""
     rng = np.random.default_rng(8)
     if family == "classifier":
         net = MVClassifier(obs_dim=5, feat_dim=6, n_classes=2, hidden=7, seed=1)
         obs = rng.normal(size=(n_inst, n_cams, 5))
     else:
         net = MVDetector(channels=2, feat_dim=6, hidden=7, seed=1)
-        obs = rng.normal(size=(n_inst, n_cams, 2, 3, 4))
+        obs = rng.normal(size=(n_inst, n_cams, 2, 16, 16))
     return net.features_cache(obs)[0], lambda: ViewFeatures(net, list(obs), {}, False)
 
 

@@ -1,5 +1,5 @@
-"""README drift check: every dotted name the README cites in backticks
-still exists.
+"""Name drift check: every dotted name the README, or a docstring or
+comment of ``src/fewview``, cites in backticks still exists.
 
 A name headed by a ``fewview`` module or class (``artifacts.write_run``,
 ``PolicyRun.disabled``) must resolve by ``getattr``, or name a field of the
@@ -20,7 +20,9 @@ import fewview
 from fewview import config
 from fewview.training import TASK_FAMILIES
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "fewview").glob("*.py"))
 
 MODULES = {info.name: importlib.import_module(f"fewview.{info.name}")
            for info in pkgutil.iter_modules(fewview.__path__)}
@@ -35,9 +37,10 @@ SECTION_KEYS = {
 }
 
 
-def cited_names() -> list[str]:
-    """Each distinct dotted name the README puts alone in backticks."""
-    text = README.read_text(encoding="utf-8")
+def cited_names(*paths: Path) -> list[str]:
+    """Each distinct dotted name the files put alone in backticks (single
+    or double)."""
+    text = "\n".join(path.read_text(encoding="utf-8") for path in paths)
     return sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text)))
 
 
@@ -52,11 +55,11 @@ def _resolves(obj, parts) -> bool:
     return True
 
 
-def stale_names() -> tuple[list[str], list[str]]:
-    """The cited names that are checked, and those of them that no longer
-    exist."""
+def stale_names(*paths: Path) -> tuple[list[str], list[str]]:
+    """The names the files cite that are checked, and those of them that
+    no longer exist."""
     checked, stale = [], []
-    for name in cited_names():
+    for name in cited_names(*paths):
         head, *rest = name.split(".")
         if head in SECTION_KEYS:
             ok = len(rest) == 1 and rest[0] in SECTION_KEYS[head]
@@ -71,6 +74,12 @@ def stale_names() -> tuple[list[str], list[str]]:
 
 
 def test_readme_cites_only_names_that_exist():
-    checked, stale = stale_names()
+    checked, stale = stale_names(README)
     assert len(checked) >= 20, f"the README check found too few names to check: {checked}"
     assert not stale, f"README cites names that no longer exist: {stale}"
+
+
+def test_source_docstrings_cite_only_names_that_exist():
+    checked, stale = stale_names(*SOURCES)
+    assert len(checked) >= 10, f"the source check found too few names to check: {checked}"
+    assert not stale, f"src/fewview cites names that no longer exist: {stale}"

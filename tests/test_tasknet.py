@@ -19,7 +19,7 @@ from fewview.errors import CompatibilityError, ShapeError
 from fewview.numcore import cross_entropy
 from fewview.mvselect import QNetwork, rollout
 from fewview.tasknet import (SCATTER_MAX_BLOCK, VIEW_ALONE_MIN_ROWS, MVClassifier, MVDetector,
-                             ViewFeatures, forward_features, route_pooled_grad)
+                             ViewFeatures, route_pooled_grad)
 from testkit import (ChannelFirstDetector, aggregate_max, max_relative_error, numeric_gradient,
                      predict, rollout_channel_first, route_pooled_grad_argmax)
 
@@ -462,26 +462,27 @@ def test_broadcast_observations_featurize_like_materialized_ones(monkeypatch):
                                         (tiny_detector(3), (16, 16))],
                          ids=["classifier", "detector-20-cells", "detector-256-cells"])
 def test_forward_features_read_equal_the_batched_features(net, cells):
-    # one-row and 20-cell views come featurized in one call, 256-cell views
-    # as a table that featurizes each view alone when first read; once every
-    # view is read, the feature array and, for a backward, each layer's
-    # cached rows are the batched call's
+    # one-row and 20-cell views are featurized at construction, in one
+    # call; 256-cell views each alone when first read. Once every view is
+    # read, the feature array and, for a backward, each layer's cached rows
+    # are the batched call's
     channels = net.obs_dim if isinstance(net, MVClassifier) else net.channels
     obs = np.random.default_rng(4).normal(size=(3, 5, channels, *cells))   # (G, N, C[, H, W])
     every, every_cache = net.features_cache(obs)
     inst = np.arange(3)[:, None]
+    alone = math.prod(cells) >= VIEW_ALONE_MIN_ROWS
     for backward in (True, False):
-        table, feats, cache = forward_features(net, list(obs), {}, backward)
-        assert isinstance(table, ViewFeatures) == (math.prod(cells) >= VIEW_ALONE_MIN_ROWS)
-        assert table.shape == feats.shape == every.shape
+        table = ViewFeatures(net, list(obs), {}, backward)
+        assert (table.feats.tobytes() == every.tobytes()) != alone   # featurized at construction
+        assert table.shape == table.feats.shape == every.shape
         for views in ([[0], [4], [2]], [[0, 3], [1, 1], [2, 4]], np.tile(np.arange(5), (3, 1))):
             assert table[inst, np.array(views)].tobytes() == every[inst, np.array(views)].tobytes()
-        assert feats.tobytes() == every.tobytes()
-        if isinstance(table, ViewFeatures) and not backward:
-            assert cache is None
+        assert table.feats.tobytes() == every.tobytes()
+        if alone and not backward:
+            assert table.cache is None
             continue
-        assert len(cache) == len(every_cache)
-        for pair, every_pair in zip(cache, every_cache):
+        assert len(table.cache) == len(every_cache)
+        for pair, every_pair in zip(table.cache, every_cache):
             for a, b in zip(pair, every_pair):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 

@@ -40,7 +40,8 @@ from fewview.numcore import cross_entropy
 from fewview.tasknet import MVClassifier, MVDetector
 from testkit import (discriminative_views, evaluate_reference, exact_q_table, optimal_actions,
                      paired_t_pvalue, policy_table, predict_sets_gathered, read_policy_table,
-                     table_entries, train_joint_eager, train_selector_fixed_eager)
+                     table_entries, train_joint_eager, train_selector_fixed_eager,
+                     train_task_network_loop)
 
 MIX = (1, 2, 3, 4, 6, 12)
 
@@ -163,6 +164,9 @@ def test_view_count_mix_validated(cls_world):
     cfg = tr.TrainConfig(regime="task", epochs=1, T=1, train_view_counts=(0, 3))
     with pytest.raises(ConfigError):
         tr.train_task_network(cls_world, net, cfg)
+    # an empty mix would draw from no count: rejected with the config
+    with pytest.raises(ConfigError, match="train_view_counts must name at least one"):
+        tr.TrainConfig(regime="task", epochs=1, T=1, train_view_counts=())
 
 
 def test_divergence_aborts_with_diagnostics(cls_world):
@@ -887,6 +891,43 @@ def test_one_pass_equals_the_reference_evaluator(family, request):
             assert got.table.sets.tobytes() == chosen[:rows].tobytes(), run
 
 
+@pytest.fixture(scope="module")
+def trained_worlds(cls_world, cls_net, cls_selector, det_tiny):
+    """Each family's world, trained task network and selector."""
+    return {"classification": (cls_world, cls_net, cls_selector), "detection": det_tiny}
+
+
+@pytest.mark.parametrize("family", ["classification", "detection"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_one_pass_over_drawn_runs_equals_the_reference_evaluator(trained_worlds, family, data):
+    # 1-6 runs, repeats allowed, each a policy, a T and a shut-off set that
+    # leaves T cameras to select; one pass must give each run the bytes of
+    # the reference evaluator, which takes one run and one instance at a time
+    world, net, q_net = trained_worlds[family]
+    n_cams = world.n_cameras
+    runs = []
+    for _ in range(data.draw(st.integers(1, 6), label="runs")):
+        if runs and data.draw(st.booleans(), label="repeat"):
+            # an earlier run again, as it was or with another shut-off set
+            again = data.draw(st.sampled_from(runs), label="again")
+            policy, T, off = again.policy, again.T, again.disabled
+        else:
+            policy = data.draw(st.sampled_from(tr.POLICIES), label="policy")
+            T = data.draw(st.integers(1, 4), label="T")
+            off = None
+        if off is None or data.draw(st.booleans(), label="new shut-off"):
+            off = data.draw(st.frozensets(st.integers(0, n_cams - 1), max_size=n_cams - T),
+                            label="off")
+        runs.append(tr.PolicyRun(policy, T, q_net if policy == "mvselect" else None,
+                                 disabled=off))
+    seed = data.draw(st.integers(0, 3), label="seed")
+    for run, got in zip(runs, tr.evaluate_policies(world, net, runs, seed=seed), strict=True):
+        chosen, records = evaluate_reference(world, net, run, "eval", seed)
+        assert got.chosen.tobytes() == chosen.tobytes(), run
+        assert got.records.tobytes() == records.tobytes(), run
+
+
 # the worker thread of a detection pass
 
 
@@ -967,6 +1008,30 @@ def test_one_pass_checks_every_run_before_any_work(cls_world, cls_net, monkeypat
         with pytest.raises(error):
             tr.evaluate_policies(cls_world, cls_net, [good, bad], budget=10_000)
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# task training runs the one minibatch loop
+
+
+@pytest.mark.parametrize("family", ["classification", "detection"])
+def test_task_training_equals_the_written_out_loop(family, request):
+    # a classification batch draws its views from the mix, a detection
+    # batch is one frame of every view
+    if family == "detection":
+        world, trained, _ = request.getfixturevalue("det_tiny")
+        cfg = tr.TrainConfig(regime="task", epochs=2, T=1, task_lr=1e-3, seed=6)
+    else:
+        world, trained = request.getfixturevalue("cls_world"), request.getfixturevalue("cls_net")
+        cfg = tr.TrainConfig(regime="task", epochs=3, T=1, batch_size=8, task_lr=2e-3, seed=6,
+                             train_view_counts=MIX)
+    net, net_loop = copy.deepcopy(trained), copy.deepcopy(trained)
+    result = tr.train_task_network(world, net, cfg)
+    loop = train_task_network_loop(world, net_loop, cfg)
+    assert tr.params_hash(net) != tr.params_hash(trained)
+    assert tr.params_hash(net) == tr.params_hash(net_loop)
+    assert result.epoch_logs == loop.epoch_logs
+    assert (result.counters, result.total_steps) == (loop.counters, loop.total_steps)
 
 
 # ---------------------------------------------------------------------------

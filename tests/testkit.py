@@ -1,8 +1,8 @@
 """Reference oracles the tests check the package against: finite-difference
 gradients, the per-array form of the Adam update, a loop-form max-pool and task-network forward, the gather-and-reduce
 form of subset decoding, the argmax form of the max-pool gradient router, the channel-first form of the detector and of
-the selection rollout, a Q-network valuing one instance per forward, the eager select-fixed and joint loops that
-featurize every view of a batch, the per-camera ray-cast form of detection
+the selection rollout, a Q-network valuing one instance per forward, the loop form of task-network training, the
+eager select-fixed and joint loops that featurize every view of a batch, the per-camera ray-cast form of detection
 visibility, the discriminative views of a classification class pair, an exhaustive action-value solver for tiny worlds,
 a policy evaluator that takes one run and one instance at a time, loop forms of
 detection peak extraction, matching and per-map frame counts, the runtime's
@@ -22,8 +22,8 @@ from fewview.errors import ShapeError, StateError
 from fewview.evaluation import PEAK_SCORE_THRESHOLD, _greedy_matches
 from fewview.mvselect import epsilon_schedule, rl_loss, rollout, td_targets
 from fewview.numcore import Adam
-from fewview.training import (PolicyTable, TrainResult, _batch, _task_grads, check_t,
-                              random_sequence)
+from fewview.training import (PolicyTable, TrainResult, _batch, _batch_loss, _stacked,
+                              _task_grads, check_t, random_sequence)
 
 Array = np.ndarray
 
@@ -235,6 +235,35 @@ def rollout_channel_first(q_net, feats: Array, initial, T: int, disabled=frozens
         taken[inst, row, action] += 1.0
         pooled = np.maximum(pooled, feats[inst, action], order="C")
     return chosen, np.stack(obs, axis=2), np.stack(values, axis=2), pooled
+
+
+def train_task_network_loop(world, net, cfg) -> TrainResult:
+    """Task-network training written out as its own minibatch loop: the
+    regime's generator, epoch order, optional view-count mix, steps,
+    counters and epoch log inline; ``training.train_task_network`` must
+    match bit for bit."""
+    rng = np.random.default_rng([cfg.seed, 11])
+    n, n_cams, counts = world.n_train, world.n_cameras, cfg.train_view_counts
+    batch = net.train_batch or cfg.batch_size
+    opt = Adam(net.named_params(), lr=cfg.task_lr)
+    logs, counters, steps = [], {"task_terms": 0, "rl_terms": 0}, 0
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            views = slice(None)
+            if counts is not None:
+                size = int(counts[rng.integers(len(counts))])
+                views = np.sort(rng.permutation(n_cams)[:size])
+            obs, truths = _batch(net, world, idx)
+            loss, grads = _batch_loss(net, _stacked(obs)[:, views], truths)
+            opt.step(grads)
+            counters["task_terms"] += 1
+            losses.append(loss)
+            steps += 1
+        logs.append({"epoch": epoch, "loss": float(np.mean(losses))})
+    return TrainResult(logs, counters, steps)
 
 
 def train_selector_fixed_eager(world, task_net, q_net, cfg) -> TrainResult:
