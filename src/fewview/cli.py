@@ -36,7 +36,7 @@ ORACLE_POLICIES = ("dataset-oracle", "instance-oracle")
 def _network_args(cfg: ExperimentConfig, names: dict) -> dict:
     """Builder arguments from the network keys that are set (null leaves a
     key unset); the ``training.build_*`` builders hold the defaults."""
-    net = cfg.network()
+    net = cfg.raw["network"]
     return {arg: net[key] for key, arg in names.items() if net.get(key) is not None}
 
 
@@ -71,7 +71,7 @@ def _load(args):
     """The preamble of every command: the validated config, the run seed
     (``--seed`` beats the config), the run's start time and the world."""
     cfg = load_config(args.config)
-    seed = cfg.seed if args.seed is None else args.seed
+    seed = cfg.raw["seed"] if args.seed is None else args.seed
     if seed < 0:
         raise ConfigError(f"--seed must be at least 0, got {seed}")
     return cfg, seed, time.perf_counter(), cfg.family.world(cfg.world_config())
@@ -81,7 +81,7 @@ def _start_run(args, cfg: ExperimentConfig, command: str, seed: int):
     """The run directory's path, checked for a finished run before any
     computation, and the manifest head; the directory appears when
     ``_finish_run`` writes, so a run that fails before then leaves none."""
-    root = artifacts.output_root(args.out, cfg.output_dir)
+    root = artifacts.output_root(args.out, cfg.raw["output_dir"])
     run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed, args.force)
     return run_dir, {"command": command, "config": cfg.raw,
                      "config_hash": cfg.config_hash(), "seed": seed}
@@ -143,7 +143,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg, seed, started, world = _load(args)
-    ev_sec = cfg.eval_section()
+    ev_sec = cfg.raw["eval"]
     policy = args.policy or cfg.require("eval.policy")
     # full-views takes every camera whatever T says
     T = (world.n_cameras if policy == "full-views"
@@ -177,7 +177,7 @@ def cmd_eval(args) -> int:
 def cmd_study(args) -> int:
     cfg, seed, started, world = _load(args)
     study = args.study
-    ev_sec = cfg.eval_section()
+    ev_sec = cfg.raw["eval"]
     if study == "sweep-T":
         t_values = cfg.require("eval.T_values")
         policies = tuple(ev_sec.get("policies") or studies.SWEEP_POLICIES)
@@ -241,7 +241,7 @@ def cmd_oracle(args) -> int:
     policy = args.policy or cfg.require("eval.policy")
     if policy not in ORACLE_POLICIES:
         raise ConfigError(f"oracle policy must be one of {ORACLE_POLICIES}, got {policy!r}")
-    ev_sec = cfg.eval_section()
+    ev_sec = cfg.raw["eval"]
     T = args.T if args.T is not None else cfg.require("eval.T")
     task_net = _load_net(cfg.family.net, world, cfg.require("eval.task_checkpoint"))
     run_dir, head = _start_run(args, cfg, f"oracle-{policy}", seed)

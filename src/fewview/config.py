@@ -125,23 +125,15 @@ def _world_config(section: dict):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; ``raw`` is the normalized dict with
-    all defaults filled in, which is what the config hash covers."""
+    all defaults filled in, which is what the config hash covers. A key with
+    a default is read from ``raw``, a required one through ``require``; the
+    methods compute what a section describes."""
 
     raw: dict
-
-    # -- section accessors
 
     @property
     def family(self) -> TaskFamily:
         return TASK_FAMILIES[self.raw["world"]["kind"]]
-
-    @property
-    def seed(self) -> int:
-        return self.raw["seed"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.raw["output_dir"]
 
     def world_config(self):
         return _world_config(self.raw["world"])
@@ -156,18 +148,10 @@ class ExperimentConfig:
         for key, value in (("regime", regime), ("seed", seed), ("T", T)):
             if value is not None:
                 section[key] = value
-        if section.get("train_view_counts") is not None:
-            section["train_view_counts"] = tuple(int(c) for c in section["train_view_counts"])
         missing = [k for k in ("regime", "epochs", "T") if k not in section]
         if missing:
             raise ConfigError(f"missing required key: train.{missing[0]}")
         return TrainConfig(**section)
-
-    def network(self) -> dict:
-        return dict(self.raw["network"])
-
-    def eval_section(self) -> dict:
-        return dict(self.raw["eval"])
 
     def require(self, dotted: str):
         """Fetch ``section.key``; absent or None -> ConfigError naming the path."""
@@ -220,6 +204,9 @@ def _validate_network(raw) -> dict:
 
 def _validate_eval(raw) -> dict:
     out = _validate_section("eval", {} if raw is None else raw, _EVAL_KEYS)
+    for key in ("T_values", "policies"):
+        if out.get(key) is not None and len(out[key]) == 0:
+            raise ConfigError(f"eval.{key} must name at least one entry, got []")
     names = [(key, out.get(key), allowed) for key, allowed in
              (("split", SPLITS), ("rank_split", SPLITS), ("policy", POLICIES))]
     names += [(f"policies[{i}]", name, POLICIES) for i, name in enumerate(out.get("policies") or ())]

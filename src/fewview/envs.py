@@ -366,7 +366,7 @@ class DetectionWorld(World):
         blocked = np.unpackbits(shadow, axis=1, count=cfg.grid_h * cfg.grid_w).view(bool)
         return self.fov_masks & ~blocked.reshape(self.fov_masks.shape)
 
-    def render_views(self, occupancy: np.ndarray, noise: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def render_views(self, occupancy: np.ndarray, noise: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
         """Observation maps for a given occupancy grid.
 
         Per camera and visible cell, the map carries the occupancy indicator
@@ -379,7 +379,7 @@ class DetectionWorld(World):
         if occupancy.shape != (cfg.grid_h, cfg.grid_w):
             raise ConfigError(f"occupancy shape {occupancy.shape} does not match the grid")
         vis = self.visibility(occupancy)
-        signal = occupancy.astype(np.float64)[None, :, :] + (0.0 if noise is None else noise)
+        signal = occupancy.astype(np.float64)[None, :, :] + noise
         signal = signal * vis
         obs = np.broadcast_to(signal[:, None], (len(signal), cfg.channels, cfg.grid_h, cfg.grid_w))
         return obs, vis

@@ -25,9 +25,5 @@ class BudgetError(RuntimeError):
     """A combinatorial search would exceed the configured enumeration budget."""
 
 
-class TrainingDiverged(RuntimeError):
-    """A training loss became non-finite."""
-
-
 class CorruptCheckpoint(CompatibilityError, ShapeError):
     """A checkpoint's tensor payload is cut short or runs past its last tensor."""

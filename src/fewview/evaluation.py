@@ -264,7 +264,7 @@ def build_report(run, cost: CostLedger, config_hash: str, seeds) -> dict:
     lists; other runs carry None."""
     freq = None
     if run.T >= 2 and run.policy != "full-views":
-        freq = policy_frequency(run.chosen, run.n_cameras).tolist()
+        freq = policy_frequency(run.chosen, run.chosen.shape[1]).tolist()
     return {
         "mode": run.mode,
         "policy": run.policy,

@@ -212,7 +212,7 @@ def rl_loss(q_taken, targets) -> tuple[float, Array]:
     return float(np.sum(diff * diff)), 2.0 * diff
 
 
-def epsilon_schedule(step: int, total_steps: int, start: float = 0.95, end: float = 0.05) -> float:
+def epsilon_schedule(step: int, total_steps: int, start: float, end: float) -> float:
     """Linear decay from start to end across the planned training steps."""
     if total_steps <= 1:
         return end

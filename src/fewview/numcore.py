@@ -272,20 +272,12 @@ class Adam:
     the vectors gives each parameter the bits a per-array update would.
     """
 
-    def __init__(
-        self,
-        named_params: Sequence[tuple[str, Array]],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params: Sequence[tuple[str, Array]], lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._params = list(named_params)
         sizes = [p.size for _, p in self._params]

@@ -64,7 +64,7 @@ import numpy as np
 
 from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
                    DetectionConfig, DetectionWorld)
-from .errors import BudgetError, ConfigError, StateError, TrainingDiverged
+from .errors import BudgetError, ConfigError, NonFiniteError, StateError
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam, work_array
 from .tasknet import MVClassifier, MVDetector, TaskNet, ViewFeatures, route_pooled_grad
@@ -95,6 +95,8 @@ class TrainConfig:
     train_view_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.train_view_counts is not None:  # a list from a config file
+            object.__setattr__(self, "train_view_counts", tuple(map(int, self.train_view_counts)))
         check_train_ranges(vars(self))
         if self.regime != "task" and self.T < 2:
             raise ConfigError("selection regimes need T >= 2")
@@ -173,7 +175,7 @@ def check_t(world, T: int) -> None:
 
 def _require_finite_loss(value: float, where: str) -> None:
     if not np.isfinite(value):
-        raise TrainingDiverged(f"non-finite loss at {where}")
+        raise NonFiniteError(f"non-finite loss at {where}")
 
 
 def _distinct_sets(view_sets: Array) -> tuple[Array, Array]:
@@ -487,7 +489,6 @@ class EvalRun:
     policy: str
     split: str
     T: int
-    n_cameras: int
     chosen: Array    # (n, N, T) selected view ids, column 0 = initial
     records: Array   # (n, N, k) the task network's record of each rollout
     table: PolicyTable | None = None
@@ -606,6 +607,8 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     several blocks is pipelined on one worker thread (module docstring).
     """
     runs = [_checked_run(world, run, split, budget) for run in runs]
+    if not runs:
+        return []
     keys = [(run.policy, run.T, id(run.q_net), id(run.table), run.disabled) for run in runs]
     distinct = dict(zip(keys, runs))
     builds = [k for k, run in distinct.items()
@@ -661,7 +664,7 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
             records, scores, ties = scored[run.T]
             table, chosen, records = _oracle_choice(n_cams, run, subsets[run.T], scores, ties,
                                                     np.stack(records))
-        done[k] = EvalRun(task_net, run.policy, split, run.T, n_cams, chosen, records, table)
+        done[k] = EvalRun(task_net, run.policy, split, run.T, chosen, records, table)
     return [done[k] for k in keys]
 
 

@@ -2,12 +2,13 @@
 
 Each test prints its verdict to the real terminal (bypassing capture) before
 asserting, with each statistic it checks beside its bound, so a full run
-always shows eleven lines and their margins. One more test, not a numbered
-criterion, prints each detection seed's MODA under greedy and under optimal
-matching. The two expensive
-fixtures train the five-seed classification and detection suites once and
-share them across the ordering, joint-gain, and shut-off checks. Both suites
-train their seeds in one pool of spawned processes, one BLAS thread each.
+always shows eleven lines and their margins. Two more tests, not numbered
+criteria, print each detection seed's MODA under greedy and under optimal
+matching: of the full-view maps, and of mvselect's maps at T = 3. The two
+expensive fixtures train the five-seed classification and detection suites
+once and share them across the ordering, joint-gain, and shut-off checks.
+Both suites train their seeds in one pool of spawned processes, one BLAS
+thread each.
 """
 
 import copy
@@ -109,18 +110,21 @@ def _det_seed(seed: int) -> dict:
     moda = {}
     moda["full"] = tr.evaluate_policy(
         world, task, 6, "full-views").metrics()["moda"]
-    # each eval frame's full-view heatmap, decoded as full-views evaluation
-    # decodes it, with its occupants
-    frames = []
+    q_fixed = tr.build_selector(world, task, seed=seed)
+    tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
+        regime="select-fixed", epochs=10, T=3, selector_lr=1e-3, seed=seed))
+    selected = tr.evaluate_policy(world, task, 3, "mvselect", q_net=q_fixed)
+    moda["mvselect"] = selected.metrics()["moda"]
+    # each eval frame's full-view heatmap and its (N, H, W) mvselect heatmaps
+    # at T = 3, decoded as evaluation decodes them (the detector's head runs
+    # once per view set, so a set's heatmap does not depend on the others
+    # decoded with it), with its occupants
+    frames, selected_frames = [], []
     for i in range(world.split_size("eval")):
         inst = world.instance("eval", i)
         feats = task.features(inst.observations[None])
         frames.append((task.head_cache(feats.max(axis=1)[:, None])[0][0, 0], inst.positions))
-    q_fixed = tr.build_selector(world, task, seed=seed)
-    tr.train_selector_fixed(world, task, q_fixed, tr.TrainConfig(
-        regime="select-fixed", epochs=10, T=3, selector_lr=1e-3, seed=seed))
-    moda["mvselect"] = tr.evaluate_policy(
-        world, task, 3, "mvselect", q_net=q_fixed).metrics()["moda"]
+        selected_frames.append((task.decode(feats[0], selected.chosen[i]), inst.positions))
     task_joint = copy.deepcopy(task)
     q_joint = tr.build_selector(world, task_joint, seed=seed)
     tr.train_joint(world, task_joint, q_joint, tr.TrainConfig(
@@ -129,7 +133,7 @@ def _det_seed(seed: int) -> dict:
     moda["joint"] = tr.evaluate_policy(
         world, task_joint, 3, "mvselect", q_net=q_joint).metrics()["moda"]
     return {"seed": seed, "moda": moda, "seconds": time.time() - t0, "full_frames": frames,
-            "threshold": world.match_threshold_cells}
+            "selected_frames": selected_frames, "threshold": world.match_threshold_cells}
 
 
 # each suite's seed runner, longest first: a detection seed trains for 30-40 s,
@@ -479,26 +483,42 @@ def _optimal_counts(heatmap, gts, threshold) -> np.ndarray:
     return np.array([tp, len(peaks) - tp, len(gts) - tp, len(gts)], dtype=float)
 
 
-def test_optimal_matching_scores_at_least_greedy_on_detection_worlds(capsys, det_suite):
+def _matching_report(capsys, det_suite, frames: str, policy: str, label: str) -> None:
+    """Score every heatmap of each seed's ``frames`` (heatmaps, occupants)
+    under greedy and under optimal matching, print one line per seed, and
+    check that the greedy MODA is the runtime's ``policy`` MODA (the same
+    peaks, the same matcher) and that optimal matching never scores below
+    it."""
     lines, worse = [], []
     for run in det_suite:
-        frames, threshold = run["full_frames"], run["threshold"]
-        greedy = np.array([frame_counts(heat, gts, threshold) for heat, gts in frames])
-        optimal = np.array([_optimal_counts(heat, gts, threshold) for heat, gts in frames])
+        threshold = run["threshold"]
+        maps = [(heat, gts) for heats, gts in run[frames]
+                for heat in np.reshape(heats, (-1, *np.shape(heats)[-2:]))]
+        greedy = np.array([frame_counts(heat, gts, threshold) for heat, gts in maps])
+        optimal = np.array([_optimal_counts(heat, gts, threshold) for heat, gts in maps])
         moda_greedy = detection_metrics_arrays(greedy[:, :4], greedy[:, 4])["moda"]
-        moda_optimal = detection_metrics_arrays(optimal, np.zeros(len(frames)))["moda"]
-        # the runtime's full-views MODA is the greedy one over the same peaks
-        assert moda_greedy == run["moda"]["full"], (moda_greedy, run["moda"]["full"])
+        moda_optimal = detection_metrics_arrays(optimal, np.zeros(len(maps)))["moda"]
+        assert moda_greedy == run["moda"][policy], (moda_greedy, run["moda"][policy])
         more = int((optimal[:, 0] > greedy[:, 0]).sum())
         lines.append(f"seed {run['seed']}: greedy {moda_greedy:.4f}, optimal "
                      f"{moda_optimal:.4f} ({moda_optimal - moda_greedy:+.4f}; optimal matched "
-                     f"more on {more}/{len(frames)} frames)")
+                     f"more on {more}/{len(maps)} heatmaps)")
         if moda_optimal < moda_greedy:
             worse.append(run["seed"])
     with capsys.disabled():
         for line in lines:
-            print(f"[matching] full-view MODA, {line}")
+            print(f"[matching] {label} MODA, {line}")
     assert not worse, f"optimal matching scored below greedy on seeds {worse}"
+
+
+def test_optimal_matching_scores_at_least_greedy_on_detection_worlds(capsys, det_suite):
+    _matching_report(capsys, det_suite, "full_frames", "full", "full-view")
+
+
+def test_optimal_matching_scores_at_least_greedy_at_the_selected_budget(capsys, det_suite):
+    # mvselect at T = 3 from every initial view: fewer views, weaker and
+    # closer peaks than the full-view maps
+    _matching_report(capsys, det_suite, "selected_frames", "mvselect", "mvselect T=3")
 
 
 # ---------------------------------------------------------------------------

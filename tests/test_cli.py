@@ -9,6 +9,7 @@ import re
 import struct
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from fewview.artifacts import OUTPUT_ROOT_ENV, sha256_file
 from fewview.checkpoint import MAGIC
 from fewview.envs import DetectionConfig, DetectionWorld
 from fewview.tasknet import MVDetector
+from fewview.training import TrainConfig
 from testkit import read_policy_table, table_entries
 
 
@@ -190,6 +192,22 @@ def test_rerun_same_config_and_seed_reproduces_checkpoint_hash(tmp_path):
     c2 = next(run_dir_of(r2).glob("task-*.ckpt"))
     assert c1.name == c2.name  # content-addressed: same bytes, same name
     assert sha256_file(c1) == sha256_file(c2)
+
+
+def test_train_config_owns_its_view_count_tuple(tmp_path):
+    # a list of view counts becomes the config's own tuple, and the config's
+    # JSON is the checkpoint's train_config meta, byte for byte
+    train_cfg = TrainConfig(regime="task", epochs=1, T=2, train_view_counts=[1, 2])
+    assert train_cfg.train_view_counts == (1, 2)
+    cfg = base_config(tmp_path)
+    cfg["train"] = {"regime": "task", "epochs": 1, "T": 2, "train_view_counts": [1, 2]}
+    r = cli("train", "--config", str(write_config(tmp_path, cfg)))
+    assert r.returncode == 0, r.stderr
+    raw = next(run_dir_of(r).glob("task-*.ckpt")).read_bytes()
+    (size,) = struct.unpack_from("<Q", raw, len(MAGIC))
+    header = raw[len(MAGIC) + 8 : len(MAGIC) + 8 + size]
+    written = json.dumps(asdict(train_cfg), sort_keys=True, separators=(",", ":"))
+    assert f'"train_config":{written}'.encode() in header
 
 
 # every command's run directory holds exactly the files its manifest lists
@@ -471,6 +489,10 @@ def test_unknown_split_exits_2(workspace, tmp_path):
     # world sizes: every split holds an instance, a detection view a channel
     (["train", "--regime", "task"], "train", {"train_view_counts": []},
      "train_view_counts must name at least one view count"),
+    # an empty list would sweep no budget, or stand for the default policies
+    (["study", "sweep-T"], "eval", {"T_values": []}, "eval.T_values must name at least one"),
+    (["study", "sweep-T"], "eval", {"T_values": [2], "policies": []},
+     "eval.policies must name at least one"),
     (["train", "--regime", "task"], "world", {"n_train": 0}, "n_train must be at least 1"),
     (["eval", "--policy", "random"], "world", {"n_val": 0}, "n_val must be at least 1"),
     (["eval", "--policy", "random"], "world", {"n_eval": 0}, "n_eval must be at least 1"),
@@ -491,6 +513,7 @@ def test_unknown_split_exits_2(workspace, tmp_path):
         "select-fixed-no-task-checkpoint", "select-fixed-task-checkpoint-int", "eval-T-0",
         "eval-T-99", "eval-cli-T-0", "oracle-budget-negative", "oracle-T-7", "shutoff-k-negative",
         "shutoff-k-too-many", "sweep-T-7", "select-fixed-T-7", "train-view-counts-empty",
+        "sweep-T-values-empty", "sweep-policies-empty",
         "world-n-train-0",
         "world-n-val-0", "world-n-eval-0", "world-n-eval-negative", "detection-channels-0",
         "seed-negative", "train-cli-seed-negative", "eval-cli-seed-negative",

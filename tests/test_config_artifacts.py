@@ -199,7 +199,7 @@ def test_null_network_and_eval_values_stay_unset():
            "network": {"task_hidden": None, "selector_seed": None},
            "eval": {"T": None, "policy": None}}
     cfg = validate_config(raw)
-    assert cfg.network()["task_hidden"] is None
+    assert cfg.raw["network"]["task_hidden"] is None
     with pytest.raises(ConfigError, match="missing required key: eval.T"):
         cfg.require("eval.T")
 

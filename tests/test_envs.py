@@ -240,7 +240,7 @@ def test_visible_occupant_is_nonzero_in_map():
     w = small_det_world()
     occ = np.zeros((16, 16), dtype=np.uint8)
     occ[8, 8] = 1
-    obs, vis = w.render_views(occ)
+    obs, vis = w.render_views(occ, 0.0)
     seen = [v for v in range(w.n_cameras) if vis[v, 8, 8]]
     assert seen, "center cell should be visible to someone"
     for v in seen:
@@ -255,7 +255,7 @@ def test_coverage_gap_keeps_ground_truth():
     r, c = map(int, np.argwhere(uncovered)[0])
     occ = np.zeros((16, 16), dtype=np.uint8)
     occ[r, c] = 1
-    obs, vis = w.render_views(occ)
+    obs, vis = w.render_views(occ, 0.0)
     assert np.all(obs[:, :, r, c] == 0.0)
     assert occ[r, c] == 1
 
@@ -271,7 +271,7 @@ def test_occlusion_blocks_rear_cell_but_not_side_camera():
     occ = np.zeros((32, 32), dtype=np.uint8)
     occ[16, 20] = 1
     occ[16, 10] = 1
-    obs, vis = w.render_views(occ)
+    obs, vis = w.render_views(occ, 0.0)
     assert not vis[0, 16, 10]
     assert vis[0, 16, 20]
     assert vis[3, 16, 10]

@@ -449,8 +449,8 @@ def test_rl_loss_gradient_matches_finite_differences():
 
 
 def test_epsilon_schedule():
-    assert epsilon_schedule(0, 100) == 0.95
-    assert abs(epsilon_schedule(99, 100) - 0.05) < 1e-12
-    assert abs(epsilon_schedule(50, 101) - 0.5) < 1e-12
-    assert epsilon_schedule(0, 1) == 0.05
-    assert abs(epsilon_schedule(500, 100) - 0.05) < 1e-12
+    assert epsilon_schedule(0, 100, 0.95, 0.05) == 0.95
+    assert abs(epsilon_schedule(99, 100, 0.95, 0.05) - 0.05) < 1e-12
+    assert abs(epsilon_schedule(50, 101, 0.95, 0.05) - 0.5) < 1e-12
+    assert epsilon_schedule(0, 1, 0.95, 0.05) == 0.05
+    assert abs(epsilon_schedule(500, 100, 0.95, 0.05) - 0.05) < 1e-12
