@@ -3,15 +3,16 @@
 Usage: python3 scripts/same_artifacts.py PARENT_REV
 
 Runs one classification pipeline (its task training with a view-count mix)
-and one detection pipeline from a checkout of PARENT_REV and then from this
+and one detection pipeline from a copy of PARENT_REV and then from this
 checkout: ``train`` in all three regimes, ``eval`` of all five policies, both
-``oracle`` exports and ``study sweep-T``. The parent is checked out with
-``git worktree add --detach`` into a temporary directory, and the worktree
-is removed on exit. Both sides write under the same output path, one after
-the other, because checkpoint paths enter the config hash that reports
-carry. Every file except ``manifest.json`` (it carries wall-clock timing) is
-compared by sha256; each difference is printed, and any makes the exit
-status 1.
+``oracle`` exports and the ``study`` commands ``sweep-T``, ``shutoff`` and
+``ablation``. A third pipeline trains a task network on a pose-randomized
+classification world and runs ``study random-pose`` on it. The parent is
+copied with ``git archive`` into a temporary directory, removed on exit.
+Both sides write under the same output path, one after the other, because
+checkpoint paths enter the config hash that reports carry. Every file
+except ``manifest.json`` (it carries wall-clock timing) is compared by
+sha256; each difference is printed, and any makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ PIPELINES = {
                   "n_train": 6, "n_val": 4, "n_eval": 5, "seed": 3},
         "task": {"epochs": 2},
     },
+    # a pose world serves only its study
+    "random-pose": {
+        "world": {"kind": "classification", "n_views": 6, "n_classes": 4, "feat_dim": 12,
+                  "n_train": 40, "n_val": 24, "n_eval": 24, "seed": 5, "random_pose": True},
+        "task": {"epochs": 4, "task_lr": 2e-3},
+    },
 }
 
 
@@ -69,6 +76,10 @@ def run_pipeline(checkout: Path, name: str, spec: dict, work: Path) -> None:
     task_dir = cli("task", {**base, "train": {"regime": "task", "T": n_cams, **spec["task"]}},
                    "train")
     task = str(next(task_dir.glob("task-*.ckpt")))
+    if spec["world"].get("random_pose"):
+        study = {"T": 2, "task_checkpoint": task}
+        cli("random-pose", {**base, "train": {"epochs": 2}, "eval": study}, "study", "random-pose")
+        return
     selection = {"epochs": 2, "T": 2, "task_checkpoint": task}
     select_dir = cli("select-fixed", {**base, "train": selection}, "train", "--regime",
                      "select-fixed")
@@ -83,6 +94,9 @@ def run_pipeline(checkout: Path, name: str, spec: dict, work: Path) -> None:
     sweep = {"T_values": [2, 3, n_cams], "task_checkpoint": task,
              "selector_checkpoints": {"2": selector}}
     cli("sweep-T", {**base, "train": {"epochs": 1}, "eval": sweep}, "study", "sweep-T")
+    cli("shutoff", {**base, "eval": {**evaluation, "k": 2, "n_random": 2}}, "study", "shutoff")
+    cli("ablation", {**base, "train": {"epochs": 1}, "eval": {"T": 2, "task_checkpoint": task}},
+        "study", "ablation")
 
 
 def digests(root: Path) -> dict[str, str]:
@@ -98,18 +112,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="same-artifacts-") as tmp:
         tmp = Path(tmp)
         parent = tmp / "parent"
-        subprocess.run(["git", "-C", str(REPO), "worktree", "add", "--detach", "--quiet",
-                        str(parent), argv[0]], check=True)
-        try:
-            results = {}
-            for side, checkout in (("parent", parent), ("change", REPO)):
-                for name, spec in PIPELINES.items():
-                    run_pipeline(checkout, name, spec, tmp)
-                results[side] = digests(tmp / "out")
-                shutil.move(tmp / "out", tmp / f"out-{side}")
-        finally:
-            subprocess.run(["git", "-C", str(REPO), "worktree", "remove", "--force",
-                            str(parent)], check=True)
+        parent.mkdir()
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", argv[0]], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        results = {}
+        for side, checkout in (("parent", parent), ("change", REPO)):
+            for name, spec in PIPELINES.items():
+                run_pipeline(checkout, name, spec, tmp)
+            results[side] = digests(tmp / "out")
+            shutil.move(tmp / "out", tmp / f"out-{side}")
     before, after = results["parent"], results["change"]
     differ = [path for path in sorted(before.keys() | after.keys())
               if before.get(path) != after.get(path)]

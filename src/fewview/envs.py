@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -40,11 +41,14 @@ TRAIN, VAL, EVAL = "train", "val", "eval"
 _SPLIT_TAGS = {TRAIN: 0, VAL: 1, EVAL: 2}
 
 
-def _config_hash(cfg) -> str:
-    payload = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    return hashlib.sha256(
-        json.dumps({"kind": type(cfg).__name__, **payload}, sort_keys=True).encode()
-    ).hexdigest()
+def checked_ints(name: str, values) -> tuple[int, ...]:
+    """``values`` (any iterable) as ints; raises ConfigError naming the first
+    that is not an integer (a NumPy integer is one, a bool is not)."""
+    values = tuple(values)
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} {value!r} is not an integer")
+    return tuple(map(int, values))
 
 
 def _check_least(cfg, least: dict) -> None:
@@ -82,7 +86,8 @@ class World:
         return self.config.n_eval
 
     def world_hash(self) -> str:
-        return _config_hash(self.config)
+        payload = {"kind": type(self.config).__name__, **asdict(self.config)}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def split_size(self, split: str) -> int:
         sizes = {TRAIN: self.n_train, VAL: self.n_val, EVAL: self.n_eval}
@@ -119,7 +124,8 @@ class ClassificationConfig:
     def __post_init__(self):
         if self.discriminative_views is not None:  # lists from a config file
             object.__setattr__(self, "discriminative_views", tuple(
-                tuple(int(v) for v in views) for views in self.discriminative_views))
+                checked_ints(f"discriminative_views[{p}]", views)
+                for p, views in enumerate(self.discriminative_views)))
         if self.n_classes < 2 or self.n_classes % 2 != 0:
             raise ConfigError("n_classes must be even and at least 2")
         _check_least(self, {"n_views": 2, "feat_dim": 1})

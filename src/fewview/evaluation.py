@@ -266,7 +266,7 @@ def build_report(run, cost: CostLedger, config_hash: str, seeds) -> dict:
     if run.T >= 2 and run.policy != "full-views":
         freq = policy_frequency(run.chosen, run.chosen.shape[1]).tolist()
     return {
-        "mode": run.mode,
+        "mode": run.task_net.mode,
         "policy": run.policy,
         "split": run.split,
         "T": run.T,

@@ -1,6 +1,7 @@
 """Experiment studies layered on training and evaluation.
 
-Four studies ship:
+Four studies ship; the three that train selectors build them, then check,
+train and evaluate in that order (``_study_rows``):
 
 - ``sweep_view_budget``: metrics for each policy across a range of view
   budgets T, as plot-ready rows, from one evaluation pass over the split
@@ -34,22 +35,29 @@ ABLATION_VARIANTS = {  # each variant's two branch flags, in row order
 STUDIES = ("sweep-T", "shutoff", "random-pose", "ablation")
 
 
-def _flatten_row(head: dict, metrics: dict) -> dict:
-    row = dict(head)
-    row.update({k: float(v) for k, v in sorted(metrics.items())})
-    return row
+def _selector(world, task_net, selector_cfg: training.TrainConfig | None,
+              selector_args: dict | None, **flags):
+    """A fresh selector from ``selector_args`` (``training.build_selector``'s
+    keywords) and ``flags``, seeded by ``selector_cfg`` (0 without one)
+    unless they name a seed."""
+    return training.build_selector(world, task_net, **{
+        "seed": getattr(selector_cfg, "seed", 0), **(selector_args or {}), **flags})
 
 
-def _trained_selector(world, task_net, T: int, selector_cfg: training.TrainConfig,
-                      selector_args: dict | None, **flags):
-    """A fresh selector built from ``selector_args`` (``build_selector``'s
-    keywords; ``selector_cfg`` seeds it unless they name a seed) and
-    ``flags``, trained select-fixed at budget T on the frozen task network."""
-    args = {"seed": selector_cfg.seed, **(selector_args or {}), **flags}
-    q_net = training.build_selector(world, task_net, **args)
-    training.train_selector_fixed(
-        world, task_net, q_net, replace(selector_cfg, regime="select-fixed", T=T))
-    return q_net
+def _study_rows(world, task_net, runs, heads, trained, selector_cfg, split: str,
+                seed: int = 0, budget: int = training.DEFAULT_ENUM_BUDGET) -> list[dict]:
+    """Check every run (``training.check_run``), train the selector of each
+    ``trained`` run select-fixed at its T, then evaluate every run in one
+    pass; each run's row is its ``heads`` entry, then its metrics in key
+    order."""
+    for run in runs:
+        training.check_run(world, run, split, budget)
+    for run in trained:
+        training.train_selector_fixed(
+            world, task_net, run.q_net, replace(selector_cfg, regime="select-fixed", T=run.T))
+    results = training.evaluate_policies(world, task_net, runs, split, seed, budget)
+    return [{**head, **{k: float(v) for k, v in sorted(result.metrics().items())}}
+            for head, result in zip(heads, results)]
 
 
 # ---------------------------------------------------------------------------
@@ -66,48 +74,31 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     order, from one evaluation pass.
 
     The selector policy needs a trained network per T: pass them in
-    ``q_nets`` keyed by T, or pass ``selector_cfg`` to have each one trained
-    here. At T = 1 no selection step happens and at T = N masking forces the
-    complete view set whatever the Q values, so an untrained selector is
-    substituted at those budgets when neither is given; a trained one needs
-    T >= 2. A selector built here takes ``selector_args``
-    (``training.build_selector``'s keywords). Every T, its selector and its
-    oracle enumeration (against ``budget``) are checked before the first
-    selector trains. The selectors train in T order; then one
+    ``q_nets`` keyed by T, or pass ``selector_cfg`` to have each one built
+    from ``selector_args`` and trained here, which needs T >= 2. At T = 1
+    no selection step happens and at T = N masking forces the complete
+    view set whatever the Q values, so an untrained selector stands in at
+    those budgets when neither is given. Every run is checked before the
+    first selector trains, and the selectors train in T order; then one
     ``training.evaluate_policies`` call evaluates every row, so each
     instance is featurized once, each T's subsets are scored once for both
     oracles, each random order is drawn once, and full-views runs once.
     Every row still costs its policy at its own T, full-views included.
     """
-    for policy in policies:
-        if policy not in training.POLICIES:
-            raise ConfigError(f"unknown policy {policy!r} in sweep")
-    T_values = [int(t) for t in T_values]
-    q_nets = dict(q_nets or {})
-    for t in T_values:
-        training.check_t(world, t)
-    for t in T_values if "mvselect" in policies else ():
-        if t not in q_nets and selector_cfg is not None and t < 2:
+    q_nets, built = dict(q_nets or {}), []
+    for t in [t for t in dict.fromkeys(T_values) if "mvselect" in policies and t not in q_nets]:
+        if selector_cfg is not None and t < 2:
             raise ConfigError(f"eval.T_values entry {t}: a trained selector needs T >= 2")
-        if t not in q_nets and selector_cfg is None and t not in (1, world.n_cameras):
+        if selector_cfg is None and t not in (1, world.n_cameras):
             raise ConfigError(f"sweep needs a selector for T={t}: pass q_nets or selector_cfg")
-    if any(policy.endswith("-oracle") for policy in policies):
-        for t in T_values:
-            training.check_enumeration_budget(world, t, split, budget)
-    for t in T_values if "mvselect" in policies else ():
-        if t not in q_nets and selector_cfg is not None:
-            q_nets[t] = _trained_selector(world, task_net, t, selector_cfg, selector_args)
-        elif t not in q_nets:
-            q_nets[t] = training.build_selector(
-                world, task_net, **{"seed": seed, **(selector_args or {})})
+        q_nets[t] = _selector(world, task_net, selector_cfg, selector_args)
+        built.append(training.PolicyRun("mvselect", t, q_nets[t]))
     runs = [training.PolicyRun(policy, t, q_nets[t] if policy == "mvselect" else None)
             for t in T_values for policy in policies]
-    rows = []
-    for run, result in zip(runs, training.evaluate_policies(world, task_net, runs, split=split,
-                                                            seed=seed, budget=budget)):
-        row = _flatten_row({"T": run.T, "policy": run.policy}, result.metrics())
+    rows = _study_rows(world, task_net, runs, [{"T": int(r.T), "policy": r.policy} for r in runs],
+                       built if selector_cfg else [], selector_cfg, split, seed, budget)
+    for run, row in zip(runs, rows):
         row["cost_ratio"] = evaluation.cost_account(world, task_net, run.q_net, run.T).ratio
-        rows.append(row)
     return rows
 
 
@@ -165,19 +156,16 @@ def random_pose_study(world, task_net, T: int, *,
     """Retrain the selector on a pose-randomized world and compare the three
     deployable policies. Randomized object pose breaks any fixed mapping from
     initial view to informative views, which is exactly the regime where
-    per-instance selection must outperform fixed sets. The whole input is
+    per-instance selection must outperform fixed sets. Every run is
     checked before the selector trains; one evaluation pass then serves all
     three policies."""
     if not getattr(world.config, "random_pose", False):
         raise ConfigError("random-pose study needs a world built with world.random_pose: true")
-    training.check_t(world, T)
-    training.check_enumeration_budget(world, T, split, budget)
-    q_net = _trained_selector(world, task_net, T, selector_cfg, selector_args)
+    q_net = _selector(world, task_net, selector_cfg, selector_args)
     runs = [training.PolicyRun("random", T), training.PolicyRun("dataset-oracle", T),
             training.PolicyRun("mvselect", T, q_net)]
-    results = training.evaluate_policies(world, task_net, runs, split=split, seed=seed,
-                                         budget=budget)
-    return {"T": T, "rows": [_flatten_row({"policy": r.policy}, r.metrics()) for r in results]}
+    return {"T": T, "rows": _study_rows(world, task_net, runs, [{"policy": r.policy} for r in runs],
+                                        runs[2:], selector_cfg, split, seed, budget)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +179,8 @@ def selector_ablation_study(world, task_net, T: int, *,
     """Train matched selectors from ``selector_args`` with each state branch
     removed in turn, then evaluate all of them in one pass. Emits one row
     per variant of ``ABLATION_VARIANTS``, which sets both branch flags."""
-    runs = [training.PolicyRun("mvselect", T, _trained_selector(
-                world, task_net, T, selector_cfg, selector_args, **flags))
+    runs = [training.PolicyRun("mvselect", T, _selector(
+                world, task_net, selector_cfg, selector_args, **flags))
             for flags in ABLATION_VARIANTS.values()]
-    results = training.evaluate_policies(world, task_net, runs, split=split)
-    return [_flatten_row({"variant": v}, r.metrics()) for v, r in zip(ABLATION_VARIANTS, results)]
+    return _study_rows(world, task_net, runs, [{"variant": v} for v in ABLATION_VARIANTS], runs,
+                       selector_cfg, split)

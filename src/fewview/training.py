@@ -63,7 +63,7 @@ from typing import Callable
 import numpy as np
 
 from .envs import (EVAL, TRAIN, VAL, ClassificationConfig, ClassificationWorld,
-                   DetectionConfig, DetectionWorld)
+                   DetectionConfig, DetectionWorld, checked_ints)
 from .errors import BudgetError, ConfigError, NonFiniteError, StateError
 from .mvselect import QNetwork, epsilon_schedule, rl_loss, rollout, td_targets
 from .numcore import Adam, work_array
@@ -96,7 +96,8 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.train_view_counts is not None:  # a list from a config file
-            object.__setattr__(self, "train_view_counts", tuple(map(int, self.train_view_counts)))
+            object.__setattr__(self, "train_view_counts",
+                               checked_ints("train_view_counts entry", self.train_view_counts))
         check_train_ranges(vars(self))
         if self.regime != "task" and self.T < 2:
             raise ConfigError("selection regimes need T >= 2")
@@ -168,7 +169,8 @@ def build_selector(world, task_net, hidden: int = 64, seed: int = 0, **flags) ->
 
 
 def check_t(world, T: int) -> None:
-    """Raise ConfigError unless the view budget T fits the world's cameras."""
+    """Raise ConfigError unless the view budget T is an integer in [1, N]."""
+    checked_ints("T", [T])
     if not 1 <= T <= world.n_cameras:
         raise ConfigError(f"T={T} is outside the {world.n_cameras}-camera layout")
 
@@ -411,10 +413,6 @@ def check_enumeration_budget(world, T: int, split: str, budget: int = DEFAULT_EN
     return count
 
 
-def _subset_table(n_cams: int, T: int) -> Array:
-    return np.array(list(itertools.combinations(range(n_cams), T)), dtype=int)
-
-
 def _oracle_choice(n_cams: int, run: PolicyRun, subsets: Array, score: Array, tie: Array,
                    records: Array) -> tuple[PolicyTable, Array, Array]:
     """Best view set per initial view from the (n, S) scores, ties and
@@ -493,10 +491,6 @@ class EvalRun:
     records: Array   # (n, N, k) the task network's record of each rollout
     table: PolicyTable | None = None
 
-    @property
-    def mode(self) -> str:
-        return self.task_net.mode
-
     def metrics(self) -> dict:
         return self.task_net.metrics(self.records)
 
@@ -534,21 +528,22 @@ def _checked_table(table: PolicyTable, n: int, n_cams: int, T: int, disabled: fr
                           f"shut off {sorted(disabled)}")
 
 
-def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
-    """The run at the budget it evaluates, its disabled ids a frozenset
-    (full-views takes every camera whatever T and disabled say); raises
-    unless it can select T cameras on the world and, for an oracle, stay
-    within the enumeration budget or follow a table that fits the run."""
+def check_run(world, run: PolicyRun, split: str, budget: int = DEFAULT_ENUM_BUDGET) -> PolicyRun:
+    """The one check of an evaluation run. Returns the run as it evaluates:
+    T an int and disabled a frozenset of ints, or for full-views all N
+    cameras whatever its T (still an integer in [1, N]) and disabled say.
+    Raises unless it can select T cameras, an mvselect run has a selector and
+    an oracle stays within the enumeration budget or follows a fitting table."""
     if run.policy not in POLICIES:
         raise ConfigError(f"policy must be one of {POLICIES}, got {run.policy!r}")
-    disabled = frozenset(int(v) for v in run.disabled)
+    disabled = frozenset(checked_ints("disabled id", run.disabled))
     bad = sorted(v for v in disabled if not 0 <= v < world.n_cameras)
     if bad:
         raise ConfigError(f"disabled ids {bad} outside camera range")
+    check_t(world, run.T)
     if run.policy == "full-views":
         return replace(run, T=world.n_cameras, disabled=frozenset())
-    T, usable = run.T, world.n_cameras - len(disabled)
-    check_t(world, T)
+    T, usable = int(run.T), world.n_cameras - len(disabled)
     if usable < T:
         raise ConfigError(f"shut-off leaves {usable} usable cameras, fewer than T={T}")
     if run.policy == "mvselect" and run.q_net is None:
@@ -557,7 +552,7 @@ def _checked_run(world, run: PolicyRun, split: str, budget: int) -> PolicyRun:
         check_enumeration_budget(world, T, split, budget)
     elif run.table is not None:
         _checked_table(run.table, world.split_size(split), world.n_cameras, T, disabled)
-    return replace(run, disabled=disabled)
+    return replace(run, T=T, disabled=disabled)
 
 
 def _prepared_blocks(world, task_net, split: str, block: int, worker):
@@ -606,7 +601,7 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     runs, such as full-views at several T, are evaluated once. A split of
     several blocks is pipelined on one worker thread (module docstring).
     """
-    runs = [_checked_run(world, run, split, budget) for run in runs]
+    runs = [check_run(world, run, split, budget) for run in runs]
     if not runs:
         return []
     keys = [(run.policy, run.T, id(run.q_net), id(run.table), run.disabled) for run in runs]
@@ -614,7 +609,8 @@ def evaluate_policies(world, task_net, runs, split: str = "eval", seed: int = 0,
     builds = [k for k, run in distinct.items()
               if run.policy.endswith("-oracle") and run.table is None]
     n, n_cams = world.split_size(split), world.n_cameras
-    subsets = {t: _subset_table(n_cams, t) for t in sorted({distinct[k].T for k in builds})}
+    subsets = {t: np.array(list(itertools.combinations(range(n_cams), t)), dtype=int)
+               for t in sorted({distinct[k].T for k in builds})}
     # per T: each instance's subset records, and the (n, S) scores and ties
     scored = {t: ([], np.zeros((n, len(s))), np.zeros((n, len(s)))) for t, s in subsets.items()}
     # per other run: the (n, N, T) view sets (an oracle's from its checked

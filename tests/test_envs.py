@@ -164,6 +164,18 @@ def test_classification_config_validation():
         ClassificationConfig(seed=-1)
 
 
+@pytest.mark.parametrize("views, named", [
+    ([[0.7, 1], [2.9, 3]], r"discriminative_views\[0\] 0.7"),
+    ([[0, 1], [2, True]], r"discriminative_views\[1\] True"),
+    ([[0, 1], ["2", 3]], r"discriminative_views\[1\] '2'")], ids=["float", "bool", "str"])
+def test_discriminative_views_must_be_integers(views, named):
+    with pytest.raises(ConfigError, match=f"{named} is not an integer"):
+        ClassificationConfig(n_views=6, n_classes=4, discriminative_views=views)
+    cfg = ClassificationConfig(n_views=6, n_classes=4,
+                               discriminative_views=[np.array([0, 1]), [2, 3]])
+    assert cfg.discriminative_views == ((0, 1), (2, 3))
+
+
 def test_world_hash_tracks_config():
     a, b = small_class_world(), small_class_world()
     assert a.world_hash() == b.world_hash()

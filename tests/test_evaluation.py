@@ -500,7 +500,8 @@ def test_significance_input_guards():
 
 def test_report_json_is_deterministic_and_complete():
     cost = ev.cost_from_macs(1000, 50, 10, 2, 6)
-    run = SimpleNamespace(mode="classification", policy="mvselect", split="eval", T=2,
+    run = SimpleNamespace(task_net=SimpleNamespace(mode="classification"), policy="mvselect",
+                          split="eval", T=2,
                           chosen=np.array([[[0, 1], [1, 0]]]),
                           metrics=lambda: {"accuracy": 0.9917, "primary": 0.9917})
     report = ev.build_report(run, cost, "abc123", [0, 1, 2])

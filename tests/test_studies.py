@@ -296,7 +296,14 @@ def test_random_pose_study_requires_pose_world(world, task_net):
      BudgetError),
     (lambda w, net, cfg: studies.sweep_view_budget(
         w, net, [2, 99], policies=("mvselect",), selector_cfg=cfg), ConfigError),
-], ids=["random-pose-budget", "sweep-budget", "sweep-T-99"])
+    (lambda w, net, cfg: studies.selector_ablation_study(w, net, w.n_cameras + 1,
+                                                         selector_cfg=cfg), ConfigError),
+    (lambda w, net, cfg: studies.sweep_view_budget(
+        w, net, [2, 2.7], policies=("mvselect",), selector_cfg=cfg), ConfigError),
+    (lambda w, net, cfg: studies.sweep_view_budget(
+        w, net, [2], policies=("mvselect", "bogus"), selector_cfg=cfg), ConfigError),
+], ids=["random-pose-budget", "sweep-budget", "sweep-T-99", "ablation-T-N+1", "sweep-T-2.7",
+        "sweep-unknown-policy"])
 def test_studies_check_their_input_before_any_selector_trains(pose_world, monkeypatch,
                                                               study, error):
     trained = []
@@ -305,6 +312,27 @@ def test_studies_check_their_input_before_any_selector_trains(pose_world, monkey
     with pytest.raises(error):
         study(pose_world, tr.build_classifier(pose_world, seed=0), cfg)
     assert trained == []
+
+
+@pytest.mark.parametrize("study, n_runs, n_trained", [
+    (lambda w, net, cfg: studies.random_pose_study(w, net, 2, selector_cfg=cfg), 3, 1),
+    (lambda w, net, cfg: studies.sweep_view_budget(
+        w, net, [2, 3, 2], policies=tr.POLICIES, selector_cfg=cfg), 15, 2),
+    (lambda w, net, cfg: studies.selector_ablation_study(w, net, 2, selector_cfg=cfg), 3, 3),
+], ids=["random-pose", "sweep", "ablation"])
+def test_studies_check_every_run_through_check_run_before_training(pose_world, monkeypatch,
+                                                                   study, n_runs, n_trained):
+    events = []
+    check_run = tr.check_run
+    monkeypatch.setattr(tr, "check_run", lambda *args: events.append("check") or check_run(*args))
+    monkeypatch.setattr(tr, "train_selector_fixed", lambda *args: events.append("train"))
+    # a stand-in for the one pass, which checks every run again itself
+    monkeypatch.setattr(tr, "evaluate_policies",
+                        lambda *args: events.append("evaluate") or [])
+    study(pose_world, tr.build_classifier(pose_world, seed=0),
+          tr.TrainConfig(regime="select-fixed", epochs=1, T=2))
+    # a T the sweep names twice trains its selector once
+    assert events == ["check"] * n_runs + ["train"] * n_trained + ["evaluate"]
 
 
 def test_random_pose_study_three_way_comparison(pose_world, pose_task_net):

@@ -95,6 +95,17 @@ def test_train_config_rejects_bad_rates_naming_the_field(field, value):
         tr.TrainConfig(regime="joint", epochs=1, T=2, **{field: value})
 
 
+@pytest.mark.parametrize("counts, named", [
+    ([1.5, True], "train_view_counts entry 1.5"), ([2, True], "train_view_counts entry True"),
+    ((1, "2"), "train_view_counts entry '2'")], ids=["float", "bool", "str"])
+def test_train_config_rejects_non_integer_view_counts_naming_the_entry(counts, named):
+    with pytest.raises(ConfigError, match=named):
+        tr.TrainConfig(regime="task", epochs=1, T=2, train_view_counts=counts)
+    # a NumPy integer is an integer, and the tuple holds it as an int
+    cfg = tr.TrainConfig(regime="task", epochs=1, T=2, train_view_counts=np.array([1, 2]))
+    assert cfg.train_view_counts == (1, 2) and type(cfg.train_view_counts[0]) is int
+
+
 def test_regime_dispatch_guards(cls_world, cls_net):
     q = tr.build_selector(cls_world, cls_net, seed=0)
     task_cfg = tr.TrainConfig(regime="task", epochs=1, T=1)
@@ -1006,6 +1017,32 @@ def test_a_one_block_pass_starts_no_thread(cls_world, cls_net, det_tiny, monkeyp
     assert threading.active_count() == threads
     with pytest.raises(AssertionError, match="opened a worker"):   # a split of five frames
         tr.evaluate_policy(det_tiny[0], det_tiny[1], 2, "random")
+
+
+def test_check_run_takes_only_integer_budgets_and_camera_ids(cls_world, cls_net):
+    N = cls_world.n_cameras
+    # full-views takes all N cameras, but only from a T in [1, N]
+    for T in (0, N + 1, 2.5, True):
+        with pytest.raises(ConfigError, match="T"):
+            tr.check_run(cls_world, tr.PolicyRun("full-views", T), "eval")
+    assert tr.check_run(cls_world, tr.PolicyRun("full-views", 2), "eval").T == N
+    for T in (2.0, 2.7, True, "2"):
+        with pytest.raises(ConfigError, match="not an integer"):
+            tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun("random", T)])
+    # disabled={1.5} once shut off camera 1
+    for ids in ({1.5}, {True}, {0, "1"}):
+        with pytest.raises(ConfigError, match="disabled id .* is not an integer"):
+            tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun("random", 2, disabled=ids)])
+    # NumPy integers are integers: the checked run holds ints, and evaluates as they do
+    run = tr.check_run(cls_world, tr.PolicyRun("random", np.int64(2), disabled={np.int32(1)}),
+                       "eval")
+    assert (type(run.T), run.disabled) == (int, frozenset({1}))
+    assert all(type(v) is int for v in run.disabled)
+    assert tr.check_run(cls_world, tr.PolicyRun("random", 2, disabled=iter([1])),
+                        "eval").disabled == frozenset({1})
+    got = tr.evaluate_policies(cls_world, cls_net, [tr.PolicyRun("random", np.int64(2))])[0]
+    want = tr.evaluate_policy(cls_world, cls_net, 2, "random")
+    assert type(got.T) is int and got.metrics() == want.metrics()
 
 
 def test_one_pass_checks_every_run_before_any_work(cls_world, cls_net, monkeypatch):
