@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 configuration error, 3 compatibility error
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict
@@ -82,9 +83,9 @@ def _start_run(args, cfg: ExperimentConfig, command: str, seed: int):
     computation, and the manifest head; the directory appears when
     ``_finish_run`` writes, so a run that fails before then leaves none."""
     root = artifacts.output_root(args.out, cfg.raw["output_dir"])
-    run_dir = artifacts.run_directory(root, command, cfg.config_hash(), seed, args.force)
+    run_dir = artifacts.run_directory(root, command, cfg.config_hash, seed, args.force)
     return run_dir, {"command": command, "config": cfg.raw,
-                     "config_hash": cfg.config_hash(), "seed": seed}
+                     "config_hash": cfg.config_hash, "seed": seed}
 
 
 def _finish_run(run_dir: Path, head: dict, started: float, addressed, named=None) -> None:
@@ -114,7 +115,7 @@ def cmd_train(args) -> int:
         task_net = _load_net(cfg.family.net, world, cfg.require("train.task_checkpoint"))
     run_dir, head = _start_run(args, cfg, f"train-{regime}", seed)
     extra = {"regime": regime, "train_config": asdict(train_cfg),
-             "config_hash": cfg.config_hash()}
+             "config_hash": cfg.config_hash}
 
     if regime == "task":
         result = training.train_task_network(world, task_net, train_cfg)
@@ -158,7 +159,7 @@ def cmd_eval(args) -> int:
                                    split=ev_sec["split"], q_net=q_net, seed=seed,
                                    budget=ev_sec["budget"])
     cost = evaluation.cost_account(world, task_net, q_net, run.T)
-    report = evaluation.build_report(run, cost, cfg.config_hash(), [seed])
+    report = evaluation.build_report(run, cost, cfg.config_hash, [seed])
     files = [(f"report-{policy}", ".json", artifacts.json_bytes(report))]
     if report["frequency"] is not None:
         rows = evaluation.frequency_rows(report["frequency"])
@@ -257,6 +258,7 @@ def cmd_oracle(args) -> int:
 # entry point
 
 
+@functools.cache  # once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fewview",

@@ -20,6 +20,7 @@ its learning rate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -35,6 +36,7 @@ from .training import (DEFAULT_ENUM_BUDGET, POLICIES, SPLITS, TASK_FAMILIES, Tas
                        TrainConfig, check_train_ranges)
 
 WORLD_KINDS = tuple(TASK_FAMILIES)
+MAX_CONFIG_BYTES = 1 << 14  # libyaml recurses in C per nesting level: 25,000 overflow 8 MiB
 
 
 def _key_table(cls) -> dict:
@@ -72,6 +74,7 @@ _EVAL_KEYS = {
 }
 # task_checkpoint: the task network that select-fixed and joint start from
 _TRAIN_KEYS = {**_key_table(TrainConfig), "task_checkpoint": (str | None, MISSING, None)}
+_WORLD_KEYS = {kind: _key_table(family.config) for kind, family in TASK_FAMILIES.items()}
 
 
 def _reject_unknown(section: str, raw: dict, allowed) -> None:
@@ -162,6 +165,7 @@ class ExperimentConfig:
             node = node[part]
         return node
 
+    @functools.cached_property
     def config_hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
@@ -177,8 +181,7 @@ def _validate_world(raw) -> dict:
         raise ConfigError(f"world.kind must be one of {WORLD_KINDS}, got {kind!r}")
     fields = {k: v for k, v in raw.items() if k != "kind"}
     # every world field has a default
-    out = {"kind": kind, **_validate_section(
-        "world", fields, _key_table(TASK_FAMILIES[kind].config))}
+    out = {"kind": kind, **_validate_section("world", fields, _WORLD_KEYS[kind])}
     _world_config(out)  # construct once so dataclass invariants run at validation time
     return out
 
@@ -246,8 +249,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    if path.stat().st_size > MAX_CONFIG_BYTES:  # a level takes at least one byte
+        raise ConfigError(f"config {path} is larger than {MAX_CONFIG_BYTES} bytes")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.CSafeLoader)
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except (RecursionError, ValueError, yaml.YAMLError) as exc:  # ValueError: e.g. a bad date

@@ -201,8 +201,7 @@ class ClassificationWorld(World):
         pose = int(rng.integers(cfg.n_views)) if cfg.random_pose else 0
         noise = cfg.noise * rng.standard_normal((cfg.n_views, cfg.feat_dim))
         canonical = self.prototypes[class_id] + noise
-        views = (np.arange(cfg.n_views) - pose) % cfg.n_views
-        observations = canonical[views]
+        observations = canonical[(np.arange(cfg.n_views) - pose) % cfg.n_views] if pose else canonical
         observations.setflags(write=False)
         return ClassificationInstance(class_id, pose, observations)
 

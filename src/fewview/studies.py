@@ -24,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation, training
+from .envs import checked_ints
 from .errors import ConfigError
 
 SWEEP_POLICIES = ("random", "dataset-oracle", "instance-oracle", "mvselect")
@@ -78,25 +79,26 @@ def sweep_view_budget(world, task_net, T_values, *, policies=SWEEP_POLICIES,
     from ``selector_args`` and trained here, which needs T >= 2. At T = 1
     no selection step happens and at T = N masking forces the complete
     view set whatever the Q values, so an untrained selector stands in at
-    those budgets when neither is given. Every run is checked before the
+    T = N, and at T = 1 when neither is given. Every run is checked before the
     first selector trains, and the selectors train in T order; then one
     ``training.evaluate_policies`` call evaluates every row, so each
     instance is featurized once, each T's subsets are scored once for both
     oracles, each random order is drawn once, and full-views runs once.
     Every row still costs its policy at its own T, full-views included.
     """
-    q_nets, built = dict(q_nets or {}), []
+    q_nets, trained = dict(q_nets or {}), []
     for t in [t for t in dict.fromkeys(T_values) if "mvselect" in policies and t not in q_nets]:
         if selector_cfg is not None and t < 2:
             raise ConfigError(f"eval.T_values entry {t}: a trained selector needs T >= 2")
         if selector_cfg is None and t not in (1, world.n_cameras):
             raise ConfigError(f"sweep needs a selector for T={t}: pass q_nets or selector_cfg")
         q_nets[t] = _selector(world, task_net, selector_cfg, selector_args)
-        built.append(training.PolicyRun("mvselect", t, q_nets[t]))
+        if selector_cfg is not None and t != world.n_cameras:
+            trained.append(training.PolicyRun("mvselect", t, q_nets[t]))
     runs = [training.PolicyRun(policy, t, q_nets[t] if policy == "mvselect" else None)
             for t in T_values for policy in policies]
     rows = _study_rows(world, task_net, runs, [{"T": int(r.T), "policy": r.policy} for r in runs],
-                       built if selector_cfg else [], selector_cfg, split, seed, budget)
+                       trained, selector_cfg, split, seed, budget)
     for run, row in zip(runs, rows):
         row["cost_ratio"] = evaluation.cost_account(world, task_net, run.q_net, run.T).ratio
     return rows
@@ -114,7 +116,7 @@ def camera_shutoff_study(world, task_net, q_net, T: int, k: int, *,
     random k-subsets of the cameras. k = 0 is a no-op. One pass over
     ``eval_split`` serves the baseline, the ranked set and every random set,
     each an mvselect ``PolicyRun`` with its own ``disabled`` cameras."""
-    n_cams = world.n_cameras
+    n_cams, (k,) = world.n_cameras, checked_ints("k", [k])
     if not 0 <= k <= n_cams:
         raise ConfigError(f"cannot disable k={k} of {n_cams} cameras")
     if n_cams - k < T:

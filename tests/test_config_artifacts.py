@@ -2,12 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import fewview
 from fewview import artifacts, cli, training
-from fewview.config import load_config, validate_config
+from fewview.config import MAX_CONFIG_BYTES, load_config, validate_config
 from fewview.envs import ClassificationWorld
 from fewview.errors import ConfigError
 
@@ -86,12 +89,12 @@ def test_config_hash_is_stable_and_covers_defaults():
     a = validate_config({"world": {"kind": "classification"}})
     b = validate_config({"world": {"kind": "classification", "n_views": 12}})
     # n_views=12 is the default, so the normalized configs coincide
-    assert a.config_hash() == b.config_hash()
+    assert a.config_hash == b.config_hash
     c = validate_config({"world": {"kind": "classification", "noise": 0.2}})
-    assert c.config_hash() != a.config_hash()
+    assert c.config_hash != a.config_hash
 
 
-# config_hash() names every run directory and is written into every report,
+# config_hash names every run directory and is written into every report,
 # so a config that loads keeps its hash
 PINNED_HASHES = [
     ({"world": {"kind": "classification"}},
@@ -125,7 +128,7 @@ PINNED_HASHES = [
 @pytest.mark.parametrize("raw, digest", PINNED_HASHES,
                          ids=["minimal", "detection-every-section", "lists", "cls-cli-eval"])
 def test_config_hash_is_pinned(raw, digest):
-    assert validate_config(raw).config_hash() == digest
+    assert validate_config(raw).config_hash == digest
 
 
 def test_world_config_builds_both_kinds():
@@ -192,6 +195,27 @@ def test_malformed_config_values_name_their_path(tmp_path, payload, named):
     path.write_bytes(payload)
     with pytest.raises(ConfigError, match=named):
         load_config(path)
+
+
+def test_config_files_larger_than_the_limit_are_refused_before_parsing(tmp_path):
+    # libyaml composes nested nodes by C recursion; every level takes a byte,
+    # so the size limit keeps a deep file from overflowing the stack
+    path = tmp_path / "exp.yaml"
+    head = b"world: {kind: classification}\n"
+    path.write_bytes(head + b"#" * (MAX_CONFIG_BYTES - len(head) - 1) + b"\n")
+    assert load_config(path).raw["world"]["kind"] == "classification"
+    path.write_bytes(head + b"#" * (MAX_CONFIG_BYTES - len(head)) + b"\n")
+    with pytest.raises(ConfigError, match=f"larger than {MAX_CONFIG_BYTES} bytes"):
+        load_config(path)
+    # deep enough to overflow an 8 MiB stack in libyaml's composer
+    path.write_bytes(b"[" * 30_000 + b"]" * 30_000)
+    code = ("import sys\nfrom fewview.config import load_config\nfrom fewview.errors import "
+            "ConfigError\ntry:\n    load_config(sys.argv[1])\nexcept ConfigError as exc:\n"
+            "    print(exc)\n")
+    r = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True,
+                       env={**os.environ, "PYTHONPATH": str(Path(fewview.__file__).parents[1])})
+    assert r.returncode == 0, r.stderr
+    assert "larger than" in r.stdout
 
 
 def test_null_network_and_eval_values_stay_unset():

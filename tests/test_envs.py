@@ -192,6 +192,18 @@ def test_unknown_split_is_a_config_error(make):
         w.split_size("test")
 
 
+@pytest.mark.parametrize("make", [small_class_world, small_det_world])
+def test_instance_streams_are_pinned_to_their_integer_keys(make):
+    # (world seed, split tag, index), with train 0, val 1 and eval 2, keys
+    # every instance stream: a change of key or generator fails here
+    w = make(seed=5)
+    for split, tag in (("train", 0), ("val", 1), ("eval", 2)):
+        for i in (0, 7):
+            want = np.random.default_rng([5, tag, i]).bit_generator.random_raw(8)
+            np.testing.assert_array_equal(w._instance_rng(split, i).bit_generator.random_raw(8),
+                                          want, err_msg=f"{split} {i}")
+
+
 # ---------------------------------------------------------------------------
 # layouts
 

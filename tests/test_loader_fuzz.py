@@ -11,7 +11,9 @@ checkpoints, ConfigError for configs.
 
 import copy
 import json
+import re
 import struct
+from pathlib import Path
 
 import pytest
 import yaml
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fewview.checkpoint import MAGIC
-from fewview.config import load_config
+from fewview.config import load_config, validate_config
 from fewview.errors import CompatibilityError, ConfigError
 from fewview.mvselect import QNetwork
 from fewview.tasknet import MVClassifier, MVDetector
@@ -147,6 +149,24 @@ VALID_CONFIGS = [
                "gamma": 0.9},
      "eval": {"policy": "mvselect", "budget": 100}},
 ]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+README_CONFIG = re.search(r"```yaml\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+
+
+@pytest.mark.parametrize("text", [*(yaml.safe_dump(c, default_flow_style=flow)
+                                    for c in VALID_CONFIGS for flow in (False, True)),
+                                  README_CONFIG],
+                         ids=["cls-block", "cls-flow", "det-block", "det-flow", "readme"])
+def test_valid_configs_parse_alike_under_pyyaml_and_libyaml(tmp_path, text):
+    # load_config parses with libyaml (yaml.CSafeLoader); PyYAML's own
+    # yaml.SafeLoader must read every valid config to the same mapping
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+    path = tmp_path / "exp.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert load_config(path).raw == validate_config(expected).raw
 
 
 def load_config_or_config_error(path, raw: bytes) -> None:

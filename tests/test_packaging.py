@@ -57,3 +57,10 @@ def test_cli_and_detection_scoring_load_no_scipy():
                        env={"PYTHONPATH": str(PACKAGE_DIR.parent)})
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def test_pyyaml_carries_its_libyaml_bindings():
+    # config.load_config parses with yaml.CSafeLoader, which only a PyYAML
+    # built with libyaml has; PyYAML's standard wheels include it
+    import yaml
+    assert yaml.__with_libyaml__, "PyYAML lacks libyaml, which config.load_config needs"

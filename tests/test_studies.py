@@ -70,6 +70,26 @@ def test_sweep_at_full_budget_equals_full_view_eval(world, task_net):
         assert row["cost_ratio"] == 1.0
 
 
+def test_sweep_trains_no_selector_at_full_budget(world, task_net, monkeypatch):
+    # masking forces all N views at T = N, so the untrained stand-in serves there
+    N, built = world.n_cameras, []
+    build = tr.build_selector
+
+    def recording_build(*args, **kwargs):
+        net = build(*args, **kwargs)
+        built.append((net, {name: p.copy() for name, p in net.named_params()}))
+        return net
+
+    monkeypatch.setattr(tr, "build_selector", recording_build)
+    cfg = tr.TrainConfig(regime="select-fixed", epochs=5, T=2, selector_lr=1e-3, seed=0)
+    rows = studies.sweep_view_budget(world, task_net, [N], policies=("mvselect",),
+                                     selector_cfg=cfg)
+    assert rows == studies.sweep_view_budget(world, task_net, [N], policies=("mvselect",))
+    (net, params), _ = built
+    for name, p in net.named_params():
+        np.testing.assert_array_equal(p, params[name], err_msg=name)
+
+
 def test_sweep_cost_ratios(world, task_net, selector):
     from fewview import evaluation as ev
     rows = studies.sweep_view_budget(world, task_net, [2], q_nets={2: selector})
@@ -261,6 +281,16 @@ def test_shutoff_guards(world, task_net, selector):
         studies.camera_shutoff_study(world, task_net, selector, T=11, k=2)
     with pytest.raises(ConfigError, match="cannot disable"):
         studies.camera_shutoff_study(world, task_net, selector, T=2, k=13)
+
+
+@pytest.mark.parametrize("k", [2.5, True], ids=["k-2.5", "k-True"])
+def test_shutoff_rejects_a_non_integer_k_before_any_evaluation(world, task_net, selector,
+                                                               monkeypatch, k):
+    evaluated = []
+    monkeypatch.setattr(tr, "evaluate_policies", lambda *args, **kw: evaluated.append(args))
+    with pytest.raises(ConfigError, match="not an integer"):
+        studies.camera_shutoff_study(world, task_net, selector, T=2, k=k)
+    assert evaluated == []
 
 
 # ---------------------------------------------------------------------------

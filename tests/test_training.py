@@ -447,6 +447,16 @@ def test_random_sequences_deterministic_and_distinct():
     assert not set(seq) & disabled
 
 
+def test_random_sequence_is_pinned_to_its_integer_key():
+    # the order is the permutation drawn from (seed, 17, instance, initial
+    # view): a change of key or generator fails here
+    for seed, i, v0, off, T in ((0, 0, 0, frozenset(), 6), (7, 41, 5, frozenset({2, 9}), 3),
+                                (3, 2, 11, frozenset({0}), 11)):
+        open_cams = [c for c in range(12) if c != v0 and c not in off]
+        picks = np.random.default_rng([seed, 17, i, v0]).permutation(len(open_cams))[:T - 1]
+        assert tr.random_sequence(12, v0, T, seed, i, off) == tuple(open_cams[p] for p in picks)
+
+
 def test_random_completions_cover_views_uniformly():
     n_cams, draws = 6, 4000
     counts = np.zeros(n_cams)
